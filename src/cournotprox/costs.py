@@ -2,9 +2,12 @@
 
 Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries an
 analytic gradient, and reports a global curvature bound max_i |h_i''|
-that is used to size proximal steps. Evaluation is vectorized: inputs of
-shape (..., n) are accepted with the firm axis last; ``value`` reduces
-over that axis and ``gradient`` maps it elementwise.
+that is used to size proximal steps and the grid error of the potential
+lower bound. Evaluation is vectorized: inputs of shape (..., n) are
+accepted with the firm axis last; ``value`` reduces over that axis and
+``gradient`` maps it elementwise. A custom cost subclasses ``CostModel``
+and implements ``value_components``, ``gradient``, ``lipschitz_L`` and
+``contains``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,11 @@ def _param(value, n, name):
 
 
 class CostModel(ABC):
-    """Separable smooth production cost with an analytic gradient."""
+    """Separable smooth production cost with an analytic gradient.
+
+    Subclasses implement ``value_components``, ``gradient``,
+    ``lipschitz_L`` and ``contains``; ``value`` sums the components.
+    """
 
     n: int
     is_concave: bool = False
@@ -77,14 +84,6 @@ class CostModel(ABC):
     @abstractmethod
     def contains(self, x) -> bool:
         """Whether ``x`` lies in the domain of h."""
-
-    @abstractmethod
-    def component_value(self, i, t):
-        """h_i evaluated at scalar or array ``t``."""
-
-    @abstractmethod
-    def component_gradient(self, i, t):
-        """h_i' evaluated at scalar or array ``t``."""
 
     def _check_points(self, x):
         x = np.asarray(x, dtype=float)
@@ -127,12 +126,6 @@ class AffineCost(CostModel):
 
     def contains(self, x):
         return True
-
-    def component_value(self, i, t):
-        return self.mu_h[i] * np.asarray(t, dtype=float) + self.xi[i]
-
-    def component_gradient(self, i, t):
-        return np.full_like(np.asarray(t, dtype=float), self.mu_h[i])
 
 
 @dataclass(frozen=True)
@@ -183,18 +176,6 @@ class LogCost(CostModel):
     def contains(self, x):
         return bool(np.all(self.r * np.asarray(x, dtype=float) > -1.0))
 
-    def component_value(self, i, t):
-        w = self.r[i] * np.asarray(t, dtype=float)
-        if not np.all(w > -1.0):
-            raise CostDomainError("log cost evaluated where 1 + r*x <= 0")
-        return self.c0[i] + self.c[i] * np.log1p(w)
-
-    def component_gradient(self, i, t):
-        w = self.r[i] * np.asarray(t, dtype=float)
-        if not np.all(w > -1.0):
-            raise CostDomainError("log cost evaluated where 1 + r*x <= 0")
-        return self.c[i] * self.r[i] / (1.0 + w)
-
 
 @dataclass(frozen=True)
 class ExpCost(CostModel):
@@ -236,12 +217,6 @@ class ExpCost(CostModel):
 
     def contains(self, x):
         return True
-
-    def component_value(self, i, t):
-        return self.c0[i] - self.c[i] * np.exp(-self.r[i] * np.asarray(t, dtype=float))
-
-    def component_gradient(self, i, t):
-        return self.c[i] * self.r[i] * np.exp(-self.r[i] * np.asarray(t, dtype=float))
 
 
 def fd_gradient_check(model, x, step):

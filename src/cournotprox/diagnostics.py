@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import grad_gamma, lipschitz_gamma, phi_bifunction
 from .subqp import prox_step
@@ -140,36 +139,24 @@ def gamma_lower_bound(inst, grid_resolution=1024):
     """Separable lower bound on the potential over the box.
 
     Drops the nonnegative quadratic part and minimizes each coordinate's
-    remaining 1-D profile -alpha_tilde[i]*t - h_i(t) by grid scan plus a
-    bounded 1-D refinement around the best cell. The discarded quadratic
-    dominates any residual grid error by orders of magnitude, so the sum
-    lower-bounds the potential everywhere on the box, in particular its
-    infimum over any level set.
+    remaining 1-D profile -alpha_tilde[i]*t - h_i(t) by a scan of
+    ``grid_resolution`` points along the box diagonal, one n-vector per
+    point. Between two nodes d_i apart a profile with |h_i''| <= L_h dips
+    at most L_h*d_i**2/8 below the smaller node value, so subtracting that
+    term makes the sum a proven lower bound on the potential everywhere
+    on the box, in particular on its infimum over any level set.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
     if not (np.all(np.isfinite(inst.lower)) and np.all(np.isfinite(inst.upper))):
         raise ValueError("bounded box required for the grid search")
-    cost = inst.cost
-    total = 0.0
-    for i in range(inst.n):
-        lo, up = inst.lower[i], inst.upper[i]
-        a = inst.alpha_tilde[i]
-        ts = np.linspace(lo, up, grid_resolution)
-        vals = -a * ts - cost.component_value(i, ts)
-        j = int(np.argmin(vals))
-        best = float(vals[j])
-        left = ts[max(j - 1, 0)]
-        right = ts[min(j + 1, grid_resolution - 1)]
-        if right > left:
-            res = minimize_scalar(
-                lambda t: float(-a * t - cost.component_value(i, t)),
-                bounds=(left, right),
-                method="bounded",
-            )
-            best = min(best, float(res.fun))
-        total += best
-    return float(total)
+    width = inst.upper - inst.lower
+    best = np.full(inst.n, np.inf)
+    for u in np.linspace(0.0, 1.0, grid_resolution):
+        t = inst.lower + u * width
+        np.minimum(best, -inst.alpha_tilde * t - inst.cost.value_components(t), out=best)
+    spacing = width / (grid_resolution - 1)
+    return float(np.sum(best) - inst.cost.lipschitz_L() * np.sum(spacing**2) / 8.0)
 
 
 def brute_force_stationary_points(inst, grid_resolution=101):

@@ -74,8 +74,8 @@ class SolverConfig:
     ``step_norm_ord``) against ``eps``. Full iterates are kept in the
     trace only for n <= 100 unless ``record_iterates`` says otherwise.
     ``gamma_lb`` overrides the potential lower bound used for the
-    per-iteration bound column; by default it is computed from a
-    coordinate-wise grid scan when the box is bounded.
+    per-iteration bound column; by default it is computed by
+    ``gamma_lower_bound`` when the box is bounded.
     """
 
     step_policy: StepPolicy = StepPolicy.FIXED
@@ -92,7 +92,6 @@ class SolverConfig:
     record_iterates: Optional[bool] = None
     record_bound: bool = True
     gamma_lb: Optional[float] = None
-    lb_grid_resolution: int = 1024
 
 
 @dataclass(frozen=True)
@@ -302,7 +301,7 @@ def solve(inst, config=None, x0=None):
         and np.all(np.isfinite(inst.lower))
         and np.all(np.isfinite(inst.upper))
     ):
-        gamma_lb = diagnostics.gamma_lower_bound(inst, cfg.lb_grid_resolution)
+        gamma_lb = diagnostics.gamma_lower_bound(inst)
 
     take_step = _stepper(inst, cfg)
     gamma_x = float(potential_gamma(inst, x))

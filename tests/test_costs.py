@@ -109,16 +109,6 @@ class TestBatchSemantics:
         assert vals.shape == (7,)
         assert vals[2] == pytest.approx(model.value(X[2]))
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_component_accessors_match_vector_path(self, family):
-        model = family()
-        x = np.random.default_rng(1).uniform(0, 10, model.n)
-        per = model.value_components(x)
-        grad = model.gradient(x)
-        for i in range(model.n):
-            assert model.component_value(i, x[i]) == pytest.approx(per[i], rel=1e-14)
-            assert model.component_gradient(i, x[i]) == pytest.approx(grad[i], rel=1e-14)
-
 
 class TestGradientChecks:
     def test_affine_exact_up_to_rounding(self):

@@ -1,5 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cournotprox
 
 from cournotprox import (
     AffineCost,
@@ -191,6 +197,18 @@ class TestGammaLowerBound:
         cell = float(np.max(inst.upper - inst.lower)) / 63
         assert abs(coarse - fine) <= inst.n * slope * cell
 
+    @pytest.mark.parametrize("G", [64, 1024])
+    def test_interior_minimum_bounded_within_grid_error(self, G):
+        # each profile t - 2 - 1.5*log1p(2t) has its minimum at t = 1, between
+        # grid nodes, so only the subtracted L_h*d**2/8 term keeps the bound valid
+        n = 3
+        cost = LogCost(c0=2.0, c=1.5, r=2.0, n=n)
+        inst = MarketInstance(beta=0.1, alpha0=0.0, mu=1.0, lower=0.0, upper=10.0, cost=cost)
+        f_min = 1.0 - 2.0 - 1.5 * np.log1p(2.0)
+        d = 10.0 / (G - 1)
+        lb = gamma_lower_bound(inst, G)
+        assert n * f_min - n * cost.lipschitz_L() * d**2 / 8 <= lb <= n * f_min
+
     def test_unbounded_box_rejected(self):
         cost = AffineCost(mu_h=np.zeros(2))
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf, cost=cost)
@@ -232,3 +250,10 @@ class TestBruteForce:
         inst = log_cost_market(4, 2)
         with pytest.raises(ValueError):
             brute_force_stationary_points(inst, 11)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cournotprox.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import cournotprox; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -53,6 +53,8 @@ SUMMARY_FIELDS = [
     "gamma_final",
     "oracle_err",
     "bound_ok",
+    "certificate",
+    "trials",
 ]
 
 OUT_DIR_ENV = "COURNOTPROX_OUTDIR"
@@ -289,6 +291,8 @@ def run_experiment(cfg):
                 _fmt(result.gamma_final),
                 oracle_err,
                 int(bound_ok),
+                _fmt(result.certificate),
+                result.trials,
             ]
         )
     with open(cfg.out_dir / "summary.csv", "w", newline="") as fh:

@@ -12,6 +12,7 @@ across concurrent solver runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ def _bound_vector(value, n, name):
 class MarketInstance:
     """Immutable n-firm market description.
 
-    ``beta`` and ``alpha0`` are the inverse-demand slope and intercept,
+    ``beta`` and ``alpha0`` are the finite inverse-demand slope and intercept,
     ``mu`` holds per-firm linear cost coefficients that are folded into
     the effective intercept ``alpha_tilde = alpha0 - mu`` (leave it at
     zero when the whole cost lives in ``cost``), and [lower, upper] is
@@ -73,6 +74,8 @@ class MarketInstance:
         n = self.cost.n
         beta = float(self.beta)
         alpha0 = float(self.alpha0)
+        if not (math.isfinite(beta) and math.isfinite(alpha0)):
+            raise ValueError("beta and alpha0 must be finite")
         if not beta > 0:
             raise ValueError("beta must be positive")
         if alpha0 < 0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics
 from .model import apply_Btilde, lipschitz_gamma, potential_gamma
-from .subqp import SubproblemError, box_pg_solve, prox_step, prox_subproblem
+from .subqp import SubproblemError, _model_gradient_at, box_pg_solve, prox_step, prox_subproblem
 
 __all__ = [
     "ConfigurationError",
@@ -55,6 +55,7 @@ class SolveStatus(Enum):
     CONVERGED = "Converged"
     MAX_ITER = "MaxIter"
     SUBPROBLEM_FAILURE = "SubproblemFailure"
+    NON_FINITE = "NonFinite"
 
 
 @dataclass
@@ -169,12 +170,16 @@ class SolveResult:
 
     ``status`` is Converged exactly when the step norm fell to eps.
     ``certificate`` bounds from below, by its negation, the potential
-    slope along every unit feasible direction at ``x``.
+    slope along every unit feasible direction at ``x``. ``trials``
+    counts the prox steps behind the ``iterations`` recorded steps: the
+    line-search trials under LINE_SEARCH, and ``iterations`` itself
+    under FIXED.
     """
 
     x: np.ndarray
     status: SolveStatus
     iterations: int
+    trials: int
     final_step_norm: float
     final_residual: float
     certificate: float
@@ -208,24 +213,25 @@ def prox_model_value(inst, x, y, c):
     )
 
 
-def _decrease_rhs_const(inst, x):
-    # gamma(x) = model value at y=x plus exactly this constant
-    return 0.5 * float(x @ apply_Btilde(inst, x)) - float(x @ inst.alpha_tilde)
-
-
-def _sufficient_decrease(inst, x, s, c, rhs_const):
-    return float(potential_gamma(inst, s)) <= prox_model_value(inst, x, s, c) + rhs_const
-
-
-def _line_search(inst, x, c_init, c_lo, tau_c, rhs_const, take_step):
+def _line_search(inst, x, gamma_x, c_init, c_lo, tau_c, take_step):
+    # The linearization at x is shared by every trial. The test
+    #   gamma(s) <= gamma(x) + beta*(|s|^2 - |x|^2) + g.(s - x) + |s - x|^2/(2c)
+    # is prox_model_value(x, s, c) + 0.5*x'Btilde x - x.alpha_tilde rewritten
+    # around the known gamma(x), so it needs no h(x).
+    g = _model_gradient_at(inst, x)
+    base = gamma_x - inst.beta * float(x @ x)
     c = c_init
+    trials = 0
     while True:
-        s = take_step(x, c)
-        if _sufficient_decrease(inst, x, s, c, rhs_const):
-            return c, s
-        if c <= c_lo:
-            # guaranteed-descent region (c*L_gamma <= 1); accept unconditionally
-            return c, s
+        s = take_step(x, c, g)
+        trials += 1
+        gamma_s = float(potential_gamma(inst, s))
+        dx = s - x
+        rhs = base + inst.beta * float(s @ s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
+        # at c <= c_lo the step is in the guaranteed-descent region
+        # (c*L_gamma <= 1); accept unconditionally
+        if gamma_s <= rhs or c <= c_lo:
+            return c, s, gamma_s, trials
         c = max(tau_c * c, c_lo)
 
 
@@ -243,15 +249,17 @@ def line_search_c(inst, x, c_init, config=None):
     if not p.c_lo <= c_init <= p.c_hi * (1.0 + 1e-12):
         raise ValueError(f"c_init={c_init:.6g} outside [c_lo, c_hi] = [{p.c_lo:.6g}, {p.c_hi:.6g}]")
     x = np.asarray(x, dtype=float)
-    rhs_const = _decrease_rhs_const(inst, x)
-    return _line_search(inst, x, float(c_init), p.c_lo, cfg.tau_c, rhs_const, _stepper(inst, cfg))
+    gamma_x = float(potential_gamma(inst, x))
+    take_step = _stepper(inst, cfg)
+    c, s, _, _ = _line_search(inst, x, gamma_x, float(c_init), p.c_lo, cfg.tau_c, take_step)
+    return c, s
 
 
 def _stepper(inst, config):
     if not config.use_pg_subproblem:
-        return lambda x, c: prox_step(inst, x, c)
+        return lambda x, c, g=None: prox_step(inst, x, c, g)
 
-    def pg_step(x, c):
+    def pg_step(x, c, g=None):
         return box_pg_solve(
             prox_subproblem(inst, x, c),
             tol=config.subproblem_tol,
@@ -282,7 +290,11 @@ def solve(inst, config=None, x0=None):
         stationarity certificate (1 + c*L_gamma)*||G_c|| from the final
         step. Status is Converged when the step norm reached ``eps``,
         MaxIter when the budget ran out, SubproblemFailure when the
-        optional projected-gradient inner solver gave up.
+        optional projected-gradient inner solver gave up, and NonFinite
+        as soon as the potential at an iterate (the start point
+        included) or a step norm is not finite. A non-finite step is
+        not taken: ``x`` stays at the last iterate and the result's
+        step norm, residual and certificate are NaN.
     """
     cfg = config if config is not None else SolverConfig()
     p = _resolve(cfg, inst)
@@ -313,23 +325,30 @@ def solve(inst, config=None, x0=None):
     c_k = math.nan
     step = math.nan
     resid = math.nan
-    status = SolveStatus.MAX_ITER
+    trials = 0
+    status = SolveStatus.MAX_ITER if math.isfinite(gamma_x) else SolveStatus.NON_FINITE
 
-    for k in range(cfg.max_iter):
+    for k in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
         try:
             if cfg.step_policy is StepPolicy.FIXED:
-                c_k = p.c_fixed
+                c_k, n_trials = p.c_fixed, 1
                 s = take_step(x, c_k)
+                gamma_s = float(potential_gamma(inst, s))
             else:
                 c_init = min(p.c_hi, max(p.c_lo, c_prev / cfg.tau_c))
-                rhs_const = _decrease_rhs_const(inst, x)
-                c_k, s = _line_search(inst, x, c_init, p.c_lo, cfg.tau_c, rhs_const, take_step)
+                c_k, s, gamma_s, n_trials = _line_search(
+                    inst, x, gamma_x, c_init, p.c_lo, cfg.tau_c, take_step
+                )
         except SubproblemError:
             status = SolveStatus.SUBPROBLEM_FAILURE
             break
         dx = s - x
         step = float(np.linalg.norm(dx, ord=cfg.step_norm_ord))
         resid = step / c_k
+        if not math.isfinite(step):
+            status = SolveStatus.NON_FINITE
+            break
+        trials += n_trials
         delta_run = min(delta_run, step * step / (2.0 * c_k))
         col_gamma.append(gamma_x)
         col_step.append(step)
@@ -340,8 +359,11 @@ def solve(inst, config=None, x0=None):
         if iterates is not None:
             iterates.append(x.copy())
         x = s
-        gamma_x = float(potential_gamma(inst, x))
+        gamma_x = gamma_s
         c_prev = c_k
+        if not math.isfinite(gamma_x):
+            status = SolveStatus.NON_FINITE
+            break
         if step <= cfg.eps:
             status = SolveStatus.CONVERGED
             break
@@ -364,6 +386,7 @@ def solve(inst, config=None, x0=None):
         x=x,
         status=status,
         iterations=iterations,
+        trials=trials,
         final_step_norm=step,
         final_residual=resid,
         certificate=certificate,

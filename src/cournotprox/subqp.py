@@ -146,20 +146,26 @@ def _model_gradient_at(inst, x):
     return apply_Btilde(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
 
 
-def prox_step(inst, x, c):
+def prox_step(inst, x, c, g=None):
     """Minimizer of the convexified local model with proximal damping 1/(2c).
 
     Keeps the own-output quadratic exact, linearizes the smooth cost at
     ``x``, and damps the move; separability gives the closed form
     clamp((x - c*g)/(1 + 2*beta*c)) per coordinate. Stationary points
     are exactly its fixed points, for every c > 0.
+
+    ``g`` is the linearized slope at ``x``,
+    ``apply_Btilde(x) - alpha_tilde - cost.gradient(x)``. It does not
+    depend on c, so a caller trying several c from one ``x`` can compute
+    it once and pass it in; by default it is computed here.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
-    g = _model_gradient_at(inst, x)
+    if g is None:
+        g = _model_gradient_at(inst, x)
     return np.clip((x - c * g) / (1.0 + 2.0 * inst.beta * c), inst.lower, inst.upper)
 
 

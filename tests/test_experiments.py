@@ -122,6 +122,21 @@ class TestRunExperiment:
         assert all(r["oracle_err"] == "" for r in rows)
         assert all(int(r["iterations"]) >= 1 for r in rows)
 
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    def test_summary_records_certificate_and_trials(self, tmp_path, policy):
+        cfg = ExperimentConfig(
+            example=ExampleFamily.EXP, sweep=(10, 30), step_policy=policy, out_dir=tmp_path, seed=2
+        )
+        assert run_experiment(cfg) == 0
+        for row in read_summary(tmp_path / "summary.csv"):
+            res, _ = solve(generate_instance(cfg, int(row["n"])), cfg.solver_config())
+            assert float(row["certificate"]) == res.certificate
+            assert int(row["trials"]) == res.trials
+            if policy is StepPolicy.FIXED:
+                assert res.trials == res.iterations
+            else:
+                assert res.trials >= res.iterations
+
     def test_empty_sweep_header_only(self, tmp_path):
         cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(), out_dir=tmp_path)
         assert run_experiment(cfg) == 0

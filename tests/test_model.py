@@ -227,6 +227,16 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             MarketInstance(beta=1.0, alpha0=-1.0, mu=0.0, lower=0.0, upper=1.0, cost=cost)
 
+    @pytest.mark.parametrize(
+        "beta, alpha0",
+        [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)],
+        ids=["beta_inf", "beta_nan", "alpha0_inf", "alpha0_nan"],
+    )
+    def test_rejects_non_finite_scalars(self, beta, alpha0):
+        cost = AffineCost(mu_h=np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=0.0, upper=1.0, cost=cost)
+
     def test_rejects_bad_vectors(self):
         cost = AffineCost(mu_h=np.zeros(2))
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from cournotprox import (
     AffineCost,
     ConfigurationError,
+    ExpCost,
+    LogCost,
     MarketInstance,
     SolveStatus,
     SolverConfig,
@@ -39,6 +42,58 @@ def decrease_rhs(inst, x, s, c):
         + 0.5 * float(x @ apply_Btilde(inst, x))
         - float(x @ inst.alpha_tilde)
     )
+
+
+def with_cost(inst, cost):
+    return MarketInstance(
+        beta=inst.beta, alpha0=inst.alpha0, mu=inst.mu,
+        lower=inst.lower, upper=inst.upper, cost=cost,
+    )
+
+
+class CountingLogCost(LogCost):
+    """LogCost that counts its value and gradient evaluations."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", Counter())
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return super().value(x)
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        return super().gradient(x)
+
+
+class NaNGradientExpCost(ExpCost):
+    def gradient(self, x):
+        return np.full(np.shape(x), np.nan)
+
+
+class NaNValueExpCost(ExpCost):
+    def value_components(self, x):
+        return np.full(np.shape(x), np.nan)
+
+
+def reference_line_search_run(inst, cfg, x, steps):
+    """Default-bracket line search built from prox_step, potential_gamma and decrease_rhs alone."""
+    L = lipschitz_gamma(inst)
+    c_lo, c_hi = 0.1 / L, 10.0 / L
+    c_prev = min(c_hi, max(c_lo, 1.0 / L))
+    cs, xs = [], [x]
+    for _ in range(steps):
+        c = min(c_hi, max(c_lo, c_prev / cfg.tau_c))
+        while True:
+            s = prox_step(inst, x, c)
+            if potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) or c <= c_lo:
+                break
+            c = max(cfg.tau_c * c, c_lo)
+        cs.append(c)
+        xs.append(s)
+        x, c_prev = s, c
+    return np.asarray(cs), xs
 
 
 class TestGradientMapping:
@@ -204,11 +259,51 @@ class TestLineSearch:
                 c = trace.c[k]
                 assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) + 1e-9
 
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market], ids=["log", "exp"])
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_reference_line_search(self, make, n, seed):
+        inst = make(n, seed)
+        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-5, record_iterates=True)
+        res, trace = solve(inst, cfg)
+        assert res.status is SolveStatus.CONVERGED
+        cs, xs = reference_line_search_run(inst, cfg, inst.center(), len(trace))
+        np.testing.assert_array_equal(trace.c, cs)
+        for got, want in zip(trace.iterates, xs):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    def test_each_iterate_evaluated_once(self, policy):
+        # one gradient per iterate; one value per prox step plus one at the start point
+        base = log_cost_market(30, 5)
+        inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False))
+        assert res.status is SolveStatus.CONVERGED
+        if policy is StepPolicy.FIXED:
+            assert res.trials == res.iterations
+        else:
+            assert res.trials > res.iterations
+        assert inst.cost.calls["gradient"] == res.iterations
+        assert inst.cost.calls["value"] == res.trials + 1
+
     def test_line_search_run_still_descends(self):
         inst = log_cost_market(20, 13)
         res, trace = solve(inst, SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-5))
         gammas = np.append(trace.gamma, res.gamma_final)
         assert np.all(np.diff(gammas) <= 1e-9)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    @pytest.mark.parametrize("cost_cls", [NaNGradientExpCost, NaNValueExpCost])
+    def test_nan_cost_stops_at_once(self, cost_cls, policy):
+        base = exp_cost_market(2, 0)
+        inst = with_cost(base, cost_cls(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        res, trace = solve(inst, SolverConfig(step_policy=policy))
+        assert res.status is SolveStatus.NON_FINITE
+        assert res.iterations <= 2
+        assert len(trace) == res.iterations
+        assert np.all(np.isfinite(res.x))
 
 
 class TestSlopeBounds:

@@ -53,7 +53,6 @@ from .solver import (
     delta_k,
     eps_certificate,
     gradient_mapping,
-    line_search_c,
     prox_model_value,
     solve,
 )

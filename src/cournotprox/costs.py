@@ -7,13 +7,15 @@ lower bound. Evaluation is vectorized: inputs of shape (..., n) are
 accepted with the firm axis last; ``value`` reduces over that axis and
 ``gradient`` maps it elementwise. A custom cost subclasses ``CostModel``
 and implements ``value_components``, ``gradient``, ``lipschitz_L`` and
-``contains``.
+``contains``. ``value_and_gradient`` returns h(x) and writes h'(x) into
+a caller's buffer; the solver makes exactly this one call per trial
+point, so the shipped families override it with a single fused pass.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +52,10 @@ def _param(value, n, name):
         raise ValueError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    arr = arr.copy()
+    return _frozen(arr.copy())
+
+
+def _frozen(arr):
     arr.setflags(write=False)
     return arr
 
@@ -59,7 +64,13 @@ class CostModel(ABC):
     """Separable smooth production cost with an analytic gradient.
 
     Subclasses implement ``value_components``, ``gradient``,
-    ``lipschitz_L`` and ``contains``; ``value`` sums the components.
+    ``lipschitz_L`` and ``contains``; ``value`` sums the components and
+    ``value_and_gradient`` composes ``value`` and ``gradient``. A family
+    that overrides ``value_and_gradient`` with a fused pass must give the
+    same bits as that composition, and a subclass that overrides
+    ``value_components`` or ``gradient`` must override
+    ``value_and_gradient`` too, or the solver keeps using the parent's
+    fused pass.
     """
 
     n: int
@@ -68,6 +79,16 @@ class CostModel(ABC):
     def value(self, x):
         """Total cost, summed over the trailing firm axis."""
         return np.sum(self.value_components(x), axis=-1)
+
+    def value_and_gradient(self, x, grad, work=None):
+        """Total cost at ``x``; writes the gradient into ``grad`` (same shape as ``x``).
+
+        ``work`` is an optional scratch array of that shape that fused
+        implementations use instead of allocating; neither buffer may
+        alias ``x``.
+        """
+        grad[...] = self.gradient(x)
+        return self.value(x)
 
     @abstractmethod
     def value_components(self, x):
@@ -142,6 +163,7 @@ class LogCost(CostModel):
     c: np.ndarray
     r: np.ndarray
     n: int = None
+    cr: np.ndarray = field(init=False, repr=False, compare=False)
 
     is_concave = True
 
@@ -155,6 +177,7 @@ class LogCost(CostModel):
             raise ValueError("c0 must be nonnegative")
         if np.any(self.c <= 0) or np.any(self.r <= 0):
             raise ValueError("c and r must be positive")
+        object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
     def _arg(self, x):
         w = self.r * x
@@ -168,7 +191,18 @@ class LogCost(CostModel):
 
     def gradient(self, x):
         x = self._check_points(x)
-        return self.c * self.r / (1.0 + self._arg(x))
+        return self.cr / (1.0 + self._arg(x))
+
+    def value_and_gradient(self, x, grad, work=None):
+        w = np.multiply(self.r, x, out=grad)
+        if not np.min(w) > -1.0:
+            raise CostDomainError("log cost evaluated where 1 + r*x <= 0")
+        v = np.log1p(w, out=work)
+        np.multiply(self.c, v, out=v)
+        np.add(self.c0, v, out=v)
+        np.add(1.0, w, out=grad)
+        np.divide(self.cr, grad, out=grad)
+        return np.sum(v, axis=-1)
 
     def lipschitz_L(self):
         return float(np.max(self.c * self.r**2))
@@ -190,6 +224,7 @@ class ExpCost(CostModel):
     c: np.ndarray
     r: np.ndarray
     n: int = None
+    cr: np.ndarray = field(init=False, repr=False, compare=False)
 
     is_concave = True
 
@@ -203,6 +238,7 @@ class ExpCost(CostModel):
             raise ValueError("c and r must be positive")
         if np.any(self.c0 < self.c):
             raise ValueError("c0 must dominate c componentwise")
+        object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
     def value_components(self, x):
         x = self._check_points(x)
@@ -210,7 +246,17 @@ class ExpCost(CostModel):
 
     def gradient(self, x):
         x = self._check_points(x)
-        return self.c * self.r * np.exp(-self.r * x)
+        return self.cr * np.exp(-self.r * x)
+
+    def value_and_gradient(self, x, grad, work=None):
+        # -(r*x) equals (-r)*x bit for bit: rounding is symmetric in sign
+        e = np.multiply(self.r, x, out=grad)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        v = np.multiply(self.c, e, out=work)
+        np.subtract(self.c0, v, out=v)
+        np.multiply(self.cr, e, out=grad)
+        return np.sum(v, axis=-1)
 
     def lipschitz_L(self):
         return float(np.max(self.c * self.r**2))

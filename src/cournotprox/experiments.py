@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import AffineCost, ExpCost, LogCost
-from .model import MarketInstance
+from .model import MarketInstance, lipschitz_gamma
 from .solver import SolverConfig, SolveStatus, StepPolicy, solve
 from .subqp import classical_equilibrium
 
@@ -55,6 +55,9 @@ SUMMARY_FIELDS = [
     "bound_ok",
     "certificate",
     "trials",
+    "L_gamma",
+    "c_final",
+    "gamma_lb",
 ]
 
 OUT_DIR_ENV = "COURNOTPROX_OUTDIR"
@@ -293,6 +296,9 @@ def run_experiment(cfg):
                 int(bound_ok),
                 _fmt(result.certificate),
                 result.trials,
+                _fmt(lipschitz_gamma(inst)),
+                _fmt(result.c_final),
+                "" if trace.gamma_lb is None else _fmt(trace.gamma_lb),
             ]
         )
     with open(cfg.out_dir / "summary.csv", "w", newline="") as fh:

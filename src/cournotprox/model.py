@@ -167,16 +167,27 @@ def apply_Q(inst, x):
     return inst.beta * (x + sigma)
 
 
-def potential_gamma(inst, x):
+def potential_gamma(inst, x, cost_grad=None, work=None):
     """Merit potential: both quadratic terms minus the effective revenue line minus the cost.
 
     Decreased monotonically by well-damped proximal steps; its gradient
     vanishing (against the box normal cone) characterizes stationarity.
+
+    When ``cost_grad`` (an array shaped like ``x``) is given, the cost
+    comes from one fused ``cost.value_and_gradient`` call that also
+    leaves h'(x) in ``cost_grad``, and ``work`` (same shape, optional)
+    is its scratch; the potential has the same bits either way. Neither
+    buffer may alias ``x``.
     """
     x = _points(inst, x)
-    sq = np.sum(x * x, axis=-1)
+    if cost_grad is None:
+        sq = np.sum(x * x, axis=-1)
+        h = inst.cost.value(x)
+    else:
+        sq = np.sum(np.multiply(x, x, out=cost_grad), axis=-1)
+        h = inst.cost.value_and_gradient(x, cost_grad, work)
     sigma = np.sum(x, axis=-1)
-    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - inst.cost.value(x)
+    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - h
 
 
 def grad_gamma(inst, x):

@@ -34,7 +34,6 @@ __all__ = [
     "SolveResult",
     "gradient_mapping",
     "prox_model_value",
-    "line_search_c",
     "solve",
     "delta_k",
     "bound_rhs",
@@ -104,32 +103,38 @@ class _Resolved:
     record_iterates: bool
 
 
+def _positive(name, value):
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def _resolve(config, inst):
-    if config.eps <= 0:
-        raise ConfigurationError("eps must be positive")
+    _positive("eps", config.eps)
     if config.max_iter < 1:
         raise ConfigurationError("max_iter must be at least 1")
     if not 0.0 < config.tau_c < 1.0:
         raise ConfigurationError("tau_c must lie in (0, 1)")
-    if config.subproblem_tol <= 0:
-        raise ConfigurationError("subproblem_tol must be positive")
+    _positive("subproblem_tol", config.subproblem_tol)
+    if config.gamma_lb is not None and not math.isfinite(config.gamma_lb):
+        raise ConfigurationError(f"gamma_lb must be finite, got {config.gamma_lb!r}")
     L = lipschitz_gamma(inst)
     c_cap = math.inf if L == 0.0 else 1.0 / L
     if config.c_fixed is not None:
-        c_fixed = float(config.c_fixed)
+        c_fixed = _positive("c_fixed", config.c_fixed)
     elif L == 0.0:
         c_fixed = 1.0
     else:
         c_fixed = 1.0 / L
-    if c_fixed <= 0:
-        raise ConfigurationError("c_fixed must be positive")
     if config.step_policy is StepPolicy.FIXED and c_fixed > c_cap * (1.0 + 1e-12):
         raise ConfigurationError(
             f"fixed damping c={c_fixed:.6g} violates c*L_gamma <= 1 (L_gamma={L:.6g})"
         )
     c_lo = config.c_lo if config.c_lo is not None else (0.1 if L == 0.0 else 0.1 / L)
     c_hi = config.c_hi if config.c_hi is not None else (10.0 if L == 0.0 else 10.0 / L)
-    if c_lo <= 0 or c_hi < c_lo:
+    c_lo, c_hi = _positive("c_lo", c_lo), _positive("c_hi", c_hi)
+    if c_hi < c_lo:
         raise ConfigurationError("need 0 < c_lo <= c_hi")
     if config.step_policy is StepPolicy.LINE_SEARCH and c_lo > c_cap * (1.0 + 1e-12):
         raise ConfigurationError(
@@ -137,7 +142,7 @@ def _resolve(config, inst):
             f"search is not guaranteed to terminate"
         )
     rec = config.record_iterates if config.record_iterates is not None else inst.n <= 100
-    return _Resolved(L, float(c_fixed), float(c_lo), float(c_hi), bool(rec))
+    return _Resolved(L, c_fixed, c_lo, c_hi, bool(rec))
 
 
 @dataclass
@@ -213,54 +218,12 @@ def prox_model_value(inst, x, y, c):
     )
 
 
-def _line_search(inst, x, gamma_x, c_init, c_lo, tau_c, take_step):
-    # The linearization at x is shared by every trial. The test
-    #   gamma(s) <= gamma(x) + beta*(|s|^2 - |x|^2) + g.(s - x) + |s - x|^2/(2c)
-    # is prox_model_value(x, s, c) + 0.5*x'Btilde x - x.alpha_tilde rewritten
-    # around the known gamma(x), so it needs no h(x).
-    g = _model_gradient_at(inst, x)
-    base = gamma_x - inst.beta * float(x @ x)
-    c = c_init
-    trials = 0
-    while True:
-        s = take_step(x, c, g)
-        trials += 1
-        gamma_s = float(potential_gamma(inst, s))
-        dx = s - x
-        rhs = base + inst.beta * float(s @ s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
-        # at c <= c_lo the step is in the guaranteed-descent region
-        # (c*L_gamma <= 1); accept unconditionally
-        if gamma_s <= rhs or c <= c_lo:
-            return c, s, gamma_s, trials
-        c = max(tau_c * c, c_lo)
-
-
-def line_search_c(inst, x, c_init, config=None):
-    """Shrink the damping parameter geometrically until sufficient decrease holds.
-
-    Returns the first c in c_init, tau_c*c_init, ... (floored at c_lo)
-    whose prox point makes the potential fall below the local model
-    value, together with that prox point. Termination is guaranteed
-    because the test always holds once c*L_gamma <= 1 and c_lo is
-    validated against that threshold.
-    """
-    cfg = config if config is not None else SolverConfig(step_policy=StepPolicy.LINE_SEARCH)
-    p = _resolve(cfg, inst)
-    if not p.c_lo <= c_init <= p.c_hi * (1.0 + 1e-12):
-        raise ValueError(f"c_init={c_init:.6g} outside [c_lo, c_hi] = [{p.c_lo:.6g}, {p.c_hi:.6g}]")
-    x = np.asarray(x, dtype=float)
-    gamma_x = float(potential_gamma(inst, x))
-    take_step = _stepper(inst, cfg)
-    c, s, _, _ = _line_search(inst, x, gamma_x, float(c_init), p.c_lo, cfg.tau_c, take_step)
-    return c, s
-
-
 def _stepper(inst, config):
     if not config.use_pg_subproblem:
-        return lambda x, c, g=None: prox_step(inst, x, c, g)
+        return lambda x, c, g, out: prox_step(inst, x, c, g, out)
 
-    def pg_step(x, c, g=None):
-        return box_pg_solve(
+    def pg_step(x, c, g, out):
+        out[...] = box_pg_solve(
             prox_subproblem(inst, x, c),
             tol=config.subproblem_tol,
             max_iter=config.subproblem_max_iter,
@@ -295,6 +258,17 @@ def solve(inst, config=None, x0=None):
         included) or a step norm is not finite. A non-finite step is
         not taken: ``x`` stays at the last iterate and the result's
         step norm, residual and certificate are NaN.
+
+    Notes
+    -----
+    Both step policies run one trial loop; FIXED is a single trial at
+    ``c_fixed``, accepted unconditionally. A run allocates its
+    n-vectors once (iterate, trial point, h' at each, the linearized
+    slope and one scratch vector), and every trial writes into them:
+    one ``prox_step`` and one ``potential_gamma`` whose fused cost call
+    also leaves h' at the trial point, which becomes h' at the next
+    iterate when the trial is accepted. ``result.x`` and the recorded
+    iterates are never written again once ``solve`` returns.
     """
     cfg = config if config is not None else SolverConfig()
     p = _resolve(cfg, inst)
@@ -315,12 +289,24 @@ def solve(inst, config=None, x0=None):
     ):
         gamma_lb = diagnostics.gamma_lower_bound(inst)
 
+    # The n-vectors of the run, allocated once: the iterate and the trial
+    # point, h' at each, the linearized slope at the iterate, and scratch.
+    # Every trial writes into them; the accepted trial swaps in as the
+    # next iterate together with h' there, so the cost is never evaluated twice
+    # at one point.
+    s, h_x, h_s, g, work = (np.empty_like(x) for _ in range(5))
     take_step = _stepper(inst, cfg)
-    gamma_x = float(potential_gamma(inst, x))
+    gamma_x = float(potential_gamma(inst, x, h_x, work))
     gamma0 = gamma_x
     col_gamma, col_step, col_c, col_resid, col_delta, col_bound = [], [], [], [], [], []
     iterates = [] if p.record_iterates else None
     delta_run = math.inf
+    # FIXED is the search on the one-point bracket [c_fixed, c_fixed]: its
+    # single trial sits at the floor and is accepted unconditionally.
+    if cfg.step_policy is StepPolicy.FIXED:
+        c_lo = c_hi = p.c_fixed
+    else:
+        c_lo, c_hi = p.c_lo, p.c_hi
     c_prev = min(p.c_hi, max(p.c_lo, p.c_fixed))
     c_k = math.nan
     step = math.nan
@@ -329,20 +315,31 @@ def solve(inst, config=None, x0=None):
     status = SolveStatus.MAX_ITER if math.isfinite(gamma_x) else SolveStatus.NON_FINITE
 
     for k in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
+        # Sufficient decrease,
+        #   gamma(s) <= gamma(x) + beta*(|s|^2 - |x|^2) + g.(s - x) + |s - x|^2/(2c),
+        # is prox_model_value(x, s, c) + 0.5*x'Btilde x - x.alpha_tilde
+        # rewritten around the known gamma(x), so it needs no h(x).
+        _model_gradient_at(inst, x, h_x, out=g)
+        base = gamma_x - inst.beta * float(x @ x)
+        c = min(c_hi, max(c_lo, c_prev / cfg.tau_c))
+        n_trials = 0
         try:
-            if cfg.step_policy is StepPolicy.FIXED:
-                c_k, n_trials = p.c_fixed, 1
-                s = take_step(x, c_k)
-                gamma_s = float(potential_gamma(inst, s))
-            else:
-                c_init = min(p.c_hi, max(p.c_lo, c_prev / cfg.tau_c))
-                c_k, s, gamma_s, n_trials = _line_search(
-                    inst, x, gamma_x, c_init, p.c_lo, cfg.tau_c, take_step
-                )
+            while True:
+                take_step(x, c, g, s)
+                n_trials += 1
+                gamma_s = float(potential_gamma(inst, s, h_s, work))
+                dx = np.subtract(s, x, out=work)
+                # at c <= c_lo the step is in the guaranteed-descent region
+                # (c*L_gamma <= 1); accept unconditionally
+                if c <= c_lo or gamma_s <= (
+                    base + inst.beta * float(s @ s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
+                ):
+                    break
+                c = max(cfg.tau_c * c, c_lo)
         except SubproblemError:
             status = SolveStatus.SUBPROBLEM_FAILURE
             break
-        dx = s - x
+        c_k = c
         step = float(np.linalg.norm(dx, ord=cfg.step_norm_ord))
         resid = step / c_k
         if not math.isfinite(step):
@@ -358,7 +355,8 @@ def solve(inst, config=None, x0=None):
         col_bound.append((gamma0 - gamma_lb) / (k + 1) if gamma_lb is not None else math.nan)
         if iterates is not None:
             iterates.append(x.copy())
-        x = s
+        x, s = s, x
+        h_x, h_s = h_s, h_x
         gamma_x = gamma_s
         c_prev = c_k
         if not math.isfinite(gamma_x):

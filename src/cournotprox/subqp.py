@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import AffineCost
-from .model import apply_Btilde, apply_Q
+from .model import apply_Q
 
 __all__ = [
     "SubproblemError",
@@ -141,12 +141,18 @@ def box_pg_solve(qp, tol=1e-10, max_iter=100_000, x0=None):
     )
 
 
-def _model_gradient_at(inst, x):
-    # linearized part of the local model: coupling + cost slope, no own-output term
-    return apply_Btilde(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
+def _model_gradient_at(inst, x, cost_grad=None, out=None):
+    # linearized part of the local model: coupling + cost slope, no own-output term;
+    # the operation order of apply_Btilde(x) - alpha_tilde - cost.gradient(x)
+    if cost_grad is None:
+        cost_grad = inst.cost.gradient(x)
+    out = np.subtract(np.sum(x, axis=-1, keepdims=True), x, out=out)
+    np.multiply(inst.beta, out, out=out)
+    np.subtract(out, inst.alpha_tilde, out=out)
+    return np.subtract(out, cost_grad, out=out)
 
 
-def prox_step(inst, x, c, g=None):
+def prox_step(inst, x, c, g=None, out=None):
     """Minimizer of the convexified local model with proximal damping 1/(2c).
 
     Keeps the own-output quadratic exact, linearizes the smooth cost at
@@ -157,7 +163,9 @@ def prox_step(inst, x, c, g=None):
     ``g`` is the linearized slope at ``x``,
     ``apply_Btilde(x) - alpha_tilde - cost.gradient(x)``. It does not
     depend on c, so a caller trying several c from one ``x`` can compute
-    it once and pass it in; by default it is computed here.
+    it once and pass it in; by default it is computed here. The step is
+    written into ``out`` when given (an array shaped like ``x`` that
+    aliases neither ``x`` nor ``g``) and returned.
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -166,7 +174,10 @@ def prox_step(inst, x, c, g=None):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
     if g is None:
         g = _model_gradient_at(inst, x)
-    return np.clip((x - c * g) / (1.0 + 2.0 * inst.beta * c), inst.lower, inst.upper)
+    out = np.multiply(c, g, out=out)
+    np.subtract(x, out, out=out)
+    np.divide(out, 1.0 + 2.0 * inst.beta * c, out=out)
+    return np.clip(out, inst.lower, inst.upper, out=out)
 
 
 def prox_subproblem(inst, x, c):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cournotprox import AffineCost, CostDomainError, ExpCost, LogCost, fd_gradient_check
+from cournotprox import AffineCost, CostDomainError, CostModel, ExpCost, LogCost, fd_gradient_check
 
 
 def log_family(n=6, seed=0):
@@ -17,6 +17,32 @@ def exp_family(n=6, seed=0):
 def affine_family(n=6, seed=0):
     rng = np.random.default_rng(seed)
     return AffineCost(mu_h=rng.uniform(0.0, 3.0, n), xi=rng.uniform(0.0, 2.0, n))
+
+
+class QuadraticCost(CostModel):
+    """Custom cost h_i(x) = a[i]*x**2 that keeps the base value_and_gradient."""
+
+    is_concave = False
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+        self.n = self.a.size
+
+    def value_components(self, x):
+        return self.a * self._check_points(x) ** 2
+
+    def gradient(self, x):
+        return 2.0 * self.a * self._check_points(x)
+
+    def lipschitz_L(self):
+        return float(np.max(2.0 * np.abs(self.a)))
+
+    def contains(self, x):
+        return True
+
+
+def custom_family(n=6, seed=0):
+    return QuadraticCost(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
 
 
 ALL_FAMILIES = [log_family, exp_family, affine_family]
@@ -108,6 +134,25 @@ class TestBatchSemantics:
         vals = model.value(X)
         assert vals.shape == (7,)
         assert vals[2] == pytest.approx(model.value(X[2]))
+
+
+class TestValueAndGradient:
+    @pytest.mark.parametrize("family", ALL_FAMILIES + [custom_family])
+    @pytest.mark.parametrize("shape", [(), (7,)], ids=["point", "batch"])
+    def test_matches_value_and_gradient_bitwise(self, family, shape):
+        model = family(50, 4)
+        x = np.random.default_rng(5).uniform(0.0, 10.0, shape + (model.n,))
+        for work in (None, np.empty_like(x)):
+            grad = np.full_like(x, np.nan)
+            value = model.value_and_gradient(x, grad, work)
+            assert np.asarray(value).tobytes() == np.asarray(model.value(x)).tobytes()
+            assert grad.tobytes() == model.gradient(x).tobytes()
+
+    def test_log_domain_violation_raises(self):
+        model = LogCost(c0=2.0, c=1.5, r=2.0, n=2)
+        for bad in (np.array([0.5, -0.5]), np.array([0.5, np.nan])):
+            with pytest.raises(CostDomainError):
+                model.value_and_gradient(bad, np.empty(2))
 
 
 class TestGradientChecks:

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from cournotprox import SolverConfig, StepPolicy, solve
+from cournotprox import SolverConfig, StepPolicy, lipschitz_gamma, solve
 from cournotprox.cli import main, parse_config_file
 from cournotprox.experiments import (
     SUMMARY_FIELDS,
@@ -136,6 +136,29 @@ class TestRunExperiment:
                 assert res.trials == res.iterations
             else:
                 assert res.trials >= res.iterations
+
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    def test_summary_records_curvature_damping_and_lower_bound(self, tmp_path, policy):
+        cfg = ExperimentConfig(
+            example=ExampleFamily.LOG, sweep=(5, 20), step_policy=policy, out_dir=tmp_path, seed=3
+        )
+        assert run_experiment(cfg) == 0
+        for row in read_summary(tmp_path / "summary.csv"):
+            inst = generate_instance(cfg, int(row["n"]))
+            res, trace = solve(inst, cfg.solver_config())
+            assert float(row["L_gamma"]) == lipschitz_gamma(inst)
+            assert float(row["c_final"]) == res.c_final == trace.c[-1]
+            assert float(row["gamma_lb"]) == trace.gamma_lb
+
+    def test_summary_leaves_gamma_lb_empty_on_an_unbounded_box(self, tmp_path):
+        cfg = ExperimentConfig(
+            example=ExampleFamily.CUSTOM, n=3, eps=1e-8, out_dir=tmp_path,
+            custom={"cost": "affine", "mu_h": 2.0, "upper": float("inf")},
+        )
+        assert run_experiment(cfg) == 0
+        (row,) = read_summary(tmp_path / "summary.csv")
+        assert row["gamma_lb"] == ""
+        assert float(row["L_gamma"]) == lipschitz_gamma(generate_instance(cfg, 3))
 
     def test_empty_sweep_header_only(self, tmp_path):
         cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(), out_dir=tmp_path)

@@ -125,6 +125,15 @@ class TestPotential:
             -float(inst.cost.value(np.zeros(6))), abs=1e-12
         )
 
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    def test_fused_call_keeps_the_bits_and_leaves_the_cost_gradient(self, make):
+        inst = make(9, 4)
+        x = np.random.default_rng(6).uniform(0.0, 10.0, 9)
+        for work in (None, np.empty(9)):
+            grad = np.full(9, np.nan)
+            assert potential_gamma(inst, x, grad, work) == potential_gamma(inst, x)
+            assert grad.tobytes() == inst.cost.gradient(x).tobytes()
+
     def test_single_firm_closed_form(self):
         inst = zero_cost_instance(1)
         # beta*x^2 - alpha_tilde*x at x=10

@@ -20,7 +20,6 @@ from cournotprox import (
     dphi_directional,
     eps_certificate,
     gradient_mapping,
-    line_search_c,
     lipschitz_gamma,
     potential_gamma,
     prox_model_value,
@@ -34,6 +33,21 @@ FAMILIES = {
     "log": log_cost_market,
     "exp": exp_cost_market,
 }
+
+
+# (policy, family, n, seed, max_iter): the original line-search grid keeps its
+# ids; n=20000 puts each n-vector above the allocator's 128 KiB mmap threshold.
+REFERENCE_CASES = [
+    pytest.param(StepPolicy.LINE_SEARCH, make, n, seed, None, id=f"{seed}-{n}-{name}")
+    for seed in (3, 4)
+    for n in (20, 200)
+    for name, make in (("log", log_cost_market), ("exp", exp_cost_market))
+] + [
+    pytest.param(StepPolicy.FIXED, log_cost_market, 20, 3, None, id="fixed-3-20-log"),
+    pytest.param(StepPolicy.FIXED, exp_cost_market, 200, 4, None, id="fixed-4-200-exp"),
+    pytest.param(StepPolicy.LINE_SEARCH, log_cost_market, 20_000, 3, 30, id="3-20000-log"),
+    pytest.param(StepPolicy.FIXED, exp_cost_market, 20_000, 4, 30, id="fixed-4-20000-exp"),
+]
 
 
 def decrease_rhs(inst, x, s, c):
@@ -52,7 +66,7 @@ def with_cost(inst, cost):
 
 
 class CountingLogCost(LogCost):
-    """LogCost that counts its value and gradient evaluations."""
+    """LogCost that counts its value, gradient and fused evaluations."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -66,21 +80,36 @@ class CountingLogCost(LogCost):
         self.calls["gradient"] += 1
         return super().gradient(x)
 
+    def value_and_gradient(self, x, grad, work=None):
+        self.calls["value_and_gradient"] += 1
+        return super().value_and_gradient(x, grad, work)
+
 
 class NaNGradientExpCost(ExpCost):
     def gradient(self, x):
         return np.full(np.shape(x), np.nan)
+
+    def value_and_gradient(self, x, grad, work=None):
+        grad[...] = self.gradient(x)
+        return self.value(x)
 
 
 class NaNValueExpCost(ExpCost):
     def value_components(self, x):
         return np.full(np.shape(x), np.nan)
 
+    def value_and_gradient(self, x, grad, work=None):
+        super().value_and_gradient(x, grad, work)
+        return self.value(x)
 
-def reference_line_search_run(inst, cfg, x, steps):
-    """Default-bracket line search built from prox_step, potential_gamma and decrease_rhs alone."""
+
+def reference_line_search_run(inst, cfg, x, steps, bracket=(0.1, 10.0)):
+    """Line search built from prox_step, potential_gamma and decrease_rhs alone.
+
+    ``bracket`` is [c_lo, c_hi] in units of 1/L_gamma; (1, 1) is fixed damping.
+    """
     L = lipschitz_gamma(inst)
-    c_lo, c_hi = 0.1 / L, 10.0 / L
+    c_lo, c_hi = bracket[0] / L, bracket[1] / L
     c_prev = min(c_hi, max(c_lo, 1.0 / L))
     cs, xs = [], [x]
     for _ in range(steps):
@@ -94,6 +123,13 @@ def reference_line_search_run(inst, cfg, x, steps):
         xs.append(s)
         x, c_prev = s, c
     return np.asarray(cs), xs
+
+
+def first_step(inst, x0, **cfg_kwargs):
+    """One line-search iteration from x0: the trial count, its damping and its step."""
+    cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, max_iter=1, record_iterates=True, **cfg_kwargs)
+    res, trace = solve(inst, cfg, x0)
+    return res.trials, trace.c[0], trace.iterates[1]
 
 
 class TestGradientMapping:
@@ -220,32 +256,27 @@ class TestLineSearch:
         inst = log_cost_market(10, 1)
         c_init = 1.0 / lipschitz_gamma(inst)
         x = inst.center()
-        c, s = line_search_c(inst, x, c_init)
-        assert c == c_init
+        trials, c, s = first_step(inst, x, c_hi=c_init)
+        assert (trials, c) == (1, c_init)
         assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c)
 
     def test_affine_single_firm_accepts_any_damping(self):
         # no curvature at all: the local model is exact, every c passes
         inst = affine_market(1, mu=2.0)
         x = np.array([7.0])
-        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, c_lo=1e-3, c_hi=1e6)
         for c_init in (1.0, 100.0, 1e6):
-            c, s = line_search_c(inst, x, c_init, cfg)
-            assert c == c_init
+            # c_fixed seeds the previous damping, so the first trial is at c_hi
+            trials, c, _ = first_step(inst, x, c_lo=1e-3, c_hi=c_init, c_fixed=c_init)
+            assert (trials, c) == (1, c_init)
 
     def test_oversized_damping_gets_shrunk(self):
         inst = log_cost_market(10, 2)
         L = lipschitz_gamma(inst)
-        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, tau_c=0.5)
         x = np.zeros(10)  # strongest curvature region of the log cost
-        c, s = line_search_c(inst, x, 10.0 / L, cfg)
+        trials, c, s = first_step(inst, x, c_fixed=10.0 / L, tau_c=0.5)
+        assert trials > 1
         assert c < 10.0 / L
         assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c)
-
-    def test_c_init_outside_bracket_rejected(self):
-        inst = log_cost_market(5, 3)
-        with pytest.raises(ValueError):
-            line_search_c(inst, inst.center(), 1e9)
 
     def test_accepted_steps_satisfy_decrease_condition(self):
         for make, seed in ((log_cost_market, 11), (exp_cost_market, 12)):
@@ -259,22 +290,26 @@ class TestLineSearch:
                 c = trace.c[k]
                 assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) + 1e-9
 
-    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market], ids=["log", "exp"])
-    @pytest.mark.parametrize("n", [20, 200])
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_matches_reference_line_search(self, make, n, seed):
+    @pytest.mark.parametrize("policy, make, n, seed, max_iter", REFERENCE_CASES)
+    def test_matches_reference_line_search(self, policy, make, n, seed, max_iter):
         inst = make(n, seed)
-        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-5, record_iterates=True)
+        capped = {} if max_iter is None else {"max_iter": max_iter}
+        cfg = SolverConfig(step_policy=policy, eps=1e-5, record_iterates=True, **capped)
         res, trace = solve(inst, cfg)
-        assert res.status is SolveStatus.CONVERGED
-        cs, xs = reference_line_search_run(inst, cfg, inst.center(), len(trace))
+        assert res.status is (SolveStatus.MAX_ITER if capped else SolveStatus.CONVERGED)
+        bracket = (1.0, 1.0) if policy is StepPolicy.FIXED else (0.1, 10.0)
+        # the reference runs after solve returned, so the run's reused
+        # buffers must not show through trace.iterates or res.x
+        cs, xs = reference_line_search_run(inst, cfg, inst.center(), len(trace), bracket)
         np.testing.assert_array_equal(trace.c, cs)
+        assert len(trace.iterates) == len(xs)
         for got, want in zip(trace.iterates, xs):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.x, xs[-1], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
     def test_each_iterate_evaluated_once(self, policy):
-        # one gradient per iterate; one value per prox step plus one at the start point
+        # one fused value-and-gradient per prox step plus one at the start point
         base = log_cost_market(30, 5)
         inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
         res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False))
@@ -283,8 +318,8 @@ class TestLineSearch:
             assert res.trials == res.iterations
         else:
             assert res.trials > res.iterations
-        assert inst.cost.calls["gradient"] == res.iterations
-        assert inst.cost.calls["value"] == res.trials + 1
+        assert inst.cost.calls == {"value_and_gradient": res.trials + 1}
+        assert inst.cost.calls["value"] == inst.cost.calls["gradient"] == 0
 
     def test_line_search_run_still_descends(self):
         inst = log_cost_market(20, 13)
@@ -502,6 +537,14 @@ class TestConfigValidation:
         ):
             with pytest.raises(ConfigurationError):
                 solve(inst, bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["eps", "c_fixed", "c_lo", "c_hi", "subproblem_tol", "gamma_lb"])
+    def test_rejects_non_finite_settings(self, field, value):
+        inst = log_cost_market(4, 0)
+        for policy in StepPolicy:
+            with pytest.raises(ConfigurationError, match=field):
+                solve(inst, SolverConfig(step_policy=policy, **{field: value}))
 
     def test_bad_x0_shape(self):
         inst = affine_market(3)

@@ -63,6 +63,17 @@ class TestProxStep:
             Y = rng.uniform(inst.lower, inst.upper, (100, inst.n))
             assert np.min((Y - s) @ v) >= -1e-8
 
+    def test_writes_into_out(self):
+        inst = exp_cost_market(10, 3)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(inst.lower, inst.upper)
+        g = rng.normal(size=10)
+        for slope in (None, g):
+            out = np.full(10, np.nan)
+            s = prox_step(inst, x, 0.7, slope, out)
+            assert s is out
+            assert s.tobytes() == prox_step(inst, x, 0.7, slope).tobytes()
+
     def test_output_stays_in_box(self):
         inst = log_cost_market(20, 5)
         rng = np.random.default_rng(2)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Tour of the market datum: operators, potential, and bifunctions.
+"""Tour of the market datum: operators, potential, and the bifunction.
 
-Builds a small oligopoly with a logarithmic cost, shows that the two
+Builds a small oligopoly with a logarithmic cost, shows that the
 quadratic operators act in O(n) without any matrices, and inspects the
 potential and the equilibrium bifunction around a candidate point.
 """
@@ -11,13 +11,12 @@ import numpy as np
 from cournotprox import (
     LogCost,
     MarketInstance,
-    apply_B,
     apply_Btilde,
+    apply_Q,
     dphi_directional,
     grad_gamma,
     phi_bifunction,
     potential_gamma,
-    psi_bifunction,
 )
 
 n = 4
@@ -36,18 +35,17 @@ print(f"cost curvature bound     = {inst.cost.lipschitz_L():.4f}")
 
 x = np.array([2.0, 4.0, 6.0, 8.0])
 print("\nat x =", x)
-print("  own-output operator  2*beta*x      :", apply_B(inst, x))
 print("  coupling operator    beta*(sig - x):", apply_Btilde(inst, x))
+print("  full curvature       beta*(sig + x):", apply_Q(inst, x))
+print("  own-output part      2*beta*x      :", apply_Q(inst, x) - apply_Btilde(inst, x))
 print("  potential gamma(x)                 :", potential_gamma(inst, x))
 print("  gradient of gamma                  :", np.round(grad_gamma(inst, x), 4))
 
-# the bifunction vanishes on the diagonal and phi/psi differ by a y-free term
+# the bifunction vanishes on the diagonal; a negative value is a profitable deviation
 y = np.array([3.0, 3.0, 7.0, 9.0])
 print("\nbifunction values against y =", y)
 print("  phi(x, x) =", phi_bifunction(inst, x, x))
 print("  phi(x, y) =", phi_bifunction(inst, x, y))
-print("  psi(x; y) - phi(x, y) =", psi_bifunction(inst, x, y) - phi_bifunction(inst, x, y))
-print("  (equals beta*||x||^2 - h(x) =", inst.beta * x @ x - float(inst.cost.value(x)), ")")
 
 # directional slopes certify first-order behavior along feasible moves
 d_in = np.array([1.0, 0.0, 0.0, 0.0])

@@ -9,7 +9,7 @@ certificate.
 
 import numpy as np
 
-from cournotprox import SolverConfig, StepPolicy, delta_k, lipschitz_gamma, solve
+from cournotprox import SolverConfig, StepPolicy, lipschitz_gamma, solve
 from cournotprox.experiments import log_cost_market
 
 inst = log_cost_market(20, seed_or_rng=1)
@@ -31,7 +31,7 @@ needed = 0.5 * trace.c[:-1] * trace.residual[:-1] ** 2
 print(f"\nper-step potential drop is at least (c/2)*||G_c||^2: {np.all(drops >= needed - 1e-9)}")
 print(f"best scaled squared step delta_k stays under its budget: "
       f"{np.all(trace.delta <= trace.bound_rhs + 1e-12)}")
-print(f"delta at the last recorded iteration: {delta_k(trace, len(trace) - 1):.3e}")
+print(f"delta at the last recorded iteration: {trace.delta[-1]:.3e}")
 print(f"terminal certificate (worst unit-direction slope >= -kappa): kappa = {res.certificate:.3e}")
 
 cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-6)

@@ -30,9 +30,7 @@ from .experiments import (
     verify_run,
 )
 from .model import (
-    Direction,
     MarketInstance,
-    apply_B,
     apply_Btilde,
     apply_Q,
     dphi_directional,
@@ -40,7 +38,6 @@ from .model import (
     lipschitz_gamma,
     phi_bifunction,
     potential_gamma,
-    psi_bifunction,
 )
 from .solver import (
     ConfigurationError,
@@ -49,13 +46,11 @@ from .solver import (
     SolveStatus,
     SolverConfig,
     StepPolicy,
-    bound_rhs,
-    delta_k,
     eps_certificate,
     gradient_mapping,
     prox_model_value,
     solve,
 )
-from .subqp import BoxQP, SubproblemError, box_pg_solve, classical_equilibrium, prox_step
+from .subqp import classical_equilibrium, prox_step
 
 __version__ = "0.1.0"

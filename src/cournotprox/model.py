@@ -21,14 +21,11 @@ from .costs import CostModel
 
 __all__ = [
     "MarketInstance",
-    "Direction",
-    "apply_B",
     "apply_Btilde",
     "apply_Q",
     "potential_gamma",
     "grad_gamma",
     "phi_bifunction",
-    "psi_bifunction",
     "dphi_directional",
     "lipschitz_gamma",
 ]
@@ -122,35 +119,11 @@ class MarketInstance:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Feasible direction t*(y - x) anchored at a box point x."""
-
-    d: np.ndarray
-
-    @staticmethod
-    def toward(x, y, t=1.0):
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        return Direction(t * (np.asarray(y, dtype=float) - np.asarray(x, dtype=float)))
-
-    def unit(self):
-        nrm = np.linalg.norm(self.d)
-        if nrm == 0:
-            raise ValueError("zero direction has no unit vector")
-        return Direction(self.d / nrm)
-
-
 def _points(inst, x, name="x"):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != inst.n:
         raise ValueError(f"{name} must have trailing axis of length {inst.n}, got shape {x.shape}")
     return x
-
-
-def apply_B(inst, x):
-    """Own-output quadratic operator: x -> 2*beta*x."""
-    return 2.0 * inst.beta * _points(inst, x)
 
 
 def apply_Btilde(inst, x):
@@ -161,7 +134,7 @@ def apply_Btilde(inst, x):
 
 
 def apply_Q(inst, x):
-    """Combined curvature operator, the sum of the two operators above."""
+    """Combined curvature operator: own-output 2*beta*x plus the coupling, beta*(x + sigma)."""
     x = _points(inst, x)
     sigma = np.sum(x, axis=-1, keepdims=True)
     return inst.beta * (x + sigma)
@@ -208,19 +181,6 @@ def phi_bifunction(inst, x, y):
     cost = inst.cost
     quad = inst.beta * (np.sum(y * y, axis=-1) - np.sum(x * x, axis=-1))
     return (y - x) @ fx + quad - (cost.value(y) - cost.value(x))
-
-
-def psi_bifunction(inst, x, y):
-    """Variant of the bifunction whose y-dependent part is shared with phi.
-
-    psi(x; y) - phi(x, y) = beta*||x||^2 - h(x) is constant in y, so the
-    two share argmin sets in y; phi is the one that vanishes on the
-    diagonal and backs the gap diagnostics.
-    """
-    x = _points(inst, x, "x")
-    y = _points(inst, y, "y")
-    fx = apply_Btilde(inst, x) - inst.alpha_tilde
-    return (y - x) @ fx + inst.beta * np.sum(y * y, axis=-1) - inst.cost.value(y)
 
 
 def dphi_directional(inst, x, d):

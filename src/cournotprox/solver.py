@@ -2,11 +2,14 @@
 
 Each step keeps the own-output quadratic exact, linearizes the smooth
 cost around the current iterate, adds proximal damping, and solves the
-resulting separable box QP in closed form. With the damping parameter c
+resulting separable box QP in closed form (``subqp.prox_step``), so a
+step cannot fail. With the damping parameter c
 at or below 1/L_gamma (L_gamma = cost curvature bound + coupling norm)
 the merit potential drops by at least (c/2)*||G_c||^2 per step, which
 yields an O(1/(k+1)) bound on the best scaled squared step and an
-explicit stationarity certificate at termination.
+explicit stationarity certificate at termination. The trace records
+both sides of that bound per iteration (its ``delta`` and ``bound_rhs``
+columns).
 
 A solver run is single-threaded and deterministic given (instance,
 config, x0); concurrent runs may share immutable instances.
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import diagnostics
 from .model import apply_Btilde, lipschitz_gamma, potential_gamma
-from .subqp import SubproblemError, _model_gradient_at, box_pg_solve, prox_step, prox_subproblem
+from .subqp import _model_gradient_at, prox_step
 
 __all__ = [
     "ConfigurationError",
@@ -35,8 +38,6 @@ __all__ = [
     "gradient_mapping",
     "prox_model_value",
     "solve",
-    "delta_k",
-    "bound_rhs",
     "eps_certificate",
 ]
 
@@ -53,7 +54,6 @@ class StepPolicy(Enum):
 class SolveStatus(Enum):
     CONVERGED = "Converged"
     MAX_ITER = "MaxIter"
-    SUBPROBLEM_FAILURE = "SubproblemFailure"
     NON_FINITE = "NonFinite"
 
 
@@ -85,9 +85,6 @@ class SolverConfig:
     c_lo: Optional[float] = None
     c_hi: Optional[float] = None
     tau_c: float = 0.5
-    subproblem_tol: float = 1e-10
-    use_pg_subproblem: bool = False
-    subproblem_max_iter: int = 10_000
     step_norm_ord: float = 2
     record_iterates: Optional[bool] = None
     record_bound: bool = True
@@ -116,7 +113,6 @@ def _resolve(config, inst):
         raise ConfigurationError("max_iter must be at least 1")
     if not 0.0 < config.tau_c < 1.0:
         raise ConfigurationError("tau_c must lie in (0, 1)")
-    _positive("subproblem_tol", config.subproblem_tol)
     if config.gamma_lb is not None and not math.isfinite(config.gamma_lb):
         raise ConfigurationError(f"gamma_lb must be finite, got {config.gamma_lb!r}")
     L = lipschitz_gamma(inst)
@@ -218,21 +214,6 @@ def prox_model_value(inst, x, y, c):
     )
 
 
-def _stepper(inst, config):
-    if not config.use_pg_subproblem:
-        return lambda x, c, g, out: prox_step(inst, x, c, g, out)
-
-    def pg_step(x, c, g, out):
-        out[...] = box_pg_solve(
-            prox_subproblem(inst, x, c),
-            tol=config.subproblem_tol,
-            max_iter=config.subproblem_max_iter,
-            x0=x,
-        )
-
-    return pg_step
-
-
 def solve(inst, config=None, x0=None):
     """Run the splitting proximal iteration from x0.
 
@@ -252,12 +233,11 @@ def solve(inst, config=None, x0=None):
         The result carries the last prox point, which inherits the
         stationarity certificate (1 + c*L_gamma)*||G_c|| from the final
         step. Status is Converged when the step norm reached ``eps``,
-        MaxIter when the budget ran out, SubproblemFailure when the
-        optional projected-gradient inner solver gave up, and NonFinite
-        as soon as the potential at an iterate (the start point
-        included) or a step norm is not finite. A non-finite step is
-        not taken: ``x`` stays at the last iterate and the result's
-        step norm, residual and certificate are NaN.
+        MaxIter when the budget ran out, and NonFinite as soon as the
+        potential at an iterate (the start point included) or a step
+        norm is not finite. A non-finite step is not taken: ``x`` stays
+        at the last iterate and the result's step norm, residual and
+        certificate are NaN.
 
     Notes
     -----
@@ -295,7 +275,6 @@ def solve(inst, config=None, x0=None):
     # next iterate together with h' there, so the cost is never evaluated twice
     # at one point.
     s, h_x, h_s, g, work = (np.empty_like(x) for _ in range(5))
-    take_step = _stepper(inst, cfg)
     gamma_x = float(potential_gamma(inst, x, h_x, work))
     gamma0 = gamma_x
     col_gamma, col_step, col_c, col_resid, col_delta, col_bound = [], [], [], [], [], []
@@ -323,22 +302,18 @@ def solve(inst, config=None, x0=None):
         base = gamma_x - inst.beta * float(x @ x)
         c = min(c_hi, max(c_lo, c_prev / cfg.tau_c))
         n_trials = 0
-        try:
-            while True:
-                take_step(x, c, g, s)
-                n_trials += 1
-                gamma_s = float(potential_gamma(inst, s, h_s, work))
-                dx = np.subtract(s, x, out=work)
-                # at c <= c_lo the step is in the guaranteed-descent region
-                # (c*L_gamma <= 1); accept unconditionally
-                if c <= c_lo or gamma_s <= (
-                    base + inst.beta * float(s @ s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
-                ):
-                    break
-                c = max(cfg.tau_c * c, c_lo)
-        except SubproblemError:
-            status = SolveStatus.SUBPROBLEM_FAILURE
-            break
+        while True:
+            prox_step(inst, x, c, g, s)
+            n_trials += 1
+            gamma_s = float(potential_gamma(inst, s, h_s, work))
+            dx = np.subtract(s, x, out=work)
+            # at c <= c_lo the step is in the guaranteed-descent region
+            # (c*L_gamma <= 1); accept unconditionally
+            if c <= c_lo or gamma_s <= (
+                base + inst.beta * float(s @ s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
+            ):
+                break
+            c = max(cfg.tau_c * c, c_lo)
         c_k = c
         step = float(np.linalg.norm(dx, ord=cfg.step_norm_ord))
         resid = step / c_k
@@ -393,26 +368,6 @@ def solve(inst, config=None, x0=None):
         x0_projected=x0_projected,
     )
     return result, trace
-
-
-def delta_k(trace, k):
-    """Best scaled squared step over iterations 0..k: min ||dx_i||^2 / (2 c_i)."""
-    m = len(trace)
-    if m == 0:
-        raise ValueError("empty trace")
-    if not 0 <= k < m:
-        raise IndexError(f"k={k} outside trace of length {m}")
-    sl = slice(0, k + 1)
-    return float(np.min(trace.step_norm[sl] ** 2 / (2.0 * trace.c[sl])))
-
-
-def bound_rhs(gamma0, gamma_lb, k):
-    """Potential-drop budget spread over k+1 steps: (gamma0 - gamma_lb)/(k+1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if gamma_lb > gamma0:
-        raise ValueError("gamma_lb must not exceed gamma0")
-    return (gamma0 - gamma_lb) / (k + 1)
 
 
 def eps_certificate(inst, x, c):

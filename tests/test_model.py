@@ -3,10 +3,8 @@ import pytest
 
 from cournotprox import (
     AffineCost,
-    Direction,
     LogCost,
     MarketInstance,
-    apply_B,
     apply_Btilde,
     apply_Q,
     dphi_directional,
@@ -14,7 +12,6 @@ from cournotprox import (
     lipschitz_gamma,
     phi_bifunction,
     potential_gamma,
-    psi_bifunction,
 )
 from cournotprox.experiments import exp_cost_market, log_cost_market
 
@@ -38,16 +35,18 @@ def dense_q(inst):
 
 class TestOperators:
     def test_own_output_operator(self):
+        # the own-output curvature 2*beta*x is what Q keeps beyond the coupling
         inst = zero_cost_instance(2)
-        np.testing.assert_allclose(apply_B(inst, [1.0, 2.0]), [0.2, 0.4])
+        x = np.array([1.0, 2.0])
+        np.testing.assert_allclose(apply_Q(inst, x) - apply_Btilde(inst, x), [0.2, 0.4])
 
     def test_own_output_operator_single_firm(self):
         inst = zero_cost_instance(1, beta=0.5)
-        np.testing.assert_allclose(apply_B(inst, [3.0]), [3.0])
+        np.testing.assert_allclose(apply_Q(inst, [3.0]) - apply_Btilde(inst, [3.0]), [3.0])
 
     def test_operators_vanish_at_zero(self):
         inst = zero_cost_instance(4)
-        np.testing.assert_array_equal(apply_B(inst, np.zeros(4)), np.zeros(4))
+        np.testing.assert_array_equal(apply_Q(inst, np.zeros(4)), np.zeros(4))
         np.testing.assert_array_equal(apply_Btilde(inst, np.zeros(4)), np.zeros(4))
 
     def test_coupling_operator(self):
@@ -73,7 +72,7 @@ class TestOperators:
     def test_dimension_mismatch_rejected(self):
         inst = zero_cost_instance(3)
         with pytest.raises(ValueError):
-            apply_B(inst, [1.0, 2.0])
+            apply_Q(inst, [1.0, 2.0])
         with pytest.raises(ValueError):
             apply_Btilde(inst, np.ones(4))
 
@@ -180,26 +179,6 @@ class TestBifunctions:
         # (0 - 10)*(10 - 0) + 0.1*100 - 0 = -90
         assert phi_bifunction(inst, [0.0], [10.0]) == pytest.approx(-90.0, abs=1e-12)
 
-    def test_psi_on_diagonal(self):
-        inst = exp_cost_market(4, 8)
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0, 10, 4)
-        expected = inst.beta * x @ x - float(inst.cost.value(x))
-        assert psi_bifunction(inst, x, x) == pytest.approx(expected, abs=1e-12)
-
-    def test_psi_single_firm_value(self):
-        inst = zero_cost_instance(1)
-        assert psi_bifunction(inst, [0.0], [1.0]) == pytest.approx(-9.9, abs=1e-12)
-
-    def test_psi_minus_phi_independent_of_y(self):
-        inst = log_cost_market(6, 13)
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0, 10, 6)
-        Y = rng.uniform(0, 10, (200, 6))
-        diff = psi_bifunction(inst, x, Y) - phi_bifunction(inst, x, Y)
-        assert np.var(diff) < 1e-12
-        assert diff[0] == pytest.approx(inst.beta * x @ x - float(inst.cost.value(x)), rel=1e-12)
-
 
 class TestDirectionalSlope:
     def test_zero_direction(self):
@@ -270,16 +249,3 @@ class TestInstanceValidation:
     def test_lipschitz_constant_combines_cost_and_coupling(self):
         inst = log_cost_market(10, 0)
         assert lipschitz_gamma(inst) == pytest.approx(inst.cost.lipschitz_L() + 0.9, rel=1e-12)
-
-
-class TestDirection:
-    def test_toward_and_unit(self):
-        d = Direction.toward([0.0, 0.0], [3.0, 4.0], t=2.0)
-        np.testing.assert_allclose(d.d, [6.0, 8.0])
-        np.testing.assert_allclose(d.unit().d, [0.6, 0.8])
-
-    def test_rejects_negative_scale_and_zero_unit(self):
-        with pytest.raises(ValueError):
-            Direction.toward([0.0], [1.0], t=-1.0)
-        with pytest.raises(ValueError):
-            Direction(np.zeros(2)).unit()

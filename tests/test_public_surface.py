@@ -1,0 +1,49 @@
+"""The package's public surface, pinned: a new public name, knob or status is a deliberate diff."""
+
+import dataclasses
+import types
+
+import cournotprox
+from cournotprox import SolverConfig, SolveStatus
+
+PUBLIC_NAMES = {
+    # costs
+    "AffineCost", "CostDomainError", "CostModel", "ExpCost", "LogCost", "fd_gradient_check",
+    # model
+    "MarketInstance", "apply_Btilde", "apply_Q", "dphi_directional", "grad_gamma",
+    "lipschitz_gamma", "phi_bifunction", "potential_gamma",
+    # subqp
+    "classical_equilibrium", "prox_step",
+    # solver
+    "ConfigurationError", "IterationTrace", "SolveResult", "SolveStatus", "SolverConfig",
+    "StepPolicy", "eps_certificate", "gradient_mapping", "prox_model_value", "solve",
+    # diagnostics
+    "GapEstimate", "brute_force_stationary_points", "fixed_point_residual",
+    "gamma_lower_bound", "gap_sample", "global_equilibrium_check",
+    # experiments
+    "ExampleFamily", "ExperimentConfig", "X0Policy", "affine_market", "exp_cost_market",
+    "generate_instance", "initial_point", "log_cost_market", "run_experiment", "verify_run",
+}
+
+SOLVER_CONFIG_FIELDS = [
+    "step_policy", "eps", "max_iter", "c_fixed", "c_lo", "c_hi", "tau_c",
+    "step_norm_ord", "record_iterates", "record_bound", "gamma_lb",
+]
+
+
+def test_public_top_level_names():
+    # submodules become package attributes once imported anywhere; they are not names
+    public = {
+        name
+        for name, value in vars(cournotprox).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES
+
+
+def test_solver_config_fields():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == SOLVER_CONFIG_FIELDS
+
+
+def test_solve_statuses():
+    assert [s.value for s in SolveStatus] == ["Converged", "MaxIter", "NonFinite"]

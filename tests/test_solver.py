@@ -14,9 +14,7 @@ from cournotprox import (
     SolverConfig,
     StepPolicy,
     apply_Btilde,
-    bound_rhs,
     classical_equilibrium,
-    delta_k,
     dphi_directional,
     eps_certificate,
     gradient_mapping,
@@ -48,6 +46,11 @@ REFERENCE_CASES = [
     pytest.param(StepPolicy.LINE_SEARCH, log_cost_market, 20_000, 3, 30, id="3-20000-log"),
     pytest.param(StepPolicy.FIXED, exp_cost_market, 20_000, 4, 30, id="fixed-4-20000-exp"),
 ]
+
+
+def best_scaled_step(trace):
+    """Running minimum of ||dx_k||^2 / (2 c_k): the trace's delta column."""
+    return np.minimum.accumulate(trace.step_norm**2 / (2.0 * trace.c))
 
 
 def decrease_rhs(inst, x, s, c):
@@ -216,39 +219,11 @@ class TestSolveNonconvex:
         res2, _ = solve(inst, SolverConfig(eps=1e-3), x0=np.full(3, 5.0))
         assert not res2.x0_projected
 
-    def test_pg_inner_solver_agrees_with_closed_form(self):
-        inst = exp_cost_market(5, 6)
-        res_a, _ = solve(inst, SolverConfig(eps=1e-6))
-        res_b, _ = solve(inst, SolverConfig(eps=1e-6, use_pg_subproblem=True, subproblem_tol=1e-12))
-        assert res_a.iterations == res_b.iterations
-        assert np.max(np.abs(res_a.x - res_b.x)) <= 1e-8
-
-    def test_pg_inner_solver_under_line_search(self):
-        inst = log_cost_market(6, 1)
-        cfg = SolverConfig(
-            step_policy=StepPolicy.LINE_SEARCH, eps=1e-6,
-            use_pg_subproblem=True, subproblem_tol=1e-12,
-        )
-        res, _ = solve(inst, cfg)
-        ref, _ = solve(inst, SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-6))
-        assert res.status is SolveStatus.CONVERGED
-        assert np.max(np.abs(res.x - ref.x)) <= 1e-8
-
     def test_bound_recording_can_be_disabled(self):
         inst = log_cost_market(5, 8)
         _, trace = solve(inst, SolverConfig(eps=1e-3, record_bound=False))
         assert trace.gamma_lb is None
         assert np.all(np.isnan(trace.bound_rhs))
-
-    def test_subproblem_failure_is_reported(self):
-        inst = log_cost_market(4, 7)
-        res, trace = solve(
-            inst, SolverConfig(eps=1e-6, use_pg_subproblem=True, subproblem_max_iter=0)
-        )
-        assert res.status is SolveStatus.SUBPROBLEM_FAILURE
-        assert res.iterations == 0
-        assert len(trace) == 0
-        assert math.isnan(res.certificate)
 
 
 class TestLineSearch:
@@ -451,7 +426,7 @@ class TestBoundAndCertificates:
         _, trace = solve(inst, SolverConfig(eps=1e-5))
         assert np.all(np.diff(trace.delta) <= 0.0 + 1e-15)
         for k in (0, len(trace) // 2, len(trace) - 1):
-            assert delta_k(trace, k) == pytest.approx(trace.delta[k], rel=1e-12)
+            assert best_scaled_step(trace)[k] == pytest.approx(trace.delta[k], rel=1e-12)
 
     def test_delta_trivial_cases(self):
         from cournotprox.solver import IterationTrace
@@ -465,23 +440,20 @@ class TestBoundAndCertificates:
             bound_rhs=np.zeros(4),
         )
         # constant steps s=2, c=0.5: every prefix minimum is 4/(2*0.5) = 4
-        for k in range(4):
-            assert delta_k(tr, k) == pytest.approx(4.0)
-        with pytest.raises(IndexError):
-            delta_k(tr, 4)
+        assert len(tr) == 4
+        np.testing.assert_allclose(best_scaled_step(tr), np.full(4, 4.0))
         empty = IterationTrace(*(np.zeros(0),) * 6)
-        with pytest.raises(ValueError):
-            delta_k(empty, 0)
+        assert len(empty) == 0
+        assert best_scaled_step(empty).size == 0
 
     def test_bound_rhs_arithmetic(self):
-        assert bound_rhs(5.0, 5.0, 0) == 0.0
-        assert bound_rhs(5.0, 5.0, 10) == 0.0
-        assert bound_rhs(3.0, 1.0, 0) == pytest.approx(2.0)
-        assert bound_rhs(3.0, 1.0, 1) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            bound_rhs(1.0, 2.0, 0)
-        with pytest.raises(ValueError):
-            bound_rhs(1.0, 0.0, -1)
+        # the column is the budget (gamma(x0) - gamma_lb)/(k+1)
+        inst = log_cost_market(6, 2)
+        gamma0 = float(potential_gamma(inst, inst.center()))
+        for drop, expected in ((0.0, [0.0, 0.0, 0.0]), (3.0, [3.0, 1.5, 1.0])):
+            _, trace = solve(inst, SolverConfig(eps=1e-12, max_iter=3, gamma_lb=gamma0 - drop))
+            assert trace.gamma[0] == gamma0
+            np.testing.assert_allclose(trace.bound_rhs, expected, rtol=1e-12, atol=0.0)
 
     def test_certificate_formula(self):
         inst = log_cost_market(10, 0)
@@ -539,7 +511,7 @@ class TestConfigValidation:
                 solve(inst, bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("field", ["eps", "c_fixed", "c_lo", "c_hi", "subproblem_tol", "gamma_lb"])
+    @pytest.mark.parametrize("field", ["eps", "c_fixed", "c_lo", "c_hi", "gamma_lb"])
     def test_rejects_non_finite_settings(self, field, value):
         inst = log_cost_market(4, 0)
         for policy in StepPolicy:

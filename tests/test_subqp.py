@@ -3,17 +3,48 @@ import pytest
 
 from cournotprox import (
     AffineCost,
-    BoxQP,
     MarketInstance,
-    SubproblemError,
-    apply_B,
     apply_Btilde,
-    box_pg_solve,
     classical_equilibrium,
     phi_bifunction,
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from cournotprox.subqp import prox_step, prox_subproblem
+from cournotprox.subqp import prox_step
+
+
+def pg_reference(hess, linear, lower, upper, step, x, tol=1e-12, max_iter=100_000):
+    """Projected gradient on min (1/2) x'Hx + linear'x over the box, step <= 1/lam_max(H).
+
+    Independent of the library's closed forms; stops on the unit-step
+    projected-gradient residual.
+    """
+    for _ in range(max_iter):
+        g = hess(x) + linear
+        if np.max(np.abs(x - np.clip(x - g, lower, upper))) <= tol:
+            return x
+        x = np.clip(x - step * g, lower, upper)
+    raise AssertionError("reference projected gradient did not converge")
+
+
+def oracle_linear(inst):
+    return inst.mu + inst.cost.mu_h - inst.alpha0
+
+
+def oracle_residual(inst, x):
+    """Unit-step projected-gradient residual of the oracle QP, beta*(x + sigma) + linear."""
+    g = inst.beta * (x + np.sum(x)) + oracle_linear(inst)
+    return np.max(np.abs(x - np.clip(x - g, inst.lower, inst.upper)))
+
+
+def oracle_reference(inst):
+    return pg_reference(
+        lambda v: inst.beta * (v + np.sum(v)),
+        oracle_linear(inst),
+        inst.lower,
+        inst.upper,
+        1.0 / (inst.beta * (inst.n + 1)),
+        inst.center(),
+    )
 
 
 def single_firm_instance(mu_h, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0):
@@ -54,7 +85,7 @@ class TestProxStep:
             s = prox_step(inst, x, c)
             G = (x - s) / c
             v = (
-                apply_B(inst, s)
+                2.0 * inst.beta * s
                 + apply_Btilde(inst, x)
                 - inst.alpha_tilde
                 - inst.cost.gradient(x)
@@ -84,53 +115,38 @@ class TestProxStep:
 
 
 class TestBoxPG:
+    """The test-local projected-gradient reference, and the closed forms checked against it."""
+
     def test_matches_closed_form_on_prox_subproblems(self):
+        # the prox subproblem: Hessian (2*beta + 1/c) I, linear term g - x/c
         rng = np.random.default_rng(3)
         for n in (1, 5, 30, 100):
             inst = log_cost_market(n, n)
             x = rng.uniform(inst.lower, inst.upper)
+            g = apply_Btilde(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
             for c in (0.1, 1.0):
-                qp = prox_subproblem(inst, x, c)
-                pg = box_pg_solve(qp, tol=1e-12, max_iter=10_000, x0=x)
+                d = 2.0 * inst.beta + 1.0 / c
+                pg = pg_reference(lambda v: d * v, g - x / c, inst.lower, inst.upper, 1.0 / d, x)
                 np.testing.assert_allclose(pg, prox_step(inst, x, c), atol=1e-8)
 
     def test_two_firm_interior_system(self):
         # 0.2 x1 + 0.1 x2 = 8 and symmetric -> x = 8/0.3
         Q = np.array([[0.2, 0.1], [0.1, 0.2]])
-        qp = BoxQP(Q, np.array([-8.0, -8.0]), 0.0, 50.0)
-        x = box_pg_solve(qp, tol=1e-12)
+        x = pg_reference(lambda v: Q @ v, np.array([-8.0, -8.0]), 0.0, 50.0, 1.0 / 0.3, np.zeros(2))
         np.testing.assert_allclose(x, [8.0 / 0.3, 8.0 / 0.3], atol=1e-6)
+        # the same system is the oracle QP of a two-firm market: beta = 0.1, mu - alpha0 = -8
+        np.testing.assert_allclose(classical_equilibrium(affine_market(2, mu=2.0)), x, atol=1e-9)
 
     def test_zero_linear_term_gives_origin(self):
-        qp = BoxQP(np.array([1.0, 2.0, 3.0]), np.zeros(3), -1.0, 1.0)
-        np.testing.assert_allclose(box_pg_solve(qp, tol=1e-14), np.zeros(3), atol=1e-13)
-
-    def test_budget_exhaustion_is_loud(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((40, 40))
-        Q = A @ A.T + 1e-3 * np.eye(40)
-        qp = BoxQP(Q, rng.standard_normal(40), -10.0, 10.0)
-        with pytest.raises(SubproblemError) as exc:
-            box_pg_solve(qp, tol=1e-14, max_iter=3)
-        assert exc.value.iterations == 3
-        assert exc.value.residual > 1e-14
-        assert exc.value.x.shape == (40,)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoxQP(np.array([1.0, -1.0]), np.zeros(2), 0.0, 1.0)  # not PD
-        with pytest.raises(ValueError):
-            BoxQP(lambda v: v, np.zeros(2), 0.0, 1.0)  # callable without lam_max
-        with pytest.raises(ValueError):
-            BoxQP(np.eye(3), np.zeros(2), 0.0, 1.0)  # shape mismatch
-        qp = BoxQP(np.array([1.0]), np.zeros(1), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            box_pg_solve(qp, tol=0.0)
-
-    def test_dense_indefinite_rejected(self):
-        M = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        with pytest.raises(ValueError):
-            BoxQP(M, np.zeros(2), 0.0, 1.0)
+        d = np.array([1.0, 2.0, 3.0])
+        x = pg_reference(lambda v: d * v, np.zeros(3), -1.0, 1.0, 1.0 / 3.0, np.ones(3))
+        np.testing.assert_allclose(x, np.zeros(3), atol=1e-12)
+        # mu + mu_h = alpha0 makes the oracle's linear term vanish
+        inst = MarketInstance(
+            beta=1.0, alpha0=5.0, mu=[1.0, 2.0, 3.0], lower=-1.0, upper=1.0,
+            cost=AffineCost(mu_h=[4.0, 3.0, 2.0]),
+        )
+        np.testing.assert_array_equal(classical_equilibrium(inst), np.zeros(3))
 
 
 class TestClassicalEquilibrium:
@@ -139,7 +155,7 @@ class TestClassicalEquilibrium:
         star = classical_equilibrium(inst)
         np.testing.assert_allclose(star, np.full(5, 8.0 / 0.6), atol=1e-6)
         # KKT residual at the reported point
-        g = apply_B(inst, star) + apply_Btilde(inst, star) + inst.mu - inst.alpha0
+        g = 2.0 * inst.beta * star + apply_Btilde(inst, star) + inst.mu - inst.alpha0
         r = np.max(np.abs(star - np.clip(star - g, inst.lower, inst.upper)))
         assert r <= 1e-8
 
@@ -172,3 +188,40 @@ class TestClassicalEquilibrium:
         star = classical_equilibrium(inst)
         Y = rng.uniform(inst.lower, inst.upper, (10_000, 7))
         assert np.min(phi_bifunction(inst, star, Y)) >= -1e-6
+
+    @pytest.mark.parametrize("n", [7, 1_000, 10_000, 100_000])
+    def test_kkt_residual_on_asymmetric_markets(self, n):
+        # cond(Q) = n + 1: a first-order method needs O(n) iterations here
+        inst = affine_market(n, mu=np.random.default_rng(n).uniform(0.0, 12.0, n))
+        star = classical_equilibrium(inst)
+        assert inst.contains(star)
+        assert oracle_residual(inst, star) <= 1e-10
+
+    def test_unbounded_upper_with_cost_level_coefficients(self):
+        # price 10 - 0.1*sigma, unit cost 2: each firm's best response gives x = 80/(n+1)
+        inst = MarketInstance(
+            beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf,
+            cost=AffineCost(mu_h=np.full(4, 2.0)),
+        )
+        star = classical_equilibrium(inst)
+        np.testing.assert_allclose(star, np.full(4, 16.0), rtol=1e-14)
+        assert oracle_residual(inst, star) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 100])
+    def test_matches_projected_gradient_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        markets = [
+            affine_market(n, mu=rng.uniform(0.0, 12.0, n)),
+            affine_market(
+                n, mu=rng.uniform(0.0, 12.0, n), lower=rng.uniform(0.0, 2.0, n), upper=np.inf
+            ),
+            MarketInstance(
+                beta=0.3, alpha0=20.0, mu=rng.uniform(0.0, 3.0, n),
+                lower=-np.inf, upper=rng.uniform(0.0, 20.0, n),
+                cost=AffineCost(mu_h=rng.uniform(0.0, 3.0, n)),
+            ),
+        ]
+        for inst in markets:
+            star = classical_equilibrium(inst)
+            assert oracle_residual(inst, star) <= 1e-10
+            np.testing.assert_allclose(star, oracle_reference(inst), atol=1e-9)

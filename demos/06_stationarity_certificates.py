@@ -1,62 +1,41 @@
 #!/usr/bin/env python3
-"""Certifying solver output: gap sampling, global checks, brute force.
+"""Certifying solver output: the Nash gap and fixed-point residuals.
 
-Samples the equilibrium gap around converged points, runs the global
-certification that concavity of the cost makes available, cross-checks
-small instances against a dense grid oracle, and exhibits a bifunction
-with no equilibrium at all, where every anchor fails the gap test.
+The Nash gap is what the firms could gain by deviating one at a time,
+the minimum of the equilibrium bifunction over the box with the sign
+flipped. It splits into one 1-D problem per firm, so ``nash_gap``
+returns a certified bracket [lo, hi] on it, over the whole box or
+within an infinity-norm radius (the local equilibrium test). Zero means
+an equilibrium; a stationary point can have a positive gap.
 """
 
 import numpy as np
 
-from cournotprox import (
-    AffineCost,
-    LogCost,
-    MarketInstance,
-    SolverConfig,
-    brute_force_stationary_points,
-    fixed_point_residual,
-    gap_sample,
-    global_equilibrium_check,
-    lipschitz_gamma,
-    solve,
-)
-from cournotprox.experiments import log_cost_market
-
-rng = np.random.default_rng(0)
+from cournotprox import SolverConfig, fixed_point_residual, lipschitz_gamma, nash_gap, solve
+from cournotprox.experiments import exp_cost_market, log_cost_market
 
 inst = log_cost_market(10, seed_or_rng=0)
 res, _ = solve(inst, SolverConfig(eps=1e-3))
-print(f"log-cost market, n=10: converged point with final residual {res.final_residual:.2e}")
-
-est = gap_sample(inst, res.x, r=2.0, sampler=rng, count=5000)
-print(f"  gap sample, radius 2: min phi over {est.sample_count} candidates = {est.min_phi_found:.2e}")
-worst = global_equilibrium_check(inst, res.x, 10_000, rng)
-print(f"  global certification over the whole box: worst phi = {worst:.2e}")
-print("  (concave cost: a stationary point is a global equilibrium, so ~0 is the pass mark)")
+print(f"log-cost market, n=10: {res.status.value} after {res.iterations} iterations")
+lo, hi = nash_gap(inst, res.x)
+print(f"  Nash gap over the whole box:    [{lo:.2e}, {hi:.2e}]")
+lo, hi = nash_gap(inst, res.x, radius=0.5)
+print(f"  Nash gap within radius 0.5:     [{lo:.2e}, {hi:.2e}]")
 
 far = inst.project(np.full(10, 1.0))
-est_far = gap_sample(inst, far, r=2.0, sampler=rng, count=5000)
-print(f"\nnon-stationary probe x = 1: gap sample finds {est_far.min_phi_found:.3f} < 0, refuted")
+lo, hi = nash_gap(inst, far)
+print(f"\nnon-stationary probe x = 1: gap in [{lo:.3f}, {hi:.3f}], far from an equilibrium")
+lo, hi = nash_gap(inst, far, radius=0.5)
+print(f"  even within radius 0.5 it is [{lo:.3f}, {hi:.3f}]: not a local equilibrium either")
 
 print("\nfixed-point residuals ||x - s_c(x)|| at the converged point:")
 L = lipschitz_gamma(inst)
 for frac in (0.1, 1.0, 10.0):
     print(f"  c = {frac:4.1f}/L: {fixed_point_residual(inst, res.x, frac / L):.2e}")
 
-print("\ndesk-scale oracle, single firm (c=1.5, r=2): the only stationary point is the cap")
-tiny = MarketInstance(
-    beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=LogCost(c0=2.0, c=1.5, r=2.0, n=1)
-)
-print("  brute-force scan finds:", brute_force_stationary_points(tiny, 101).ravel())
-res_tiny, _ = solve(tiny, SolverConfig(eps=1e-8))
-print("  solver limit         :", res_tiny.x)
-
-print("\na bifunction with no equilibrium anywhere: F(x) = x with cost term -x^2/2 on [-1, 1]")
-shell = MarketInstance(
-    beta=1.0, alpha0=0.0, mu=0.0, lower=-1.0, upper=1.0, cost=AffineCost(mu_h=np.zeros(1))
-)
-phi = lambda x, Y: -0.5 * np.sum((Y - x) ** 2, axis=-1)
-for anchor in (-1.0, 0.0, 0.5):
-    est = gap_sample(shell, np.array([anchor]), r=0.5, sampler=rng, count=200, phi=phi)
-    print(f"  anchor {anchor:+.1f}: min phi = {est.min_phi_found:.4f} < 0, not a local equilibrium")
+big = exp_cost_market(1000, seed_or_rng=0)
+res, _ = solve(big, SolverConfig(eps=1e-3))
+lo, hi = nash_gap(big, res.x)
+print(f"\nexp-cost market, n=1000: {res.status.value} (step norm <= 1e-3), "
+      f"certificate {res.certificate:.3f}")
+print(f"  Nash gap in [{lo:.4f}, {hi:.4f}]: the step-norm stop leaves a gain on the table")

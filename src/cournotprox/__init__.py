@@ -3,20 +3,12 @@
 The library models an n-firm market with affine inverse demand and a
 smooth, possibly nonconvex, production cost; solves its stationarity
 problem by a splitting proximal iteration with guaranteed per-step
-descent; and ships the verification instruments (gap sampling, global
-certification, fixed-point residuals, bound checks) used to certify the
-output.
+descent; and ships the verification instruments (a certified Nash gap,
+fixed-point residuals, bound checks) used to certify the output.
 """
 
 from .costs import AffineCost, CostDomainError, CostModel, ExpCost, LogCost, fd_gradient_check
-from .diagnostics import (
-    GapEstimate,
-    brute_force_stationary_points,
-    fixed_point_residual,
-    gamma_lower_bound,
-    gap_sample,
-    global_equilibrium_check,
-)
+from .diagnostics import fixed_point_residual, gamma_lower_bound, nash_gap
 from .experiments import (
     ExampleFamily,
     ExperimentConfig,

@@ -74,7 +74,6 @@ class CostModel(ABC):
     """
 
     n: int
-    is_concave: bool = False
 
     def value(self, x):
         """Total cost, summed over the trailing firm axis."""
@@ -126,8 +125,6 @@ class AffineCost(CostModel):
     xi: np.ndarray = 0.0
     n: int = None
 
-    is_concave = True
-
     def __post_init__(self):
         n = _infer_n(self.n, self.mu_h, self.xi)
         object.__setattr__(self, "n", n)
@@ -164,8 +161,6 @@ class LogCost(CostModel):
     r: np.ndarray
     n: int = None
     cr: np.ndarray = field(init=False, repr=False, compare=False)
-
-    is_concave = True
 
     def __post_init__(self):
         n = _infer_n(self.n, self.c0, self.c, self.r)
@@ -225,8 +220,6 @@ class ExpCost(CostModel):
     r: np.ndarray
     n: int = None
     cr: np.ndarray = field(init=False, repr=False, compare=False)
-
-    is_concave = True
 
     def __post_init__(self):
         n = _infer_n(self.n, self.c0, self.c, self.r)

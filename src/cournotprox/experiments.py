@@ -10,6 +10,7 @@ same configuration; wall-clock times live only in the summary file.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -133,8 +134,10 @@ class ExperimentConfig:
                 raise ValueError("sweep sizes must be positive")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
     @property
     def sizes(self):

@@ -107,9 +107,10 @@ class MarketInstance:
     def center(self):
         """Box midpoint (coordinates with an infinite side fall back to the finite one, else 0)."""
         lo, up = self.lower, self.upper
-        mid = 0.5 * (lo + up)
-        mid = np.where(np.isfinite(mid), mid, np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0)))
-        return np.clip(mid, lo, up)
+        # fall back before adding, so no infinite side enters the sum
+        lo_f = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
+        up_f = np.where(np.isfinite(up), up, lo_f)
+        return np.clip(0.5 * (lo_f + up_f), lo, up)
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)

@@ -22,8 +22,6 @@ def affine_family(n=6, seed=0):
 class QuadraticCost(CostModel):
     """Custom cost h_i(x) = a[i]*x**2 that keeps the base value_and_gradient."""
 
-    is_concave = False
-
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
         self.n = self.a.size

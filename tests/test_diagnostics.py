@@ -9,131 +9,151 @@ import cournotprox
 
 from cournotprox import (
     AffineCost,
+    CostModel,
     LogCost,
     MarketInstance,
     SolverConfig,
-    brute_force_stationary_points,
+    apply_Btilde,
     classical_equilibrium,
     fixed_point_residual,
     gamma_lower_bound,
-    gap_sample,
-    global_equilibrium_check,
     gradient_mapping,
-    lipschitz_gamma,
+    nash_gap,
     phi_bifunction,
     potential_gamma,
     solve,
 )
+from cournotprox.diagnostics import _GAP_GRID
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
+from oracles import brute_force_stationary_points
 
 
-class TestGapSample:
-    def test_zero_at_anchor_only(self):
-        inst = log_cost_market(5, 0)
-        est = gap_sample(inst, inst.center(), r=1.0, sampler=np.random.default_rng(0), count=0)
-        assert est.min_phi_found == 0.0
-        assert est.sample_count == 1
-        np.testing.assert_array_equal(est.argmin_y, inst.center())
+class SinCost(CostModel):
+    """Nonconvex cost h_i(x) = a*sin(x): each firm's deviation profile has several local minima."""
 
-    def test_never_positive_and_upper_bounds_truth(self):
-        inst = exp_cost_market(4, 1)
+    def __init__(self, a, n):
+        self.a, self.n = float(a), n
+
+    def value_components(self, x):
+        return self.a * np.sin(self._check_points(x))
+
+    def gradient(self, x):
+        return self.a * np.cos(self._check_points(x))
+
+    def lipschitz_L(self):
+        return abs(self.a)
+
+    def contains(self, x):
+        return True
+
+
+def sin_market(n, seed):
+    return MarketInstance(beta=0.1, alpha0=2.0, mu=np.random.default_rng(seed).uniform(0.0, 1.0, n),
+                          lower=0.0, upper=10.0, cost=SinCost(1.5, n))
+
+
+def unilateral_terms(inst, x, t):
+    """q_i(t) = beta*t**2 + (beta*sigma_{-i} - alpha_tilde[i])*t - h_i(t), firm axis last."""
+    slope = apply_Btilde(inst, x) - inst.alpha_tilde
+    return inst.beta * t * t + slope * t - inst.cost.value_components(t)
+
+
+def scan_interval(inst, x, radius):
+    return np.maximum(inst.lower, x - radius), np.minimum(inst.upper, x + radius)
+
+
+def dense_gap(inst, x, radius, points=400_000):
+    """Per-firm dense scan of phi_bifunction: the gap lies in [ref, ref + slack]."""
+    lo, up = scan_interval(inst, x, radius)
+    ref = 0.0
+    for i in range(inst.n):
+        Y = np.repeat(x[None, :], points, axis=0)
+        Y[:, i] = np.linspace(lo[i], up[i], points)
+        ref -= min(0.0, float(np.min(phi_bifunction(inst, x, Y))))
+    d = (up - lo) / (points - 1)
+    slack = (2.0 * inst.beta + inst.cost.lipschitz_L()) * float(np.sum(d**2)) / 8.0
+    return ref, slack
+
+
+def scan_slack(inst, x, radius):
+    lo, up = scan_interval(inst, x, radius)
+    d = (up - lo) / (_GAP_GRID - 1)
+    return (2.0 * inst.beta + inst.cost.lipschitz_L()) * float(np.sum(d**2)) / 8.0
+
+
+def assert_certified(inst, x, radius):
+    lo, hi = nash_gap(inst, x, radius)
+    assert 0.0 <= lo <= hi
+    assert hi - lo <= scan_slack(inst, x, radius) * (1 + 1e-12) + np.spacing(hi)
+    ref, ref_slack = dense_gap(inst, x, radius)
+    # both brackets hold the true gap, so they must overlap
+    assert lo <= ref + ref_slack + 1e-12
+    assert ref <= hi + 1e-12
+    return lo, hi
+
+
+class TestNashGap:
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, sin_market])
+    def test_bifunction_splits_into_unilateral_terms(self, make):
+        inst = make(5, 1)
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            x = rng.uniform(inst.lower, inst.upper)
-            est = gap_sample(inst, x, r=3.0, sampler=rng, count=500)
-            assert est.min_phi_found <= 0.0
-            assert inst.contains(est.argmin_y, tol=1e-12)
-            assert np.linalg.norm(est.argmin_y - x) <= 3.0 + 1e-12
+        x = rng.uniform(inst.lower, inst.upper)
+        Y = rng.uniform(inst.lower, inst.upper, (50, 5))
+        split = np.sum(unilateral_terms(inst, x, Y) - unilateral_terms(inst, x, x), axis=-1)
+        np.testing.assert_allclose(phi_bifunction(inst, x, Y), split, rtol=1e-12, atol=1e-10)
 
-    def test_affine_equilibrium_consistent_with_local_optimality(self):
+    @pytest.mark.parametrize("radius", [np.inf, 1.5])
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_market, sin_market])
+    def test_bracket_holds_dense_reference(self, make, radius):
+        for n in (1, 2, 3):
+            inst = make(n, n) if make is not affine_market else affine_market(n, mu=2.0 + n)
+            rng = np.random.default_rng(n)
+            res, _ = solve(inst, SolverConfig(eps=1e-3))
+            for x in (res.x, rng.uniform(inst.lower, inst.upper)):
+                assert_certified(inst, x, radius)
+
+    def test_nonconvex_cost_stationary_point_is_no_equilibrium(self):
+        # with h = 1.5*sin the solver stops at a local minimum of the potential
+        # from which a unilateral jump to another well still pays
+        inst = sin_market(3, 0)
+        res, _ = solve(inst, SolverConfig(eps=1e-8), x0=np.full(3, 10.0))
+        assert fixed_point_residual(inst, res.x, 1.0) <= 1e-6
+        lo, _ = assert_certified(inst, res.x, np.inf)
+        assert lo > 1e-2
+
+    def test_affine_equilibrium_has_zero_gap(self):
         inst = affine_market(6, mu=2.0)
         star = classical_equilibrium(inst)
-        for r in (0.5, 5.0, 500.0):
-            est = gap_sample(inst, star, r=r, sampler=np.random.default_rng(2), count=4000)
-            assert est.min_phi_found >= -1e-8
+        for r in (0.5, 5.0, np.inf):
+            lo, hi = nash_gap(inst, star, r)
+            assert lo == 0.0
+            assert hi <= scan_slack(inst, star, r) * (1 + 1e-12)
+            assert hi <= 1e-4
 
     def test_non_equilibrium_detected(self):
         inst = log_cost_market(5, 2)
         x = inst.project(np.full(5, 1.0))  # far from stationarity
-        est = gap_sample(inst, x, r=5.0, sampler=np.random.default_rng(3), count=2000)
-        assert est.min_phi_found < -1e-3
+        assert nash_gap(inst, x)[0] > 1e-2
+        assert nash_gap(inst, x, radius=0.5)[0] > 1e-2
 
-    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
-    def test_solver_limits_pass_box_covering_gap_test(self, make):
-        # radius larger than the box diameter turns the local test global
-        inst = make(10, 7)
-        res, _ = solve(inst, SolverConfig(eps=1e-3))
-        diameter = float(np.linalg.norm(inst.upper - inst.lower))
-        est = gap_sample(
-            inst, res.x, r=diameter + 1.0, sampler=np.random.default_rng(7), count=10_000
-        )
-        assert est.min_phi_found >= -1e-3
-
-    def test_no_solution_counterexample_every_anchor_fails(self):
-        # operator F(x) = x with cost term -x^2/2 makes the bifunction
-        # -(y-x)^2/2: strictly negative off the diagonal, so no anchor is a
-        # local equilibrium at any radius
-        cost = AffineCost(mu_h=np.zeros(1))
-        inst = MarketInstance(beta=1.0, alpha0=0.0, mu=0.0, lower=-1.0, upper=1.0, cost=cost)
-        phi = lambda x, Y: -0.5 * np.sum((Y - x) ** 2, axis=-1)
-        rng = np.random.default_rng(4)
-        for x in (-1.0, -0.3, 0.0, 0.7, 1.0):
-            for r in (0.1, 0.5, 2.0):
-                est = gap_sample(inst, np.array([x]), r=r, sampler=rng, count=100, phi=phi)
-                assert est.min_phi_found < 0.0
-
-    def test_dense_grid_matches_sampling_for_one_firm(self):
-        inst = log_cost_market(1, 5)
-        x = np.array([4.0])
-        est = gap_sample(
-            inst, x, r=2.0, sampler=np.random.default_rng(5), count=0, grid_resolution=4001
-        )
-        ts = np.linspace(2.0, 6.0, 200_001)[:, None]
-        oracle = float(np.min(phi_bifunction(inst, x, ts)))
-        assert est.min_phi_found <= 0.0
-        assert est.min_phi_found >= oracle
-        assert est.min_phi_found == pytest.approx(oracle, abs=1e-6)
+    def test_finite_radius_on_unbounded_box(self):
+        inst = affine_market(2, mu=2.0, upper=np.inf)
+        star = classical_equilibrium(inst)
+        assert nash_gap(inst, star, radius=3.0)[0] == 0.0
+        with pytest.raises(ValueError):
+            nash_gap(inst, star)
 
     def test_validation(self):
         inst = log_cost_market(2, 6)
-        rng = np.random.default_rng(6)
+        for r in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                nash_gap(inst, inst.center(), radius=r)
         with pytest.raises(ValueError):
-            gap_sample(inst, inst.center(), r=0.0, sampler=rng, count=1)
+            nash_gap(inst, np.full(2, 99.0))
         with pytest.raises(ValueError):
-            gap_sample(inst, inst.center(), r=1.0, sampler=rng, count=-1)
-        with pytest.raises(ValueError):
-            gap_sample(inst, np.full(2, 99.0), r=1.0, sampler=rng, count=1)
-
-
-class TestGlobalCheck:
-    def test_affine_equilibrium_certified(self):
-        inst = affine_market(6, mu=2.0)
-        star = classical_equilibrium(inst)
-        worst = global_equilibrium_check(inst, star, 10_000, np.random.default_rng(7))
-        assert worst >= -1e-6
-
-    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
-    def test_solver_output_certified(self, make):
-        inst = make(10, 3)
-        res, _ = solve(inst, SolverConfig(eps=1e-3))
-        worst = global_equilibrium_check(inst, res.x, 10_000, np.random.default_rng(8))
-        assert worst >= -1e-3
-
-    def test_large_mapping_detected_via_prox_candidate(self):
-        inst = log_cost_market(10, 4)
-        x = inst.project(np.full(10, 1.0))
-        assert np.linalg.norm(gradient_mapping(inst, x, 1.0 / lipschitz_gamma(inst))) > 1.0
-        worst = global_equilibrium_check(inst, x, 0, np.random.default_rng(9))
-        assert worst < -1e-2
-
-    def test_requires_concave_cost(self):
-        class WeirdCost(LogCost):
-            is_concave = False
-
-        cost = WeirdCost(c0=2.0, c=1.5, r=1.0, n=2)
-        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
-        with pytest.raises(ValueError):
-            global_equilibrium_check(inst, inst.center(), 10)
+            nash_gap(inst, np.full(3, 5.0))
+        # within the 1e-9 tolerance an anchor just outside the box is accepted
+        assert nash_gap(inst, np.array([10.0 + 5e-10, 0.0]))[0] >= 0.0
 
 
 class TestFixedPointResidual:

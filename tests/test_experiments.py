@@ -310,6 +310,14 @@ class TestCli:
         assert main(["--example", "log", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--eps", "nan"], ["--eps", "inf"], ["--eps", "-1"], ["--max-iter", "0"]],
+        ids=["eps_nan", "eps_inf", "eps_negative", "max_iter_zero"],
+    )
+    def test_bad_solver_setting_exits_2(self, tmp_path, capsys, flags):
+        assert main(["--example", "log", "--n", "3", "--out", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_config_file_errors(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("just words\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,15 @@ class TestInstanceValidation:
             inst.lower[0] = -1.0
         with pytest.raises(ValueError):
             inst.alpha_tilde[0] = 0.0
+
+    def test_center_falls_back_without_warnings(self):
+        lower = [-np.inf, 0.0, -np.inf, 1.0]
+        upper = [np.inf, np.inf, 3.0, 2.0]
+        inst = zero_cost_instance(4, lower=lower, upper=upper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            center = inst.center()
+        np.testing.assert_array_equal(center, [0.0, 0.0, 3.0, 1.5])
 
     def test_lipschitz_constant_combines_cost_and_coupling(self):
         inst = log_cost_market(10, 0)

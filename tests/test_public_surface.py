@@ -18,8 +18,7 @@ PUBLIC_NAMES = {
     "ConfigurationError", "IterationTrace", "SolveResult", "SolveStatus", "SolverConfig",
     "StepPolicy", "eps_certificate", "gradient_mapping", "prox_model_value", "solve",
     # diagnostics
-    "GapEstimate", "brute_force_stationary_points", "fixed_point_residual",
-    "gamma_lower_bound", "gap_sample", "global_equilibrium_check",
+    "fixed_point_residual", "gamma_lower_bound", "nash_gap",
     # experiments
     "ExampleFamily", "ExperimentConfig", "X0Policy", "affine_market", "exp_cost_market",
     "generate_instance", "initial_point", "log_cost_market", "run_experiment", "verify_run",

@@ -18,9 +18,11 @@ from cournotprox import (
     fixed_point_residual,
     gamma_lower_bound,
     gradient_mapping,
+    lipschitz_gamma,
     nash_gap,
     phi_bifunction,
     potential_gamma,
+    prox_step,
     solve,
 )
 from cournotprox.diagnostics import _GAP_GRID
@@ -121,21 +123,6 @@ class TestNashGap:
         lo, _ = assert_certified(inst, res.x, np.inf)
         assert lo > 1e-2
 
-    def test_affine_equilibrium_has_zero_gap(self):
-        inst = affine_market(6, mu=2.0)
-        star = classical_equilibrium(inst)
-        for r in (0.5, 5.0, np.inf):
-            lo, hi = nash_gap(inst, star, r)
-            assert lo == 0.0
-            assert hi <= scan_slack(inst, star, r) * (1 + 1e-12)
-            assert hi <= 1e-4
-
-    def test_non_equilibrium_detected(self):
-        inst = log_cost_market(5, 2)
-        x = inst.project(np.full(5, 1.0))  # far from stationarity
-        assert nash_gap(inst, x)[0] > 1e-2
-        assert nash_gap(inst, x, radius=0.5)[0] > 1e-2
-
     def test_finite_radius_on_unbounded_box(self):
         inst = affine_market(2, mu=2.0, upper=np.inf)
         star = classical_equilibrium(inst)
@@ -154,6 +141,65 @@ class TestNashGap:
             nash_gap(inst, np.full(3, 5.0))
         # within the 1e-9 tolerance an anchor just outside the box is accepted
         assert nash_gap(inst, np.array([10.0 + 5e-10, 0.0]))[0] >= 0.0
+
+
+class TestGapSample:
+    """The local gap test: nash_gap over an infinity-norm ball of finite radius."""
+
+    def test_affine_equilibrium_consistent_with_local_optimality(self):
+        inst = affine_market(6, mu=2.0)
+        star = classical_equilibrium(inst)
+        for r in (0.5, 5.0):
+            lo, hi = nash_gap(inst, star, r)
+            assert lo == 0.0
+            assert hi <= scan_slack(inst, star, r) * (1 + 1e-12)
+            assert hi <= 1e-4
+
+    def test_non_equilibrium_detected(self):
+        inst = log_cost_market(5, 2)
+        x = inst.project(np.full(5, 1.0))  # far from stationarity
+        for r in (0.5, 5.0):
+            assert nash_gap(inst, x, radius=r)[0] > 1e-2
+
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    def test_solver_limits_pass_box_covering_gap_test(self, make):
+        # radius larger than the box diameter turns the local test global
+        inst = make(10, 7)
+        res, _ = solve(inst, SolverConfig(eps=1e-3))
+        diameter = float(np.linalg.norm(inst.upper - inst.lower))
+        lo, hi = nash_gap(inst, res.x, radius=diameter + 1.0)
+        assert (lo, hi) == nash_gap(inst, res.x)
+        assert hi <= 1e-3
+
+
+class TestGlobalCheck:
+    """The global gap test: nash_gap over the whole box."""
+
+    def test_affine_equilibrium_certified(self):
+        inst = affine_market(6, mu=2.0)
+        star = classical_equilibrium(inst)
+        lo, hi = nash_gap(inst, star)
+        assert lo == 0.0
+        assert hi <= scan_slack(inst, star, np.inf) * (1 + 1e-12)
+        assert hi <= 1e-4
+
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    def test_solver_output_certified(self, make):
+        inst = make(10, 3)
+        res, _ = solve(inst, SolverConfig(eps=1e-3))
+        _, hi = assert_certified(inst, res.x, np.inf)
+        assert hi <= 1e-3
+
+    def test_large_mapping_detected_via_prox_candidate(self):
+        inst = log_cost_market(10, 4)
+        x = inst.project(np.full(10, 1.0))
+        c = 1.0 / lipschitz_gamma(inst)
+        assert np.linalg.norm(gradient_mapping(inst, x, c)) > 1.0
+        # the prox point is one feasible deviation, so its gain bounds the gap from below
+        witness = -float(phi_bifunction(inst, x, prox_step(inst, x, c)[None, :])[0])
+        lo, hi = nash_gap(inst, x)
+        assert 1e-2 < witness <= hi
+        assert lo > 1e-2
 
 
 class TestFixedPointResidual:

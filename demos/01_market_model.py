@@ -13,7 +13,6 @@ from cournotprox import (
     MarketInstance,
     apply_Btilde,
     apply_Q,
-    dphi_directional,
     grad_gamma,
     phi_bifunction,
     potential_gamma,
@@ -47,9 +46,10 @@ print("\nbifunction values against y =", y)
 print("  phi(x, x) =", phi_bifunction(inst, x, x))
 print("  phi(x, y) =", phi_bifunction(inst, x, y))
 
-# directional slopes certify first-order behavior along feasible moves
+# directional slopes d . grad gamma(x) certify first-order behavior along feasible moves
 d_in = np.array([1.0, 0.0, 0.0, 0.0])
+g = grad_gamma(inst, x)
 print("\ndirectional slopes at x:")
-print("  toward higher output of firm 1:", dphi_directional(inst, x, d_in))
-print("  toward lower output of firm 1 :", dphi_directional(inst, x, -d_in))
+print("  toward higher output of firm 1:", d_in @ g)
+print("  toward lower output of firm 1 :", -d_in @ g)
 print("a stationary point needs nonnegative slope along every feasible direction")

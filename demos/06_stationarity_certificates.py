@@ -11,7 +11,7 @@ an equilibrium; a stationary point can have a positive gap.
 
 import numpy as np
 
-from cournotprox import SolverConfig, fixed_point_residual, lipschitz_gamma, nash_gap, solve
+from cournotprox import SolverConfig, lipschitz_gamma, nash_gap, prox_step, solve
 from cournotprox.experiments import exp_cost_market, log_cost_market
 
 inst = log_cost_market(10, seed_or_rng=0)
@@ -31,7 +31,8 @@ print(f"  even within radius 0.5 it is [{lo:.3f}, {hi:.3f}]: not a local equilib
 print("\nfixed-point residuals ||x - s_c(x)|| at the converged point:")
 L = lipschitz_gamma(inst)
 for frac in (0.1, 1.0, 10.0):
-    print(f"  c = {frac:4.1f}/L: {fixed_point_residual(inst, res.x, frac / L):.2e}")
+    residual = np.linalg.norm(res.x - prox_step(inst, res.x, frac / L))
+    print(f"  c = {frac:4.1f}/L: {residual:.2e}")
 
 big = exp_cost_market(1000, seed_or_rng=0)
 res, _ = solve(big, SolverConfig(eps=1e-3))

@@ -3,12 +3,13 @@
 The library models an n-firm market with affine inverse demand and a
 smooth, possibly nonconvex, production cost; solves its stationarity
 problem by a splitting proximal iteration with guaranteed per-step
-descent; and ships the verification instruments (a certified Nash gap,
-fixed-point residuals, bound checks) used to certify the output.
+descent; and ships the verification instruments (a stationarity
+certificate, a certified Nash gap, bound checks) used to certify the
+output.
 """
 
-from .costs import AffineCost, CostDomainError, CostModel, ExpCost, LogCost, fd_gradient_check
-from .diagnostics import fixed_point_residual, gamma_lower_bound, nash_gap
+from .costs import AffineCost, CostDomainError, CostModel, ExpCost, LogCost
+from .diagnostics import gamma_lower_bound, nash_gap
 from .experiments import (
     ExampleFamily,
     ExperimentConfig,
@@ -25,7 +26,6 @@ from .model import (
     MarketInstance,
     apply_Btilde,
     apply_Q,
-    dphi_directional,
     grad_gamma,
     lipschitz_gamma,
     phi_bifunction,
@@ -39,8 +39,6 @@ from .solver import (
     SolverConfig,
     StepPolicy,
     eps_certificate,
-    gradient_mapping,
-    prox_model_value,
     solve,
 )
 from .subqp import classical_equilibrium, prox_step

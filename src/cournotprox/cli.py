@@ -17,6 +17,7 @@ from .experiments import (
     ExampleFamily,
     ExperimentConfig,
     X0Policy,
+    generate_instance,
     run_experiment,
     verify_run,
 )
@@ -104,11 +105,14 @@ def main(argv=None):
         return 0 if report.passed else 1
     try:
         cfg = _merged(args)
+        if cfg.sweep is None and cfg.n is None:
+            raise ValueError("set --n or --sweep")
+        # a custom market comes from file values: build one up front so that
+        # a bad parameter is rejected like any other bad setting
+        if cfg.example is ExampleFamily.CUSTOM and cfg.sizes:
+            generate_instance(cfg, cfg.sizes[0])
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.sweep is None and cfg.n is None:
-        print("error: set --n or --sweep", file=sys.stderr)
         return 2
     code = run_experiment(cfg)
     print(f"summary: {cfg.out_dir / 'summary.csv'}")

@@ -25,7 +25,6 @@ __all__ = [
     "AffineCost",
     "LogCost",
     "ExpCost",
-    "fd_gradient_check",
 ]
 
 
@@ -257,20 +256,3 @@ class ExpCost(CostModel):
     def contains(self, x):
         return True
 
-
-def fd_gradient_check(model, x, step):
-    """Max per-component relative error of a central difference vs the analytic gradient.
-
-    ``x`` must be a single point lying inside the model domain by a
-    margin larger than ``step``; perturbed evaluations outside the
-    domain raise the model's domain error.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a single point")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    shifts = step * np.eye(x.size)
-    fd = (model.value(x + shifts) - model.value(x - shifts)) / (2.0 * step)
-    g = model.gradient(x)
-    return float(np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1e-12)))

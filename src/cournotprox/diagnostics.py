@@ -2,9 +2,9 @@
 
 The Nash gap brackets how much the firms could gain by unilateral
 deviation (globally, or within an infinity-norm radius) and so tells a
-stationary point from an equilibrium, fixed-point residuals measure
-stationarity directly, and the potential lower bound feeds the
-per-iteration bound checks. The gap and the bound share one certified
+stationary point from an equilibrium, and the potential lower bound
+feeds the per-iteration bound checks; stationarity itself is certified
+by ``solver.eps_certificate``. The gap and the bound share one certified
 scan of n independent 1-D profiles along the box diagonal.
 """
 
@@ -13,11 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .model import apply_Btilde
-from .subqp import prox_step
 
 __all__ = [
     "nash_gap",
-    "fixed_point_residual",
     "gamma_lower_bound",
 ]
 
@@ -71,15 +69,6 @@ def nash_gap(inst, x, radius=np.inf):
     lo = float(np.sum(qx - np.minimum(best, qx)))
     curvature = 2.0 * inst.beta + inst.cost.lipschitz_L()
     return lo, lo + curvature * float(np.sum(spacing**2)) / 8.0
-
-
-def fixed_point_residual(inst, x, c):
-    """Distance from x to its prox point; zero exactly at stationary points, any c > 0.
-
-    Identically equal to c times the gradient-mapping norm at x.
-    """
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - prox_step(inst, x, c)))
 
 
 def gamma_lower_bound(inst, grid_resolution=1024):

@@ -116,10 +116,6 @@ class ExperimentConfig:
     out_dir: Path = None
     x0: X0Policy = X0Policy.CENTER
     trace: bool = True
-    tau_c: float = 0.5
-    c_fixed: Optional[float] = None
-    c_lo: Optional[float] = None
-    c_hi: Optional[float] = None
     custom: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -148,15 +144,7 @@ class ExperimentConfig:
         raise ValueError("set n or sweep")
 
     def solver_config(self):
-        return SolverConfig(
-            step_policy=self.step_policy,
-            eps=self.eps,
-            max_iter=self.max_iter,
-            tau_c=self.tau_c,
-            c_fixed=self.c_fixed,
-            c_lo=self.c_lo,
-            c_hi=self.c_hi,
-        )
+        return SolverConfig(step_policy=self.step_policy, eps=self.eps, max_iter=self.max_iter)
 
 
 def _custom_instance(cfg, n):
@@ -319,6 +307,8 @@ class VerifyReport:
     rows: int
     delta_consistent: bool
     delta_row: Optional[int]
+    residual_consistent: bool
+    residual_row: Optional[int]
     bound_ok: Optional[bool]  # None when the trace carries no bound column
     bound_row: Optional[int]
     gamma_monotone: bool
@@ -326,7 +316,7 @@ class VerifyReport:
 
     @property
     def passed(self):
-        checks = [self.delta_consistent, self.gamma_monotone]
+        checks = [self.delta_consistent, self.residual_consistent, self.gamma_monotone]
         if self.bound_ok is not None:
             checks.append(self.bound_ok)
         return all(checks)
@@ -343,6 +333,7 @@ class VerifyReport:
             [
                 f"trace: {self.path} ({self.rows} rows)",
                 line("delta recompute", self.delta_consistent, self.delta_row),
+                line("residual recompute", self.residual_consistent, self.residual_row),
                 line("per-iteration bound", self.bound_ok, self.bound_row),
                 line("potential monotone", self.gamma_monotone, self.gamma_row),
             ]
@@ -354,21 +345,26 @@ def _first_bad(mask):
     return int(idx[0]) if idx.size else None
 
 
+def _first_mismatch(recomputed, stored):
+    return _first_bad(np.abs(recomputed - stored) > 1e-12 * np.maximum(1.0, np.abs(recomputed)))
+
+
 def verify_run(path):
     """Re-derive the per-iteration checks from a stored trace CSV.
 
-    Recomputes the running best scaled squared step from the step-norm
-    and damping columns, compares it with the stored column, re-checks
-    it against the stored drop budget, and checks that the potential
-    column never increases. A single-row trace passes trivially.
+    Recomputes the running best scaled squared step and the gradient-
+    mapping norm step_norm/c_k from the step-norm and damping columns,
+    compares each with its stored column, re-checks the former against
+    the stored drop budget, and checks that the potential column never
+    increases. A single-row trace passes trivially.
     """
     cols = read_trace_csv(path)
     m = cols["k"].size
     if m == 0:
-        return VerifyReport(str(path), 0, True, None, None, None, True, None)
+        return VerifyReport(str(path), 0, True, None, True, None, None, None, True, None)
     delta_re = np.minimum.accumulate(cols["step_norm"] ** 2 / (2.0 * cols["c_k"]))
-    delta_err = np.abs(delta_re - cols["delta_k"]) > 1e-12 * np.maximum(1.0, np.abs(delta_re))
-    delta_row = _first_bad(delta_err)
+    delta_row = _first_mismatch(delta_re, cols["delta_k"])
+    residual_row = _first_mismatch(cols["step_norm"] / cols["c_k"], cols["residual_G"])
 
     bound = cols["bound_rhs"]
     if np.all(np.isnan(bound)):
@@ -392,6 +388,8 @@ def verify_run(path):
         rows=m,
         delta_consistent=delta_row is None,
         delta_row=delta_row,
+        residual_consistent=residual_row is None,
+        residual_row=residual_row,
         bound_ok=bound_ok,
         bound_row=bound_row,
         gamma_monotone=gamma_row is None,

@@ -26,7 +26,6 @@ __all__ = [
     "potential_gamma",
     "grad_gamma",
     "phi_bifunction",
-    "dphi_directional",
     "lipschitz_gamma",
 ]
 
@@ -182,20 +181,6 @@ def phi_bifunction(inst, x, y):
     cost = inst.cost
     quad = inst.beta * (np.sum(y * y, axis=-1) - np.sum(x * x, axis=-1))
     return (y - x) @ fx + quad - (cost.value(y) - cost.value(x))
-
-
-def dphi_directional(inst, x, d):
-    """Directional slope of the potential at x along d (linear in d).
-
-    Nonnegativity over every feasible direction is the first-order
-    stationarity test; the box normal cone enters only implicitly
-    through the admissible set of directions.
-    """
-    x = _points(inst, x, "x")
-    if x.ndim != 1:
-        raise ValueError("x must be a single point")
-    d = _points(inst, d, "d")
-    return d @ grad_gamma(inst, x)
 
 
 def lipschitz_gamma(inst):

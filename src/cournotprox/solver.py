@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .model import apply_Btilde, lipschitz_gamma, potential_gamma
+from .model import lipschitz_gamma, potential_gamma
 from .subqp import _model_gradient_at, prox_step
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "SolverConfig",
     "IterationTrace",
     "SolveResult",
-    "gradient_mapping",
-    "prox_model_value",
     "solve",
     "eps_certificate",
 ]
@@ -70,9 +68,9 @@ class SolverConfig:
     always terminates (defaults: 0.1/L_gamma and 10/L_gamma, or 0.1 and
     10.0 when L_gamma is zero).
 
-    Termination compares the step norm (Euclidean by default, see
-    ``step_norm_ord``) against ``eps``. Full iterates are kept in the
-    trace only for n <= 100 unless ``record_iterates`` says otherwise.
+    Termination compares the Euclidean norm of the step against ``eps``.
+    Full iterates are kept in the trace only for n <= 100 unless
+    ``record_iterates`` says otherwise.
     ``gamma_lb`` overrides the potential lower bound used for the
     per-iteration bound column; by default it is computed by
     ``gamma_lower_bound`` when the box is bounded.
@@ -85,7 +83,6 @@ class SolverConfig:
     c_lo: Optional[float] = None
     c_hi: Optional[float] = None
     tau_c: float = 0.5
-    step_norm_ord: float = 2
     record_iterates: Optional[bool] = None
     record_bound: bool = True
     gamma_lb: Optional[float] = None
@@ -171,7 +168,9 @@ class SolveResult:
 
     ``status`` is Converged exactly when the step norm fell to eps.
     ``certificate`` bounds from below, by its negation, the potential
-    slope along every unit feasible direction at ``x``. ``trials``
+    slope along every unit feasible direction at ``x``; it equals
+    ``eps_certificate`` at the last iterate before ``x`` with damping
+    ``c_final``, bit for bit. ``trials``
     counts the prox steps behind the ``iterations`` recorded steps: the
     line-search trials under LINE_SEARCH, and ``iterations`` itself
     under FIXED.
@@ -187,31 +186,6 @@ class SolveResult:
     gamma_final: float
     c_final: float
     x0_projected: bool
-
-
-def gradient_mapping(inst, x, c):
-    """Scaled prox displacement (x - s_c(x))/c; zero exactly at stationary points.
-
-    Its norm is nonincreasing in c at fixed x, while the raw displacement
-    norm is nondecreasing.
-    """
-    return (np.asarray(x, dtype=float) - prox_step(inst, x, c)) / c
-
-
-def prox_model_value(inst, x, y, c):
-    """Value at y of the convexified local model anchored at x."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    g = apply_Btilde(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
-    dy = y - x
-    return (
-        inst.beta * float(y @ y)
-        + float(g @ dy)
-        - float(inst.cost.value(x))
-        + float(dy @ dy) / (2.0 * c)
-    )
 
 
 def solve(inst, config=None, x0=None):
@@ -294,10 +268,10 @@ def solve(inst, config=None, x0=None):
     status = SolveStatus.MAX_ITER if math.isfinite(gamma_x) else SolveStatus.NON_FINITE
 
     for k in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
-        # Sufficient decrease,
+        # Sufficient decrease: gamma(s) may not exceed the convexified local
+        # model at x,
         #   gamma(s) <= gamma(x) + beta*(|s|^2 - |x|^2) + g.(s - x) + |s - x|^2/(2c),
-        # is prox_model_value(x, s, c) + 0.5*x'Btilde x - x.alpha_tilde
-        # rewritten around the known gamma(x), so it needs no h(x).
+        # written around the known gamma(x), so it needs no h(x).
         _model_gradient_at(inst, x, h_x, out=g)
         base = gamma_x - inst.beta * float(x @ x)
         c = min(c_hi, max(c_lo, c_prev / cfg.tau_c))
@@ -315,7 +289,7 @@ def solve(inst, config=None, x0=None):
                 break
             c = max(cfg.tau_c * c, c_lo)
         c_k = c
-        step = float(np.linalg.norm(dx, ord=cfg.step_norm_ord))
+        step = float(np.linalg.norm(dx))
         resid = step / c_k
         if not math.isfinite(step):
             status = SolveStatus.NON_FINITE
@@ -371,13 +345,13 @@ def solve(inst, config=None, x0=None):
 
 
 def eps_certificate(inst, x, c):
-    """Stationarity certificate kappa = (1 + c*L_gamma)*||G_c(x)||.
+    """Stationarity certificate kappa = (1 + c*L_gamma)*||G_c(x)||, G_c(x) = (x - s_c(x))/c.
 
     Along every unit feasible direction at the prox point s_c(x), the
     potential slope is at least -kappa, so s_c(x) is kappa-stationary.
-    Zero exactly when x is already stationary.
+    Zero exactly when x is already stationary. The arithmetic is that of
+    ``solve``, so at the last iterate before ``result.x`` and damping
+    ``result.c_final`` this is ``result.certificate`` bit for bit.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    G = gradient_mapping(inst, x, c)
-    return float((1.0 + c * lipschitz_gamma(inst)) * np.linalg.norm(G))
+    step = float(np.linalg.norm(prox_step(inst, x, c) - x))
+    return float((1.0 + c * lipschitz_gamma(inst)) * (step / c))

@@ -10,6 +10,8 @@ serves as the validation oracle for solver runs on convex instances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .costs import AffineCost
@@ -46,8 +48,8 @@ def prox_step(inst, x, c, g=None, out=None):
     written into ``out`` when given (an array shaped like ``x`` that
     aliases neither ``x`` nor ``g``) and returned.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")

@@ -1,8 +1,61 @@
-"""Desk-scale oracles shared by the test modules; independent of the solver."""
+"""Desk-scale oracles and reference formulas shared by the test modules; independent of the solver."""
 
 import numpy as np
 
-from cournotprox import grad_gamma
+from cournotprox import apply_Btilde, grad_gamma, prox_step
+
+
+def gradient_mapping(inst, x, c):
+    """The paper's gradient mapping G_c(x) = (x - s_c(x))/c; zero exactly at stationary points.
+
+    Its norm is nonincreasing in c at fixed x, while the raw displacement
+    norm is nondecreasing.
+    """
+    return (np.asarray(x, dtype=float) - prox_step(inst, x, c)) / c
+
+
+def prox_model_value(inst, x, y, c):
+    """Value at y of the convexified local model anchored at x, with damping 1/(2c)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    g = apply_Btilde(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
+    dy = y - x
+    return (
+        inst.beta * float(y @ y)
+        + float(g @ dy)
+        - float(inst.cost.value(x))
+        + float(dy @ dy) / (2.0 * c)
+    )
+
+
+def decrease_rhs(inst, x, s, c):
+    """Right side of the sufficient-decrease test: the local model at s plus the anchor's constant part."""
+    return (
+        prox_model_value(inst, x, s, c)
+        + 0.5 * float(x @ apply_Btilde(inst, x))
+        - float(x @ inst.alpha_tilde)
+    )
+
+
+def dphi_directional(inst, x, d):
+    """Directional slope d . grad_gamma(x) of the potential at the single point x."""
+    return np.asarray(d, dtype=float) @ grad_gamma(inst, np.asarray(x, dtype=float))
+
+
+def fd_gradient_check(model, x, step):
+    """Max per-component relative error of a central difference vs the analytic gradient.
+
+    ``x`` must be a single point lying inside the model domain by a
+    margin larger than ``step``; perturbed evaluations outside the
+    domain raise the model's domain error.
+    """
+    x = np.asarray(x, dtype=float)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    shifts = step * np.eye(x.size)
+    fd = (model.value(x + shifts) - model.value(x - shifts)) / (2.0 * step)
+    g = model.gradient(x)
+    return float(np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1e-12)))
 
 
 def brute_force_stationary_points(inst, grid_resolution=101):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cournotprox import AffineCost, CostDomainError, CostModel, ExpCost, LogCost, fd_gradient_check
+from cournotprox import AffineCost, CostDomainError, CostModel, ExpCost, LogCost
+from oracles import fd_gradient_check
 
 
 def log_family(n=6, seed=0):

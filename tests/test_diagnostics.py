@@ -15,9 +15,8 @@ from cournotprox import (
     SolverConfig,
     apply_Btilde,
     classical_equilibrium,
-    fixed_point_residual,
+    eps_certificate,
     gamma_lower_bound,
-    gradient_mapping,
     lipschitz_gamma,
     nash_gap,
     phi_bifunction,
@@ -27,7 +26,7 @@ from cournotprox import (
 )
 from cournotprox.diagnostics import _GAP_GRID
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from oracles import brute_force_stationary_points
+from oracles import brute_force_stationary_points, gradient_mapping
 
 
 class SinCost(CostModel):
@@ -119,7 +118,7 @@ class TestNashGap:
         # from which a unilateral jump to another well still pays
         inst = sin_market(3, 0)
         res, _ = solve(inst, SolverConfig(eps=1e-8), x0=np.full(3, 10.0))
-        assert fixed_point_residual(inst, res.x, 1.0) <= 1e-6
+        assert np.linalg.norm(res.x - prox_step(inst, res.x, 1.0)) <= 1e-6
         lo, _ = assert_certified(inst, res.x, np.inf)
         assert lo > 1e-2
 
@@ -203,24 +202,27 @@ class TestGlobalCheck:
 
 
 class TestFixedPointResidual:
+    """The fixed-point residual ||x - s_c(x)||, and the certificate built on it."""
+
     def test_zero_at_equilibrium_for_every_damping(self):
         inst = affine_market(5, mu=2.0)
         star = classical_equilibrium(inst)
         for c in (0.1, 1.0, 10.0):
-            assert fixed_point_residual(inst, star, c) <= 1e-8
+            assert np.linalg.norm(star - prox_step(inst, star, c)) <= 1e-8
 
     def test_positive_away_from_stationarity(self):
         inst = log_cost_market(5, 5)
-        assert fixed_point_residual(inst, inst.project(np.ones(5)), 1.0) > 1e-2
+        x = inst.project(np.ones(5))
+        assert np.linalg.norm(x - prox_step(inst, x, 1.0)) > 1e-2
 
     def test_identity_with_gradient_mapping(self):
         inst = exp_cost_market(7, 6)
+        L = lipschitz_gamma(inst)
         rng = np.random.default_rng(10)
         for c in (0.3, 2.0):
             x = rng.uniform(inst.lower, inst.upper)
-            lhs = fixed_point_residual(inst, x, c)
-            rhs = c * np.linalg.norm(gradient_mapping(inst, x, c))
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            residual = float(np.linalg.norm(x - prox_step(inst, x, c)))
+            assert eps_certificate(inst, x, c) == (1.0 + c * L) * (residual / c)
 
 
 class TestGammaLowerBound:

@@ -233,7 +233,8 @@ class TestVerifyRun:
     def test_clean_trace_passes(self, tmp_path):
         report = verify_run(self.make_trace(tmp_path))
         assert report.passed
-        assert report.delta_consistent and report.bound_ok and report.gamma_monotone
+        assert report.delta_consistent and report.residual_consistent
+        assert report.bound_ok and report.gamma_monotone
         assert "PASS" in str(report)
 
     def test_delta_recompute_is_exact(self, tmp_path):
@@ -255,6 +256,21 @@ class TestVerifyRun:
         assert report.gamma_row == j
         assert not report.passed
         assert "FAIL" in str(report)
+
+    def test_corrupted_residual_detected_at_row(self, tmp_path):
+        path = self.make_trace(tmp_path)
+        lines = path.read_text().splitlines()
+        j = 2  # tamper with one residual_G cell; every other column stays consistent
+        fields = lines[1 + j].split(",")
+        fields[4] = repr(float(fields[4]) * (1.0 + 1e-6))
+        lines[1 + j] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_run(path)
+        assert not report.residual_consistent
+        assert report.residual_row == j
+        assert report.delta_consistent and report.bound_ok and report.gamma_monotone
+        assert not report.passed
+        assert f"residual recompute: FAIL (row {j})" in str(report)
 
     def test_single_row_trace_trivially_passes(self, tmp_path):
         inst = affine_market(3, mu=2.0)
@@ -316,6 +332,13 @@ class TestCli:
     )
     def test_bad_solver_setting_exits_2(self, tmp_path, capsys, flags):
         assert main(["--example", "log", "--n", "3", "--out", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("bad", ["beta = nan", "c = -1.5"], ids=["beta_nan", "c_negative"])
+    def test_bad_custom_market_exits_2(self, tmp_path, capsys, bad):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"example = custom\ncost = log\n{bad}\n")
+        assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_parse_config_file_errors(self, tmp_path):

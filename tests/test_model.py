@@ -9,13 +9,13 @@ from cournotprox import (
     MarketInstance,
     apply_Btilde,
     apply_Q,
-    dphi_directional,
     grad_gamma,
     lipschitz_gamma,
     phi_bifunction,
     potential_gamma,
 )
 from cournotprox.experiments import exp_cost_market, log_cost_market
+from oracles import dphi_directional
 
 
 def zero_cost_instance(n, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0, mu=0.0):

@@ -4,21 +4,21 @@ import dataclasses
 import types
 
 import cournotprox
-from cournotprox import SolverConfig, SolveStatus
+from cournotprox import ExperimentConfig, SolverConfig, SolveStatus
 
 PUBLIC_NAMES = {
     # costs
-    "AffineCost", "CostDomainError", "CostModel", "ExpCost", "LogCost", "fd_gradient_check",
+    "AffineCost", "CostDomainError", "CostModel", "ExpCost", "LogCost",
     # model
-    "MarketInstance", "apply_Btilde", "apply_Q", "dphi_directional", "grad_gamma",
+    "MarketInstance", "apply_Btilde", "apply_Q", "grad_gamma",
     "lipschitz_gamma", "phi_bifunction", "potential_gamma",
     # subqp
     "classical_equilibrium", "prox_step",
     # solver
     "ConfigurationError", "IterationTrace", "SolveResult", "SolveStatus", "SolverConfig",
-    "StepPolicy", "eps_certificate", "gradient_mapping", "prox_model_value", "solve",
+    "StepPolicy", "eps_certificate", "solve",
     # diagnostics
-    "fixed_point_residual", "gamma_lower_bound", "nash_gap",
+    "gamma_lower_bound", "nash_gap",
     # experiments
     "ExampleFamily", "ExperimentConfig", "X0Policy", "affine_market", "exp_cost_market",
     "generate_instance", "initial_point", "log_cost_market", "run_experiment", "verify_run",
@@ -26,7 +26,12 @@ PUBLIC_NAMES = {
 
 SOLVER_CONFIG_FIELDS = [
     "step_policy", "eps", "max_iter", "c_fixed", "c_lo", "c_hi", "tau_c",
-    "step_norm_ord", "record_iterates", "record_bound", "gamma_lb",
+    "record_iterates", "record_bound", "gamma_lb",
+]
+
+EXPERIMENT_CONFIG_FIELDS = [
+    "example", "n", "sweep", "seed", "eps", "step_policy", "max_iter", "out_dir", "x0",
+    "trace", "custom",
 ]
 
 
@@ -42,6 +47,10 @@ def test_public_top_level_names():
 
 def test_solver_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == SOLVER_CONFIG_FIELDS
+
+
+def test_experiment_config_fields():
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == EXPERIMENT_CONFIG_FIELDS
 
 
 def test_solve_statuses():

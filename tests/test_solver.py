@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,18 +14,15 @@ from cournotprox import (
     SolveStatus,
     SolverConfig,
     StepPolicy,
-    apply_Btilde,
     classical_equilibrium,
-    dphi_directional,
     eps_certificate,
-    gradient_mapping,
     lipschitz_gamma,
     potential_gamma,
-    prox_model_value,
     prox_step,
     solve,
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
+from oracles import decrease_rhs, dphi_directional, gradient_mapping
 
 FAMILIES = {
     "affine": lambda n, seed: affine_market(n, mu=np.random.default_rng(seed).uniform(0.0, 5.0, n)),
@@ -51,14 +49,6 @@ REFERENCE_CASES = [
 def best_scaled_step(trace):
     """Running minimum of ||dx_k||^2 / (2 c_k): the trace's delta column."""
     return np.minimum.accumulate(trace.step_norm**2 / (2.0 * trace.c))
-
-
-def decrease_rhs(inst, x, s, c):
-    return (
-        prox_model_value(inst, x, s, c)
-        + 0.5 * float(x @ apply_Btilde(inst, x))
-        - float(x @ inst.alpha_tilde)
-    )
 
 
 def with_cost(inst, cost):
@@ -465,6 +455,24 @@ class TestBoundAndCertificates:
         assert eps_certificate(inst, x, c) == pytest.approx(2.0 * G, rel=1e-12)
         star = classical_equilibrium(affine_market(4))
         assert eps_certificate(affine_market(4), star, 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    @pytest.mark.parametrize("name", ["log", "exp", "affine"])
+    def test_result_certificate_is_eps_certificate(self, name, policy):
+        # one formula: the solve's certificate is eps_certificate at the last
+        # iterate before result.x, with the damping of that last step
+        inst = FAMILIES[name](50, 27)
+        res, trace = solve(inst, SolverConfig(step_policy=policy))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.certificate == eps_certificate(inst, trace.iterates[-2], res.c_final)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_certificate_rejects_non_finite_damping(self, c):
+        inst = log_cost_market(3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                eps_certificate(inst, inst.center(), c)
 
     def test_converged_certificate_soundness(self):
         for make, seed in ((log_cost_market, 0), (exp_cost_market, 1)):

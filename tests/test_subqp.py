@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ class TestProxStep:
         inst = affine_market(2)
         with pytest.raises(ValueError):
             prox_step(inst, np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_damping(self, c):
+        inst = log_cost_market(3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                prox_step(inst, inst.center(), c)
 
     @pytest.mark.parametrize("make,seed", [(log_cost_market, 0), (exp_cost_market, 1)])
     def test_variational_optimality_condition(self, make, seed):

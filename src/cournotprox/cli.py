@@ -18,6 +18,7 @@ from .experiments import (
     ExperimentConfig,
     X0Policy,
     generate_instance,
+    initial_point,
     run_experiment,
     verify_run,
 )
@@ -107,10 +108,10 @@ def main(argv=None):
         cfg = _merged(args)
         if cfg.sweep is None and cfg.n is None:
             raise ValueError("set --n or --sweep")
-        # a custom market comes from file values: build one up front so that
-        # a bad parameter is rejected like any other bad setting
+        # a custom market comes from file values: build one and its start point
+        # up front so that a bad parameter is rejected like any other bad setting
         if cfg.example is ExampleFamily.CUSTOM and cfg.sizes:
-            generate_instance(cfg, cfg.sizes[0])
+            initial_point(cfg, generate_instance(cfg, cfg.sizes[0]))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ same configuration; wall-clock times live only in the summary file.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ import numpy as np
 
 from .costs import AffineCost, ExpCost, LogCost
 from .model import MarketInstance, lipschitz_gamma
-from .solver import SolverConfig, SolveStatus, StepPolicy, solve
+from .solver import IterationTrace, SolverConfig, SolveStatus, StepPolicy, solve
 from .subqp import classical_equilibrium
 
 __all__ = [
@@ -130,10 +129,11 @@ class ExperimentConfig:
                 raise ValueError("sweep sizes must be positive")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be positive")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.custom and self.example is not ExampleFamily.CUSTOM:
+            raise ValueError(f"market keys {sorted(self.custom)} need example = custom")
+        self.solver_config()  # SolverConfig checks eps and max_iter
 
     @property
     def sizes(self):
@@ -193,6 +193,8 @@ def initial_point(cfg, inst):
         return inst.project(np.zeros(inst.n))
     if cfg.x0 is X0Policy.CENTER:
         return inst.center()
+    if not (np.all(np.isfinite(inst.lower)) and np.all(np.isfinite(inst.upper))):
+        raise ValueError("x0 = random needs a bounded box")
     rng = np.random.default_rng([cfg.seed, 1])
     return rng.uniform(inst.lower, inst.upper)
 
@@ -207,18 +209,11 @@ def write_trace_csv(path, trace):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_FIELDS)
-        for k in range(len(trace)):
-            writer.writerow(
-                [
-                    k,
-                    _fmt(trace.gamma[k]),
-                    _fmt(trace.step_norm[k]),
-                    _fmt(trace.c[k]),
-                    _fmt(trace.residual[k]),
-                    _fmt(trace.delta[k]),
-                    _fmt(trace.bound_rhs[k]),
-                ]
-            )
+        # the derived columns are properties: read each once, not per row
+        columns = (trace.gamma, trace.step_norm, trace.c, trace.residual, trace.delta,
+                   trace.bound_rhs)
+        for k, row in enumerate(zip(*(col.tolist() for col in columns))):
+            writer.writerow([k, *map(_fmt, row)])
 
 
 def read_trace_csv(path):
@@ -362,17 +357,17 @@ def verify_run(path):
     m = cols["k"].size
     if m == 0:
         return VerifyReport(str(path), 0, True, None, True, None, None, None, True, None)
-    delta_re = np.minimum.accumulate(cols["step_norm"] ** 2 / (2.0 * cols["c_k"]))
-    delta_row = _first_mismatch(delta_re, cols["delta_k"])
-    residual_row = _first_mismatch(cols["step_norm"] / cols["c_k"], cols["residual_G"])
-
     bound = cols["bound_rhs"]
-    if np.all(np.isnan(bound)):
+    gamma_lb = None if np.all(np.isnan(bound)) else cols["gamma"][0] - bound[0]
+    trace = IterationTrace(cols["gamma"], cols["step_norm"], cols["c_k"], gamma_lb=gamma_lb)
+    delta_re = trace.delta
+    delta_row = _first_mismatch(delta_re, cols["delta_k"])
+    residual_row = _first_mismatch(trace.residual, cols["residual_G"])
+
+    if gamma_lb is None:
         bound_ok, bound_row = None, None
     else:
-        gamma0 = cols["gamma"][0]
-        gamma_lb = gamma0 - bound[0]
-        rhs = (gamma0 - gamma_lb) / (cols["k"] + 1.0)
+        rhs = trace.bound_rhs
         bad = delta_re > rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
         bound_row = _first_bad(bad)
         bound_ok = bound_row is None

@@ -41,7 +41,7 @@ __all__ = [
 
 
 class ConfigurationError(ValueError):
-    """Solver configuration inconsistent in itself or with the instance."""
+    """A ``SolverConfig`` setting out of range, raised at construction."""
 
 
 class StepPolicy(Enum):
@@ -55,111 +55,78 @@ class SolveStatus(Enum):
     NON_FINITE = "NonFinite"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Damping-parameter policy, tolerances and iteration caps.
+    """Step policy, tolerances and recording switches, checked at construction.
 
-    Under FIXED the damping parameter is ``c_fixed`` (default 1/L_gamma,
-    or 1.0 when L_gamma is zero) and must satisfy c*L_gamma <= 1, which
-    guarantees per-step descent. Under LINE_SEARCH each iteration starts
-    one tentative expansion above the previously accepted value, clipped
-    to [c_lo, c_hi], and shrinks by ``tau_c`` until the sufficient-
-    decrease test holds; c_lo <= 1/L_gamma is required so the search
-    always terminates (defaults: 0.1/L_gamma and 10/L_gamma, or 0.1 and
-    10.0 when L_gamma is zero).
+    The damping comes from the instance, not from here: with
+    L = L_gamma, FIXED takes every step at c = 1/L, which guarantees
+    per-step descent. LINE_SEARCH starts each iteration one doubling
+    above the previously accepted value, clipped to [0.1/L, 10/L], and
+    halves until the sufficient-decrease test holds; the floor
+    0.1/L <= 1/L makes the search terminate. When L is zero the bracket
+    is [0.1, 10] and the fixed value 1.0.
 
     Termination compares the Euclidean norm of the step against ``eps``.
     Full iterates are kept in the trace only for n <= 100 unless
     ``record_iterates`` says otherwise.
     ``gamma_lb`` overrides the potential lower bound used for the
-    per-iteration bound column; by default it is computed by
+    trace's bound column; by default it is computed by
     ``gamma_lower_bound`` when the box is bounded.
     """
 
     step_policy: StepPolicy = StepPolicy.FIXED
     eps: float = 1e-3
     max_iter: int = 100_000
-    c_fixed: Optional[float] = None
-    c_lo: Optional[float] = None
-    c_hi: Optional[float] = None
-    tau_c: float = 0.5
     record_iterates: Optional[bool] = None
     record_bound: bool = True
     gamma_lb: Optional[float] = None
 
-
-@dataclass(frozen=True)
-class _Resolved:
-    L_gamma: float
-    c_fixed: float
-    c_lo: float
-    c_hi: float
-    record_iterates: bool
-
-
-def _positive(name, value):
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _resolve(config, inst):
-    _positive("eps", config.eps)
-    if config.max_iter < 1:
-        raise ConfigurationError("max_iter must be at least 1")
-    if not 0.0 < config.tau_c < 1.0:
-        raise ConfigurationError("tau_c must lie in (0, 1)")
-    if config.gamma_lb is not None and not math.isfinite(config.gamma_lb):
-        raise ConfigurationError(f"gamma_lb must be finite, got {config.gamma_lb!r}")
-    L = lipschitz_gamma(inst)
-    c_cap = math.inf if L == 0.0 else 1.0 / L
-    if config.c_fixed is not None:
-        c_fixed = _positive("c_fixed", config.c_fixed)
-    elif L == 0.0:
-        c_fixed = 1.0
-    else:
-        c_fixed = 1.0 / L
-    if config.step_policy is StepPolicy.FIXED and c_fixed > c_cap * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"fixed damping c={c_fixed:.6g} violates c*L_gamma <= 1 (L_gamma={L:.6g})"
-        )
-    c_lo = config.c_lo if config.c_lo is not None else (0.1 if L == 0.0 else 0.1 / L)
-    c_hi = config.c_hi if config.c_hi is not None else (10.0 if L == 0.0 else 10.0 / L)
-    c_lo, c_hi = _positive("c_lo", c_lo), _positive("c_hi", c_hi)
-    if c_hi < c_lo:
-        raise ConfigurationError("need 0 < c_lo <= c_hi")
-    if config.step_policy is StepPolicy.LINE_SEARCH and c_lo > c_cap * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"c_lo={c_lo:.6g} exceeds 1/L_gamma={c_cap:.6g}; the sufficient-decrease "
-            f"search is not guaranteed to terminate"
-        )
-    rec = config.record_iterates if config.record_iterates is not None else inst.n <= 100
-    return _Resolved(L, c_fixed, c_lo, c_hi, bool(rec))
+    def __post_init__(self):
+        eps = float(self.eps)
+        if not (math.isfinite(eps) and eps > 0):
+            raise ConfigurationError(f"eps must be positive and finite, got {eps!r}")
+        if self.max_iter < 1:
+            raise ConfigurationError("max_iter must be at least 1")
+        if self.gamma_lb is not None and not math.isfinite(self.gamma_lb):
+            raise ConfigurationError(f"gamma_lb must be finite, got {self.gamma_lb!r}")
 
 
 @dataclass
 class IterationTrace:
     """Per-iteration history; row k describes the step taken from iterate k.
 
-    Columns: potential at the iterate, step norm, damping c, gradient-
-    mapping norm, running best scaled squared step, and the potential-
-    drop budget (gamma(x0) - gamma_lb)/(k+1) (NaN when no lower bound
-    was available). ``iterates`` holds the visited points, final point
-    included, when snapshot recording is on.
+    Stored columns: potential at the iterate, step norm and damping c.
+    ``iterates`` holds the visited points, final point included, when
+    snapshot recording is on; ``gamma_lb`` is the potential lower bound
+    behind ``bound_rhs``. The other columns are derived from these.
     """
 
     gamma: np.ndarray
     step_norm: np.ndarray
     c: np.ndarray
-    residual: np.ndarray
-    delta: np.ndarray
-    bound_rhs: np.ndarray
     iterates: Optional[list] = None
     gamma_lb: Optional[float] = None
 
     def __len__(self):
         return int(self.gamma.size)
+
+    @property
+    def residual(self):
+        """Gradient-mapping norm ||G_c|| = step/c per row."""
+        return self.step_norm / self.c
+
+    @property
+    def delta(self):
+        """Running best scaled squared step min_j step_j^2/(2 c_j)."""
+        return np.minimum.accumulate(self.step_norm**2 / (2.0 * self.c))
+
+    @property
+    def bound_rhs(self):
+        """Potential-drop budget (gamma(x0) - gamma_lb)/(k+1); NaN without a bound."""
+        if self.gamma_lb is None or not len(self):
+            return np.full(len(self), math.nan)
+        return (self.gamma[0] - self.gamma_lb) / np.arange(1, len(self) + 1)
 
 
 @dataclass
@@ -196,7 +163,8 @@ def solve(inst, config=None, x0=None):
     inst : MarketInstance
         The market to solve.
     config : SolverConfig, optional
-        Damping policy and tolerances; defaults throughout.
+        Step policy and tolerances; defaults throughout. The damping
+        bracket is derived from ``lipschitz_gamma(inst)`` here.
     x0 : array_like, optional
         Starting point; the box midpoint when omitted. Points outside
         the box are projected onto it and flagged in the result.
@@ -216,16 +184,16 @@ def solve(inst, config=None, x0=None):
     Notes
     -----
     Both step policies run one trial loop; FIXED is a single trial at
-    ``c_fixed``, accepted unconditionally. A run allocates its
-    n-vectors once (iterate, trial point, h' at each, the linearized
-    slope and one scratch vector), and every trial writes into them:
-    one ``prox_step`` and one ``potential_gamma`` whose fused cost call
-    also leaves h' at the trial point, which becomes h' at the next
-    iterate when the trial is accepted. ``result.x`` and the recorded
+    1/L_gamma, accepted unconditionally. The trace stores the potential,
+    step norm and damping per step; its other columns derive from them.
+    A run allocates its n-vectors once (iterate, trial point, h' at
+    each, the linearized slope and one scratch vector), and every trial
+    writes into them: one ``prox_step`` and one ``potential_gamma`` whose
+    fused cost call also leaves h' at the trial point, which becomes h'
+    at the next iterate when the trial is accepted. ``result.x`` and the recorded
     iterates are never written again once ``solve`` returns.
     """
     cfg = config if config is not None else SolverConfig()
-    p = _resolve(cfg, inst)
     if x0 is None:
         x0 = inst.center()
     x0 = np.asarray(x0, dtype=float)
@@ -243,6 +211,18 @@ def solve(inst, config=None, x0=None):
     ):
         gamma_lb = diagnostics.gamma_lower_bound(inst)
 
+    # The damping bracket [c_lo, c_hi] around 1/L_gamma. FIXED is the search
+    # on the one-point bracket at 1/L_gamma: its single trial sits at the
+    # floor and is accepted unconditionally.
+    L = lipschitz_gamma(inst)
+    if L == 0.0:
+        c_fixed, c_lo, c_hi = 1.0, 0.1, 10.0
+    else:
+        c_fixed, c_lo, c_hi = 1.0 / L, 0.1 / L, 10.0 / L
+    if cfg.step_policy is StepPolicy.FIXED:
+        c_lo = c_hi = c_fixed
+    record_iterates = cfg.record_iterates if cfg.record_iterates is not None else inst.n <= 100
+
     # The n-vectors of the run, allocated once: the iterate and the trial
     # point, h' at each, the linearized slope at the iterate, and scratch.
     # Every trial writes into them; the accepted trial swaps in as the
@@ -250,31 +230,22 @@ def solve(inst, config=None, x0=None):
     # at one point.
     s, h_x, h_s, g, work = (np.empty_like(x) for _ in range(5))
     gamma_x = float(potential_gamma(inst, x, h_x, work))
-    gamma0 = gamma_x
-    col_gamma, col_step, col_c, col_resid, col_delta, col_bound = [], [], [], [], [], []
-    iterates = [] if p.record_iterates else None
-    delta_run = math.inf
-    # FIXED is the search on the one-point bracket [c_fixed, c_fixed]: its
-    # single trial sits at the floor and is accepted unconditionally.
-    if cfg.step_policy is StepPolicy.FIXED:
-        c_lo = c_hi = p.c_fixed
-    else:
-        c_lo, c_hi = p.c_lo, p.c_hi
-    c_prev = min(p.c_hi, max(p.c_lo, p.c_fixed))
+    col_gamma, col_step, col_c = [], [], []
+    iterates = [] if record_iterates else None
+    c_prev = c_fixed
     c_k = math.nan
     step = math.nan
-    resid = math.nan
     trials = 0
     status = SolveStatus.MAX_ITER if math.isfinite(gamma_x) else SolveStatus.NON_FINITE
 
-    for k in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
+    for _ in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
         # Sufficient decrease: gamma(s) may not exceed the convexified local
         # model at x,
         #   gamma(s) <= gamma(x) + beta*(|s|^2 - |x|^2) + g.(s - x) + |s - x|^2/(2c),
         # written around the known gamma(x), so it needs no h(x).
         _model_gradient_at(inst, x, h_x, out=g)
         base = gamma_x - inst.beta * float(x @ x)
-        c = min(c_hi, max(c_lo, c_prev / cfg.tau_c))
+        c = min(c_hi, max(c_lo, 2.0 * c_prev))
         n_trials = 0
         while True:
             prox_step(inst, x, c, g, s)
@@ -287,21 +258,16 @@ def solve(inst, config=None, x0=None):
                 base + inst.beta * float(s @ s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
             ):
                 break
-            c = max(cfg.tau_c * c, c_lo)
+            c = max(0.5 * c, c_lo)
         c_k = c
         step = float(np.linalg.norm(dx))
-        resid = step / c_k
         if not math.isfinite(step):
             status = SolveStatus.NON_FINITE
             break
         trials += n_trials
-        delta_run = min(delta_run, step * step / (2.0 * c_k))
         col_gamma.append(gamma_x)
         col_step.append(step)
         col_c.append(c_k)
-        col_resid.append(resid)
-        col_delta.append(delta_run)
-        col_bound.append((gamma0 - gamma_lb) / (k + 1) if gamma_lb is not None else math.nan)
         if iterates is not None:
             iterates.append(x.copy())
         x, s = s, x
@@ -318,14 +284,12 @@ def solve(inst, config=None, x0=None):
     if iterates is not None:
         iterates.append(x.copy())
     iterations = len(col_gamma)
-    certificate = (1.0 + c_k * p.L_gamma) * resid if iterations else math.nan
+    resid = step / c_k
+    certificate = (1.0 + c_k * L) * resid if iterations else math.nan
     trace = IterationTrace(
         gamma=np.asarray(col_gamma),
         step_norm=np.asarray(col_step),
         c=np.asarray(col_c),
-        residual=np.asarray(col_resid),
-        delta=np.asarray(col_delta),
-        bound_rhs=np.asarray(col_bound),
         iterates=iterates,
         gamma_lb=gamma_lb,
     )

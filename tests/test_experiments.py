@@ -87,6 +87,18 @@ class TestInstanceFamilies:
         assert inst.contains(a)
         assert np.any(a != 5.0)
 
+    def test_random_start_needs_a_bounded_box(self):
+        cfg = ExperimentConfig(
+            example=ExampleFamily.CUSTOM, n=2, x0=X0Policy.RANDOM,
+            custom={"cost": "affine", "upper": float("inf")},
+        )
+        with pytest.raises(ValueError, match="bounded box"):
+            initial_point(cfg, generate_instance(cfg))
+
+    def test_market_keys_need_custom_example(self):
+        with pytest.raises(ValueError, match="example = custom"):
+            ExperimentConfig(example=ExampleFamily.LOG, n=3, custom={"beta": 0.5})
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(sweep=(10, 10))
@@ -327,8 +339,9 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--eps", "nan"], ["--eps", "inf"], ["--eps", "-1"], ["--max-iter", "0"]],
-        ids=["eps_nan", "eps_inf", "eps_negative", "max_iter_zero"],
+        "flags",
+        [["--eps", "nan"], ["--eps", "inf"], ["--eps", "-1"], ["--max-iter", "0"], ["--seed", "-1"]],
+        ids=["eps_nan", "eps_inf", "eps_negative", "max_iter_zero", "seed_negative"],
     )
     def test_bad_solver_setting_exits_2(self, tmp_path, capsys, flags):
         assert main(["--example", "log", "--n", "3", "--out", str(tmp_path), *flags]) == 2
@@ -340,6 +353,19 @@ class TestCli:
         cfgfile.write_text(f"example = custom\ncost = log\n{bad}\n")
         assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_market_keys_need_custom_example_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "log.cfg"
+        cfgfile.write_text("example = log\nbeta = 0.5\n")
+        assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_random_start_on_unbounded_box_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "open.cfg"
+        cfgfile.write_text("example = custom\ncost = affine\nupper = inf\n")
+        argv = ["--config", str(cfgfile), "--n", "3", "--x0", "random", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: x0 = random")
 
     def test_parse_config_file_errors(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -25,8 +25,7 @@ PUBLIC_NAMES = {
 }
 
 SOLVER_CONFIG_FIELDS = [
-    "step_policy", "eps", "max_iter", "c_fixed", "c_lo", "c_hi", "tau_c",
-    "record_iterates", "record_bound", "gamma_lb",
+    "step_policy", "eps", "max_iter", "record_iterates", "record_bound", "gamma_lb",
 ]
 
 EXPERIMENT_CONFIG_FIELDS = [

@@ -24,6 +24,7 @@ from .experiments import (
 )
 from .solver import StepPolicy
 
+_FLAG_KEYS = ("example", "n", "sweep", "seed", "eps", "step", "max_iter", "out", "x0", "trace")
 _CUSTOM_KEYS = ("beta", "alpha0", "mu", "lower", "upper", "cost", "c0", "c", "r", "mu_h", "xi")
 
 
@@ -65,6 +66,9 @@ def parse_config_file(path):
 
 def _merged(args):
     file_values = parse_config_file(args.config) if args.config else {}
+    unknown = [k for k in file_values if k not in _FLAG_KEYS and k not in _CUSTOM_KEYS]
+    if unknown:
+        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
 
     def pick(flag, default, key=None):
         v = getattr(args, flag)
@@ -83,6 +87,9 @@ def _merged(args):
             custom[k] = float(custom[k])
     if "r" in custom and custom["r"] != "random":
         custom["r"] = float(custom["r"])
+    trace = pick("trace", "on")
+    if trace not in ("on", "off"):
+        raise ValueError(f"trace must be on or off, got {trace!r}")
     return ExperimentConfig(
         example=ExampleFamily(pick("example", "log")),
         n=int(n) if n is not None else None,
@@ -93,7 +100,7 @@ def _merged(args):
         max_iter=int(pick("max_iter", 100_000)),
         out_dir=Path(out),
         x0=X0Policy(pick("x0", "center")),
-        trace=str(pick("trace", "on")) == "on",
+        trace=trace == "on",
         custom=custom,
     )
 

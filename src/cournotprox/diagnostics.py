@@ -22,20 +22,73 @@ __all__ = [
 _GAP_GRID = 2048
 
 
-def _scan_min(profile, lower, upper, grid):
+def _scan_min(profile, lower, upper, grid, curvature):
     """Per-firm minimum of ``profile`` over ``grid`` nodes of each interval, and the node spacing.
 
-    Walks t = lower + u*(upper - lower) for u in linspace(0, 1, grid),
-    one n-vector per node (never a (grid, n) batch). A profile with
-    |f''| <= M dips at most M*spacing**2/8 below its smaller neighbouring
-    node value, which is the slack each caller adds to certify its result.
+    The nodes are t = lower + u*(upper - lower) for u in linspace(0, 1,
+    grid). The result is bit for bit the minimum over all of them, but a
+    node is evaluated only where the bound |profile''| <= ``curvature``
+    does not rule it out (the second-derivative branch and bound of
+    Breiman & Cutler, 1993). ``profile`` must act on each firm's entry
+    alone: every evaluation is one n-vector whose entries may sit at
+    different nodes.
+
+    A coarse walk visits every s-th node, s ~ sqrt(grid - 1), and each
+    firm walks the two coarse intervals beside its best coarse node. A
+    verification walk then recomputes the coarse nodes. On a coarse
+    interval at most D wide the profile stays above
+    min(ends) - curvature*D**2/8, so every interval whose floor is not
+    strictly above the firm's best value is walked too (the span from
+    the window out to the farthest such interval). ``best`` only falls,
+    so one verification walk suffices. A unimodal profile costs about
+    3*sqrt(grid) evaluations; the worst case, many dips as deep as the
+    bound allows, costs the full walk plus two coarse walks. Extra
+    memory is a few n-vectors.
+
+    The same bound certifies the caller's result: between nodes
+    ``spacing`` apart the profile dips at most curvature*spacing**2/8
+    below the smaller node value.
     """
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("bounded box required for the grid search")
     width = upper - lower
+    u = np.linspace(0.0, 1.0, grid)
+    coarse = np.arange(0, grid, round((grid - 1) ** 0.5))
+    if coarse[-1] != grid - 1:
+        coarse = np.append(coarse, grid - 1)
+    # the widest coarse interval sets D (the last one may be shorter)
+    slack = curvature * (float(np.max(np.diff(u[coarse]))) * width) ** 2 / 8.0
     best = np.full(width.shape, np.inf)
-    for u in np.linspace(0.0, 1.0, grid):
-        np.minimum(best, profile(lower + u * width), out=best)
+
+    def at(node):
+        return profile(lower + u[node] * width)
+
+    def walk(first, last):
+        # nodes first..last of each firm; a firm with a shorter range repeats its last node
+        for j in range(int(np.max(last - first)) + 1):
+            np.minimum(best, at(np.minimum(first + j, last)), out=best)
+
+    arg = np.zeros(width.shape, dtype=np.intp)
+    for j, node in enumerate(coarse):
+        value = at(node)
+        np.copyto(arg, j, where=value < best)
+        np.minimum(best, value, out=best)
+    first = coarse[np.maximum(arg - 1, 0)]
+    last = coarse[np.minimum(arg + 1, coarse.size - 1)]
+    walk(first, last)
+
+    span_first, span_last = first.copy(), last.copy()
+    prev = at(coarse[0])
+    for j in range(1, coarse.size):
+        value = at(coarse[j])
+        live = ~(np.minimum(prev, value) - slack > best)
+        np.minimum(span_first, np.where(live, coarse[j - 1], grid), out=span_first)
+        np.maximum(span_last, np.where(live, coarse[j], 0), out=span_last)
+        prev = value
+    if np.any(span_first < first):
+        walk(span_first, first)
+    if np.any(span_last > last):
+        walk(last, span_last)
     return best, width / (grid - 1)
 
 
@@ -50,7 +103,10 @@ def nash_gap(inst, x, radius=np.inf):
     so each q_i is minimized on its own interval by a ``_GAP_GRID``-node
     scan with the anchor x_i as one extra candidate, which makes
     lo >= 0. |q_i''| <= 2*beta + L_h bounds how far q_i can dip between
-    nodes d_i apart, so hi = lo + sum_i (2*beta + L_h)*d_i**2/8.
+    nodes d_i apart, so hi = lo + sum_i (2*beta + L_h)*d_i**2/8. The
+    same bound prunes the scan: it evaluates about 140 of the 2048 nodes
+    when every q_i has one well, up to the full walk when they have many,
+    and returns the full walk's bits either way.
     """
     x = np.asarray(x, dtype=float)
     if not radius > 0:
@@ -63,11 +119,12 @@ def nash_gap(inst, x, radius=np.inf):
         return (inst.beta * t + slope) * t - inst.cost.value_components(t)
 
     qx = profile(x)
+    curvature = 2.0 * inst.beta + inst.cost.lipschitz_L()
     best, spacing = _scan_min(
-        profile, np.maximum(inst.lower, x - radius), np.minimum(inst.upper, x + radius), _GAP_GRID
+        profile, np.maximum(inst.lower, x - radius), np.minimum(inst.upper, x + radius), _GAP_GRID,
+        curvature,
     )
     lo = float(np.sum(qx - np.minimum(best, qx)))
-    curvature = 2.0 * inst.beta + inst.cost.lipschitz_L()
     return lo, lo + curvature * float(np.sum(spacing**2)) / 8.0
 
 
@@ -80,12 +137,15 @@ def gamma_lower_bound(inst, grid_resolution=1024):
     d_i apart a profile with |h_i''| <= L_h dips at most L_h*d_i**2/8
     below the smaller node value, so subtracting that term makes the sum
     a proven lower bound on the potential everywhere on the box, in
-    particular on its infimum over any level set.
+    particular on its infimum over any level set. The same L_h bound
+    prunes the scan, which returns the full walk's bits: at 1024 points
+    a one-well profile costs about 100 evaluations.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
+    L_h = inst.cost.lipschitz_L()
     best, spacing = _scan_min(
         lambda t: -inst.alpha_tilde * t - inst.cost.value_components(t),
-        inst.lower, inst.upper, grid_resolution,
+        inst.lower, inst.upper, grid_resolution, L_h,
     )
-    return float(np.sum(best) - inst.cost.lipschitz_L() * np.sum(spacing**2) / 8.0)
+    return float(np.sum(best) - L_h * np.sum(spacing**2) / 8.0)

@@ -58,7 +58,9 @@ def prox_step(inst, x, c, g=None, out=None):
     out = np.multiply(c, g, out=out)
     np.subtract(x, out, out=out)
     np.divide(out, 1.0 + 2.0 * inst.beta * c, out=out)
-    return np.clip(out, inst.lower, inst.upper, out=out)
+    # clamp with two ufuncs; np.clip takes about three times as long
+    np.maximum(out, inst.lower, out=out)
+    return np.minimum(out, inst.upper, out=out)
 
 
 def classical_equilibrium(inst):

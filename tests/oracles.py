@@ -87,3 +87,17 @@ def brute_force_stationary_points(inst, grid_resolution=101):
     ok = (at_lo & (G >= -tol)) | (at_up & (G <= tol)) | (interior & (np.abs(G) <= tol))
     # degenerate (pinned) coordinates duplicate grid nodes; report each once
     return np.unique(pts[np.all(ok, axis=1)], axis=0)
+
+
+def full_scan_min(profile, lower, upper, grid):
+    """Per-firm minimum of ``profile`` over all ``grid`` diagonal nodes, and the node spacing.
+
+    The unpruned walk: every node t = lower + u*(upper - lower), u in
+    linspace(0, 1, grid), is evaluated, one n-vector per node. The
+    pruned ``_scan_min`` must return the same bits.
+    """
+    width = upper - lower
+    best = np.full(width.shape, np.inf)
+    for u in np.linspace(0.0, 1.0, grid):
+        np.minimum(best, profile(lower + u * width), out=best)
+    return best, width / (grid - 1)

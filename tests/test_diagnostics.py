@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,10 @@ from cournotprox import (
     prox_step,
     solve,
 )
-from cournotprox.diagnostics import _GAP_GRID
+from cournotprox import diagnostics
+from cournotprox.diagnostics import _GAP_GRID, _scan_min
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from oracles import brute_force_stationary_points, gradient_mapping
+from oracles import brute_force_stationary_points, full_scan_min, gradient_mapping
 
 
 class SinCost(CostModel):
@@ -282,6 +284,115 @@ class TestGammaLowerBound:
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf, cost=cost)
         with pytest.raises(ValueError):
             gamma_lower_bound(inst, 64)
+
+
+def full_walk(profile, lower, upper, grid, curvature):
+    return full_scan_min(profile, lower, upper, grid)
+
+
+def caller_scans(inst, x, monkeypatch):
+    """The (profile, curvature) that gamma_lower_bound and nash_gap hand to the scan."""
+    seen = []
+
+    def record(profile, lower, upper, grid, curvature):
+        seen.append((profile, curvature))
+        return full_scan_min(profile, lower, upper, grid)
+
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "_scan_min", record)
+        gamma_lower_bound(inst)
+        nash_gap(inst, x)
+    return seen
+
+
+class Counted:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.f(*args)
+
+
+def two_wells(t, deep):
+    # wells of curvature 1e-3 (t in node units): a shallow one on coarse node 320
+    # and, when ``deep``, a deeper one midway between coarse nodes 704 and 736
+    shallow = 5e-4 * (t - 320.0) ** 2
+    return np.minimum(shallow, 5e-4 * (t - 720.0) ** 2 - 0.1) if deep else shallow
+
+
+class TestScanMin:
+    """The pruned scan returns the full walk's bits while skipping nodes the curvature rules out."""
+
+    @pytest.mark.parametrize("radius", [np.inf, 1.5])
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_market, sin_market])
+    def test_matches_full_walk_for_both_callers(self, make, radius, monkeypatch):
+        inst = make(7, 3) if make is not affine_market else affine_market(7, mu=2.0)
+        x = np.random.default_rng(3).uniform(inst.lower, inst.upper)
+        lower, upper = scan_interval(inst, x, radius)
+        scans = caller_scans(inst, x, monkeypatch)
+        assert len(scans) == 2
+        for profile, curvature in scans:
+            for grid in (2, 3, 14, 64, 1024, 2048):
+                best, spacing = _scan_min(profile, lower, upper, grid, curvature)
+                ref_best, ref_spacing = full_scan_min(profile, lower, upper, grid)
+                assert np.array_equal(best, ref_best), (grid, curvature)
+                assert np.array_equal(spacing, ref_spacing)
+
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, sin_market])
+    def test_callers_match_full_walk(self, make, monkeypatch):
+        inst = make(12, 5)
+        res, _ = solve(inst, SolverConfig(eps=1e-3))
+        answers = [gamma_lower_bound(inst), nash_gap(inst, res.x), nash_gap(inst, res.x, 0.5)]
+        monkeypatch.setattr(diagnostics, "_scan_min", full_walk)
+        reference = [gamma_lower_bound(inst), nash_gap(inst, res.x), nash_gap(inst, res.x, 0.5)]
+        assert answers == reference
+
+    def test_verification_walk_widens_to_a_deeper_well(self):
+        # the coarse walk sees only the shallow well; the deep one lies between coarse
+        # nodes, and only the floor test of the verification walk sends the scan there
+        lower, upper = np.zeros(2), np.array([1023.0, 1023.0])
+        counts, results = [], []
+        for deep in (False, True):
+            profile = Counted(
+                lambda t: np.stack([two_wells(t[0], deep), 5e-4 * (t[1] - 100.0) ** 2])
+            )
+            results.append(_scan_min(profile, lower, upper, 1024, 1e-3))
+            counts.append(profile.calls)
+            ref_best, _ = full_scan_min(profile, lower, upper, 1024)
+            assert np.array_equal(results[-1][0], ref_best)
+        assert results[1][0][0] == pytest.approx(-0.1)
+        # the same coarse, window and verification walks, plus the span
+        assert counts[1] > counts[0]
+        assert counts[0] < 150
+
+    def test_a_tie_with_the_floor_is_walked(self):
+        # a flat profile at curvature 0: every floor ties best, so no interval may be
+        # pruned, and a rounding-sized dip at one node between coarse nodes is found
+        profile = lambda t: np.where(np.abs(t - 500.0) < 0.25, -1e-300, 0.0)
+        lower, upper = np.zeros(3), np.full(3, 1023.0)
+        best, _ = _scan_min(profile, lower, upper, 1024, 0.0)
+        assert np.array_equal(best, full_scan_min(profile, lower, upper, 1024)[0])
+        assert np.all(best == -1e-300)
+
+    def test_lower_bound_evaluates_a_tenth_of_the_grid(self, monkeypatch):
+        inst = log_cost_market(1000, 0)
+        counted = Counted(LogCost.value_components)
+        monkeypatch.setattr(LogCost, "value_components", lambda self, t: counted(self, t))
+        gamma_lower_bound(inst, 1024)
+        assert 0 < counted.calls <= 150
+
+    def test_memory_is_a_few_n_vectors(self):
+        n = 100_000
+        inst = log_cost_market(n, 0)
+        profile = lambda t: -inst.alpha_tilde * t - inst.cost.value_components(t)
+        tracemalloc.start()
+        try:
+            _scan_min(profile, inst.lower, inst.upper, 1024, inst.cost.lipschitz_L())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n * 8
 
 
 class TestBruteForce:

@@ -360,6 +360,23 @@ class TestCli:
         assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        # the flag's spelling is not a file key: max_iter is
+        cfgfile = tmp_path / "typo.cfg"
+        cfgfile.write_text("example = log\nmax-iter = 3\n")
+        assert main(["--config", str(cfgfile), "--n", "5", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'max-iter'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["true", "ON"])
+    def test_trace_file_value_must_be_on_or_off_exits_2(self, tmp_path, capsys, value):
+        cfgfile = tmp_path / "trace.cfg"
+        cfgfile.write_text(f"example = log\ntrace = {value}\n")
+        assert main(["--config", str(cfgfile), "--n", "5", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_random_start_on_unbounded_box_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "open.cfg"
         cfgfile.write_text("example = custom\ncost = affine\nupper = inf\n")

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Tour of the market datum: operators, potential, and the bifunction.
+"""Tour of the market datum: the potential, its curvature bound and the Nash gap.
 
-Builds a small oligopoly with a logarithmic cost, shows that the
-quadratic operators act in O(n) without any matrices, and inspects the
-potential and the equilibrium bifunction around a candidate point.
+Builds a small oligopoly with a logarithmic cost, evaluates the merit
+potential in O(n) without any matrices, reads off the curvature bound
+L_gamma that sizes the proximal steps, and brackets the Nash gap (what
+a firm gains by deviating on its own) at a stationary candidate and at
+a point where one firm has moved away from it.
 """
 
 import numpy as np
@@ -11,11 +13,11 @@ import numpy as np
 from cournotprox import (
     LogCost,
     MarketInstance,
-    apply_Btilde,
-    apply_Q,
-    grad_gamma,
-    phi_bifunction,
+    SolverConfig,
+    lipschitz_gamma,
+    nash_gap,
     potential_gamma,
+    solve,
 )
 
 n = 4
@@ -29,27 +31,28 @@ inst = MarketInstance(
 )
 
 print(f"{n} firms, price 10 - 0.1*total output, box [0, 10]^{n}")
-print(f"coupling norm (n-1)*beta = {inst.btilde_norm}")
-print(f"cost curvature bound     = {inst.cost.lipschitz_L():.4f}")
+print(f"cost curvature bound L_h           = {inst.cost.lipschitz_L():.4f}")
+print(f"potential curvature bound L_gamma  = {lipschitz_gamma(inst):.4f}  (L_h + (n-1)*beta)")
 
 x = np.array([2.0, 4.0, 6.0, 8.0])
+cost_grad = np.empty(n)
 print("\nat x =", x)
-print("  coupling operator    beta*(sig - x):", apply_Btilde(inst, x))
-print("  full curvature       beta*(sig + x):", apply_Q(inst, x))
-print("  own-output part      2*beta*x      :", apply_Q(inst, x) - apply_Btilde(inst, x))
-print("  potential gamma(x)                 :", potential_gamma(inst, x))
-print("  gradient of gamma                  :", np.round(grad_gamma(inst, x), 4))
+print(f"  potential gamma(x) = {potential_gamma(inst, x, cost_grad):.6f}")
+print("  cost slope h'(x)   =", np.round(cost_grad, 4), "(left by the same cost call)")
 
-# the bifunction vanishes on the diagonal; a negative value is a profitable deviation
-y = np.array([3.0, 3.0, 7.0, 9.0])
-print("\nbifunction values against y =", y)
-print("  phi(x, x) =", phi_bifunction(inst, x, x))
-print("  phi(x, y) =", phi_bifunction(inst, x, y))
+# the gap is what the firms gain by unilateral deviation: zero exactly at an
+# equilibrium; the bracket's width is the certified error of the 1-D scans
+res, _ = solve(inst, SolverConfig(eps=1e-8))
+print(f"\nstationary candidate after {res.iterations} steps:", np.round(res.x, 4))
+print(f"  potential {res.gamma_final:.6f}, stationarity certificate {res.certificate:.1e}")
+lo, hi = nash_gap(inst, res.x)
+print(f"  Nash gap in [{lo:.2e}, {hi:.2e}]")
 
-# directional slopes d . grad gamma(x) certify first-order behavior along feasible moves
-d_in = np.array([1.0, 0.0, 0.0, 0.0])
-g = grad_gamma(inst, x)
-print("\ndirectional slopes at x:")
-print("  toward higher output of firm 1:", d_in @ g)
-print("  toward lower output of firm 1 :", -d_in @ g)
-print("a stationary point needs nonnegative slope along every feasible direction")
+y = res.x.copy()
+y[0] = 0.5 * y[0]
+print("\nfirm 1 halves its output:", np.round(y, 4))
+print(f"  potential {potential_gamma(inst, y):.6f}")
+lo, hi = nash_gap(inst, y)
+print(f"  Nash gap in [{lo:.2e}, {hi:.2e}]: firm 1 gains by moving back")
+lo, hi = nash_gap(inst, y, radius=0.5)
+print(f"  moves of at most 0.5 gain [{lo:.2e}, {hi:.2e}]")

@@ -9,13 +9,7 @@ parameter increases, and the stationarity certificate built on it.
 
 import numpy as np
 
-from cournotprox import (
-    apply_Btilde,
-    classical_equilibrium,
-    eps_certificate,
-    lipschitz_gamma,
-    prox_step,
-)
+from cournotprox import classical_equilibrium, eps_certificate, lipschitz_gamma, prox_step
 from cournotprox.experiments import affine_market, log_cost_market
 
 inst = log_cost_market(6, seed_or_rng=3)
@@ -24,7 +18,8 @@ x = inst.center()
 c = 1.0 / L
 
 # s minimizes beta*||y||^2 + g'(y - x) + ||y - x||^2/(2c) over the box exactly
-# when (y - s)'v >= 0 for every box point y, with v the model gradient at s;
+# when (y - s)'v >= 0 for every box point y, with v the model gradient at s and
+# g = beta*(sigma - x) - alpha_tilde - h'(x) the linearized slope, sigma the total output;
 # the left side is linear in y, so its minimum sits at a box vertex, coordinate by coordinate
 print("closed-form prox point against its variational optimality condition:")
 print(f"{'point':>8} {'c*L_gamma':>10} {'at a bound':>11} {'min over the box of (y - s)v':>29}")
@@ -33,7 +28,7 @@ for name, xx in (("center", x), ("random", x_random)):
     for frac in (1.0, 4.0):
         cc = frac / L
         s = prox_step(inst, xx, cc)
-        g = apply_Btilde(inst, xx) - inst.alpha_tilde - inst.cost.gradient(xx)
+        g = inst.beta * (np.sum(xx) - xx) - inst.alpha_tilde - inst.cost.gradient(xx)
         v = 2.0 * inst.beta * s + g + (s - xx) / cc
         worst = np.sum(np.minimum((inst.lower - s) * v, (inst.upper - s) * v))
         active = np.count_nonzero((s == inst.lower) | (s == inst.upper))

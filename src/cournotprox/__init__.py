@@ -22,15 +22,7 @@ from .experiments import (
     run_experiment,
     verify_run,
 )
-from .model import (
-    MarketInstance,
-    apply_Btilde,
-    apply_Q,
-    grad_gamma,
-    lipschitz_gamma,
-    phi_bifunction,
-    potential_gamma,
-)
+from .model import MarketInstance, lipschitz_gamma, potential_gamma
 from .solver import (
     ConfigurationError,
     IterationTrace,

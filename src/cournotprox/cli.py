@@ -8,12 +8,10 @@ COURNOTPROX_OUTDIR environment variable, falling back to ./results.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .experiments import (
-    OUT_DIR_ENV,
     ExampleFamily,
     ExperimentConfig,
     X0Policy,
@@ -24,7 +22,6 @@ from .experiments import (
 )
 from .solver import StepPolicy
 
-_FLAG_KEYS = ("example", "n", "sweep", "seed", "eps", "step", "max_iter", "out", "x0", "trace")
 _CUSTOM_KEYS = ("beta", "alpha0", "mu", "lower", "upper", "cost", "c0", "c", "r", "mu_h", "xi")
 
 
@@ -64,45 +61,52 @@ def parse_config_file(path):
     return values
 
 
+def _sizes(value):
+    return tuple(int(s) for s in value.split(",") if s.strip())
+
+
+def _on_off(value):
+    if value not in ("on", "off"):
+        raise ValueError(f"trace must be on or off, got {value!r}")
+    return value == "on"
+
+
+# flag dest (also its config-file key) -> ExperimentConfig field and the
+# conversion of a flag or file string
+_FLAG_FIELDS = {
+    "example": ("example", ExampleFamily),
+    "n": ("n", int),
+    "sweep": ("sweep", _sizes),
+    "seed": ("seed", int),
+    "eps": ("eps", float),
+    "step": ("step_policy", StepPolicy),
+    "max_iter": ("max_iter", int),
+    "out": ("out_dir", Path),
+    "x0": ("x0", X0Policy),
+    "trace": ("trace", _on_off),
+}
+
+
 def _merged(args):
+    """ExperimentConfig from the flags and the config file; unset values keep its defaults."""
     file_values = parse_config_file(args.config) if args.config else {}
-    unknown = [k for k in file_values if k not in _FLAG_KEYS and k not in _CUSTOM_KEYS]
+    unknown = [k for k in file_values if k not in _FLAG_FIELDS and k not in _CUSTOM_KEYS]
     if unknown:
         raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
-
-    def pick(flag, default, key=None):
+    settings = {}
+    for flag, (name, convert) in _FLAG_FIELDS.items():
         v = getattr(args, flag)
         if v is None:
-            v = file_values.get(key or flag)
-        return default if v is None else v
-
-    sweep = pick("sweep", None)
-    if isinstance(sweep, str):
-        sweep = tuple(int(s) for s in sweep.split(",") if s.strip()) if sweep.strip() else ()
-    n = pick("n", None)
-    out = pick("out", os.environ.get(OUT_DIR_ENV, "results"))
+            v = file_values.get(flag)
+        if v is not None:
+            settings[name] = convert(v)
     custom = {k: file_values[k] for k in _CUSTOM_KEYS if k in file_values}
     for k in ("beta", "alpha0", "mu", "lower", "upper", "c0", "c", "mu_h", "xi"):
         if k in custom:
             custom[k] = float(custom[k])
     if "r" in custom and custom["r"] != "random":
         custom["r"] = float(custom["r"])
-    trace = pick("trace", "on")
-    if trace not in ("on", "off"):
-        raise ValueError(f"trace must be on or off, got {trace!r}")
-    return ExperimentConfig(
-        example=ExampleFamily(pick("example", "log")),
-        n=int(n) if n is not None else None,
-        sweep=sweep,
-        seed=int(pick("seed", 0)),
-        eps=float(pick("eps", 1e-3)),
-        step_policy=StepPolicy(pick("step", "fixed")),
-        max_iter=int(pick("max_iter", 100_000)),
-        out_dir=Path(out),
-        x0=X0Policy(pick("x0", "center")),
-        trace=trace == "on",
-        custom=custom,
-    )
+    return ExperimentConfig(**settings, custom=custom)
 
 
 def main(argv=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import apply_Btilde
+from .model import _coupling_slope
 
 __all__ = [
     "nash_gap",
@@ -95,11 +95,13 @@ def _scan_min(profile, lower, upper, grid, curvature):
 def nash_gap(inst, x, radius=np.inf):
     """Certified bracket (lo, hi) on the Nash gap at ``x``: what unilateral deviation gains.
 
-    The gap is -min_y phi_bifunction(x, y) over the box, restricted to
-    |y - x|_inf <= radius; it is zero iff x is an equilibrium (a local
-    one at a finite radius). The bifunction splits into firm terms,
+    The gap is -min_y phi(x, y) over the box, restricted to
+    |y - x|_inf <= radius, for the paper's equilibrium bifunction phi;
+    it is zero iff x is an equilibrium (a local one at a finite radius).
+    The bifunction splits into firm terms,
     phi(x, y) = sum_i q_i(y_i) - q_i(x_i) with
     q_i(t) = beta*t**2 + (beta*sigma_{-i} - alpha_tilde[i])*t - h_i(t),
+    where sigma_{-i} is the others' total output at x,
     so each q_i is minimized on its own interval by a ``_GAP_GRID``-node
     scan with the anchor x_i as one extra candidate, which makes
     lo >= 0. |q_i''| <= 2*beta + L_h bounds how far q_i can dip between
@@ -113,7 +115,7 @@ def nash_gap(inst, x, radius=np.inf):
         raise ValueError("radius must be positive")
     if x.shape != (inst.n,) or not inst.contains(x, tol=1e-9):
         raise ValueError("anchor x must lie in the box")
-    slope = apply_Btilde(inst, x) - inst.alpha_tilde
+    slope = _coupling_slope(inst, x)
 
     def profile(t):
         return (inst.beta * t + slope) * t - inst.cost.value_components(t)

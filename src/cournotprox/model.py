@@ -1,10 +1,11 @@
-"""Nash-Cournot market datum and the equilibrium calculus built on it.
+"""Nash-Cournot market datum, its merit potential and the potential's curvature bound.
 
 With affine inverse demand the firms couple only through total output,
-so the quadratic forms involved never need materializing: the own-output
-curvature acts as 2*beta*I, and the cross-firm coupling sends x to
-beta*(sigma - x_i) per firm, where sigma is total output. All operations
-here run in O(n) and accept arrays of shape (..., n), firm axis last.
+so no quadratic form is ever materialized: firm i sees the others'
+output through the linear slope beta*(sigma - x_i) - alpha_tilde[i],
+where sigma is total output, and the solver step and the Nash gap both
+take that slope from one helper here. Everything runs in O(n) and
+accepts arrays of shape (..., n), firm axis last.
 
 A market instance is immutable after construction and safe to share
 across concurrent solver runs.
@@ -21,11 +22,7 @@ from .costs import CostModel
 
 __all__ = [
     "MarketInstance",
-    "apply_Btilde",
-    "apply_Q",
     "potential_gamma",
-    "grad_gamma",
-    "phi_bifunction",
     "lipschitz_gamma",
 ]
 
@@ -83,6 +80,8 @@ class MarketInstance:
         upper = _bound_vector(self.upper, n, "upper")
         if np.any(lower > upper):
             raise ValueError("empty box: lower > upper somewhere")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("lower must be below +inf and upper above -inf")
         if np.all(np.isfinite(lower)) and not self.cost.contains(lower):
             raise ValueError("box extends outside the cost domain")
         alpha_tilde = alpha0 - mu
@@ -97,11 +96,6 @@ class MarketInstance:
     @property
     def n(self):
         return self.cost.n
-
-    @property
-    def btilde_norm(self):
-        """Spectral norm of the cross-firm coupling: (n-1)*beta."""
-        return (self.n - 1) * self.beta
 
     def center(self):
         """Box midpoint (coordinates with an infinite side fall back to the finite one, else 0)."""
@@ -119,25 +113,12 @@ class MarketInstance:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
 
-def _points(inst, x, name="x"):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != inst.n:
-        raise ValueError(f"{name} must have trailing axis of length {inst.n}, got shape {x.shape}")
-    return x
-
-
-def apply_Btilde(inst, x):
-    """Cross-firm coupling: firm i receives beta times the others' total output."""
-    x = _points(inst, x)
-    sigma = np.sum(x, axis=-1, keepdims=True)
-    return inst.beta * (sigma - x)
-
-
-def apply_Q(inst, x):
-    """Combined curvature operator: own-output 2*beta*x plus the coupling, beta*(x + sigma)."""
-    x = _points(inst, x)
-    sigma = np.sum(x, axis=-1, keepdims=True)
-    return inst.beta * (x + sigma)
+def _coupling_slope(inst, x, out=None):
+    # beta*(sigma - x) - alpha_tilde per firm, in this operation order: the
+    # solver step and nash_gap rely on the bits; written into out when given
+    out = np.subtract(np.sum(x, axis=-1, keepdims=True), x, out=out)
+    np.multiply(inst.beta, out, out=out)
+    return np.subtract(out, inst.alpha_tilde, out=out)
 
 
 def potential_gamma(inst, x, cost_grad=None, work=None):
@@ -146,43 +127,22 @@ def potential_gamma(inst, x, cost_grad=None, work=None):
     Decreased monotonically by well-damped proximal steps; its gradient
     vanishing (against the box normal cone) characterizes stationarity.
 
-    When ``cost_grad`` (an array shaped like ``x``) is given, the cost
-    comes from one fused ``cost.value_and_gradient`` call that also
-    leaves h'(x) in ``cost_grad``, and ``work`` (same shape, optional)
-    is its scratch; the potential has the same bits either way. Neither
-    buffer may alias ``x``.
+    The cost comes from one fused ``cost.value_and_gradient`` call, which
+    also leaves h'(x) in ``cost_grad`` (an array shaped like ``x``,
+    allocated here when omitted); ``work`` (same shape, optional) is its
+    scratch. Neither buffer may alias ``x``.
     """
-    x = _points(inst, x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != inst.n:
+        raise ValueError(f"x must have trailing axis of length {inst.n}, got shape {x.shape}")
     if cost_grad is None:
-        sq = np.sum(x * x, axis=-1)
-        h = inst.cost.value(x)
-    else:
-        sq = np.sum(np.multiply(x, x, out=cost_grad), axis=-1)
-        h = inst.cost.value_and_gradient(x, cost_grad, work)
+        cost_grad = np.empty_like(x)
+    sq = np.sum(np.multiply(x, x, out=cost_grad), axis=-1)
+    h = inst.cost.value_and_gradient(x, cost_grad, work)
     sigma = np.sum(x, axis=-1)
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - h
 
 
-def grad_gamma(inst, x):
-    """Gradient of the potential: Q x - alpha_tilde - grad h(x)."""
-    return apply_Q(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
-
-
-def phi_bifunction(inst, x, y):
-    """Equilibrium bifunction; nonnegative over all y in the box iff x is a global equilibrium.
-
-    ``x`` is a single anchor point; ``y`` may carry leading batch axes.
-    Vanishes identically at y = x. Evaluation outside the box is allowed
-    so diagnostics can probe boundary behavior.
-    """
-    x = _points(inst, x, "x")
-    y = _points(inst, y, "y")
-    fx = apply_Btilde(inst, x) - inst.alpha_tilde
-    cost = inst.cost
-    quad = inst.beta * (np.sum(y * y, axis=-1) - np.sum(x * x, axis=-1))
-    return (y - x) @ fx + quad - (cost.value(y) - cost.value(x))
-
-
 def lipschitz_gamma(inst):
-    """Composite curvature bound for the potential gradient: L_h + (n-1)*beta."""
-    return inst.cost.lipschitz_L() + inst.btilde_norm
+    """Curvature bound for the potential gradient: L_h plus the coupling's norm (n-1)*beta."""
+    return inst.cost.lipschitz_L() + (inst.n - 1) * inst.beta

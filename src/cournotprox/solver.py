@@ -68,8 +68,7 @@ class SolverConfig:
     is [0.1, 10] and the fixed value 1.0.
 
     Termination compares the Euclidean norm of the step against ``eps``.
-    Full iterates are kept in the trace only for n <= 100 unless
-    ``record_iterates`` says otherwise.
+    ``record_iterates`` keeps every visited point in the trace.
     ``gamma_lb`` overrides the potential lower bound used for the
     trace's bound column; by default it is computed by
     ``gamma_lower_bound`` when the box is bounded.
@@ -78,7 +77,7 @@ class SolverConfig:
     step_policy: StepPolicy = StepPolicy.FIXED
     eps: float = 1e-3
     max_iter: int = 100_000
-    record_iterates: Optional[bool] = None
+    record_iterates: bool = False
     record_bound: bool = True
     gamma_lb: Optional[float] = None
 
@@ -148,11 +147,15 @@ class SolveResult:
     iterations: int
     trials: int
     final_step_norm: float
-    final_residual: float
     certificate: float
     gamma_final: float
     c_final: float
     x0_projected: bool
+
+    @property
+    def final_residual(self):
+        """Gradient-mapping norm ||G_c|| of the last step; NaN after 0 iterations."""
+        return self.final_step_norm / self.c_final
 
 
 def solve(inst, config=None, x0=None):
@@ -221,7 +224,6 @@ def solve(inst, config=None, x0=None):
         c_fixed, c_lo, c_hi = 1.0 / L, 0.1 / L, 10.0 / L
     if cfg.step_policy is StepPolicy.FIXED:
         c_lo = c_hi = c_fixed
-    record_iterates = cfg.record_iterates if cfg.record_iterates is not None else inst.n <= 100
 
     # The n-vectors of the run, allocated once: the iterate and the trial
     # point, h' at each, the linearized slope at the iterate, and scratch.
@@ -231,7 +233,7 @@ def solve(inst, config=None, x0=None):
     s, h_x, h_s, g, work = (np.empty_like(x) for _ in range(5))
     gamma_x = float(potential_gamma(inst, x, h_x, work))
     col_gamma, col_step, col_c = [], [], []
-    iterates = [] if record_iterates else None
+    iterates = [] if cfg.record_iterates else None
     c_prev = c_fixed
     c_k = math.nan
     step = math.nan
@@ -284,8 +286,7 @@ def solve(inst, config=None, x0=None):
     if iterates is not None:
         iterates.append(x.copy())
     iterations = len(col_gamma)
-    resid = step / c_k
-    certificate = (1.0 + c_k * L) * resid if iterations else math.nan
+    certificate = (1.0 + c_k * L) * (step / c_k) if iterations else math.nan
     trace = IterationTrace(
         gamma=np.asarray(col_gamma),
         step_norm=np.asarray(col_step),
@@ -299,7 +300,6 @@ def solve(inst, config=None, x0=None):
         iterations=iterations,
         trials=trials,
         final_step_norm=step,
-        final_residual=resid,
         certificate=certificate,
         gamma_final=gamma_x,
         c_final=c_k,

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .costs import AffineCost
+from .model import _coupling_slope
 
 __all__ = [
     "prox_step",
@@ -23,14 +24,12 @@ __all__ = [
 
 
 def _model_gradient_at(inst, x, cost_grad=None, out=None):
-    # linearized part of the local model: coupling + cost slope, no own-output term;
-    # the operation order of apply_Btilde(x) - alpha_tilde - cost.gradient(x)
+    # linearized part of the local model, no own-output term: the coupling
+    # slope minus h'(x)
     if cost_grad is None:
         cost_grad = inst.cost.gradient(x)
-    out = np.subtract(np.sum(x, axis=-1, keepdims=True), x, out=out)
-    np.multiply(inst.beta, out, out=out)
-    np.subtract(out, inst.alpha_tilde, out=out)
-    return np.subtract(out, cost_grad, out=out)
+    g = _coupling_slope(inst, x, out)
+    return np.subtract(g, cost_grad, out=g)
 
 
 def prox_step(inst, x, c, g=None, out=None):
@@ -42,7 +41,8 @@ def prox_step(inst, x, c, g=None, out=None):
     are exactly its fixed points, for every c > 0.
 
     ``g`` is the linearized slope at ``x``,
-    ``apply_Btilde(x) - alpha_tilde - cost.gradient(x)``. It does not
+    ``beta*(sigma - x) - alpha_tilde - cost.gradient(x)`` with sigma the
+    total output. It does not
     depend on c, so a caller trying several c from one ``x`` can compute
     it once and pass it in; by default it is computed here. The step is
     written into ``out`` when given (an array shaped like ``x`` that

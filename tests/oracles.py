@@ -1,8 +1,61 @@
-"""Desk-scale oracles and reference formulas shared by the test modules; independent of the solver."""
+"""Desk-scale oracles and reference formulas shared by the test modules; independent of the solver.
+
+Built from public names and numpy only, so no oracle shares code with
+the private helpers it checks.
+"""
 
 import numpy as np
 
-from cournotprox import apply_Btilde, grad_gamma, prox_step
+from cournotprox import prox_step
+
+
+def _points(inst, x, name="x"):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != inst.n:
+        raise ValueError(f"{name} must have trailing axis of length {inst.n}, got shape {x.shape}")
+    return x
+
+
+def apply_Btilde(inst, x):
+    """Cross-firm coupling: firm i receives beta times the others' total output."""
+    x = _points(inst, x)
+    sigma = np.sum(x, axis=-1, keepdims=True)
+    return inst.beta * (sigma - x)
+
+
+def apply_Q(inst, x):
+    """Combined curvature operator: own-output 2*beta*x plus the coupling, beta*(x + sigma)."""
+    x = _points(inst, x)
+    sigma = np.sum(x, axis=-1, keepdims=True)
+    return inst.beta * (x + sigma)
+
+
+def potential_reference(inst, x):
+    """The potential 0.5*beta*(|x|^2 + sigma^2) - x.alpha_tilde - h(x), h from ``cost.value``."""
+    x = _points(inst, x)
+    sq = np.sum(x * x, axis=-1)
+    sigma = np.sum(x, axis=-1)
+    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - inst.cost.value(x)
+
+
+def grad_gamma(inst, x):
+    """Gradient of the potential: Q x - alpha_tilde - grad h(x)."""
+    return apply_Q(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
+
+
+def phi_bifunction(inst, x, y):
+    """Equilibrium bifunction; nonnegative over all y in the box iff x is a global equilibrium.
+
+    ``x`` is a single anchor point; ``y`` may carry leading batch axes.
+    Vanishes identically at y = x. Evaluation outside the box is allowed
+    so diagnostics can probe boundary behavior.
+    """
+    x = _points(inst, x, "x")
+    y = _points(inst, y, "y")
+    fx = apply_Btilde(inst, x) - inst.alpha_tilde
+    cost = inst.cost
+    quad = inst.beta * (np.sum(y * y, axis=-1) - np.sum(x * x, axis=-1))
+    return (y - x) @ fx + quad - (cost.value(y) - cost.value(x))
 
 
 def gradient_mapping(inst, x, c):

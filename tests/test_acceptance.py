@@ -18,7 +18,6 @@ from cournotprox import (
     classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
-    grad_gamma,
     lipschitz_gamma,
     nash_gap,
     potential_gamma,
@@ -38,6 +37,7 @@ from oracles import (
     decrease_rhs,
     dphi_directional,
     fd_gradient_check,
+    grad_gamma,
     gradient_mapping,
 )
 

@@ -14,13 +14,11 @@ from cournotprox import (
     LogCost,
     MarketInstance,
     SolverConfig,
-    apply_Btilde,
     classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
     lipschitz_gamma,
     nash_gap,
-    phi_bifunction,
     potential_gamma,
     prox_step,
     solve,
@@ -28,7 +26,13 @@ from cournotprox import (
 from cournotprox import diagnostics
 from cournotprox.diagnostics import _GAP_GRID, _scan_min
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from oracles import brute_force_stationary_points, full_scan_min, gradient_mapping
+from oracles import (
+    apply_Btilde,
+    brute_force_stationary_points,
+    full_scan_min,
+    gradient_mapping,
+    phi_bifunction,
+)
 
 
 class SinCost(CostModel):

@@ -347,7 +347,11 @@ class TestCli:
         assert main(["--example", "log", "--n", "3", "--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("bad", ["beta = nan", "c = -1.5"], ids=["beta_nan", "c_negative"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["beta = nan", "c = -1.5", "lower = inf\nupper = inf"],
+        ids=["beta_nan", "c_negative", "box_at_plus_inf"],
+    )
     def test_bad_custom_market_exits_2(self, tmp_path, capsys, bad):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"example = custom\ncost = log\n{bad}\n")

@@ -7,21 +7,31 @@ from cournotprox import (
     AffineCost,
     LogCost,
     MarketInstance,
-    apply_Btilde,
-    apply_Q,
-    grad_gamma,
     lipschitz_gamma,
-    phi_bifunction,
     potential_gamma,
 )
 from cournotprox.experiments import exp_cost_market, log_cost_market
-from oracles import dphi_directional
+from oracles import (
+    apply_Btilde,
+    apply_Q,
+    dphi_directional,
+    grad_gamma,
+    phi_bifunction,
+    potential_reference,
+)
 
 
 def zero_cost_instance(n, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0, mu=0.0):
     return MarketInstance(
         beta=beta, alpha0=alpha0, mu=mu, lower=lower, upper=upper,
         cost=AffineCost(mu_h=np.zeros(n)),
+    )
+
+
+def affine_cost_market(n, seed):
+    mu_h = np.random.default_rng(seed).uniform(0.5, 3.0, n)
+    return MarketInstance(
+        beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=AffineCost(mu_h=mu_h, xi=1.5)
     )
 
 
@@ -36,6 +46,7 @@ def dense_q(inst):
 
 
 class TestOperators:
+    # the reference operators in oracles.py, which later tests rely on
     def test_own_output_operator(self):
         # the own-output curvature 2*beta*x is what Q keeps beyond the coupling
         inst = zero_cost_instance(2)
@@ -74,9 +85,9 @@ class TestOperators:
     def test_dimension_mismatch_rejected(self):
         inst = zero_cost_instance(3)
         with pytest.raises(ValueError):
-            apply_Q(inst, [1.0, 2.0])
+            potential_gamma(inst, [1.0, 2.0])
         with pytest.raises(ValueError):
-            apply_Btilde(inst, np.ones(4))
+            potential_gamma(inst, np.ones(4))
 
     def test_batched_evaluation(self):
         inst = zero_cost_instance(3)
@@ -116,7 +127,8 @@ class TestSpectrum:
                 break
             v = w / nw
         est = float(np.sqrt(v @ (MM @ v)))
-        assert abs(est - inst.btilde_norm) <= 1e-8
+        # with zero cost curvature, L_gamma is the coupling norm alone
+        assert abs(est - lipschitz_gamma(inst)) <= 1e-8
 
 
 class TestPotential:
@@ -126,14 +138,19 @@ class TestPotential:
             -float(inst.cost.value(np.zeros(6))), abs=1e-12
         )
 
-    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_cost_market])
     def test_fused_call_keeps_the_bits_and_leaves_the_cost_gradient(self, make):
+        # with and without buffers, on one point and on a batch, the bits of the
+        # cost.value formula
         inst = make(9, 4)
-        x = np.random.default_rng(6).uniform(0.0, 10.0, 9)
-        for work in (None, np.empty(9)):
-            grad = np.full(9, np.nan)
-            assert potential_gamma(inst, x, grad, work) == potential_gamma(inst, x)
-            assert grad.tobytes() == inst.cost.gradient(x).tobytes()
+        for shape in ((9,), (3, 9)):
+            x = np.random.default_rng(6).uniform(0.0, 10.0, shape)
+            want = np.asarray(potential_reference(inst, x)).tobytes()
+            assert np.asarray(potential_gamma(inst, x)).tobytes() == want
+            for work in (None, np.empty(shape)):
+                grad = np.full(shape, np.nan)
+                assert np.asarray(potential_gamma(inst, x, grad, work)).tobytes() == want
+                assert grad.tobytes() == inst.cost.gradient(x).tobytes()
 
     def test_single_firm_closed_form(self):
         inst = zero_cost_instance(1)
@@ -235,6 +252,14 @@ class TestInstanceValidation:
             MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=2.0, upper=1.0, cost=cost)
         with pytest.raises(ValueError):
             MarketInstance(beta=1.0, alpha0=1.0, mu=np.zeros(3), lower=0.0, upper=1.0, cost=cost)
+
+    @pytest.mark.parametrize("side", [np.inf, -np.inf], ids=["plus_inf", "minus_inf"])
+    def test_rejects_box_side_at_the_wrong_infinity(self, side):
+        # lower = upper = +inf (or -inf) is not an empty box, but no point lies in it
+        cost = AffineCost(mu_h=np.zeros(3))
+        for lower, upper in ((side, side), ([0.0, side, 0.0], [1.0, side, 1.0])):
+            with pytest.raises(ValueError, match="inf"):
+                MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=lower, upper=upper, cost=cost)
 
     def test_rejects_box_outside_cost_domain(self):
         cost = LogCost(c0=0.0, c=1.0, r=2.0, n=1)

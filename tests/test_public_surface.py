@@ -1,7 +1,9 @@
 """The package's public surface, pinned: a new public name, knob or status is a deliberate diff."""
 
+import ast
 import dataclasses
 import types
+from pathlib import Path
 
 import cournotprox
 from cournotprox import ExperimentConfig, SolverConfig, SolveStatus
@@ -10,8 +12,7 @@ PUBLIC_NAMES = {
     # costs
     "AffineCost", "CostDomainError", "CostModel", "ExpCost", "LogCost",
     # model
-    "MarketInstance", "apply_Btilde", "apply_Q", "grad_gamma",
-    "lipschitz_gamma", "phi_bifunction", "potential_gamma",
+    "MarketInstance", "lipschitz_gamma", "potential_gamma",
     # subqp
     "classical_equilibrium", "prox_step",
     # solver
@@ -42,6 +43,19 @@ def test_public_top_level_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+def test_oracles_import_only_public_names():
+    # a reference oracle built on a private helper would check that helper against itself
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "cournotprox" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cournotprox"):
+            assert node.module == "cournotprox"  # no submodule, where private names live
+            imported += [a.name for a in node.names]
+    assert imported and set(imported) <= PUBLIC_NAMES
 
 
 def test_solver_config_fields():

@@ -183,7 +183,7 @@ class TestSolveNonconvex:
 
     def test_every_iterate_feasible(self):
         inst = log_cost_market(15, 9)
-        res, trace = solve(inst, SolverConfig(eps=1e-4), x0=np.full(15, 2.0))
+        res, trace = solve(inst, SolverConfig(eps=1e-4, record_iterates=True), x0=np.full(15, 2.0))
         for x in trace.iterates:
             assert inst.contains(x)
 
@@ -250,7 +250,7 @@ class TestLineSearch:
     def test_accepted_steps_satisfy_decrease_condition(self):
         for make, seed in ((log_cost_market, 11), (exp_cost_market, 12)):
             inst = make(20, seed)
-            cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-5)
+            cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-5, record_iterates=True)
             res, trace = solve(inst, cfg)
             assert res.status is SolveStatus.CONVERGED
             for k in range(len(trace)):
@@ -308,6 +308,9 @@ class TestNonFinite:
         assert res.iterations <= 2
         assert len(trace) == res.iterations
         assert np.all(np.isfinite(res.x))
+        if cost_cls is NaNValueExpCost:
+            # the start point's potential is NaN: no step is taken, so no residual
+            assert res.iterations == 0 and math.isnan(res.final_residual)
 
 
 class TestSlopeBounds:
@@ -463,7 +466,7 @@ class TestBoundAndCertificates:
         # one formula: the solve's certificate is eps_certificate at the last
         # iterate before result.x, with the damping of that last step
         inst = FAMILIES[name](50, 27)
-        res, trace = solve(inst, SolverConfig(step_policy=policy))
+        res, trace = solve(inst, SolverConfig(step_policy=policy, record_iterates=True))
         assert res.status is SolveStatus.CONVERGED
         assert res.certificate == eps_certificate(inst, trace.iterates[-2], res.c_final)
 
@@ -520,19 +523,22 @@ class TestConfigValidation:
 class TestTraceConsistency:
     def test_columns_tie_together(self):
         inst = log_cost_market(12, 14)
-        res, trace = solve(inst, SolverConfig(eps=1e-4))
+        res, trace = solve(inst, SolverConfig(eps=1e-4, record_iterates=True))
         np.testing.assert_allclose(trace.residual, trace.step_norm / trace.c, rtol=1e-14)
         recomputed = np.minimum.accumulate(trace.step_norm**2 / (2 * trace.c))
         np.testing.assert_allclose(trace.delta, recomputed, rtol=1e-14)
         assert len(trace.iterates) == len(trace) + 1
         np.testing.assert_array_equal(trace.iterates[-1], res.x)
+        assert res.final_residual == trace.residual[-1]
 
     def test_iterate_recording_defaults_off_for_large_n(self):
-        inst = log_cost_market(101, 15)
-        _, trace = solve(inst, SolverConfig(eps=1e-2))
-        assert trace.iterates is None
-        _, trace2 = solve(inst, SolverConfig(eps=1e-2, record_iterates=True))
-        assert trace2.iterates is not None
+        # off by default at every n, small ones included
+        for n in (101, 5):
+            inst = log_cost_market(n, 15)
+            _, trace = solve(inst, SolverConfig(eps=1e-2))
+            assert trace.iterates is None
+            _, trace2 = solve(inst, SolverConfig(eps=1e-2, record_iterates=True))
+            assert trace2.iterates is not None
 
     def test_unbounded_box_skips_bound_column(self):
         cost = AffineCost(mu_h=np.full(2, 2.0))

@@ -3,15 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cournotprox import (
-    AffineCost,
-    MarketInstance,
-    apply_Btilde,
-    classical_equilibrium,
-    phi_bifunction,
-)
+from cournotprox import AffineCost, MarketInstance, classical_equilibrium
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.subqp import prox_step
+from oracles import apply_Btilde, phi_bifunction
 
 
 def pg_reference(hess, linear, lower, upper, step, x, tol=1e-12, max_iter=100_000):

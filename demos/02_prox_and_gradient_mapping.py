@@ -5,11 +5,18 @@ Checks the closed-form box prox point against its variational optimality
 condition, shows the fixed-point property at stationary points, how the
 mapping norm shrinks while the raw displacement grows as the damping
 parameter increases, and the stationarity certificate built on it.
+This is the paper's step, ``Splitting.PAPER`` in ``solve``.
 """
 
 import numpy as np
 
-from cournotprox import classical_equilibrium, eps_certificate, lipschitz_gamma, prox_step
+from cournotprox import (
+    Splitting,
+    classical_equilibrium,
+    eps_certificate,
+    lipschitz_gamma,
+    prox_step,
+)
 from cournotprox.experiments import affine_market, log_cost_market
 
 inst = log_cost_market(6, seed_or_rng=3)
@@ -38,7 +45,7 @@ print("nonnegative up to rounding: every prox point is the exact minimizer")
 print("\ngradient mapping at the box center, c = 1/L_gamma:")
 G = (x - prox_step(inst, x, c)) / c
 print("  G_c(x) =", np.round(G, 4))
-print(f"  certificate (1 + c*L_gamma)*||G_c|| = {eps_certificate(inst, x, c):.4f}")
+print(f"  certificate (1 + c*L_gamma)*||G_c|| = {eps_certificate(inst, x, c, Splitting.PAPER):.4f}")
 
 # at a stationary point the prox step goes nowhere, for any damping
 conv = affine_market(4, mu=2.0)

@@ -11,7 +11,7 @@ an equilibrium; a stationary point can have a positive gap.
 
 import numpy as np
 
-from cournotprox import SolverConfig, lipschitz_gamma, nash_gap, prox_step, solve
+from cournotprox import SolverConfig, Splitting, lipschitz_gamma, nash_gap, prox_step, solve
 from cournotprox.experiments import exp_cost_market, log_cost_market
 
 inst = log_cost_market(10, seed_or_rng=0)
@@ -35,8 +35,11 @@ for frac in (0.1, 1.0, 10.0):
     print(f"  c = {frac:4.1f}/L: {residual:.2e}")
 
 big = exp_cost_market(1000, seed_or_rng=0)
-res, _ = solve(big, SolverConfig(eps=1e-3))
-lo, hi = nash_gap(big, res.x)
-print(f"\nexp-cost market, n=1000: {res.status.value} (step norm <= 1e-3), "
-      f"certificate {res.certificate:.3f}")
-print(f"  Nash gap in [{lo:.4f}, {hi:.4f}]: the step-norm stop leaves a gain on the table")
+print("\nexp-cost market, n=1000, both splittings stopped at step norm <= 1e-3:")
+for splitting in Splitting:
+    res, _ = solve(big, SolverConfig(eps=1e-3, splitting=splitting))
+    lo, hi = nash_gap(big, res.x)
+    print(f"  {splitting.value:>5}: {res.status.value} after {res.iterations:4d} iterations, "
+          f"certificate {res.certificate:.1e}, Nash gap in [{lo:.4f}, {hi:.4f}]")
+print("the paper's damping 1/L_gamma shrinks with n, so its step-norm stop leaves a gain "
+      "on the table")

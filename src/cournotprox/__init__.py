@@ -29,6 +29,7 @@ from .solver import (
     SolveResult,
     SolveStatus,
     SolverConfig,
+    Splitting,
     StepPolicy,
     eps_certificate,
     solve,

@@ -20,7 +20,7 @@ from .experiments import (
     run_experiment,
     verify_run,
 )
-from .solver import StepPolicy
+from .solver import Splitting, StepPolicy
 
 _CUSTOM_KEYS = ("beta", "alpha0", "mu", "lower", "upper", "cost", "c0", "c", "r", "mu_h", "xi")
 
@@ -39,6 +39,8 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--step", choices=[s.value for s in StepPolicy])
+    p.add_argument("--splitting", choices=[s.value for s in Splitting],
+                   help="what the local model keeps exact (default: exact)")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--out", type=Path)
     p.add_argument("--x0", choices=[x.value for x in X0Policy])
@@ -80,6 +82,7 @@ _FLAG_FIELDS = {
     "seed": ("seed", int),
     "eps": ("eps", float),
     "step": ("step_policy", StepPolicy),
+    "splitting": ("splitting", Splitting),
     "max_iter": ("max_iter", int),
     "out": ("out_dir", Path),
     "x0": ("x0", X0Policy),

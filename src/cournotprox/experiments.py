@@ -21,7 +21,7 @@ import numpy as np
 
 from .costs import AffineCost, ExpCost, LogCost
 from .model import MarketInstance, lipschitz_gamma
-from .solver import IterationTrace, SolverConfig, SolveStatus, StepPolicy, solve
+from .solver import IterationTrace, SolverConfig, SolveStatus, Splitting, StepPolicy, solve
 from .subqp import classical_equilibrium
 
 __all__ = [
@@ -58,6 +58,7 @@ SUMMARY_FIELDS = [
     "L_gamma",
     "c_final",
     "gamma_lb",
+    "splitting",
 ]
 
 OUT_DIR_ENV = "COURNOTPROX_OUTDIR"
@@ -111,6 +112,7 @@ class ExperimentConfig:
     seed: int = 0
     eps: float = 1e-3
     step_policy: StepPolicy = StepPolicy.FIXED
+    splitting: Splitting = Splitting.EXACT_COUPLING
     max_iter: int = 100_000
     out_dir: Path = None
     x0: X0Policy = X0Policy.CENTER
@@ -144,7 +146,10 @@ class ExperimentConfig:
         raise ValueError("set n or sweep")
 
     def solver_config(self):
-        return SolverConfig(step_policy=self.step_policy, eps=self.eps, max_iter=self.max_iter)
+        return SolverConfig(
+            step_policy=self.step_policy, eps=self.eps, max_iter=self.max_iter,
+            splitting=self.splitting,
+        )
 
 
 def _custom_instance(cfg, n):
@@ -285,6 +290,7 @@ def run_experiment(cfg):
                 _fmt(lipschitz_gamma(inst)),
                 _fmt(result.c_final),
                 "" if trace.gamma_lb is None else _fmt(trace.gamma_lb),
+                cfg.splitting.value,
             ]
         )
     with open(cfg.out_dir / "summary.csv", "w", newline="") as fh:

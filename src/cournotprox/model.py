@@ -82,7 +82,7 @@ class MarketInstance:
             raise ValueError("empty box: lower > upper somewhere")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("lower must be below +inf and upper above -inf")
-        if np.all(np.isfinite(lower)) and not self.cost.contains(lower):
+        if not self.cost.contains(lower):
             raise ValueError("box extends outside the cost domain")
         alpha_tilde = alpha0 - mu
         alpha_tilde.setflags(write=False)

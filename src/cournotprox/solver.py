@@ -1,15 +1,26 @@
 """Splitting proximal iteration for the nonconvex market model.
 
-Each step keeps the own-output quadratic exact, linearizes the smooth
-cost around the current iterate, adds proximal damping, and solves the
-resulting separable box QP in closed form (``subqp.prox_step``), so a
-step cannot fail. With the damping parameter c
-at or below 1/L_gamma (L_gamma = cost curvature bound + coupling norm)
-the merit potential drops by at least (c/2)*||G_c||^2 per step, which
-yields an O(1/(k+1)) bound on the best scaled squared step and an
-explicit stationarity certificate at termination. The trace records
-both sides of that bound per iteration (its ``delta`` and ``bound_rhs``
-columns).
+Each step minimizes a local model of the merit potential over the box:
+a quadratic part kept exact, the rest linearized around the current
+iterate, plus proximal damping |y - x|^2/(2c). Two splittings decide
+what is kept (``Splitting``), and each has its curvature bound L:
+
+- EXACT_COUPLING (the default) keeps the whole demand quadratic
+  (beta/2)*(|y|^2 + sum(y)^2) and linearizes only the cost, so L = L_h,
+  the cost's curvature bound. The step is clip(a - k*sigma) with sigma
+  the root of one scalar equation (``subqp._aggregate_root``). When
+  L_h = 0 the model is the potential itself and the damping is c = inf:
+  one step lands on the equilibrium.
+- PAPER, the cited paper's splitting, keeps the own-output quadratic
+  beta*|y|^2 and linearizes the cross-firm coupling too, so
+  L = L_gamma = L_h + (n-1)*beta; its step is the separable
+  ``subqp.prox_step``.
+
+Neither step can fail. With c at or below 1/L the potential drops by at
+least (c/2)*||G_c||^2 per step, which yields an O(1/(k+1)) bound on the
+best scaled squared step and the stationarity certificate
+(1/c + L)*||x - s|| at termination. The trace records both sides of
+that bound per iteration (its ``delta`` and ``bound_rhs`` columns).
 
 A solver run is single-threaded and deterministic given (instance,
 config, x0); concurrent runs may share immutable instances.
@@ -26,10 +37,11 @@ import numpy as np
 
 from . import diagnostics
 from .model import lipschitz_gamma, potential_gamma
-from .subqp import _model_gradient_at, prox_step
+from .subqp import _exact_coupling_slope, _exact_coupling_step, _model_gradient_at, prox_step
 
 __all__ = [
     "ConfigurationError",
+    "Splitting",
     "StepPolicy",
     "SolveStatus",
     "SolverConfig",
@@ -42,6 +54,13 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """A ``SolverConfig`` setting out of range, raised at construction."""
+
+
+class Splitting(Enum):
+    """What the local model keeps exact; it fixes the curvature bound L of the damping."""
+
+    EXACT_COUPLING = "exact"
+    PAPER = "paper"
 
 
 class StepPolicy(Enum):
@@ -59,13 +78,16 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Step policy, tolerances and recording switches, checked at construction.
 
-    The damping comes from the instance, not from here: with
-    L = L_gamma, FIXED takes every step at c = 1/L, which guarantees
-    per-step descent. LINE_SEARCH starts each iteration one doubling
-    above the previously accepted value, clipped to [0.1/L, 10/L], and
-    halves until the sufficient-decrease test holds; the floor
-    0.1/L <= 1/L makes the search terminate. When L is zero the bracket
-    is [0.1, 10] and the fixed value 1.0.
+    The damping comes from the instance and the splitting, not from
+    here. ``splitting`` picks the curvature bound L: the cost's L_h
+    under EXACT_COUPLING, L_gamma = L_h + (n-1)*beta under PAPER. FIXED
+    takes every step at c = 1/L, which guarantees per-step descent.
+    LINE_SEARCH starts each iteration one doubling above the previously
+    accepted value, clipped to [0.1/L, 10/L], and halves until the
+    sufficient-decrease test holds; the floor 0.1/L <= 1/L makes the
+    search terminate. When L is zero, EXACT_COUPLING takes c = inf (its
+    model is then exact), and PAPER has the bracket [0.1, 10] and the
+    fixed value 1.0.
 
     Termination compares the Euclidean norm of the step against ``eps``.
     ``record_iterates`` keeps every visited point in the trace.
@@ -80,6 +102,7 @@ class SolverConfig:
     record_iterates: bool = False
     record_bound: bool = True
     gamma_lb: Optional[float] = None
+    splitting: Splitting = Splitting.EXACT_COUPLING
 
     def __post_init__(self):
         eps = float(self.eps)
@@ -89,6 +112,8 @@ class SolverConfig:
             raise ConfigurationError("max_iter must be at least 1")
         if self.gamma_lb is not None and not math.isfinite(self.gamma_lb):
             raise ConfigurationError(f"gamma_lb must be finite, got {self.gamma_lb!r}")
+        if not isinstance(self.splitting, Splitting):
+            raise ConfigurationError(f"splitting must be a Splitting, got {self.splitting!r}")
 
 
 @dataclass
@@ -136,7 +161,7 @@ class SolveResult:
     ``certificate`` bounds from below, by its negation, the potential
     slope along every unit feasible direction at ``x``; it equals
     ``eps_certificate`` at the last iterate before ``x`` with damping
-    ``c_final``, bit for bit. ``trials``
+    ``c_final`` and the run's splitting, bit for bit. ``trials``
     counts the prox steps behind the ``iterations`` recorded steps: the
     line-search trials under LINE_SEARCH, and ``iterations`` itself
     under FIXED.
@@ -166,8 +191,9 @@ def solve(inst, config=None, x0=None):
     inst : MarketInstance
         The market to solve.
     config : SolverConfig, optional
-        Step policy and tolerances; defaults throughout. The damping
-        bracket is derived from ``lipschitz_gamma(inst)`` here.
+        Splitting, step policy and tolerances; defaults throughout. The
+        damping bracket is derived here from the splitting's curvature
+        bound.
     x0 : array_like, optional
         Starting point; the box midpoint when omitted. Points outside
         the box are projected onto it and flagged in the result.
@@ -176,7 +202,7 @@ def solve(inst, config=None, x0=None):
     -------
     (SolveResult, IterationTrace)
         The result carries the last prox point, which inherits the
-        stationarity certificate (1 + c*L_gamma)*||G_c|| from the final
+        stationarity certificate (1/c + L)*||x - s|| from the final
         step. Status is Converged when the step norm reached ``eps``,
         MaxIter when the budget ran out, and NonFinite as soon as the
         potential at an iterate (the start point included) or a step
@@ -186,15 +212,16 @@ def solve(inst, config=None, x0=None):
 
     Notes
     -----
-    Both step policies run one trial loop; FIXED is a single trial at
-    1/L_gamma, accepted unconditionally. The trace stores the potential,
-    step norm and damping per step; its other columns derive from them.
-    A run allocates its n-vectors once (iterate, trial point, h' at
-    each, the linearized slope and one scratch vector), and every trial
-    writes into them: one ``prox_step`` and one ``potential_gamma`` whose
-    fused cost call also leaves h' at the trial point, which becomes h'
-    at the next iterate when the trial is accepted. ``result.x`` and the recorded
-    iterates are never written again once ``solve`` returns.
+    Both step policies and both splittings run one trial loop; FIXED is
+    a single trial at 1/L, accepted unconditionally. The trace stores
+    the potential, step norm and damping per step; its other columns
+    derive from them. A run allocates its n-vectors once (iterate, trial
+    point, h' at each, the linearized slope and scratch, including the
+    exact-coupling step's), and every trial writes into them: one step
+    and one ``potential_gamma`` whose fused cost call also leaves h' at
+    the trial point, which becomes h' at the next iterate when the trial
+    is accepted. ``result.x`` and the recorded iterates are never
+    written again once ``solve`` returns.
     """
     cfg = config if config is not None else SolverConfig()
     if x0 is None:
@@ -214,14 +241,17 @@ def solve(inst, config=None, x0=None):
     ):
         gamma_lb = diagnostics.gamma_lower_bound(inst)
 
-    # The damping bracket [c_lo, c_hi] around 1/L_gamma. FIXED is the search
-    # on the one-point bracket at 1/L_gamma: its single trial sits at the
-    # floor and is accepted unconditionally.
-    L = lipschitz_gamma(inst)
-    if L == 0.0:
-        c_fixed, c_lo, c_hi = 1.0, 0.1, 10.0
-    else:
+    L, slope, kept, step_to = _local_model(inst, cfg.splitting)
+
+    # The damping bracket [c_lo, c_hi] around 1/L. FIXED is the search on
+    # the one-point bracket at 1/L: its single trial sits at the floor and
+    # is accepted unconditionally.
+    if L > 0.0:
         c_fixed, c_lo, c_hi = 1.0 / L, 0.1 / L, 10.0 / L
+    elif cfg.splitting is Splitting.EXACT_COUPLING:
+        c_fixed = c_lo = c_hi = math.inf
+    else:
+        c_fixed, c_lo, c_hi = 1.0, 0.1, 10.0
     if cfg.step_policy is StepPolicy.FIXED:
         c_lo = c_hi = c_fixed
 
@@ -241,23 +271,22 @@ def solve(inst, config=None, x0=None):
     status = SolveStatus.MAX_ITER if math.isfinite(gamma_x) else SolveStatus.NON_FINITE
 
     for _ in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
-        # Sufficient decrease: gamma(s) may not exceed the convexified local
-        # model at x,
-        #   gamma(s) <= gamma(x) + beta*(|s|^2 - |x|^2) + g.(s - x) + |s - x|^2/(2c),
+        # Sufficient decrease: gamma(s) may not exceed the local model at x,
+        #   gamma(s) <= gamma(x) + kept(s) - kept(x) + g.(s - x) + |s - x|^2/(2c),
         # written around the known gamma(x), so it needs no h(x).
-        _model_gradient_at(inst, x, h_x, out=g)
-        base = gamma_x - inst.beta * float(x @ x)
+        slope(x, h_x, g)
+        base = gamma_x - kept(x)
         c = min(c_hi, max(c_lo, 2.0 * c_prev))
         n_trials = 0
         while True:
-            prox_step(inst, x, c, g, s)
+            step_to(x, c, g, s, work)
             n_trials += 1
             gamma_s = float(potential_gamma(inst, s, h_s, work))
             dx = np.subtract(s, x, out=work)
             # at c <= c_lo the step is in the guaranteed-descent region
-            # (c*L_gamma <= 1); accept unconditionally
+            # (c*L <= 1); accept unconditionally
             if c <= c_lo or gamma_s <= (
-                base + inst.beta * float(s @ s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
+                base + kept(s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
             ):
                 break
             c = max(0.5 * c, c_lo)
@@ -286,7 +315,7 @@ def solve(inst, config=None, x0=None):
     if iterates is not None:
         iterates.append(x.copy())
     iterations = len(col_gamma)
-    certificate = (1.0 + c_k * L) * (step / c_k) if iterations else math.nan
+    certificate = (1.0 / c_k + L) * step if iterations else math.nan
     trace = IterationTrace(
         gamma=np.asarray(col_gamma),
         step_norm=np.asarray(col_step),
@@ -308,14 +337,54 @@ def solve(inst, config=None, x0=None):
     return result, trace
 
 
-def eps_certificate(inst, x, c):
-    """Stationarity certificate kappa = (1 + c*L_gamma)*||G_c(x)||, G_c(x) = (x - s_c(x))/c.
+def _local_model(inst, splitting):
+    """The splitting's pieces: (L, slope, kept, step).
 
-    Along every unit feasible direction at the prox point s_c(x), the
-    potential slope is at least -kappa, so s_c(x) is kappa-stationary.
-    Zero exactly when x is already stationary. The arithmetic is that of
-    ``solve``, so at the last iterate before ``result.x`` and damping
-    ``result.c_final`` this is ``result.certificate`` bit for bit.
+    ``slope(x, h, out)`` writes the linear term g of the model at x,
+    given h = h'(x); ``kept(y)`` is the quadratic kept exact;
+    ``step(x, c, g, out, scratch)`` writes the model's minimizer over
+    the box, and the exact-coupling step overwrites the n-vector
+    ``scratch`` and a boolean scratch allocated here, once. L comes
+    first: the cost computes it with temporaries of size n.
     """
-    step = float(np.linalg.norm(prox_step(inst, x, c) - x))
-    return float((1.0 + c * lipschitz_gamma(inst)) * (step / c))
+    beta = inst.beta
+    if splitting is Splitting.PAPER:
+        return (
+            lipschitz_gamma(inst),
+            lambda x, h, out: _model_gradient_at(inst, x, h, out=out),
+            lambda y: beta * float(y @ y),
+            lambda x, c, g, out, scratch: prox_step(inst, x, c, g, out),
+        )
+    L_h = inst.cost.lipschitz_L()
+    masks = np.empty((2, inst.n), dtype=bool)
+    return (
+        L_h,
+        lambda x, h, out: _exact_coupling_slope(inst, h, out),
+        lambda y: 0.5 * beta * (float(y @ y) + float(np.sum(y)) ** 2),
+        lambda x, c, g, out, scratch: _exact_coupling_step(inst, x, c, g, out, scratch, masks),
+    )
+
+
+def eps_certificate(inst, x, c, splitting=Splitting.EXACT_COUPLING):
+    """Stationarity certificate kappa = (1/c + L)*||x - s_c(x)|| of the splitting's step s_c(x).
+
+    L is the splitting's curvature bound (L_h, or L_gamma under PAPER).
+    Along every unit feasible direction at s_c(x), the potential slope
+    is at least -kappa, so s_c(x) is kappa-stationary. For finite c it is
+    zero exactly when x is already stationary; at c = inf with L_h = 0
+    the step lands on the equilibrium and kappa is zero anywhere. The
+    arithmetic is that of ``solve``, so at the last iterate before
+    ``result.x``, damping ``result.c_final`` and the run's splitting
+    this is ``result.certificate`` bit for bit. The paper's step needs a
+    finite c; the exact-coupling step also takes c = inf.
+    """
+    if not c > 0 or (splitting is Splitting.PAPER and not math.isfinite(c)):
+        raise ValueError(f"c must be positive (and finite for the paper's step), got {c!r}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (inst.n,):
+        raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
+    L, slope, _, step_to = _local_model(inst, splitting)
+    g = slope(x, inst.cost.gradient(x), np.empty_like(x))
+    s = step_to(x, c, g, np.empty_like(x), np.empty_like(x))
+    step = float(np.linalg.norm(s - x))
+    return float((1.0 / c + L) * step)

@@ -1,11 +1,13 @@
-"""Separable box-constrained quadratic subproblems, solved in closed form.
+"""Box-constrained quadratic subproblems of the market model, solved in closed form.
 
-The proximal subproblem of the splitting iteration is diagonal once the
-coupling term is linearized, so it has a closed-form solution. The
-classical affine-cost equilibrium is the unique minimizer of the
-combined-curvature QP, whose Hessian beta*(I + 11') is diagonal plus rank
-one; a breakpoint search over total output solves it exactly, and it
-serves as the validation oracle for solver runs on convex instances.
+The paper's proximal subproblem is diagonal once the coupling term is
+linearized, so it has a closed-form solution (``prox_step``). The
+exact-coupling subproblem keeps the coupling, so its Hessian
+(beta + 1/c)*I + beta*11' is diagonal plus rank one, like that of the
+classical affine-cost equilibrium QP, whose Hessian is beta*(I + 11').
+Both reduce to one scalar equation in total output, solved by
+``_aggregate_root``; the classical equilibrium serves as the validation
+oracle for solver runs on convex instances.
 """
 
 from __future__ import annotations
@@ -63,6 +65,82 @@ def prox_step(inst, x, c, g=None, out=None):
     return np.minimum(out, inst.upper, out=out)
 
 
+def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
+    """Root of F(sigma) = sum(clip(a - k*sigma, lower, upper)) - sigma; the clip is left in ``buf``.
+
+    F is continuous, piecewise linear and strictly decreasing, with slope
+    -(1 + k*#free) where #free counts the firms strictly inside their
+    bounds, so it has one root for every k >= 0, infinite bounds
+    included. Safeguarded Newton from ``sigma0`` (Cominetti, Mascarenhas
+    & Silva, 2014): each pass is one O(n) evaluation, no sort, and a
+    Newton move from a point lands on the root of that point's linear
+    piece. Every evaluation narrows a bracket on the root by the sign of
+    F; a Newton move that leaves the bracket is replaced by bisection,
+    which keeps the count of passes small where the pieces alternate in
+    slope. It stops when the Newton move is at most 2 ulp, or when the
+    bracket is at most 4 ulp wide: rounding in the n-term sum can keep
+    Newton outside a bracket of one ulp.
+
+    Returns the last evaluated sigma; ``buf`` (shaped like ``a``, not
+    aliasing it) then holds clip(a - k*sigma, lower, upper). ``masks``
+    is a boolean (2, n) scratch array, allocated here when omitted. A
+    NaN in ``a`` stops at once, with NaN in ``buf``.
+    """
+    if masks is None:
+        masks = np.empty((2,) + np.shape(a), dtype=bool)
+    inside, below = masks
+    lo, hi = -math.inf, math.inf
+    sigma = float(sigma0)
+    while True:
+        t = np.subtract(a, k * sigma, out=buf)
+        np.less(lower, t, out=inside)
+        np.less(t, upper, out=below)
+        free = np.count_nonzero(np.logical_and(inside, below, out=inside))
+        np.maximum(t, lower, out=t)
+        np.minimum(t, upper, out=t)
+        f = float(np.sum(t)) - sigma
+        if f > 0.0:
+            lo = sigma
+        elif f < 0.0:
+            hi = sigma
+        else:  # the exact root, or NaN
+            return sigma
+        move = f / (1.0 + k * free)
+        # one bracket end is finite from the first evaluation on
+        width_ulp = math.ulp(min(abs(lo), abs(hi)))
+        if abs(move) <= 2.0 * math.ulp(sigma) or hi - lo <= 4.0 * width_ulp:
+            return sigma
+        sigma += move
+        if not lo < sigma < hi:
+            sigma = 0.5 * (lo + hi)
+
+
+def _exact_coupling_slope(inst, cost_grad, out=None):
+    # linear term of the exact-coupling model, -(alpha_tilde + h'(x))
+    out = np.add(inst.alpha_tilde, cost_grad, out=out)
+    return np.negative(out, out=out)
+
+
+def _exact_coupling_step(inst, x, c, g, out, a, masks):
+    """Minimizer over the box of the exact-coupling model at ``x`` with damping 1/(2c).
+
+    The model keeps (beta/2)*(|y|^2 + sum(y)^2) exact, linearizes the
+    cost through ``g = -(alpha_tilde + h'(x))``, and adds |y - x|^2/(2c);
+    c may be infinite. Its minimizer is y = clip(a - k*sigma) with
+    a = (x/c - g)/(beta + 1/c), k = beta/(beta + 1/c) and sigma the
+    aggregate root. The root is warm-started at sum(x), which is the
+    previous step's root up to rounding, so the step depends on x and c
+    alone and ``eps_certificate`` repeats it bit for bit. Writes y into
+    ``out``; ``a`` (an n-vector) and ``masks`` are scratch.
+    """
+    d = inst.beta + 1.0 / c
+    np.divide(x, c, out=a)
+    np.subtract(a, g, out=a)
+    np.divide(a, d, out=a)
+    _aggregate_root(a, inst.beta / d, inst.lower, inst.upper, np.sum(x), out, masks)
+    return out
+
+
 def classical_equilibrium(inst):
     """Unique equilibrium of the affine-cost market, solved exactly.
 
@@ -71,32 +149,13 @@ def classical_equilibrium(inst):
     instance-level and cost-level linear coefficients. The optimality
     conditions give x_i = clip(a_i - sigma, lower_i, upper_i) with
     a = -b/beta, where the total output sigma is the one root of the
-    strictly decreasing F(sigma) = sum_i clip(a_i - sigma, ...) - sigma.
-    A bisection over the sorted finite breakpoints a - upper and
-    a - lower finds the piece of F that holds the root, and F is affine
-    there, so sigma follows from one division: O(n log n), no tolerance
-    and no iteration budget. Infinite bounds are allowed.
+    strictly decreasing F(sigma) = sum_i clip(a_i - sigma, ...) - sigma,
+    found by ``_aggregate_root`` with k = 1 from sigma = 0. Infinite
+    bounds are allowed.
     """
     if not isinstance(inst.cost, AffineCost):
         raise TypeError("classical equilibrium requires an affine cost model")
-    lo, up = inst.lower, inst.upper
     a = -(inst.mu + inst.cost.mu_h - inst.alpha0) / inst.beta
-    a_up, a_lo = a - up, a - lo
-    knots = np.unique(np.concatenate([a_up, a_lo]))
-    knots = knots[np.isfinite(knots)]
-    # first knot k with F(knots[k]) <= 0; the root lies in [knots[k-1], knots[k]]
-    k, hi = 0, knots.size
-    while k < hi:
-        mid = (k + hi) // 2
-        if np.sum(np.clip(a - knots[mid], lo, up)) - knots[mid] > 0:
-            k = mid + 1
-        else:
-            hi = mid
-    left = knots[k - 1] if k > 0 else -np.inf
-    right = knots[k] if k < knots.size else np.inf
-    # on that piece each firm sits at its upper bound, its lower bound, or a - sigma
-    at_up, at_lo = a_up >= right, a_lo <= left
-    free = ~(at_up | at_lo)
-    fixed = np.sum(up[at_up]) + np.sum(lo[at_lo])
-    sigma = (fixed + np.sum(a[free])) / (1.0 + np.count_nonzero(free))
-    return np.clip(a - sigma, lo, up)
+    x = np.empty_like(a)
+    _aggregate_root(a, 1.0, inst.lower, inst.upper, 0.0, x)
+    return x

@@ -154,3 +154,68 @@ def full_scan_min(profile, lower, upper, grid):
     for u in np.linspace(0.0, 1.0, grid):
         np.minimum(best, profile(lower + u * width), out=best)
     return best, width / (grid - 1)
+
+
+def breakpoint_root(a, k, lower, upper):
+    """Root of F(sigma) = sum(clip(a - k*sigma, lower, upper)) - sigma by sorted breakpoints.
+
+    F is strictly decreasing and affine between the finite breakpoints
+    (a - upper)/k and (a - lower)/k. A bisection over the sorted
+    breakpoints finds the piece that holds the root, and one division
+    gives it: O(n log n), no tolerance and no iteration budget. Infinite
+    bounds are allowed; k must be positive.
+    """
+    a = np.asarray(a, dtype=float)
+    lower, upper = (np.broadcast_to(np.asarray(v, dtype=float), a.shape) for v in (lower, upper))
+    bp_up, bp_lo = (a - upper) / k, (a - lower) / k
+    knots = np.unique(np.concatenate([bp_up, bp_lo]))
+    knots = knots[np.isfinite(knots)]
+    # first knot j with F(knots[j]) <= 0; the root lies in [knots[j-1], knots[j]]
+    j, hi = 0, knots.size
+    while j < hi:
+        mid = (j + hi) // 2
+        if np.sum(np.clip(a - k * knots[mid], lower, upper)) - knots[mid] > 0:
+            j = mid + 1
+        else:
+            hi = mid
+    left = knots[j - 1] if j > 0 else -np.inf
+    right = knots[j] if j < knots.size else np.inf
+    # on that piece each firm sits at its upper bound, its lower bound, or a - k*sigma
+    at_up, at_lo = bp_up >= right, bp_lo <= left
+    free = ~(at_up | at_lo)
+    fixed = np.sum(upper[at_up]) + np.sum(lower[at_lo])
+    return float((fixed + np.sum(a[free])) / (1.0 + k * np.count_nonzero(free)))
+
+
+def exact_coupling_step(inst, x, c):
+    """Minimizer over the box of the exact-coupling model at x with damping 1/(2c), c <= inf.
+
+    The model (beta/2)*(|y|^2 + sum(y)^2) - (alpha_tilde + h'(x)).y
+    + |y - x|^2/(2c) has the solution y = clip(a - k*sigma) with
+    a = (alpha_tilde + h'(x) + x/c)/(beta + 1/c), k = beta/(beta + 1/c),
+    and sigma from ``breakpoint_root``.
+    """
+    x = np.asarray(x, dtype=float)
+    d = inst.beta + 1.0 / c
+    a = (inst.alpha_tilde + inst.cost.gradient(x) + x / c) / d
+    k = inst.beta / d
+    return np.clip(a - k * breakpoint_root(a, k, inst.lower, inst.upper), inst.lower, inst.upper)
+
+
+def exact_decrease_rhs(inst, x, s, c):
+    """Right side of the exact-coupling sufficient-decrease test: the local model at s.
+
+    The model keeps (beta/2)*(|s|^2 + sum(s)^2) - alpha_tilde.s exact and
+    linearizes the cost at x.
+    """
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    d = s - x
+    kept = 0.5 * inst.beta * (float(s @ s) + float(np.sum(s)) ** 2)
+    return (
+        kept
+        - float(inst.alpha_tilde @ s)
+        - float(inst.cost.value(x))
+        - float(inst.cost.gradient(x) @ d)
+        + float(d @ d) / (2.0 * c)
+    )

@@ -7,6 +7,7 @@ termination, recorded growth) while everything else is oracle- or
 property-based at fixed tolerances.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from cournotprox import (
     SolveStatus,
     SolverConfig,
+    Splitting,
     StepPolicy,
     classical_equilibrium,
     eps_certificate,
@@ -36,6 +38,7 @@ from oracles import (
     brute_force_stationary_points,
     decrease_rhs,
     dphi_directional,
+    exact_decrease_rhs,
     fd_gradient_check,
     grad_gamma,
     gradient_mapping,
@@ -73,13 +76,14 @@ def test_convex_oracle_equivalence():
     _passed(f"convex-oracle equivalence (n in 1..100, sup-err <= 1e-6, {elapsed:.2f}s)")
 
 
-def test_descent_suite():
+def _descent_suite(splitting, L_of, rhs):
     checked_fixed = checked_ls = 0
     for make in (log_cost_market, exp_cost_market):
         for seed in range(20):
             inst = make(50, seed)
-            c = 1.0 / lipschitz_gamma(inst)
-            res, trace = solve(inst, SolverConfig(eps=1e-3, record_iterates=True))
+            c = 1.0 / L_of(inst)
+            cfg = SolverConfig(eps=1e-3, record_iterates=True, splitting=splitting)
+            res, trace = solve(inst, cfg)
             gammas = np.append(trace.gamma, res.gamma_final)
             drop = 0.5 * trace.c * trace.residual**2
             assert np.all(trace.c == c)
@@ -87,19 +91,56 @@ def test_descent_suite():
             checked_fixed += len(trace)
 
             cfg = SolverConfig(
-                step_policy=StepPolicy.LINE_SEARCH, eps=1e-3, record_iterates=True
+                step_policy=StepPolicy.LINE_SEARCH, eps=1e-3, record_iterates=True,
+                splitting=splitting,
             )
             res_ls, tr_ls = solve(inst, cfg)
             for k in range(len(tr_ls)):
                 x, s, ck = tr_ls.iterates[k], tr_ls.iterates[k + 1], tr_ls.c[k]
                 assert (
-                    potential_gamma(inst, s) <= decrease_rhs(inst, x, s, ck) + 1e-9
+                    potential_gamma(inst, s) <= rhs(inst, x, s, ck) + 1e-9
                 ), f"accepted step without sufficient decrease: seed {seed}, k={k}"
             checked_ls += len(tr_ls)
+    return checked_fixed, checked_ls
+
+
+def test_descent_suite():
+    checked_fixed, checked_ls = _descent_suite(Splitting.PAPER, lipschitz_gamma, decrease_rhs)
     _passed(
         f"descent suite (40 runs/policy at n=50: {checked_fixed} fixed steps monotone, "
         f"{checked_ls} line-search steps pass sufficient decrease)"
     )
+
+
+def test_descent_suite_exact_coupling():
+    checked_fixed, checked_ls = _descent_suite(
+        Splitting.EXACT_COUPLING, lambda inst: inst.cost.lipschitz_L(), exact_decrease_rhs
+    )
+    _passed(
+        f"exact-coupling descent suite (40 runs/policy at n=50: {checked_fixed} fixed steps "
+        f"monotone at c = 1/L_h, {checked_ls} line-search steps pass sufficient decrease)"
+    )
+
+
+def test_exact_coupling_default_on_sweep_instances():
+    # the six instances of the log/exp sweeps to n=1e4: the default splitting
+    # stops certified at 2*L_h*eps and ends no farther than the paper's
+    # splitting from an eps=1e-10 reference, in the iterate and the potential
+    worst_gap = 0.0
+    for make in (log_cost_market, exp_cost_market):
+        for n in (100, 1000, 10_000):
+            inst = make(n, 0)
+            ref, _ = solve(inst, SolverConfig(eps=1e-10, record_bound=False))
+            assert ref.status is SolveStatus.CONVERGED
+            cfg = SolverConfig(eps=1e-3, record_bound=False)
+            exact, _ = solve(inst, cfg)
+            paper, _ = solve(inst, dataclasses.replace(cfg, splitting=Splitting.PAPER))
+            assert exact.status is SolveStatus.CONVERGED
+            assert exact.certificate <= 2.0 * inst.cost.lipschitz_L() * cfg.eps
+            assert np.max(np.abs(exact.x - ref.x)) <= np.max(np.abs(paper.x - ref.x))
+            assert exact.gamma_final - ref.gamma_final <= paper.gamma_final - ref.gamma_final
+            worst_gap = max(worst_gap, exact.gamma_final - ref.gamma_final)
+    _passed(f"exact-coupling default on the six sweep instances (excess <= {worst_gap:.1e})")
 
 
 def test_best_step_bound_on_runs():

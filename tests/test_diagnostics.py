@@ -14,6 +14,7 @@ from cournotprox import (
     LogCost,
     MarketInstance,
     SolverConfig,
+    Splitting,
     classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
@@ -228,7 +229,7 @@ class TestFixedPointResidual:
         for c in (0.3, 2.0):
             x = rng.uniform(inst.lower, inst.upper)
             residual = float(np.linalg.norm(x - prox_step(inst, x, c)))
-            assert eps_certificate(inst, x, c) == (1.0 + c * L) * (residual / c)
+            assert eps_certificate(inst, x, c, Splitting.PAPER) == (1.0 / c + L) * residual
 
 
 class TestGammaLowerBound:

@@ -349,14 +349,55 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "bad",
-        ["beta = nan", "c = -1.5", "lower = inf\nupper = inf"],
-        ids=["beta_nan", "c_negative", "box_at_plus_inf"],
+        ["beta = nan", "c = -1.5", "lower = inf\nupper = inf", "lower = -inf"],
+        ids=["beta_nan", "c_negative", "box_at_plus_inf", "log_lower_at_minus_inf"],
     )
     def test_bad_custom_market_exits_2(self, tmp_path, capsys, bad):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"example = custom\ncost = log\n{bad}\n")
         assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_affine_sweep_lands_on_the_oracle(self, tmp_path):
+        # L_h = 0: the default splitting steps with c = inf onto the equilibrium
+        out = tmp_path / "affine"
+        assert main(["--example", "affine", "--sweep", "1,2,10,100,1000", "--out", str(out)]) == 0
+        rows = read_summary(out / "summary.csv")
+        assert [r["n"] for r in rows] == ["1", "2", "10", "100", "1000"]
+        for r in rows:
+            assert r["status"] == "Converged" and r["iterations"] == "2"
+            assert float(r["oracle_err"]) <= 1e-12
+            assert r["c_final"] == "inf" and float(r["certificate"]) == 0.0
+            assert r["splitting"] == "exact"
+        for n in (1, 1000):
+            assert main(["--verify", str(out / f"trace_affine_n{n}_seed0.csv")]) == 0
+
+    @pytest.mark.parametrize("splitting, L_of", [
+        ("exact", lambda inst: inst.cost.lipschitz_L()),
+        ("paper", lipschitz_gamma),
+    ])
+    def test_splitting_flag_and_config_key(self, tmp_path, splitting, L_of):
+        out = tmp_path / "flag"
+        argv = ["--example", "log", "--n", "20", "--splitting", splitting, "--out", str(out)]
+        assert main(argv) == 0
+        cfgfile = tmp_path / "split.cfg"
+        cfgfile.write_text(f"example = log\nn = 20\nsplitting = {splitting}\n")
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path / "file")]) == 0
+        inst = log_cost_market(20, 0)
+        for where in ("flag", "file"):
+            (row,) = read_summary(tmp_path / where / "summary.csv")
+            assert row["splitting"] == splitting
+            assert float(row["c_final"]) == 1.0 / L_of(inst)
+
+    def test_bad_splitting_value_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "split.cfg"
+        cfgfile.write_text("example = log\nsplitting = exact_coupling\n")
+        assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["--example", "log", "--n", "3", "--splitting", "both"])
+        assert exc.value.code == 2
 
     def test_market_keys_need_custom_example_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "log.cfg"

@@ -5,6 +5,7 @@ import pytest
 
 from cournotprox import (
     AffineCost,
+    ExpCost,
     LogCost,
     MarketInstance,
     lipschitz_gamma,
@@ -265,6 +266,16 @@ class TestInstanceValidation:
         cost = LogCost(c0=0.0, c=1.0, r=2.0, n=1)
         with pytest.raises(ValueError):
             MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=-1.0, upper=1.0, cost=cost)
+
+    def test_one_infinite_lower_side_is_checked_against_the_cost_domain(self):
+        # one -inf side among finite ones must not switch the domain check off
+        cost = LogCost(c0=2.0, c=1.5, r=1.5, n=3)
+        for lower in (-np.inf, [0.0, -np.inf, 0.0]):
+            with pytest.raises(ValueError, match="cost domain"):
+                MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=lower, upper=10.0, cost=cost)
+        # a cost defined on the whole line accepts the unbounded side
+        exp = ExpCost(c0=4.0, c=2.0, r=0.1, n=3)
+        MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=-np.inf, upper=10.0, cost=exp)
 
     def test_instance_arrays_are_readonly(self):
         inst = zero_cost_instance(3)

@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "classical_equilibrium", "prox_step",
     # solver
     "ConfigurationError", "IterationTrace", "SolveResult", "SolveStatus", "SolverConfig",
-    "StepPolicy", "eps_certificate", "solve",
+    "Splitting", "StepPolicy", "eps_certificate", "solve",
     # diagnostics
     "gamma_lower_bound", "nash_gap",
     # experiments
@@ -26,12 +26,12 @@ PUBLIC_NAMES = {
 }
 
 SOLVER_CONFIG_FIELDS = [
-    "step_policy", "eps", "max_iter", "record_iterates", "record_bound", "gamma_lb",
+    "step_policy", "eps", "max_iter", "record_iterates", "record_bound", "gamma_lb", "splitting",
 ]
 
 EXPERIMENT_CONFIG_FIELDS = [
-    "example", "n", "sweep", "seed", "eps", "step_policy", "max_iter", "out_dir", "x0",
-    "trace", "custom",
+    "example", "n", "sweep", "seed", "eps", "step_policy", "splitting", "max_iter", "out_dir",
+    "x0", "trace", "custom",
 ]
 
 

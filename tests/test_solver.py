@@ -14,6 +14,7 @@ from cournotprox import (
     MarketInstance,
     SolveStatus,
     SolverConfig,
+    Splitting,
     StepPolicy,
     classical_equilibrium,
     eps_certificate,
@@ -23,7 +24,16 @@ from cournotprox import (
     solve,
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from oracles import decrease_rhs, dphi_directional, gradient_mapping
+from oracles import (
+    decrease_rhs,
+    dphi_directional,
+    exact_coupling_step,
+    exact_decrease_rhs,
+    gradient_mapping,
+)
+
+PAPER = Splitting.PAPER
+EXACT = Splitting.EXACT_COUPLING
 
 FAMILIES = {
     "affine": lambda n, seed: affine_market(n, mu=np.random.default_rng(seed).uniform(0.0, 5.0, n)),
@@ -121,10 +131,41 @@ def reference_line_search_run(inst, x, steps, bracket=(0.1, 10.0)):
 
 
 def first_step(inst, x0):
-    """One line-search iteration from x0: the trial count, its damping and its step."""
-    cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, max_iter=1, record_iterates=True)
+    """One line-search iteration of the paper's splitting from x0: trials, damping, step."""
+    cfg = SolverConfig(
+        step_policy=StepPolicy.LINE_SEARCH, max_iter=1, record_iterates=True, splitting=PAPER
+    )
     res, trace = solve(inst, cfg, x0)
     return res.trials, trace.c[0], trace.iterates[1]
+
+
+def assert_accepted_steps_decrease(splitting, rhs):
+    """Every accepted line-search step passes the splitting's sufficient-decrease test."""
+    for make, seed in ((log_cost_market, 11), (exp_cost_market, 12)):
+        inst = make(20, seed)
+        cfg = SolverConfig(
+            step_policy=StepPolicy.LINE_SEARCH, eps=1e-5, record_iterates=True,
+            splitting=splitting,
+        )
+        res, trace = solve(inst, cfg)
+        assert res.status is SolveStatus.CONVERGED
+        for k in range(len(trace)):
+            x = trace.iterates[k]
+            s = trace.iterates[k + 1]
+            c = trace.c[k]
+            assert potential_gamma(inst, s) <= rhs(inst, x, s, c) + 1e-9
+
+
+def assert_converged_certificate_sound(splitting, L_of):
+    """A converged line-search run's certificate obeys the bracket's worst case."""
+    for make, seed in ((log_cost_market, 0), (exp_cost_market, 1)):
+        inst = make(15, seed)
+        L = L_of(inst)
+        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-4, splitting=splitting)
+        res, trace = solve(inst, cfg)
+        assert res.status is SolveStatus.CONVERGED
+        c_lo, c_hi = 0.1 / L, 10.0 / L
+        assert res.certificate <= (1.0 + c_hi * L) * (cfg.eps / c_lo) + 1e-12
 
 
 class TestGradientMapping:
@@ -191,11 +232,31 @@ class TestSolveNonconvex:
         for make, seed in ((log_cost_market, 1), (exp_cost_market, 2)):
             inst = make(20, seed)
             c = 1.0 / lipschitz_gamma(inst)
-            res, trace = solve(inst, SolverConfig(eps=1e-5))
+            res, trace = solve(inst, SolverConfig(eps=1e-5, splitting=PAPER))
             gammas = np.append(trace.gamma, res.gamma_final)
             drop = 0.5 * trace.c * trace.residual**2
             assert np.all(gammas[1:] <= gammas[:-1] - drop + 1e-9)
             assert np.all(trace.c == c)
+
+    def test_descent_inequality_every_iteration_exact_coupling(self):
+        # the damping is 1/L_h, independent of n; the drop is still (c/2)*||G_c||^2
+        for make, seed in ((log_cost_market, 1), (exp_cost_market, 2)):
+            inst = make(20, seed)
+            c = 1.0 / inst.cost.lipschitz_L()
+            res, trace = solve(inst, SolverConfig(eps=1e-5))
+            assert res.status is SolveStatus.CONVERGED
+            gammas = np.append(trace.gamma, res.gamma_final)
+            drop = 0.5 * trace.c * trace.residual**2
+            assert np.all(gammas[1:] <= gammas[:-1] - drop + 1e-9)
+            assert np.all(trace.c == c)
+
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    def test_exact_coupling_steps_match_reference_step(self, make):
+        # every recorded step is the breakpoint-solved exact-coupling step
+        inst = make(40, 5)
+        res, trace = solve(inst, SolverConfig(eps=1e-6, record_iterates=True))
+        for x, s, c in zip(trace.iterates, trace.iterates[1:], trace.c):
+            np.testing.assert_allclose(s, exact_coupling_step(inst, x, c), rtol=0.0, atol=1e-12)
 
     def test_max_iter_status(self):
         inst = log_cost_market(10, 4)
@@ -233,7 +294,9 @@ class TestLineSearch:
         # no curvature at all: the local model is exact, every c passes, so
         # each trial doubles the last up to the top of the bracket [0.1, 10]
         inst = affine_market(1, mu=2.0)
-        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-12, max_iter=4)
+        cfg = SolverConfig(
+            step_policy=StepPolicy.LINE_SEARCH, eps=1e-12, max_iter=4, splitting=PAPER
+        )
         res, trace = solve(inst, cfg, np.array([7.0]))
         assert res.trials == res.iterations == 4
         np.testing.assert_array_equal(trace.c, [2.0, 4.0, 8.0, 10.0])
@@ -248,22 +311,18 @@ class TestLineSearch:
         assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c)
 
     def test_accepted_steps_satisfy_decrease_condition(self):
-        for make, seed in ((log_cost_market, 11), (exp_cost_market, 12)):
-            inst = make(20, seed)
-            cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-5, record_iterates=True)
-            res, trace = solve(inst, cfg)
-            assert res.status is SolveStatus.CONVERGED
-            for k in range(len(trace)):
-                x = trace.iterates[k]
-                s = trace.iterates[k + 1]
-                c = trace.c[k]
-                assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) + 1e-9
+        assert_accepted_steps_decrease(PAPER, decrease_rhs)
+
+    def test_accepted_steps_satisfy_decrease_condition_exact_coupling(self):
+        assert_accepted_steps_decrease(EXACT, exact_decrease_rhs)
 
     @pytest.mark.parametrize("policy, make, n, seed, max_iter", REFERENCE_CASES)
     def test_matches_reference_line_search(self, policy, make, n, seed, max_iter):
         inst = make(n, seed)
         capped = {} if max_iter is None else {"max_iter": max_iter}
-        cfg = SolverConfig(step_policy=policy, eps=1e-5, record_iterates=True, **capped)
+        cfg = SolverConfig(
+            step_policy=policy, eps=1e-5, record_iterates=True, splitting=PAPER, **capped
+        )
         res, trace = solve(inst, cfg)
         assert res.status is (SolveStatus.MAX_ITER if capped else SolveStatus.CONVERGED)
         bracket = (1.0, 1.0) if policy is StepPolicy.FIXED else (0.1, 10.0)
@@ -281,7 +340,7 @@ class TestLineSearch:
         # one fused value-and-gradient per prox step plus one at the start point
         base = log_cost_market(30, 5)
         inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
-        res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False))
+        res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False, splitting=PAPER))
         assert res.status is SolveStatus.CONVERGED
         if policy is StepPolicy.FIXED:
             assert res.trials == res.iterations
@@ -289,6 +348,18 @@ class TestLineSearch:
             assert res.trials > res.iterations
         assert inst.cost.calls == {"value_and_gradient": res.trials + 1}
         assert inst.cost.calls["value"] == inst.cost.calls["gradient"] == 0
+
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    def test_each_iterate_evaluated_once_exact_coupling(self, policy):
+        # the aggregate root needs no cost evaluation: still one per trial plus the start
+        base = log_cost_market(30, 5)
+        inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.trials >= res.iterations
+        if policy is StepPolicy.FIXED:
+            assert res.trials == res.iterations
+        assert inst.cost.calls == {"value_and_gradient": res.trials + 1}
 
     def test_line_search_run_still_descends(self):
         inst = log_cost_market(20, 13)
@@ -456,9 +527,22 @@ class TestBoundAndCertificates:
         x = inst.center()
         G = np.linalg.norm(gradient_mapping(inst, x, c))
         # at c = 1/L the certificate is exactly twice the mapping norm
-        assert eps_certificate(inst, x, c) == pytest.approx(2.0 * G, rel=1e-12)
+        assert eps_certificate(inst, x, c, PAPER) == pytest.approx(2.0 * G, rel=1e-12)
         star = classical_equilibrium(affine_market(4))
-        assert eps_certificate(affine_market(4), star, 1.0) <= 1e-8
+        assert eps_certificate(affine_market(4), star, 1.0, PAPER) <= 1e-8
+
+    def test_certificate_formula_exact_coupling(self):
+        inst = log_cost_market(10, 0)
+        L_h = inst.cost.lipschitz_L()
+        x = inst.center()
+        for c in (0.3 / L_h, 1.0 / L_h):
+            step = np.linalg.norm(exact_coupling_step(inst, x, c) - x)
+            assert eps_certificate(inst, x, c) == pytest.approx((1.0 / c + L_h) * step, rel=1e-12)
+        # affine: L_h = 0 and c = inf, so the certificate is 0 anywhere
+        market = affine_market(4)
+        assert eps_certificate(market, market.center(), math.inf) == 0.0
+        star = classical_equilibrium(market)
+        assert eps_certificate(market, star, 1.0) <= 1e-8
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
     @pytest.mark.parametrize("name", ["log", "exp", "affine"])
@@ -466,9 +550,20 @@ class TestBoundAndCertificates:
         # one formula: the solve's certificate is eps_certificate at the last
         # iterate before result.x, with the damping of that last step
         inst = FAMILIES[name](50, 27)
+        cfg = SolverConfig(step_policy=policy, record_iterates=True, splitting=PAPER)
+        res, trace = solve(inst, cfg)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.certificate == eps_certificate(inst, trace.iterates[-2], res.c_final, PAPER)
+
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    @pytest.mark.parametrize("name", ["log", "exp", "affine"])
+    def test_result_certificate_is_eps_certificate_exact_coupling(self, name, policy):
+        inst = FAMILIES[name](50, 27)
         res, trace = solve(inst, SolverConfig(step_policy=policy, record_iterates=True))
         assert res.status is SolveStatus.CONVERGED
         assert res.certificate == eps_certificate(inst, trace.iterates[-2], res.c_final)
+        if name == "affine":
+            assert res.c_final == math.inf and res.certificate == 0.0
 
     @pytest.mark.parametrize("c", [math.nan, math.inf], ids=["nan", "inf"])
     def test_certificate_rejects_non_finite_damping(self, c):
@@ -476,25 +571,44 @@ class TestBoundAndCertificates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
+                eps_certificate(inst, inst.center(), c, PAPER)
+
+    @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+    def test_exact_coupling_certificate_rejects_bad_damping(self, c):
+        inst = log_cost_market(3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive"):
                 eps_certificate(inst, inst.center(), c)
 
     def test_converged_certificate_soundness(self):
-        for make, seed in ((log_cost_market, 0), (exp_cost_market, 1)):
-            inst = make(15, seed)
-            L = lipschitz_gamma(inst)
-            cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-4)
-            res, trace = solve(inst, cfg)
-            assert res.status is SolveStatus.CONVERGED
-            c_lo, c_hi = 0.1 / L, 10.0 / L
-            assert res.certificate <= (1.0 + c_hi * L) * (cfg.eps / c_lo) + 1e-12
+        assert_converged_certificate_sound(PAPER, lipschitz_gamma)
+
+    def test_converged_certificate_soundness_exact_coupling(self):
+        assert_converged_certificate_sound(EXACT, lambda inst: inst.cost.lipschitz_L())
 
 
 class TestConfigValidation:
     def test_zero_curvature_gets_default_damping(self):
         inst = affine_market(1, mu=2.0)  # L_gamma = 0: any damping is admissible
-        res, trace = solve(inst, SolverConfig(eps=1e-8))
+        res, trace = solve(inst, SolverConfig(eps=1e-8, splitting=PAPER))
         assert res.status is SolveStatus.CONVERGED
         assert trace.c[0] == 1.0
+
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 10_000])
+    def test_zero_cost_curvature_takes_infinite_damping(self, n, policy):
+        # L_h = 0: the exact-coupling model is the potential, so c = inf and the
+        # first step lands on the equilibrium; the second confirms it
+        inst = affine_market(n, mu=np.random.default_rng(n).uniform(0.0, 5.0, n))
+        res, trace = solve(inst, SolverConfig(step_policy=policy, eps=1e-12))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations == 2
+        assert np.all(trace.c == math.inf)
+        np.testing.assert_array_equal(trace.residual, 0.0)
+        np.testing.assert_array_equal(trace.delta, 0.0)
+        assert res.certificate == 0.0
+        np.testing.assert_allclose(res.x, classical_equilibrium(inst), rtol=1e-14, atol=1e-12)
 
     def test_parameter_sanity(self):
         for bad in ({"eps": 0.0}, {"max_iter": 0}):
@@ -508,6 +622,11 @@ class TestConfigValidation:
         for policy in StepPolicy:
             with pytest.raises(ConfigurationError, match=field):
                 SolverConfig(step_policy=policy, **{field: value})
+
+    def test_rejects_a_splitting_that_is_no_splitting(self):
+        # a bare string would fall through to one branch or the other unnoticed
+        with pytest.raises(ConfigurationError, match="splitting"):
+            SolverConfig(splitting="paper")
 
     def test_settings_are_frozen(self):
         cfg = SolverConfig()

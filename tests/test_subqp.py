@@ -1,3 +1,6 @@
+import inspect
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -5,8 +8,8 @@ import pytest
 
 from cournotprox import AffineCost, MarketInstance, classical_equilibrium
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from cournotprox.subqp import prox_step
-from oracles import apply_Btilde, phi_bifunction
+from cournotprox.subqp import _aggregate_root, prox_step
+from oracles import apply_Btilde, breakpoint_root, phi_bifunction
 
 
 def pg_reference(hess, linear, lower, upper, step, x, tol=1e-12, max_iter=100_000):
@@ -230,3 +233,90 @@ class TestClassicalEquilibrium:
             star = classical_equilibrium(inst)
             assert oracle_residual(inst, star) <= 1e-10
             np.testing.assert_allclose(star, oracle_reference(inst), atol=1e-9)
+
+
+def lines_run(fn, *args):
+    """Call fn(*args); return its result and the set of source lines of fn that ran."""
+    code, ran = fn.__code__, set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is code and event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        out = fn(*args)
+    finally:
+        sys.settrace(None)
+    return out, ran
+
+
+def line_of(fn, text):
+    lines, first = inspect.getsourcelines(fn)
+    (offset,) = [i for i, line in enumerate(lines) if text in line]
+    return first + offset
+
+
+class TestAggregateRoot:
+    """Safeguarded Newton on sum(clip(a - k*sigma, lower, upper)) = sigma, against the oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(a, k, lower, upper, sigma0):
+        buf = np.empty_like(a)
+        sigma = _aggregate_root(a, k, lower, upper, sigma0, buf)
+        ref = breakpoint_root(a, k, lower, upper)
+        x_ref = np.clip(a - k * ref, lower, upper)
+        # relative to the magnitude of the terms the root balances
+        scale = float(np.sum(np.abs(x_ref))) + abs(ref)
+        assert abs(sigma - ref) <= 1e-12 * scale
+        assert np.max(np.abs(buf - x_ref)) <= 1e-12 * scale
+        return sigma
+
+    def test_fuzz_against_breakpoint_root(self):
+        # k in (0, 1], mixed infinite sides, starts up to 1e8 away from the root
+        rng = np.random.default_rng(2024)
+        for trial in range(1000):
+            n = int(rng.integers(1, 60))
+            k = 1.0 if trial % 7 == 0 else float(rng.uniform(1e-3, 1.0))
+            a = rng.normal(0.0, rng.choice([1.0, 10.0, 1e4]), n)
+            lower = rng.uniform(-5.0, 5.0, n)
+            upper = lower + rng.exponential(3.0, n)
+            lower[rng.random(n) < 0.2] = -np.inf
+            upper[rng.random(n) < 0.2] = np.inf
+            far = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 8.0)
+            start = breakpoint_root(a, k, lower, upper) + far
+            self.assert_matches_oracle(a, k, lower, upper, start)
+
+    def test_every_bound_infinite_or_pinned(self):
+        n = 6
+        a = np.linspace(-3.0, 4.0, n)
+        free = np.full(n, np.inf)
+        self.assert_matches_oracle(a, 0.5, -free, free, 0.0)
+        # pinned firms (lower == upper) never count as free
+        pinned = np.arange(n, dtype=float)
+        sigma = self.assert_matches_oracle(a, 0.5, pinned, pinned, -1e6)
+        assert sigma == np.sum(pinned)
+
+    def test_rounding_noise_ends_by_bracket_collapse(self):
+        # terms of +-1e8 cancel: rounding in the sum moves F by far more than its
+        # slope times one ulp of sigma, so Newton keeps proposing moves of many
+        # ulp; they leave the shrinking bracket (bisection) until it is at most
+        # 4 ulp wide, and that stop ends the search
+        n = 100
+        a = np.where(np.arange(n) % 2, 1e8, -1e8) + np.random.default_rng(0).normal(size=n)
+        lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+        buf = np.empty(n)
+        sigma, ran = lines_run(_aggregate_root, a, 1.0, lower, upper, 0.0, buf)
+        assert line_of(_aggregate_root, "sigma = 0.5 * (lo + hi)") in ran
+        # at the returned sigma a Newton move is still longer than 2 ulp
+        f = float(np.sum(a - sigma)) - sigma
+        assert abs(f / (1.0 + n)) > 2.0 * math.ulp(sigma)
+        ref = breakpoint_root(a, 1.0, lower, upper)
+        assert abs(sigma - ref) <= 1e-12 * float(np.sum(np.abs(a - ref)))
+
+    def test_nan_stops_at_once(self):
+        a = np.array([1.0, np.nan, 2.0])
+        buf = np.empty(3)
+        _aggregate_root(a, 0.5, np.zeros(3), np.full(3, 5.0), 0.0, buf)
+        assert np.isnan(buf[1])

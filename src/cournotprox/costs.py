@@ -1,15 +1,17 @@
 """Production-cost families for the oligopoly market model.
 
 Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries an
-analytic gradient, and reports a global curvature bound max_i |h_i''|
-that is used to size proximal steps and the grid error of the potential
-lower bound. Evaluation is vectorized: inputs of shape (..., n) are
-accepted with the firm axis last; ``value`` reduces over that axis and
-``gradient`` maps it elementwise. A custom cost subclasses ``CostModel``
-and implements ``value_components``, ``gradient``, ``lipschitz_L`` and
-``contains``. ``value_and_gradient`` returns h(x) and writes h'(x) into
-a caller's buffer; the solver makes exactly this one call per trial
-point, so the shipped families override it with a single fused pass.
+analytic gradient, and reports a curvature bound max_i |h_i''| on the
+nonnegative orthant (``lipschitz_L``) and above given lower sides
+(``lipschitz_on``); the latter sizes proximal steps and the grid error
+of the potential lower bound. Evaluation is vectorized: inputs of shape
+(..., n) are accepted with the firm axis last; ``value`` reduces over
+that axis and ``gradient`` maps it elementwise. A custom cost subclasses
+``CostModel`` and implements ``value_components``, ``gradient``,
+``lipschitz_L`` and ``contains``. ``value_and_gradient`` returns h(x)
+and writes h'(x) into a caller's buffer; the solver makes exactly this
+one call per trial point, so the shipped families override it with a
+single fused pass.
 """
 
 from __future__ import annotations
@@ -98,7 +100,17 @@ class CostModel(ABC):
 
     @abstractmethod
     def lipschitz_L(self) -> float:
-        """Global bound on |h_i''|, i.e. a Lipschitz constant for the gradient."""
+        """Bound on |h_i''| for x >= 0, i.e. a Lipschitz constant for the gradient there."""
+
+    def lipschitz_on(self, lower) -> float:
+        """Bound on |h_i''| wherever x_i >= lower[i]; infinite when there is none.
+
+        Defaults to ``lipschitz_L()``, which is right for a family whose
+        bound holds on its whole domain; a family whose curvature grows
+        toward negative x overrides it. For lower >= 0 it is
+        ``lipschitz_L()``.
+        """
+        return self.lipschitz_L()
 
     @abstractmethod
     def contains(self, x) -> bool:
@@ -151,8 +163,10 @@ class LogCost(CostModel):
 
     Models a per-unit cost that falls as production grows, with ceiling
     c0. Defined where 1 + r[i]*x > 0, in particular for nonnegative
-    production levels; the curvature bound max_i c[i]*r[i]**2 is attained
-    at x = 0 and is valid on the nonnegative orthant.
+    production levels. |h_i''| = c[i]*r[i]**2/(1 + r[i]*x)**2 falls as x
+    grows, so the bound max_i c[i]*r[i]**2 is attained at x = 0 and is
+    valid on the nonnegative orthant; below 0 it is taken at the lower
+    side.
     """
 
     c0: np.ndarray
@@ -201,6 +215,14 @@ class LogCost(CostModel):
     def lipschitz_L(self):
         return float(np.max(self.c * self.r**2))
 
+    def lipschitz_on(self, lower):
+        low = np.minimum(lower, 0.0)
+        if not np.any(low):
+            return self.lipschitz_L()
+        if not self.contains(low):
+            return np.inf
+        return float(np.max(self.c * self.r**2 / (1.0 + self.r * low) ** 2))
+
     def contains(self, x):
         return bool(np.all(self.r * np.asarray(x, dtype=float) > -1.0))
 
@@ -211,7 +233,9 @@ class ExpCost(CostModel):
 
     Defined on the whole real line; approaches the ceiling c0 as
     production grows. Requires c0[i] >= c[i] > 0 so costs stay
-    nonnegative on x >= 0. Curvature bound max_i c[i]*r[i]**2.
+    nonnegative on x >= 0. |h_i''| = c[i]*r[i]**2*exp(-r[i]*x) falls as x
+    grows: the bound is max_i c[i]*r[i]**2 on x >= 0, taken at the lower
+    side below 0, and there is none on an unbounded-below side.
     """
 
     c0: np.ndarray
@@ -252,6 +276,12 @@ class ExpCost(CostModel):
 
     def lipschitz_L(self):
         return float(np.max(self.c * self.r**2))
+
+    def lipschitz_on(self, lower):
+        low = np.minimum(lower, 0.0)
+        if not np.any(low):
+            return self.lipschitz_L()
+        return float(np.max(self.c * self.r**2 * np.exp(-self.r * low)))
 
     def contains(self, x):
         return True

@@ -121,7 +121,7 @@ def nash_gap(inst, x, radius=np.inf):
         return (inst.beta * t + slope) * t - inst.cost.value_components(t)
 
     qx = profile(x)
-    curvature = 2.0 * inst.beta + inst.cost.lipschitz_L()
+    curvature = 2.0 * inst.beta + inst.cost.lipschitz_on(inst.lower)
     best, spacing = _scan_min(
         profile, np.maximum(inst.lower, x - radius), np.minimum(inst.upper, x + radius), _GAP_GRID,
         curvature,
@@ -145,7 +145,7 @@ def gamma_lower_bound(inst, grid_resolution=1024):
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
-    L_h = inst.cost.lipschitz_L()
+    L_h = inst.cost.lipschitz_on(inst.lower)
     best, spacing = _scan_min(
         lambda t: -inst.alpha_tilde * t - inst.cost.value_components(t),
         inst.lower, inst.upper, grid_resolution, L_h,

@@ -84,6 +84,8 @@ class MarketInstance:
             raise ValueError("lower must be below +inf and upper above -inf")
         if not self.cost.contains(lower):
             raise ValueError("box extends outside the cost domain")
+        if not math.isfinite(self.cost.lipschitz_on(lower)):
+            raise ValueError("the cost's curvature is unbounded on the box")
         alpha_tilde = alpha0 - mu
         alpha_tilde.setflags(write=False)
         object.__setattr__(self, "beta", beta)
@@ -144,5 +146,5 @@ def potential_gamma(inst, x, cost_grad=None, work=None):
 
 
 def lipschitz_gamma(inst):
-    """Curvature bound for the potential gradient: L_h plus the coupling's norm (n-1)*beta."""
-    return inst.cost.lipschitz_L() + (inst.n - 1) * inst.beta
+    """Curvature bound for the potential gradient on the box: L_h plus the coupling's (n-1)*beta."""
+    return inst.cost.lipschitz_on(inst.lower) + (inst.n - 1) * inst.beta

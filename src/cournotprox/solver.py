@@ -7,14 +7,15 @@ what is kept (``Splitting``), and each has its curvature bound L:
 
 - EXACT_COUPLING (the default) keeps the whole demand quadratic
   (beta/2)*(|y|^2 + sum(y)^2) and linearizes only the cost, so L = L_h,
-  the cost's curvature bound. The step is clip(a - k*sigma) with sigma
-  the root of one scalar equation (``subqp._aggregate_root``). When
-  L_h = 0 the model is the potential itself and the damping is c = inf:
-  one step lands on the equilibrium.
+  the cost's curvature bound over the box (``cost.lipschitz_on``). The
+  step is clip(a - k*sigma) with sigma the root of one scalar equation
+  (``subqp._aggregate_root``). When L_h = 0 the model is the potential
+  itself and the damping is c = inf: one step lands on the equilibrium.
 - PAPER, the cited paper's splitting, keeps the own-output quadratic
   beta*|y|^2 and linearizes the cross-firm coupling too, so
-  L = L_gamma = L_h + (n-1)*beta; its step is the separable
-  ``subqp.prox_step``.
+  L = L_gamma = L_h + (n-1)*beta; its step is separable.
+
+``subqp.prox_step`` takes either step.
 
 Neither step can fail. With c at or below 1/L the potential drops by at
 least (c/2)*||G_c||^2 per step, which yields an O(1/(k+1)) bound on the
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import diagnostics
 from .model import lipschitz_gamma, potential_gamma
-from .subqp import _exact_coupling_slope, _exact_coupling_step, _model_gradient_at, prox_step
+from .subqp import Splitting, _exact_coupling_slope, _model_gradient_at, prox_step
 
 __all__ = [
     "ConfigurationError",
@@ -56,13 +57,6 @@ class ConfigurationError(ValueError):
     """A ``SolverConfig`` setting out of range, raised at construction."""
 
 
-class Splitting(Enum):
-    """What the local model keeps exact; it fixes the curvature bound L of the damping."""
-
-    EXACT_COUPLING = "exact"
-    PAPER = "paper"
-
-
 class StepPolicy(Enum):
     FIXED = "fixed"
     LINE_SEARCH = "linesearch"
@@ -79,9 +73,10 @@ class SolverConfig:
     """Step policy, tolerances and recording switches, checked at construction.
 
     The damping comes from the instance and the splitting, not from
-    here. ``splitting`` picks the curvature bound L: the cost's L_h
-    under EXACT_COUPLING, L_gamma = L_h + (n-1)*beta under PAPER. FIXED
-    takes every step at c = 1/L, which guarantees per-step descent.
+    here. ``splitting`` picks the curvature bound L: the cost's L_h over
+    the box under EXACT_COUPLING, L_gamma = L_h + (n-1)*beta under
+    PAPER. FIXED takes every step at c = 1/L, which guarantees per-step
+    descent.
     LINE_SEARCH starts each iteration one doubling above the previously
     accepted value, clipped to [0.1/L, 10/L], and halves until the
     sufficient-decrease test holds; the floor 0.1/L <= 1/L makes the
@@ -343,9 +338,9 @@ def _local_model(inst, splitting):
     ``slope(x, h, out)`` writes the linear term g of the model at x,
     given h = h'(x); ``kept(y)`` is the quadratic kept exact;
     ``step(x, c, g, out, scratch)`` writes the model's minimizer over
-    the box, and the exact-coupling step overwrites the n-vector
-    ``scratch`` and a boolean scratch allocated here, once. L comes
-    first: the cost computes it with temporaries of size n.
+    the box (``prox_step``), and the exact-coupling step overwrites the
+    n-vector ``scratch`` and a boolean scratch allocated here, once. L
+    comes first: the cost computes it with temporaries of size n.
     """
     beta = inst.beta
     if splitting is Splitting.PAPER:
@@ -355,13 +350,13 @@ def _local_model(inst, splitting):
             lambda y: beta * float(y @ y),
             lambda x, c, g, out, scratch: prox_step(inst, x, c, g, out),
         )
-    L_h = inst.cost.lipschitz_L()
+    L_h = inst.cost.lipschitz_on(inst.lower)
     masks = np.empty((2, inst.n), dtype=bool)
     return (
         L_h,
         lambda x, h, out: _exact_coupling_slope(inst, h, out),
         lambda y: 0.5 * beta * (float(y @ y) + float(np.sum(y)) ** 2),
-        lambda x, c, g, out, scratch: _exact_coupling_step(inst, x, c, g, out, scratch, masks),
+        lambda x, c, g, out, scratch: prox_step(inst, x, c, g, out, splitting, (scratch, masks)),
     )
 
 

@@ -1,8 +1,9 @@
 """Box-constrained quadratic subproblems of the market model, solved in closed form.
 
-The paper's proximal subproblem is diagonal once the coupling term is
-linearized, so it has a closed-form solution (``prox_step``). The
-exact-coupling subproblem keeps the coupling, so its Hessian
+``prox_step`` solves the proximal subproblem of either splitting. The
+paper's subproblem is diagonal once the coupling term is linearized,
+so it has a closed-form solution. The exact-coupling subproblem keeps
+the coupling, so its Hessian
 (beta + 1/c)*I + beta*11' is diagonal plus rank one, like that of the
 classical affine-cost equilibrium QP, whose Hessian is beta*(I + 11').
 Both reduce to one scalar equation in total output, solved by
@@ -13,6 +14,7 @@ oracle for solver runs on convex instances.
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 import numpy as np
 
@@ -20,9 +22,17 @@ from .costs import AffineCost
 from .model import _coupling_slope
 
 __all__ = [
+    "Splitting",
     "prox_step",
     "classical_equilibrium",
 ]
+
+
+class Splitting(Enum):
+    """What the local model keeps exact; it fixes the curvature bound L of the damping."""
+
+    EXACT_COUPLING = "exact"
+    PAPER = "paper"
 
 
 def _model_gradient_at(inst, x, cost_grad=None, out=None):
@@ -34,27 +44,52 @@ def _model_gradient_at(inst, x, cost_grad=None, out=None):
     return np.subtract(g, cost_grad, out=g)
 
 
-def prox_step(inst, x, c, g=None, out=None):
-    """Minimizer of the convexified local model with proximal damping 1/(2c).
+def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=None):
+    """Minimizer over the box of the splitting's local model at ``x`` with damping 1/(2c).
 
-    Keeps the own-output quadratic exact, linearizes the smooth cost at
-    ``x``, and damps the move; separability gives the closed form
-    clamp((x - c*g)/(1 + 2*beta*c)) per coordinate. Stationary points
-    are exactly its fixed points, for every c > 0.
+    The model keeps a quadratic exact, linearizes the rest of the
+    potential at ``x`` through its linear term ``g``, and adds
+    |y - x|^2/(2c). Stationary points are exactly the step's fixed
+    points, for every c > 0.
 
-    ``g`` is the linearized slope at ``x``,
-    ``beta*(sigma - x) - alpha_tilde - cost.gradient(x)`` with sigma the
-    total output. It does not
-    depend on c, so a caller trying several c from one ``x`` can compute
-    it once and pass it in; by default it is computed here. The step is
-    written into ``out`` when given (an array shaped like ``x`` that
-    aliases neither ``x`` nor ``g``) and returned.
+    - PAPER keeps the own-output quadratic beta*|y|^2 and linearizes the
+      coupling and the cost: g = beta*(sigma - x) - alpha_tilde - h'(x),
+      with sigma the total output. Separability gives the closed form
+      clamp((x - c*g)/(1 + 2*beta*c)) per coordinate; c must be finite.
+    - EXACT_COUPLING keeps (beta/2)*(|y|^2 + sum(y)^2) and linearizes
+      only the cost: g = -(alpha_tilde + h'(x)). The step is
+      clip(a - k*sigma) with a = (x/c - g)/(beta + 1/c),
+      k = beta/(beta + 1/c) and sigma the aggregate root
+      (``_aggregate_root``), warm-started at sum(x), which is the
+      previous step's root up to rounding; so the step depends on x and
+      c alone. c may be infinite.
+
+    ``g`` does not depend on c, so a caller trying several c from one
+    ``x`` can compute it once and pass it in; by default it is computed
+    here. The step is written into ``out`` when given (an array shaped
+    like ``x`` that aliases neither ``x`` nor ``g``) and returned.
+    ``scratch`` is the exact-coupling step's workspace, a pair of an
+    n-vector that aliases none of ``x``, ``g`` and ``out``, and a
+    boolean (2, n) array; it is allocated here when omitted.
     """
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be positive and finite, got {c!r}")
+    exact = splitting is Splitting.EXACT_COUPLING
+    if not (c > 0 and (exact or math.isfinite(c))):
+        raise ValueError(f"c must be positive{'' if exact else ' and finite'}, got {c!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
+    if exact:
+        if g is None:
+            g = _exact_coupling_slope(inst, inst.cost.gradient(x))
+        if out is None:
+            out = np.empty_like(x)
+        a, masks = scratch if scratch is not None else (np.empty_like(x), None)
+        d = inst.beta + 1.0 / c
+        np.divide(x, c, out=a)
+        np.subtract(a, g, out=a)
+        np.divide(a, d, out=a)
+        _aggregate_root(a, inst.beta / d, inst.lower, inst.upper, np.sum(x), out, masks)
+        return out
     if g is None:
         g = _model_gradient_at(inst, x)
     out = np.multiply(c, g, out=out)
@@ -77,9 +112,15 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
     piece. Every evaluation narrows a bracket on the root by the sign of
     F; a Newton move that leaves the bracket is replaced by bisection,
     which keeps the count of passes small where the pieces alternate in
-    slope. It stops when the Newton move is at most 2 ulp, or when the
-    bracket is at most 4 ulp wide: rounding in the n-term sum can keep
-    Newton outside a bracket of one ulp.
+    slope. It stops when the Newton move, or the bracket, is at most
+    4 ulp of the magnitude of F's terms, sum(|clip|) + |sigma|. Rounding
+    moves F by about that much: each term a - k*sigma is rounded to its
+    own ulp, and the n-term sum adds its own error. Closer to the root
+    F's sign and slope are noise; a finer stop, such as a few ulp of
+    sigma itself, lets Newton creep or bisection halve on for hundreds
+    of passes when the root is near 0 among large cancelling terms. The
+    bracket stop ends the search where the rounding exceeds that
+    estimate.
 
     Returns the last evaluated sigma; ``buf`` (shaped like ``a``, not
     aliasing it) then holds clip(a - k*sigma, lower, upper). ``masks``
@@ -89,6 +130,8 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
     if masks is None:
         masks = np.empty((2,) + np.shape(a), dtype=bool)
     inside, below = masks
+    # each term is at least its lower side: with none negative, sum(|t|) = sum(t)
+    signed = not np.min(lower) >= 0.0
     lo, hi = -math.inf, math.inf
     sigma = float(sigma0)
     while True:
@@ -98,7 +141,8 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
         free = np.count_nonzero(np.logical_and(inside, below, out=inside))
         np.maximum(t, lower, out=t)
         np.minimum(t, upper, out=t)
-        f = float(np.sum(t)) - sigma
+        total = float(np.sum(t))
+        f = total - sigma
         if f > 0.0:
             lo = sigma
         elif f < 0.0:
@@ -106,9 +150,12 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
         else:  # the exact root, or NaN
             return sigma
         move = f / (1.0 + k * free)
-        # one bracket end is finite from the first evaluation on
-        width_ulp = math.ulp(min(abs(lo), abs(hi)))
-        if abs(move) <= 2.0 * math.ulp(sigma) or hi - lo <= 4.0 * width_ulp:
+        noise = 4.0 * math.ulp(abs(total) + abs(sigma))
+        if signed and abs(move) > noise:
+            noise = 4.0 * math.ulp(float(np.sum(np.abs(t))) + abs(sigma))
+        if abs(move) <= noise:
+            return sigma
+        if hi - lo <= noise:  # F's sign is rounding noise inside the bracket
             return sigma
         sigma += move
         if not lo < sigma < hi:
@@ -119,26 +166,6 @@ def _exact_coupling_slope(inst, cost_grad, out=None):
     # linear term of the exact-coupling model, -(alpha_tilde + h'(x))
     out = np.add(inst.alpha_tilde, cost_grad, out=out)
     return np.negative(out, out=out)
-
-
-def _exact_coupling_step(inst, x, c, g, out, a, masks):
-    """Minimizer over the box of the exact-coupling model at ``x`` with damping 1/(2c).
-
-    The model keeps (beta/2)*(|y|^2 + sum(y)^2) exact, linearizes the
-    cost through ``g = -(alpha_tilde + h'(x))``, and adds |y - x|^2/(2c);
-    c may be infinite. Its minimizer is y = clip(a - k*sigma) with
-    a = (x/c - g)/(beta + 1/c), k = beta/(beta + 1/c) and sigma the
-    aggregate root. The root is warm-started at sum(x), which is the
-    previous step's root up to rounding, so the step depends on x and c
-    alone and ``eps_certificate`` repeats it bit for bit. Writes y into
-    ``out``; ``a`` (an n-vector) and ``masks`` are scratch.
-    """
-    d = inst.beta + 1.0 / c
-    np.divide(x, c, out=a)
-    np.subtract(a, g, out=a)
-    np.divide(a, d, out=a)
-    _aggregate_root(a, inst.beta / d, inst.lower, inst.upper, np.sum(x), out, masks)
-    return out
 
 
 def classical_equilibrium(inst):

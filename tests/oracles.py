@@ -219,3 +219,15 @@ def exact_decrease_rhs(inst, x, s, c):
         - float(inst.cost.gradient(x) @ d)
         + float(d @ d) / (2.0 * c)
     )
+
+
+def affine_equilibrium(inst):
+    """Equilibrium of an affine-cost market by ``breakpoint_root``; shares no code with the library.
+
+    The optimality conditions of the potential give x = clip(a - sigma)
+    with a = (alpha0 - mu - mu_h)/beta and the total output sigma the
+    root of sum(clip(a - sigma)) = sigma, i.e. k = 1.
+    """
+    a = (inst.alpha0 - inst.mu - inst.cost.mu_h) / inst.beta
+    sigma = breakpoint_root(a, 1.0, inst.lower, inst.upper)
+    return np.clip(a - sigma, inst.lower, inst.upper)

@@ -35,6 +35,7 @@ from cournotprox.experiments import (
     run_experiment,
 )
 from oracles import (
+    affine_equilibrium,
     brute_force_stationary_points,
     decrease_rhs,
     dphi_directional,
@@ -58,22 +59,27 @@ def family_instances(n, seed):
 
 
 def test_convex_oracle_equivalence():
+    # both splittings against the sorted-breakpoint reference, which shares no
+    # code with the solver's steps or with classical_equilibrium
     t0 = time.perf_counter()
     for n in (1, 2, 5, 20, 100):
         if n == 5:
             inst = affine_market(5, mu=2.0)
         else:
             inst = affine_market(n, mu=np.random.default_rng(100 + n).uniform(0.0, 5.0, n))
-        star = classical_equilibrium(inst)
-        res, _ = solve(inst, SolverConfig(eps=1e-8))
-        assert res.status is SolveStatus.CONVERGED
-        assert np.max(np.abs(res.x - star)) <= 1e-6, f"oracle mismatch at n={n}"
-        if n == 5:
-            closed_form = (10.0 - 2.0) / (6 * 0.1)
-            assert np.max(np.abs(res.x - closed_form)) <= 1e-6
+        star = affine_equilibrium(inst)
+        assert np.max(np.abs(classical_equilibrium(inst) - star)) <= 1e-9
+        for splitting in Splitting:
+            res, _ = solve(inst, SolverConfig(eps=1e-8, splitting=splitting))
+            assert res.status is SolveStatus.CONVERGED
+            assert np.max(np.abs(res.x - star)) <= 1e-6, f"oracle mismatch at n={n}, {splitting}"
+            if n == 5:
+                closed_form = (10.0 - 2.0) / (6 * 0.1)
+                assert np.max(np.abs(res.x - closed_form)) <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s budget"
-    _passed(f"convex-oracle equivalence (n in 1..100, sup-err <= 1e-6, {elapsed:.2f}s)")
+    _passed(f"convex-oracle equivalence (both splittings, n in 1..100, sup-err <= 1e-6, "
+            f"{elapsed:.2f}s)")
 
 
 def _descent_suite(splitting, L_of, rhs):

@@ -191,6 +191,33 @@ class TestAnalyticProperties:
         rhs = L * np.linalg.norm(X - Y, axis=1)
         assert np.all(lhs <= rhs)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES + [custom_family])
+    def test_box_bound_is_the_orthant_bound_at_or_above_zero(self, family):
+        model = family(10, 13)
+        for lower in (0.0, -0.0, np.linspace(0.0, 3.0, 10)):
+            assert model.lipschitz_on(np.broadcast_to(lower, (10,))) == model.lipschitz_L()
+
+    @pytest.mark.parametrize("family", [log_family, exp_family])
+    def test_box_bound_below_zero_is_attained_at_the_lower_side(self, family):
+        # the orthant bound c*r^2 fails below 0; the box bound holds on a grid
+        # above the lower sides and is the curvature at one of them
+        model = family(10, 14)
+        lower = np.linspace(-0.3, 0.0, 10)
+        L = model.lipschitz_on(lower)
+        assert L > model.lipschitz_L()
+        t = lower + np.linspace(0.0, 5.0, 2001)[:, None]
+        curvature = np.abs(np.gradient(model.gradient(t), t[:, 0], axis=0))
+        assert np.max(curvature) <= L
+        at_lower = np.abs(model.c * model.r**2 / (1.0 + model.r * lower) ** 2)
+        if family is exp_family:
+            at_lower = model.c * model.r**2 * np.exp(-model.r * lower)
+        assert L == pytest.approx(np.max(at_lower), rel=1e-14)
+
+    def test_box_bound_is_infinite_without_one(self):
+        assert exp_family(3).lipschitz_on(np.array([0.0, -np.inf, 1.0])) == np.inf
+        # below the log domain, 1 + r*x <= 0, there is no bound either
+        assert LogCost(c0=2.0, c=1.5, r=2.0, n=1).lipschitz_on(np.array([-0.5])) == np.inf
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_linearization_error_bounded_by_curvature(self, family):
         model = family(10, 12)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from cournotprox import SolverConfig, StepPolicy, lipschitz_gamma, solve
+from cournotprox import SolverConfig, Splitting, StepPolicy, lipschitz_gamma, solve
 from cournotprox.cli import main, parse_config_file
 from cournotprox.experiments import (
     SUMMARY_FIELDS,
@@ -114,17 +114,23 @@ class TestInstanceFamilies:
 
 class TestRunExperiment:
     def test_affine_sweep_with_oracle_column(self, tmp_path):
-        cfg = ExperimentConfig(
-            example=ExampleFamily.AFFINE, sweep=(1, 2, 5), eps=1e-8, out_dir=tmp_path
-        )
-        assert run_experiment(cfg) == 0
-        rows = read_summary(tmp_path / "summary.csv")
-        assert [r["n"] for r in rows] == ["1", "2", "5"]
-        for r in rows:
-            assert r["status"] == "Converged"
-            assert float(r["oracle_err"]) <= 1e-6
-            assert r["bound_ok"] == "1"
-        assert (tmp_path / "trace_affine_n5_seed0.csv").exists()
+        # the paper's step shares no code with the oracle; the default's root
+        # finder is the oracle's, which TestClassicalEquilibrium checks on its own
+        for splitting in Splitting:
+            out = tmp_path / splitting.value
+            cfg = ExperimentConfig(
+                example=ExampleFamily.AFFINE, sweep=(1, 2, 5), eps=1e-8, out_dir=out,
+                splitting=splitting,
+            )
+            assert run_experiment(cfg) == 0
+            rows = read_summary(out / "summary.csv")
+            assert [r["n"] for r in rows] == ["1", "2", "5"]
+            for r in rows:
+                assert r["status"] == "Converged"
+                assert float(r["oracle_err"]) <= 1e-6
+                assert r["bound_ok"] == "1"
+                assert r["splitting"] == splitting.value
+            assert (out / "trace_affine_n5_seed0.csv").exists()
 
     def test_nonconvex_sweep(self, tmp_path):
         cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(10, 30), out_dir=tmp_path, seed=5)
@@ -357,6 +363,14 @@ class TestCli:
         cfgfile.write_text(f"example = custom\ncost = log\n{bad}\n")
         assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_exp_lower_side_at_minus_inf_exits_2(self, tmp_path, capsys):
+        # the exp cost is defined on the whole line, but its curvature has no
+        # bound on an unbounded-below side, so no damping suits the box
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("example = custom\ncost = exp\nlower = -inf\n")
+        assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
+        assert "curvature" in capsys.readouterr().err
 
     def test_affine_sweep_lands_on_the_oracle(self, tmp_path):
         # L_h = 0: the default splitting steps with c = inf onto the equilibrium

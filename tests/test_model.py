@@ -273,9 +273,12 @@ class TestInstanceValidation:
         for lower in (-np.inf, [0.0, -np.inf, 0.0]):
             with pytest.raises(ValueError, match="cost domain"):
                 MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=lower, upper=10.0, cost=cost)
-        # a cost defined on the whole line accepts the unbounded side
+        # a cost defined on the whole line takes negative sides, but its curvature
+        # grows without bound below 0, so no damping suits an unbounded side
         exp = ExpCost(c0=4.0, c=2.0, r=0.1, n=3)
-        MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=-np.inf, upper=10.0, cost=exp)
+        MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=-5.0, upper=10.0, cost=exp)
+        with pytest.raises(ValueError, match="curvature"):
+            MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=-np.inf, upper=10.0, cost=exp)
 
     def test_instance_arrays_are_readonly(self):
         inst = zero_cost_instance(3)

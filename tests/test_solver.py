@@ -25,6 +25,7 @@ from cournotprox import (
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from oracles import (
+    affine_equilibrium,
     decrease_rhs,
     dphi_directional,
     exact_coupling_step,
@@ -198,11 +199,17 @@ class TestGradientMapping:
 class TestSolveConvex:
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_matches_classical_oracle(self, n):
+        # classical_equilibrium shares the exact-coupling step's root finder, so
+        # both splittings are checked against the sorted-breakpoint reference too
         inst = FAMILIES["affine"](n, 100 + n)
         star = classical_equilibrium(inst)
-        res, _ = solve(inst, SolverConfig(eps=1e-8))
-        assert res.status is SolveStatus.CONVERGED
-        assert np.max(np.abs(res.x - star)) <= 1e-6
+        ref = affine_equilibrium(inst)
+        assert np.max(np.abs(star - ref)) <= 1e-9
+        for splitting in Splitting:
+            res, _ = solve(inst, SolverConfig(eps=1e-8, splitting=splitting))
+            assert res.status is SolveStatus.CONVERGED
+            assert np.max(np.abs(res.x - star)) <= 1e-6
+            assert np.max(np.abs(res.x - ref)) <= 1e-6
 
     def test_stationary_start_stops_immediately(self):
         inst = affine_market(4, mu=2.0)
@@ -249,6 +256,27 @@ class TestSolveNonconvex:
             drop = 0.5 * trace.c * trace.residual**2
             assert np.all(gammas[1:] <= gammas[:-1] - drop + 1e-9)
             assert np.all(trace.c == c)
+
+    @pytest.mark.parametrize("splitting", [EXACT, PAPER])
+    @pytest.mark.parametrize("cost, lower", [
+        (LogCost(c0=2.0, c=1.5, r=1.5, n=5), -0.6),
+        (ExpCost(c0=4.0, c=2.0, r=0.5, n=5), -5.0),
+    ], ids=["log", "exp"])
+    def test_descent_on_a_box_below_zero(self, cost, lower, splitting):
+        # |h''| grows toward negative x, so c*r^2 bounds it only on x >= 0; the
+        # damping comes from the bound at the lower side, 100 and 12 times larger
+        # here; the exact-coupling step at 1/(c*r^2) breaks the inequality below
+        inst = MarketInstance(beta=0.1, alpha0=0.0, mu=3.0, lower=lower, upper=5.0, cost=cost)
+        L_h = inst.cost.lipschitz_on(inst.lower)
+        assert L_h >= 12.0 * inst.cost.lipschitz_L()
+        L = L_h if splitting is EXACT else L_h + 4 * inst.beta
+        res, trace = solve(inst, SolverConfig(eps=1e-8, splitting=splitting))
+        assert res.status is SolveStatus.CONVERGED
+        assert np.all(res.x < 0.0)
+        assert np.all(trace.c == 1.0 / L)
+        gammas = np.append(trace.gamma, res.gamma_final)
+        drop = 0.5 * trace.c * trace.residual**2
+        assert np.all(gammas[1:] <= gammas[:-1] - drop + 1e-9)
 
     @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
     def test_exact_coupling_steps_match_reference_step(self, make):
@@ -608,7 +636,7 @@ class TestConfigValidation:
         np.testing.assert_array_equal(trace.residual, 0.0)
         np.testing.assert_array_equal(trace.delta, 0.0)
         assert res.certificate == 0.0
-        np.testing.assert_allclose(res.x, classical_equilibrium(inst), rtol=1e-14, atol=1e-12)
+        np.testing.assert_allclose(res.x, affine_equilibrium(inst), rtol=1e-14, atol=1e-12)
 
     def test_parameter_sanity(self):
         for bad in ({"eps": 0.0}, {"max_iter": 0}):

@@ -2,14 +2,17 @@ import inspect
 import math
 import sys
 import warnings
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cournotprox import AffineCost, MarketInstance, classical_equilibrium
+import cournotprox.subqp
+from cournotprox import AffineCost, MarketInstance, Splitting, classical_equilibrium
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.subqp import _aggregate_root, prox_step
-from oracles import apply_Btilde, breakpoint_root, phi_bifunction
+from oracles import apply_Btilde, breakpoint_root, exact_coupling_step, phi_bifunction
 
 
 def pg_reference(hess, linear, lower, upper, step, x, tol=1e-12, max_iter=100_000):
@@ -112,6 +115,24 @@ class TestProxStep:
             s = prox_step(inst, x, 0.7, slope, out)
             assert s is out
             assert s.tobytes() == prox_step(inst, x, 0.7, slope).tobytes()
+
+    @pytest.mark.parametrize("make,seed", [(log_cost_market, 0), (exp_cost_market, 1)])
+    def test_exact_coupling_step_matches_reference(self, make, seed):
+        # the same entry point takes the exact-coupling step, c = inf included
+        inst = make(12, seed)
+        rng = np.random.default_rng(seed)
+        for c in (0.05, 1.0, np.inf):
+            x = rng.uniform(inst.lower, inst.upper)
+            s = prox_step(inst, x, c, splitting=Splitting.EXACT_COUPLING)
+            np.testing.assert_allclose(s, exact_coupling_step(inst, x, c), rtol=1e-12, atol=1e-12)
+            # into out, with the slope and the scratch from the caller: same bits
+            g = -(inst.alpha_tilde + inst.cost.gradient(x))
+            out, scratch = np.full(12, np.nan), (np.empty(12), np.empty((2, 12), dtype=bool))
+            t = prox_step(inst, x, c, g, out, Splitting.EXACT_COUPLING, scratch)
+            assert t is out and t.tobytes() == s.tobytes()
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                prox_step(inst, inst.center(), bad, splitting=Splitting.EXACT_COUPLING)
 
     def test_output_stays_in_box(self):
         inst = log_cost_market(20, 5)
@@ -236,12 +257,12 @@ class TestClassicalEquilibrium:
 
 
 def lines_run(fn, *args):
-    """Call fn(*args); return its result and the set of source lines of fn that ran."""
-    code, ran = fn.__code__, set()
+    """Call fn(*args); return its result and how often each source line of fn ran."""
+    code, ran = fn.__code__, Counter()
 
     def tracer(frame, event, arg):
         if frame.f_code is code and event == "line":
-            ran.add(frame.f_lineno)
+            ran[frame.f_lineno] += 1
         return tracer
 
     sys.settrace(tracer)
@@ -298,22 +319,69 @@ class TestAggregateRoot:
         sigma = self.assert_matches_oracle(a, 0.5, pinned, pinned, -1e6)
         assert sigma == np.sum(pinned)
 
-    def test_rounding_noise_ends_by_bracket_collapse(self):
-        # terms of +-1e8 cancel: rounding in the sum moves F by far more than its
-        # slope times one ulp of sigma, so Newton keeps proposing moves of many
-        # ulp; they leave the shrinking bracket (bisection) until it is at most
-        # 4 ulp wide, and that stop ends the search
-        n = 100
-        a = np.where(np.arange(n) % 2, 1e8, -1e8) + np.random.default_rng(0).normal(size=n)
-        lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    def test_root_near_zero_among_cancelling_terms(self):
+        # terms of +-1e8 that cancel put the root within rounding noise of the
+        # start sigma = 0; a stop scaled by the root itself would keep moving
+        # sigma by its own few ulp for hundreds of passes
+        rng = np.random.default_rng(5)
+        passes = Counter()
+        for trial in range(200):
+            n = int(rng.integers(2, 200))
+            a = np.where(np.arange(n) % 2, 1e8, -1e8) * rng.uniform(0.5, 2.0, n)
+            a += rng.normal(0.0, 1e-7, n) - np.mean(a)
+            k = 1.0 if trial % 3 == 0 else float(rng.uniform(1e-3, 1.0))
+            lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+            lower[rng.random(n) < 0.3] = -3e8
+            upper[rng.random(n) < 0.3] = 3e8
+            buf = np.empty(n)
+            sigma, ran = lines_run(_aggregate_root, a, k, lower, upper, 0.0, buf)
+            passes[ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")]] += 1
+            ref = breakpoint_root(a, k, lower, upper)
+            x_ref = np.clip(a - k * ref, lower, upper)
+            scale = float(np.sum(np.abs(x_ref))) + abs(ref)
+            assert abs(sigma - ref) <= 1e-12 * scale
+            assert np.max(np.abs(buf - x_ref)) <= 1e-12 * scale
+        assert max(passes) <= 4
+
+    def test_bisection_where_newton_overshoots(self):
+        # every firm is free only for sigma in (49, 50): outside, F has slope -1
+        # and each Newton move lands on the far end of the bracket
+        n = 1000
+        a, lower, upper = np.full(n, 50.0), np.zeros(n), np.ones(n)
+        sigma, ran = lines_run(_aggregate_root, a, 1.0, lower, upper, 1e3, np.empty(n))
+        assert ran[line_of(_aggregate_root, "sigma = 0.5 * (lo + hi)")] >= 1
+        assert ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")] <= 30
+        assert sigma == pytest.approx(breakpoint_root(a, 1.0, lower, upper), rel=1e-14)
+
+    def test_rounding_above_the_noise_estimate_ends_by_bracket_collapse(self, monkeypatch):
+        # a sum that errs by 64 ulp of its terms' magnitude, with a sign that
+        # changes from point to point: F's sign is then unreliable over a range
+        # 16 times the stop's estimate, Newton keeps proposing moves above it,
+        # and the search ends once the bracket is inside that estimate
+        class NoisySum:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sum(x, *args, **kwargs):
+                sign = 1.0 if zlib.crc32(np.asarray(x).tobytes()) & 1 else -1.0
+                return np.sum(x, *args, **kwargs) + sign * 64.0 * math.ulp(np.sum(np.abs(x)))
+
+        monkeypatch.setattr(cournotprox.subqp, "np", NoisySum())
+        rng = np.random.default_rng(5)
+        n, k = 20, 0.01
+        a = rng.normal(0.0, 10.0, n)
+        lower, upper = np.full(n, -50.0), np.full(n, 50.0)
+        ref = breakpoint_root(a, k, lower, upper)
         buf = np.empty(n)
-        sigma, ran = lines_run(_aggregate_root, a, 1.0, lower, upper, 0.0, buf)
-        assert line_of(_aggregate_root, "sigma = 0.5 * (lo + hi)") in ran
-        # at the returned sigma a Newton move is still longer than 2 ulp
-        f = float(np.sum(a - sigma)) - sigma
-        assert abs(f / (1.0 + n)) > 2.0 * math.ulp(sigma)
-        ref = breakpoint_root(a, 1.0, lower, upper)
-        assert abs(sigma - ref) <= 1e-12 * float(np.sum(np.abs(a - ref)))
+        sigma, ran = lines_run(_aggregate_root, a, k, lower, upper, ref + 1e3, buf)
+        # moves leave the bracket (bisection), and the return under the
+        # bracket test ends the search
+        assert ran[line_of(_aggregate_root, "sigma = 0.5 * (lo + hi)")] >= 1
+        assert ran[line_of(_aggregate_root, "if hi - lo <= noise") + 1] == 1
+        assert ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")] <= 80
+        x_ref = np.clip(a - k * ref, lower, upper)
+        assert abs(sigma - ref) <= 1e-12 * (float(np.sum(np.abs(x_ref))) + abs(ref))
 
     def test_nan_stops_at_once(self):
         a = np.array([1.0, np.nan, 2.0])

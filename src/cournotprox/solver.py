@@ -30,6 +30,8 @@ config, x0); concurrent runs may share immutable instances.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -100,15 +102,26 @@ class SolverConfig:
     splitting: Splitting = Splitting.EXACT_COUPLING
 
     def __post_init__(self):
-        eps = float(self.eps)
-        if not (math.isfinite(eps) and eps > 0):
-            raise ConfigurationError(f"eps must be positive and finite, got {eps!r}")
+        if not (isinstance(self.eps, numbers.Real) and math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigurationError(f"eps must be positive and finite, got {self.eps!r}")
+        object.__setattr__(self, "eps", float(self.eps))
+        try:
+            object.__setattr__(self, "max_iter", operator.index(self.max_iter))
+        except TypeError:
+            raise ConfigurationError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
-        if self.gamma_lb is not None and not math.isfinite(self.gamma_lb):
-            raise ConfigurationError(f"gamma_lb must be finite, got {self.gamma_lb!r}")
+        if self.gamma_lb is not None:
+            if not (isinstance(self.gamma_lb, numbers.Real) and math.isfinite(self.gamma_lb)):
+                raise ConfigurationError(f"gamma_lb must be finite, got {self.gamma_lb!r}")
+            object.__setattr__(self, "gamma_lb", float(self.gamma_lb))
         if not isinstance(self.splitting, Splitting):
             raise ConfigurationError(f"splitting must be a Splitting, got {self.splitting!r}")
+        if not isinstance(self.step_policy, StepPolicy):
+            raise ConfigurationError(f"step_policy must be a StepPolicy, got {self.step_policy!r}")
+        for name in ("record_iterates", "record_bound"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigurationError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ import cournotprox
 from cournotprox import (
     AffineCost,
     CostModel,
+    ExpCost,
     LogCost,
     MarketInstance,
     SolverConfig,
@@ -284,6 +285,16 @@ class TestGammaLowerBound:
         lb = gamma_lower_bound(inst, G)
         assert n * f_min - n * cost.lipschitz_L() * d**2 / 8 <= lb <= n * f_min
 
+    @pytest.mark.parametrize("grid", [2.5, 1024.0, "64", None, 1, True])
+    def test_grid_must_be_an_integer_of_at_least_two(self, grid):
+        inst = log_cost_market(3, 0)
+        with pytest.raises(ValueError, match="integer"):
+            gamma_lower_bound(inst, grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        inst = log_cost_market(3, 0)
+        assert gamma_lower_bound(inst, np.int64(64)) == gamma_lower_bound(inst, 64)
+
     def test_unbounded_box_rejected(self):
         cost = AffineCost(mu_h=np.zeros(2))
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf, cost=cost)
@@ -324,6 +335,35 @@ def two_wells(t, deep):
     # and, when ``deep``, a deeper one midway between coarse nodes 704 and 736
     shallow = 5e-4 * (t - 320.0) ** 2
     return np.minimum(shallow, 5e-4 * (t - 720.0) ** 2 - 0.1) if deep else shallow
+
+
+def fuzz_case(rng, grid):
+    """A scan problem of n < 40 firms with profiles q*t**2 + a*t + b*sin(omega*t).
+
+    Every firm sits at the one curvature bound 2|q| + |b|*omega**2, so the
+    envelopes touch the profiles; one case in five has curvature 0 (linear
+    profiles). In every other case the slope a is tuned per firm so that the
+    upper box end, where the profile may be steep, ties to a few ulp with the
+    best interior node, a shallow dip that must not be pruned away when it is
+    the lower of the two.
+    """
+    n = int(rng.integers(1, 40))
+    lower = rng.uniform(-5.0, 5.0, n)
+    upper = lower + rng.choice([0.0, 1e-3, 1.0, 10.0], n) * rng.uniform(0.5, 1.0, n)
+    curvature = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
+    share = rng.uniform(0.0, 1.0, n)
+    omega = 10.0 ** rng.uniform(-1.0, 1.5, n)
+    q = rng.choice([-0.5, 0.5], n) * curvature * (1.0 - share)
+    b = rng.choice([-1.0, 1.0], n) * curvature * share / omega**2
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if curvature > 0 and grid > 2 and rng.random() < 0.5:
+        t = lower + np.linspace(0.0, 1.0, grid)[:, None] * (upper - lower)
+        g = q * t * t + b * np.sin(omega * t)
+        dip = np.argmin(g[1:-1], axis=0) + 1
+        cols = np.arange(n)
+        rise = (t[-1] - t[dip, cols]) * (1.0 + rng.uniform(-1e-15, 1e-15, n))
+        a = np.where(rise != 0, (g[dip, cols] - g[-1]) / np.where(rise != 0, rise, 1.0), a)
+    return (lambda t: (q * t + a) * t + b * np.sin(omega * t)), lower, upper, curvature
 
 
 class TestScanMin:
@@ -371,6 +411,17 @@ class TestScanMin:
         assert counts[1] > counts[0]
         assert counts[0] < 150
 
+    def test_a_well_between_nodes_above_best_is_walked(self):
+        # curvature exactly 1e-3: best (0) sits on a top-level node, and a deeper well is
+        # centred midway between top-level nodes 512 and 768, which lie 8.092 above best.
+        # Only the floor's vertex, 0.1 below best, keeps that interval live.
+        well = lambda t, c: 5e-4 * (t - c) ** 2
+        profile = lambda t: np.minimum(well(t, 256.0), well(t, 640.0) - 0.1)
+        lower, upper = np.zeros(1), np.array([1024.0])
+        best, _ = _scan_min(profile, lower, upper, 1025, 1e-3)
+        assert np.array_equal(best, full_scan_min(profile, lower, upper, 1025)[0])
+        assert best[0] == -0.1
+
     def test_a_tie_with_the_floor_is_walked(self):
         # a flat profile at curvature 0: every floor ties best, so no interval may be
         # pruned, and a rounding-sized dip at one node between coarse nodes is found
@@ -386,6 +437,26 @@ class TestScanMin:
         monkeypatch.setattr(LogCost, "value_components", lambda self, t: counted(self, t))
         gamma_lower_bound(inst, 1024)
         assert 0 < counted.calls <= 150
+
+    @pytest.mark.parametrize("grid", [2, 3, 5, 17, 64, 1024, 2048])
+    def test_fuzz_matches_full_walk(self, grid):
+        rng = np.random.default_rng(grid)
+        for _ in range(40 if grid < 1024 else 8):
+            profile, lower, upper, curvature = fuzz_case(rng, grid)
+            best, spacing = _scan_min(profile, lower, upper, grid, curvature)
+            ref_best, ref_spacing = full_scan_min(profile, lower, upper, grid)
+            assert np.array_equal(best, ref_best)
+            assert np.array_equal(spacing, ref_spacing)
+
+    @pytest.mark.parametrize("make, cost", [(log_cost_market, LogCost), (exp_cost_market, ExpCost)])
+    def test_lower_bound_walks_only_the_top_level(self, make, cost, monkeypatch):
+        # each firm's profile is least at its upper end, where it is steep: the
+        # top level's five nodes, walked twice, rule out every interval
+        inst = make(1000, 0)
+        counted = Counted(cost.value_components)
+        monkeypatch.setattr(cost, "value_components", lambda self, t: counted(self, t))
+        gamma_lower_bound(inst, 1024)
+        assert 0 < counted.calls <= 16
 
     def test_memory_is_a_few_n_vectors(self):
         n = 100_000

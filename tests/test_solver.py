@@ -643,6 +643,23 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError):
                 SolverConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iter", 2.5), ("max_iter", "10"), ("eps", "0.1"), ("eps", None), ("gamma_lb", "1.0"),
+         ("step_policy", "fixed"), ("record_bound", "no"), ("record_iterates", 1)],
+    )
+    def test_rejects_settings_of_the_wrong_type(self, field, value):
+        # rejected at construction, not as a TypeError inside solve; a bare "fixed"
+        # would otherwise run the line search, and "no" would read as True
+        with pytest.raises(ConfigurationError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_numeric_settings_are_stored_as_python_numbers(self):
+        cfg = SolverConfig(eps=np.float32(0.5), max_iter=np.int64(7), gamma_lb=np.float32(-2.0))
+        assert type(cfg.eps) is float and cfg.eps == 0.5
+        assert type(cfg.max_iter) is int and cfg.max_iter == 7
+        assert type(cfg.gamma_lb) is float and cfg.gamma_lb == -2.0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["eps", "gamma_lb"])
     def test_rejects_non_finite_settings(self, field, value):

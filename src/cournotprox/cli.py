@@ -115,7 +115,11 @@ def _merged(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.verify is not None:
-        report = verify_run(args.verify)
+        try:
+            report = verify_run(args.verify)
+        except (OSError, ValueError) as exc:  # an unreadable or malformed trace file
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(report)
         return 0 if report.passed else 1
     try:
@@ -126,7 +130,7 @@ def main(argv=None):
         # up front so that a bad parameter is rejected like any other bad setting
         if cfg.example is ExampleFamily.CUSTOM and cfg.sizes:
             initial_point(cfg, generate_instance(cfg, cfg.sizes[0]))
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # OSError: the config file is unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     code = run_experiment(cfg)

@@ -1,17 +1,16 @@
 """Production-cost families for the oligopoly market model.
 
 Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries an
-analytic gradient, and reports a curvature bound max_i |h_i''| on the
-nonnegative orthant (``lipschitz_L``) and above given lower sides
-(``lipschitz_on``); the latter sizes proximal steps and the grid error
-of the potential lower bound. Evaluation is vectorized: inputs of shape
-(..., n) are accepted with the firm axis last; ``value`` reduces over
-that axis and ``gradient`` maps it elementwise. A custom cost subclasses
-``CostModel`` and implements ``value_components``, ``gradient``,
-``lipschitz_L`` and ``contains``. ``value_and_gradient`` returns h(x)
-and writes h'(x) into a caller's buffer; the solver makes exactly this
-one call per trial point, so the shipped families override it with a
-single fused pass.
+analytic gradient, and reports a curvature bound max_i |h_i''| above
+given lower sides (``lipschitz_on``), which sizes proximal steps and the
+grid error of the potential lower bound. Evaluation is vectorized:
+inputs of shape (..., n) are accepted with the firm axis last. A family
+writes its formulas once, in ``value_components``, which returns the
+per-firm values and, given a ``grad`` buffer, writes h'(x) in the same
+pass; the solver makes exactly one such call per trial point. ``value``
+and ``gradient`` are derived from it. A custom cost subclasses
+``CostModel`` and implements ``value_components``, ``lipschitz_on`` and
+``contains``.
 """
 
 from __future__ import annotations
@@ -64,14 +63,10 @@ def _frozen(arr):
 class CostModel(ABC):
     """Separable smooth production cost with an analytic gradient.
 
-    Subclasses implement ``value_components``, ``gradient``,
-    ``lipschitz_L`` and ``contains``; ``value`` sums the components and
-    ``value_and_gradient`` composes ``value`` and ``gradient``. A family
-    that overrides ``value_and_gradient`` with a fused pass must give the
-    same bits as that composition, and a subclass that overrides
-    ``value_components`` or ``gradient`` must override
-    ``value_and_gradient`` too, or the solver keeps using the parent's
-    fused pass.
+    Subclasses implement ``value_components``, ``lipschitz_on`` and
+    ``contains``; ``value`` sums the components and ``gradient`` is one
+    ``value_components`` call into a fresh buffer, so every formula
+    lives in that one kernel.
     """
 
     n: int
@@ -80,37 +75,25 @@ class CostModel(ABC):
         """Total cost, summed over the trailing firm axis."""
         return np.sum(self.value_components(x), axis=-1)
 
-    def value_and_gradient(self, x, grad, work=None):
-        """Total cost at ``x``; writes the gradient into ``grad`` (same shape as ``x``).
-
-        ``work`` is an optional scratch array of that shape that fused
-        implementations use instead of allocating; neither buffer may
-        alias ``x``.
-        """
-        grad[...] = self.gradient(x)
-        return self.value(x)
-
-    @abstractmethod
-    def value_components(self, x):
-        """Per-firm costs h_i(x_i); same shape as ``x``."""
-
-    @abstractmethod
     def gradient(self, x):
         """Elementwise gradient (h_1'(x_1), ..., h_n'(x_n))."""
+        x = self._check_points(x)
+        grad = np.empty_like(x)
+        self.value_components(x, grad)
+        return grad
 
     @abstractmethod
-    def lipschitz_L(self) -> float:
-        """Bound on |h_i''| for x >= 0, i.e. a Lipschitz constant for the gradient there."""
+    def value_components(self, x, grad=None, out=None):
+        """Per-firm costs h_i(x_i), shaped like ``x``; written into ``out`` when given.
 
-    def lipschitz_on(self, lower) -> float:
-        """Bound on |h_i''| wherever x_i >= lower[i]; infinite when there is none.
-
-        Defaults to ``lipschitz_L()``, which is right for a family whose
-        bound holds on its whole domain; a family whose curvature grows
-        toward negative x overrides it. For lower >= 0 it is
-        ``lipschitz_L()``.
+        When ``grad`` is given the same pass writes h_i'(x_i) into it.
+        Both are arrays shaped like ``x``; neither may alias ``x`` or
+        the other.
         """
-        return self.lipschitz_L()
+
+    @abstractmethod
+    def lipschitz_on(self, lower) -> float:
+        """Bound on |h_i''| wherever x_i >= lower[i]; infinite when there is none."""
 
     @abstractmethod
     def contains(self, x) -> bool:
@@ -142,15 +125,14 @@ class AffineCost(CostModel):
         object.__setattr__(self, "mu_h", _param(self.mu_h, n, "mu_h"))
         object.__setattr__(self, "xi", _param(self.xi, n, "xi"))
 
-    def value_components(self, x):
+    def value_components(self, x, grad=None, out=None):
         x = self._check_points(x)
-        return self.mu_h * x + self.xi
+        if grad is not None:
+            grad[...] = self.mu_h
+        out = np.multiply(self.mu_h, x, out=out)
+        return np.add(out, self.xi, out=out)
 
-    def gradient(self, x):
-        x = self._check_points(x)
-        return np.broadcast_to(self.mu_h, x.shape).copy()
-
-    def lipschitz_L(self):
+    def lipschitz_on(self, lower):
         return 0.0
 
     def contains(self, x):
@@ -187,38 +169,21 @@ class LogCost(CostModel):
             raise ValueError("c and r must be positive")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
-    def _arg(self, x):
-        w = self.r * x
-        if not np.all(w > -1.0):
-            raise CostDomainError("log cost evaluated where 1 + r*x <= 0")
-        return w
-
-    def value_components(self, x):
+    def value_components(self, x, grad=None, out=None):
         x = self._check_points(x)
-        return self.c0 + self.c * np.log1p(self._arg(x))
-
-    def gradient(self, x):
-        x = self._check_points(x)
-        return self.cr / (1.0 + self._arg(x))
-
-    def value_and_gradient(self, x, grad, work=None):
         w = np.multiply(self.r, x, out=grad)
         if not np.min(w) > -1.0:
             raise CostDomainError("log cost evaluated where 1 + r*x <= 0")
-        v = np.log1p(w, out=work)
+        v = np.log1p(w, out=out)
         np.multiply(self.c, v, out=v)
         np.add(self.c0, v, out=v)
-        np.add(1.0, w, out=grad)
-        np.divide(self.cr, grad, out=grad)
-        return np.sum(v, axis=-1)
-
-    def lipschitz_L(self):
-        return float(np.max(self.c * self.r**2))
+        if grad is not None:
+            np.add(1.0, w, out=grad)
+            np.divide(self.cr, grad, out=grad)
+        return v
 
     def lipschitz_on(self, lower):
         low = np.minimum(lower, 0.0)
-        if not np.any(low):
-            return self.lipschitz_L()
         if not self.contains(low):
             return np.inf
         return float(np.max(self.c * self.r**2 / (1.0 + self.r * low) ** 2))
@@ -256,31 +221,20 @@ class ExpCost(CostModel):
             raise ValueError("c0 must dominate c componentwise")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
-    def value_components(self, x):
+    def value_components(self, x, grad=None, out=None):
         x = self._check_points(x)
-        return self.c0 - self.c * np.exp(-self.r * x)
-
-    def gradient(self, x):
-        x = self._check_points(x)
-        return self.cr * np.exp(-self.r * x)
-
-    def value_and_gradient(self, x, grad, work=None):
         # -(r*x) equals (-r)*x bit for bit: rounding is symmetric in sign
         e = np.multiply(self.r, x, out=grad)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        v = np.multiply(self.c, e, out=work)
+        v = np.multiply(self.c, e, out=out)
         np.subtract(self.c0, v, out=v)
-        np.multiply(self.cr, e, out=grad)
-        return np.sum(v, axis=-1)
-
-    def lipschitz_L(self):
-        return float(np.max(self.c * self.r**2))
+        if grad is not None:
+            np.multiply(self.cr, e, out=grad)
+        return v
 
     def lipschitz_on(self, lower):
         low = np.minimum(lower, 0.0)
-        if not np.any(low):
-            return self.lipschitz_L()
         return float(np.max(self.c * self.r**2 * np.exp(-self.r * low)))
 
     def contains(self, x):

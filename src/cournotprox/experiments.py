@@ -10,6 +10,7 @@ same configuration; wall-clock times live only in the summary file.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -124,13 +125,15 @@ class ExperimentConfig:
             self.out_dir = Path(os.environ.get(OUT_DIR_ENV, "results"))
         self.out_dir = Path(self.out_dir)
         if self.sweep is not None:
-            self.sweep = tuple(int(v) for v in self.sweep)
+            self.sweep = tuple(_size(v, "each sweep size") for v in self.sweep)
             if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
                 raise ValueError("sweep sizes must be strictly increasing")
             if any(v < 1 for v in self.sweep):
                 raise ValueError("sweep sizes must be positive")
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be positive")
+        if self.n is not None:
+            self.n = _size(self.n, "n")
+            if self.n < 1:
+                raise ValueError("n must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.custom and self.example is not ExampleFamily.CUSTOM:
@@ -150,6 +153,13 @@ class ExperimentConfig:
             step_policy=self.step_policy, eps=self.eps, max_iter=self.max_iter,
             splitting=self.splitting,
         )
+
+
+def _size(value, name):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _custom_instance(cfg, n):
@@ -263,8 +273,7 @@ def run_experiment(cfg):
         t0 = time.perf_counter()
         result, trace = solve(inst, solver_cfg, x0)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        finite = np.isfinite(trace.bound_rhs)
-        bound_ok = bool(np.all(trace.delta[finite] <= trace.bound_rhs[finite] + 1e-12))
+        bound_ok = _bound_violation(trace.delta, trace.bound_rhs) is None
         oracle_err = ""
         if cfg.example is ExampleFamily.AFFINE:
             star = classical_equilibrium(inst)
@@ -350,6 +359,12 @@ def _first_mismatch(recomputed, stored):
     return _first_bad(np.abs(recomputed - stored) > 1e-12 * np.maximum(1.0, np.abs(recomputed)))
 
 
+def _bound_violation(delta, rhs):
+    # first row whose running best step tops the drop budget beyond rounding;
+    # a NaN budget (no lower bound) is never topped
+    return _first_bad(delta > rhs + 1e-12 * np.maximum(1.0, np.abs(rhs)))
+
+
 def verify_run(path):
     """Re-derive the per-iteration checks from a stored trace CSV.
 
@@ -373,9 +388,7 @@ def verify_run(path):
     if gamma_lb is None:
         bound_ok, bound_row = None, None
     else:
-        rhs = trace.bound_rhs
-        bad = delta_re > rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
-        bound_row = _first_bad(bad)
+        bound_row = _bound_violation(delta_re, trace.bound_rhs)
         bound_ok = bound_row is None
 
     g = cols["gamma"]

@@ -129,10 +129,10 @@ def potential_gamma(inst, x, cost_grad=None, work=None):
     Decreased monotonically by well-damped proximal steps; its gradient
     vanishing (against the box normal cone) characterizes stationarity.
 
-    The cost comes from one fused ``cost.value_and_gradient`` call, which
-    also leaves h'(x) in ``cost_grad`` (an array shaped like ``x``,
-    allocated here when omitted); ``work`` (same shape, optional) is its
-    scratch. Neither buffer may alias ``x``.
+    The cost comes from one ``cost.value_components`` call, which also
+    leaves h'(x) in ``cost_grad`` (an array shaped like ``x``, allocated
+    here when omitted) and writes the per-firm costs into ``work`` (same
+    shape, optional). Neither buffer may alias ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != inst.n:
@@ -140,7 +140,7 @@ def potential_gamma(inst, x, cost_grad=None, work=None):
     if cost_grad is None:
         cost_grad = np.empty_like(x)
     sq = np.sum(np.multiply(x, x, out=cost_grad), axis=-1)
-    h = inst.cost.value_and_gradient(x, cost_grad, work)
+    h = np.sum(inst.cost.value_components(x, cost_grad, work), axis=-1)
     sigma = np.sum(x, axis=-1)
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - h
 

@@ -132,7 +132,7 @@ def brute_force_stationary_points(inst, grid_resolution=101):
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     G = grad_gamma(inst, pts)
     spacing = float(np.max((inst.upper - inst.lower) / (grid_resolution - 1)))
-    curvature = inst.beta * (n + 1) + inst.cost.lipschitz_L()
+    curvature = inst.beta * (n + 1) + inst.cost.lipschitz_on(0.0)
     tol = max(curvature * spacing, 1e-12)
     at_lo = pts == inst.lower
     at_up = pts == inst.upper

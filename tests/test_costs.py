@@ -21,19 +21,19 @@ def affine_family(n=6, seed=0):
 
 
 class QuadraticCost(CostModel):
-    """Custom cost h_i(x) = a[i]*x**2 that keeps the base value_and_gradient."""
+    """Custom cost h_i(x) = a[i]*x**2 that keeps the base value and gradient."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
         self.n = self.a.size
 
-    def value_components(self, x):
-        return self.a * self._check_points(x) ** 2
+    def value_components(self, x, grad=None, out=None):
+        x = self._check_points(x)
+        if grad is not None:
+            np.multiply(2.0 * self.a, x, out=grad)
+        return np.multiply(self.a, x**2, out=out)
 
-    def gradient(self, x):
-        return 2.0 * self.a * self._check_points(x)
-
-    def lipschitz_L(self):
+    def lipschitz_on(self, lower):
         return float(np.max(2.0 * np.abs(self.a)))
 
     def contains(self, x):
@@ -60,9 +60,9 @@ class TestLogCost:
     def test_curvature_bound_for_reference_parameters(self):
         # c=1.5 with r <= 2 keeps the bound at or below 1.5 * 2^2 = 6
         model = log_family(20, 1)
-        assert model.lipschitz_L() <= 6.0
+        assert model.lipschitz_on(0.0) <= 6.0
         exact = LogCost(c0=2.0, c=1.5, r=2.0, n=1)
-        assert exact.lipschitz_L() == pytest.approx(6.0)
+        assert exact.lipschitz_on(0.0) == pytest.approx(6.0)
 
     def test_domain_violation_raises(self):
         model = LogCost(c0=2.0, c=1.5, r=2.0, n=2)
@@ -100,7 +100,7 @@ class TestExpCost:
     def test_curvature_bound_for_reference_parameters(self):
         # c=2 with r < 0.2 keeps the bound below 2 * 0.2^2 = 0.08
         model = exp_family(50, 5)
-        assert model.lipschitz_L() < 0.08
+        assert model.lipschitz_on(0.0) < 0.08
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ class TestAffineCost:
         x = np.array([3.0, 4.0])
         assert model.value(x) == pytest.approx(3.0 + 8.0 + 1.0)
         np.testing.assert_array_equal(model.gradient(x), [1.0, 2.0])
-        assert model.lipschitz_L() == 0.0
+        assert model.lipschitz_on(0.0) == 0.0
 
     def test_offsets_shift_values_only(self):
         base = AffineCost(mu_h=[1.0, 2.0])
@@ -141,17 +141,22 @@ class TestValueAndGradient:
     def test_matches_value_and_gradient_bitwise(self, family, shape):
         model = family(50, 4)
         x = np.random.default_rng(5).uniform(0.0, 10.0, shape + (model.n,))
-        for work in (None, np.empty_like(x)):
+        values = model.value_components(x)
+        out = np.full_like(x, np.nan)
+        assert model.value_components(x, out=out) is out and out.tobytes() == values.tobytes()
+        for work in (None, np.full_like(x, np.nan)):
             grad = np.full_like(x, np.nan)
-            value = model.value_and_gradient(x, grad, work)
-            assert np.asarray(value).tobytes() == np.asarray(model.value(x)).tobytes()
+            got = model.value_components(x, grad, work)
+            assert work is None or got is work
+            assert got.tobytes() == values.tobytes()
             assert grad.tobytes() == model.gradient(x).tobytes()
+            assert np.sum(got, axis=-1).tobytes() == np.asarray(model.value(x)).tobytes()
 
     def test_log_domain_violation_raises(self):
         model = LogCost(c0=2.0, c=1.5, r=2.0, n=2)
         for bad in (np.array([0.5, -0.5]), np.array([0.5, np.nan])):
             with pytest.raises(CostDomainError):
-                model.value_and_gradient(bad, np.empty(2))
+                model.value_components(bad, np.empty(2))
 
 
 class TestGradientChecks:
@@ -183,7 +188,7 @@ class TestAnalyticProperties:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_empirical_gradient_lipschitz(self, family):
         model = family(10, 11)
-        L = model.lipschitz_L()
+        L = model.lipschitz_on(0.0)
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 10, (1000, model.n))
         Y = rng.uniform(0, 10, (1000, model.n))
@@ -195,7 +200,7 @@ class TestAnalyticProperties:
     def test_box_bound_is_the_orthant_bound_at_or_above_zero(self, family):
         model = family(10, 13)
         for lower in (0.0, -0.0, np.linspace(0.0, 3.0, 10)):
-            assert model.lipschitz_on(np.broadcast_to(lower, (10,))) == model.lipschitz_L()
+            assert model.lipschitz_on(np.broadcast_to(lower, (10,))) == model.lipschitz_on(0.0)
 
     @pytest.mark.parametrize("family", [log_family, exp_family])
     def test_box_bound_below_zero_is_attained_at_the_lower_side(self, family):
@@ -204,7 +209,7 @@ class TestAnalyticProperties:
         model = family(10, 14)
         lower = np.linspace(-0.3, 0.0, 10)
         L = model.lipschitz_on(lower)
-        assert L > model.lipschitz_L()
+        assert L > model.lipschitz_on(0.0)
         t = lower + np.linspace(0.0, 5.0, 2001)[:, None]
         curvature = np.abs(np.gradient(model.gradient(t), t[:, 0], axis=0))
         assert np.max(curvature) <= L
@@ -221,7 +226,7 @@ class TestAnalyticProperties:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_linearization_error_bounded_by_curvature(self, family):
         model = family(10, 12)
-        L = model.lipschitz_L()
+        L = model.lipschitz_on(0.0)
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 10, (500, model.n))
         Y = rng.uniform(0, 10, (500, model.n))

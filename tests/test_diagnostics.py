@@ -43,13 +43,13 @@ class SinCost(CostModel):
     def __init__(self, a, n):
         self.a, self.n = float(a), n
 
-    def value_components(self, x):
-        return self.a * np.sin(self._check_points(x))
+    def value_components(self, x, grad=None, out=None):
+        x = self._check_points(x)
+        if grad is not None:
+            np.multiply(self.a, np.cos(x), out=grad)
+        return np.multiply(self.a, np.sin(x), out=out)
 
-    def gradient(self, x):
-        return self.a * np.cos(self._check_points(x))
-
-    def lipschitz_L(self):
+    def lipschitz_on(self, lower):
         return abs(self.a)
 
     def contains(self, x):
@@ -80,14 +80,14 @@ def dense_gap(inst, x, radius, points=400_000):
         Y[:, i] = np.linspace(lo[i], up[i], points)
         ref -= min(0.0, float(np.min(phi_bifunction(inst, x, Y))))
     d = (up - lo) / (points - 1)
-    slack = (2.0 * inst.beta + inst.cost.lipschitz_L()) * float(np.sum(d**2)) / 8.0
+    slack = (2.0 * inst.beta + inst.cost.lipschitz_on(0.0)) * float(np.sum(d**2)) / 8.0
     return ref, slack
 
 
 def scan_slack(inst, x, radius):
     lo, up = scan_interval(inst, x, radius)
     d = (up - lo) / (_GAP_GRID - 1)
-    return (2.0 * inst.beta + inst.cost.lipschitz_L()) * float(np.sum(d**2)) / 8.0
+    return (2.0 * inst.beta + inst.cost.lipschitz_on(0.0)) * float(np.sum(d**2)) / 8.0
 
 
 def assert_certified(inst, x, radius):
@@ -283,7 +283,7 @@ class TestGammaLowerBound:
         f_min = 1.0 - 2.0 - 1.5 * np.log1p(2.0)
         d = 10.0 / (G - 1)
         lb = gamma_lower_bound(inst, G)
-        assert n * f_min - n * cost.lipschitz_L() * d**2 / 8 <= lb <= n * f_min
+        assert n * f_min - n * cost.lipschitz_on(0.0) * d**2 / 8 <= lb <= n * f_min
 
     @pytest.mark.parametrize("grid", [2.5, 1024.0, "64", None, 1, True])
     def test_grid_must_be_an_integer_of_at_least_two(self, grid):
@@ -464,7 +464,7 @@ class TestScanMin:
         profile = lambda t: -inst.alpha_tilde * t - inst.cost.value_components(t)
         tracemalloc.start()
         try:
-            _scan_min(profile, inst.lower, inst.upper, 1024, inst.cost.lipschitz_L())
+            _scan_min(profile, inst.lower, inst.upper, 1024, inst.cost.lipschitz_on(0.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from cournotprox import SolverConfig, Splitting, StepPolicy, lipschitz_gamma, solve
+from cournotprox import IterationTrace, SolverConfig, Splitting, StepPolicy, lipschitz_gamma, solve
+from cournotprox import experiments
 from cournotprox.cli import main, parse_config_file
 from cournotprox.experiments import (
     SUMMARY_FIELDS,
@@ -34,7 +35,7 @@ class TestInstanceFamilies:
     def test_log_parameters_in_range(self):
         inst = log_cost_market(50, 123)
         assert np.all(inst.cost.r > 1.0) and np.all(inst.cost.r < 2.0)
-        assert inst.cost.lipschitz_L() <= 6.0
+        assert inst.cost.lipschitz_on(0.0) <= 6.0
         assert inst.beta == 0.1 and inst.alpha0 == 10.0
         np.testing.assert_array_equal(inst.lower, np.zeros(50))
         np.testing.assert_array_equal(inst.upper, np.full(50, 10.0))
@@ -42,7 +43,7 @@ class TestInstanceFamilies:
     def test_exp_parameters_in_range(self):
         inst = exp_cost_market(50, 123)
         assert np.all(inst.cost.r > 0.1) and np.all(inst.cost.r < 0.2)
-        assert inst.cost.lipschitz_L() < 0.08
+        assert inst.cost.lipschitz_on(0.0) < 0.08
 
     def test_same_seed_bit_identical(self):
         a = log_cost_market(20, 7)
@@ -57,7 +58,7 @@ class TestInstanceFamilies:
         assert inst.n == 5
         np.testing.assert_array_equal(inst.cost.r, exp_cost_market(5, 3).cost.r)
         cfg_a = ExperimentConfig(example=ExampleFamily.AFFINE, n=4)
-        assert generate_instance(cfg_a).cost.lipschitz_L() == 0.0
+        assert generate_instance(cfg_a).cost.lipschitz_on(0.0) == 0.0
 
     def test_generate_custom_instance(self):
         cfg = ExperimentConfig(
@@ -110,6 +111,20 @@ class TestInstanceFamilies:
             ExperimentConfig(eps=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig().sizes
+
+    @pytest.mark.parametrize(
+        "sizes", [{"n": 2.5}, {"n": "3"}, {"sweep": (2.9, 3.5)}, {"sweep": (10, np.float64(20.0))}],
+        ids=["n_float", "n_str", "sweep_floats", "sweep_numpy_float"],
+    )
+    def test_non_integer_sizes_are_rejected(self, sizes):
+        # truncating 2.5 to 2 would solve a 2-firm market under an n = 2.5 label
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig(example=ExampleFamily.LOG, **sizes)
+
+    def test_integer_sizes_are_plain_ints(self):
+        cfg = ExperimentConfig(n=np.int64(3), sweep=(np.int32(2), 5))
+        assert cfg.n == 3 and cfg.sweep == (2, 5)
+        assert all(type(v) is int for v in (cfg.n, *cfg.sweep))
 
 
 class TestRunExperiment:
@@ -190,6 +205,23 @@ class TestRunExperiment:
         assert run_experiment(cfg) == 1
         rows = read_summary(tmp_path / "summary.csv")
         assert rows[0]["status"] == "MaxIter"
+
+    def test_bound_check_agrees_with_verify(self, tmp_path, monkeypatch):
+        # a budget near 1e8 has an ulp above 1e-12: delta one ulp over it is
+        # rounding, so the summary and --verify must both pass the row
+        inst = log_cost_market(3, 0)
+        res, _ = solve(inst)
+        trace = IterationTrace(
+            gamma=np.array([np.nextafter(1e8, 0.0)]), step_norm=np.array([1e4]),
+            c=np.array([0.5]), gamma_lb=0.0,
+        )
+        assert trace.delta[0] > trace.bound_rhs[0] + 1e-12
+        monkeypatch.setattr(experiments, "solve", lambda *args: (res, trace))
+        cfg = ExperimentConfig(example=ExampleFamily.LOG, n=3, out_dir=tmp_path)
+        assert run_experiment(cfg) == 0
+        (row,) = read_summary(tmp_path / "summary.csv")
+        assert row["bound_ok"] == "1"
+        assert verify_run(tmp_path / "trace_log_n3_seed0.csv").bound_ok
 
     def test_trace_off_writes_summary_only(self, tmp_path):
         cfg = ExperimentConfig(example=ExampleFamily.LOG, n=5, out_dir=tmp_path, trace=False)
@@ -387,7 +419,7 @@ class TestCli:
             assert main(["--verify", str(out / f"trace_affine_n{n}_seed0.csv")]) == 0
 
     @pytest.mark.parametrize("splitting, L_of", [
-        ("exact", lambda inst: inst.cost.lipschitz_L()),
+        ("exact", lambda inst: inst.cost.lipschitz_on(0.0)),
         ("paper", lipschitz_gamma),
     ])
     def test_splitting_flag_and_config_key(self, tmp_path, splitting, L_of):
@@ -442,6 +474,19 @@ class TestCli:
         argv = ["--config", str(cfgfile), "--n", "3", "--x0", "random", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: x0 = random")
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--verify", None), ("--verify", "k,gamma\n0,1\n"), ("--config", None),
+    ], ids=["verify_missing", "verify_bad_header", "config_missing"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, flag, content):
+        # exit 1 means a run did not converge; a file that cannot be read is a bad setting
+        path = tmp_path / "given.csv"
+        if content is not None:
+            path.write_text(content)
+        assert main([flag, str(path), "--n", "3", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "given.csv" in err
+        assert not (tmp_path / "o").exists()
 
     def test_parse_config_file_errors(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -298,4 +298,4 @@ class TestInstanceValidation:
 
     def test_lipschitz_constant_combines_cost_and_coupling(self):
         inst = log_cost_market(10, 0)
-        assert lipschitz_gamma(inst) == pytest.approx(inst.cost.lipschitz_L() + 0.9, rel=1e-12)
+        assert lipschitz_gamma(inst) == pytest.approx(inst.cost.lipschitz_on(0.0) + 0.9, rel=1e-12)

@@ -6,7 +6,9 @@ import types
 from pathlib import Path
 
 import cournotprox
-from cournotprox import ExperimentConfig, SolverConfig, SolveStatus
+from cournotprox import (
+    AffineCost, CostModel, ExpCost, ExperimentConfig, LogCost, SolverConfig, SolveStatus,
+)
 
 PUBLIC_NAMES = {
     # costs
@@ -68,3 +70,10 @@ def test_experiment_config_fields():
 
 def test_solve_statuses():
     assert [s.value for s in SolveStatus] == ["Converged", "MaxIter", "NonFinite"]
+
+
+def test_cost_contract_is_one_kernel():
+    # every formula lives in value_components; value and gradient are derived from it
+    assert CostModel.__abstractmethods__ == {"value_components", "lipschitz_on", "contains"}
+    for family in (AffineCost, ExpCost, LogCost):
+        assert not {"value_and_gradient", "gradient", "lipschitz_L"} & set(vars(family))

@@ -71,41 +71,30 @@ def with_cost(inst, cost):
 
 
 class CountingLogCost(LogCost):
-    """LogCost that counts its value, gradient and fused evaluations."""
+    """LogCost that counts its kernel calls with and without a gradient buffer."""
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "calls", Counter())
 
-    def value(self, x):
-        self.calls["value"] += 1
-        return super().value(x)
-
-    def gradient(self, x):
-        self.calls["gradient"] += 1
-        return super().gradient(x)
-
-    def value_and_gradient(self, x, grad, work=None):
-        self.calls["value_and_gradient"] += 1
-        return super().value_and_gradient(x, grad, work)
+    def value_components(self, x, grad=None, out=None):
+        self.calls["values_only" if grad is None else "with_gradient"] += 1
+        return super().value_components(x, grad, out)
 
 
 class NaNGradientExpCost(ExpCost):
-    def gradient(self, x):
-        return np.full(np.shape(x), np.nan)
-
-    def value_and_gradient(self, x, grad, work=None):
-        grad[...] = self.gradient(x)
-        return self.value(x)
+    def value_components(self, x, grad=None, out=None):
+        values = super().value_components(x, grad, out)
+        if grad is not None:
+            grad[...] = np.nan
+        return values
 
 
 class NaNValueExpCost(ExpCost):
-    def value_components(self, x):
-        return np.full(np.shape(x), np.nan)
-
-    def value_and_gradient(self, x, grad, work=None):
-        super().value_and_gradient(x, grad, work)
-        return self.value(x)
+    def value_components(self, x, grad=None, out=None):
+        values = super().value_components(x, grad, out)
+        values[...] = np.nan
+        return values
 
 
 def reference_line_search_run(inst, x, steps, bracket=(0.1, 10.0)):
@@ -249,7 +238,7 @@ class TestSolveNonconvex:
         # the damping is 1/L_h, independent of n; the drop is still (c/2)*||G_c||^2
         for make, seed in ((log_cost_market, 1), (exp_cost_market, 2)):
             inst = make(20, seed)
-            c = 1.0 / inst.cost.lipschitz_L()
+            c = 1.0 / inst.cost.lipschitz_on(0.0)
             res, trace = solve(inst, SolverConfig(eps=1e-5))
             assert res.status is SolveStatus.CONVERGED
             gammas = np.append(trace.gamma, res.gamma_final)
@@ -268,7 +257,7 @@ class TestSolveNonconvex:
         # here; the exact-coupling step at 1/(c*r^2) breaks the inequality below
         inst = MarketInstance(beta=0.1, alpha0=0.0, mu=3.0, lower=lower, upper=5.0, cost=cost)
         L_h = inst.cost.lipschitz_on(inst.lower)
-        assert L_h >= 12.0 * inst.cost.lipschitz_L()
+        assert L_h >= 12.0 * inst.cost.lipschitz_on(0.0)
         L = L_h if splitting is EXACT else L_h + 4 * inst.beta
         res, trace = solve(inst, SolverConfig(eps=1e-8, splitting=splitting))
         assert res.status is SolveStatus.CONVERGED
@@ -365,7 +354,7 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
     def test_each_iterate_evaluated_once(self, policy):
-        # one fused value-and-gradient per prox step plus one at the start point
+        # one kernel call with a gradient buffer per prox step plus one at the start point
         base = log_cost_market(30, 5)
         inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
         res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False, splitting=PAPER))
@@ -374,8 +363,8 @@ class TestLineSearch:
             assert res.trials == res.iterations
         else:
             assert res.trials > res.iterations
-        assert inst.cost.calls == {"value_and_gradient": res.trials + 1}
-        assert inst.cost.calls["value"] == inst.cost.calls["gradient"] == 0
+        assert inst.cost.calls == {"with_gradient": res.trials + 1}
+        assert inst.cost.calls["values_only"] == 0
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
     def test_each_iterate_evaluated_once_exact_coupling(self, policy):
@@ -387,7 +376,7 @@ class TestLineSearch:
         assert res.trials >= res.iterations
         if policy is StepPolicy.FIXED:
             assert res.trials == res.iterations
-        assert inst.cost.calls == {"value_and_gradient": res.trials + 1}
+        assert inst.cost.calls == {"with_gradient": res.trials + 1}
 
     def test_line_search_run_still_descends(self):
         inst = log_cost_market(20, 13)
@@ -561,7 +550,7 @@ class TestBoundAndCertificates:
 
     def test_certificate_formula_exact_coupling(self):
         inst = log_cost_market(10, 0)
-        L_h = inst.cost.lipschitz_L()
+        L_h = inst.cost.lipschitz_on(0.0)
         x = inst.center()
         for c in (0.3 / L_h, 1.0 / L_h):
             step = np.linalg.norm(exact_coupling_step(inst, x, c) - x)
@@ -613,7 +602,7 @@ class TestBoundAndCertificates:
         assert_converged_certificate_sound(PAPER, lipschitz_gamma)
 
     def test_converged_certificate_soundness_exact_coupling(self):
-        assert_converged_certificate_sound(EXACT, lambda inst: inst.cost.lipschitz_L())
+        assert_converged_certificate_sound(EXACT, lambda inst: inst.cost.lipschitz_on(0.0))
 
 
 class TestConfigValidation:

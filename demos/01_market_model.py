@@ -31,7 +31,7 @@ inst = MarketInstance(
 )
 
 print(f"{n} firms, price 10 - 0.1*total output, box [0, 10]^{n}")
-print(f"cost curvature bound L_h           = {inst.cost.lipschitz_on(inst.lower):.4f}")
+print(f"cost curvature bound L_h           = {inst.L_h:.4f}")
 print(f"potential curvature bound L_gamma  = {lipschitz_gamma(inst):.4f}  (L_h + (n-1)*beta)")
 
 x = np.array([2.0, 4.0, 6.0, 8.0])

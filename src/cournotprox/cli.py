@@ -130,7 +130,8 @@ def main(argv=None):
         # up front so that a bad parameter is rejected like any other bad setting
         if cfg.example is ExampleFamily.CUSTOM and cfg.sizes:
             initial_point(cfg, generate_instance(cfg, cfg.sizes[0]))
-    except (OSError, ValueError, KeyError) as exc:  # OSError: the config file is unreadable
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError, KeyError) as exc:  # OSError: an unreadable file or unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     code = run_experiment(cfg)

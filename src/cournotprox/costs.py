@@ -15,6 +15,7 @@ and ``gradient`` are derived from it. A custom cost subclasses
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -35,9 +36,13 @@ class CostDomainError(ValueError):
 
 def _infer_n(n, *values):
     if n is not None:
-        if int(n) < 1:
+        try:
+            n = operator.index(n)  # 2.5 is refused, not truncated to 2
+        except TypeError:
+            raise ValueError(f"n must be a positive integer, got {n!r}") from None
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        return int(n)
+        return n
     for v in values:
         if np.ndim(v) == 1:
             return len(v)
@@ -172,7 +177,7 @@ class LogCost(CostModel):
     def value_components(self, x, grad=None, out=None):
         x = self._check_points(x)
         w = np.multiply(self.r, x, out=grad)
-        if not np.min(w) > -1.0:
+        if not np.minimum.reduce(w, axis=None) > -1.0:  # np.min's bits, without its wrapper
             raise CostDomainError("log cost evaluated where 1 + r*x <= 0")
         v = np.log1p(w, out=out)
         np.multiply(self.c, v, out=v)

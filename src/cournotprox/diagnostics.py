@@ -21,6 +21,7 @@ __all__ = [
 
 _GAP_GRID = 2048
 _ROUNDING = 2.0**-50  # 4 ulp of 1
+_KEPT_NODES = 5  # node vectors a level keeps between its two walks
 
 
 def _scan_min(profile, lower, upper, grid, curvature):
@@ -34,17 +35,21 @@ def _scan_min(profile, lower, upper, grid, curvature):
     entries may sit at different nodes.
 
     Each level walks every firm's live hull of nodes at a stride of
-    4**k, ..., 4, 1, then walks it again to rule intervals out. Between
-    node values fa and fb at most D apart the profile stays above
-    fa + (fb - fa)*tau - (curvature*D**2/2)*tau*(1 - tau); an interval is
-    dead when that floor over its interior nodes' span, 1/stride <= tau
-    <= 1 - 1/stride, tops the best value by over 4 ulp of |best| +
-    curvature*D**2/2. The next level walks the live intervals' hull. At
-    1024 nodes a profile least at a steep box end costs 10 evaluations,
-    one well 40 (110 under a tenfold loose bound), many dips as deep as
-    the bound allows up to 5/3 of the full walk; extra memory is a few
-    n-vectors. Between nodes ``spacing`` apart the profile dips at most
-    curvature*spacing**2/8 below the smaller, which certifies the result.
+    4**k, ..., 4, 1, then walks it again to rule intervals out. A level
+    of at most ``_KEPT_NODES`` nodes keeps their profile values from the
+    first walk for the second; a wider level evaluates its nodes again.
+    Between node values fa and fb at most D apart the profile stays
+    above fa + (fb - fa)*tau - (curvature*D**2/2)*tau*(1 - tau); an
+    interval is dead when that floor over its interior nodes' span,
+    1/stride <= tau <= 1 - 1/stride, tops the best value by over 4 ulp
+    of |best| + curvature*D**2/2. The next level walks the live
+    intervals' hull. At 1024 nodes a profile least at a steep box end
+    costs 5 evaluations, one well 10 to 25 (92 to 120 under a tenfold
+    loose bound), many dips as deep as the bound allows up to 5/3 of the
+    full walk. Memory peaks at about 16 n-vectors on a log-cost bound,
+    the kept node values included. Between nodes ``spacing`` apart the
+    profile dips at most curvature*spacing**2/8 below the smaller, which
+    certifies the result.
     """
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("bounded box required for the grid search")
@@ -57,18 +62,34 @@ def _scan_min(profile, lower, upper, grid, curvature):
     while 4 * stride < grid - 1:
         stride *= 4
 
-    def intervals():
-        # e, d = min(fa, fb), |fb - fa| per hull interval; a firm past its hull repeats its end
-        b, fb = first, profile(lower + u[first] * width)
-        for _ in range((int(np.max(last - first)) + stride - 1) // stride):
+    def intervals(kept):
+        # e, d = min(fa, fb), |fb - fa| per hull interval; a firm past its hull repeats its end.
+        # The best-value walk of a level with a pruning walk and at most _KEPT_NODES nodes
+        # keeps their profile values in ``kept``, and the pruning walk reads them back.
+        steps = (int(np.max(last - first)) + stride - 1) // stride
+        read = bool(kept)
+        keep = not read and stride > 1 and steps < _KEPT_NODES
+
+        def node(j, b):
+            if read:
+                return kept[j]
+            f = profile(lower + u[b] * width)
+            if keep:
+                kept.append(f)
+            return f
+
+        b = first
+        fb = node(0, b)
+        for j in range(1, steps + 1):
             a, fa, b = b, fb, np.minimum(b + stride, last)
-            fb = profile(lower + u[b] * width)
+            fb = node(j, b)
             np.minimum(fa, fb, out=e)
             np.abs(np.subtract(fb, fa, out=d), out=d)
             yield a, b
 
     while True:
-        for a, b in intervals():  # named as below, so the pruning walk frees them
+        kept = []
+        for a, b in intervals(kept):  # named as below, so the pruning walk frees them
             np.minimum(best, e, out=best)
         if stride == 1:
             return best, width / (grid - 1)
@@ -76,7 +97,7 @@ def _scan_min(profile, lower, upper, grid, curvature):
         bend = (0.5 * curvature * du * du) * (width * width)
         gate = best + _ROUNDING * (np.abs(best) + bend)
         hull_first, hull_last = np.full_like(first, grid - 1), np.zeros_like(last)
-        for a, b in intervals():
+        for a, b in intervals(kept):
             # with tau counted from the lower end, floor - gate = e + d*tau - bend*tau*(1 - tau),
             # above 0 at tau = 1/stride, and at the vertex (bend - d)/(2*bend) if that lies past it
             e -= gate
@@ -108,9 +129,9 @@ def nash_gap(inst, x, radius=np.inf):
     lo >= 0. |q_i''| <= 2*beta + L_h bounds how far q_i can dip between
     nodes d_i apart, so hi = lo + sum_i (2*beta + L_h)*d_i**2/8. The
     same bound prunes the scan, which returns the full walk's bits: at
-    the solver's limit on the log and exp families (n from 100 to 10^4)
-    it evaluates 51 to 143 of the 2048 nodes, and up to 5/3 of the full
-    walk when every q_i has many wells.
+    the solver's limit on the log and exp families (n from 100 to 10^4,
+    seeds 0, 7 and 90) it evaluates 28 to 132 of the 2048 nodes, and up
+    to 5/3 of the full walk when every q_i has many wells.
     """
     x = np.asarray(x, dtype=float)
     if not radius > 0:
@@ -123,7 +144,7 @@ def nash_gap(inst, x, radius=np.inf):
         return (inst.beta * t + slope) * t - inst.cost.value_components(t)
 
     qx = profile(x)
-    curvature = 2.0 * inst.beta + inst.cost.lipschitz_on(inst.lower)
+    curvature = 2.0 * inst.beta + inst.L_h
     best, spacing = _scan_min(
         profile, np.maximum(inst.lower, x - radius), np.minimum(inst.upper, x + radius), _GAP_GRID,
         curvature,
@@ -144,13 +165,13 @@ def gamma_lower_bound(inst, grid_resolution=1024):
     particular on its infimum over any level set. The same L_h bound
     prunes the scan, which returns the full walk's bits: at 1024 points
     a profile least at a box end, as on the log and exp families, costs
-    10 evaluations, and a one-well profile about 120.
+    5 evaluations, and a one-well profile about 10 to 120, as the bound
+    is tight or loose. L_h is the instance's stored bound.
     """
     if not (isinstance(grid_resolution, (int, np.integer)) and grid_resolution >= 2):
         raise ValueError("grid_resolution must be an integer ≥ 2")
-    L_h = inst.cost.lipschitz_on(inst.lower)
     best, spacing = _scan_min(
         lambda t: -inst.alpha_tilde * t - inst.cost.value_components(t),
-        inst.lower, inst.upper, grid_resolution, L_h,
+        inst.lower, inst.upper, grid_resolution, inst.L_h,
     )
-    return float(np.sum(best) - L_h * np.sum(spacing**2) / 8.0)
+    return float(np.sum(best) - inst.L_h * np.sum(spacing**2) / 8.0)

@@ -60,6 +60,7 @@ SUMMARY_FIELDS = [
     "c_final",
     "gamma_lb",
     "splitting",
+    "L",
 ]
 
 OUT_DIR_ENV = "COURNOTPROX_OUTDIR"
@@ -134,6 +135,7 @@ class ExperimentConfig:
             self.n = _size(self.n, "n")
             if self.n < 1:
                 raise ValueError("n must be positive")
+        self.seed = _size(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.custom and self.example is not ExampleFamily.CUSTOM:
@@ -192,7 +194,7 @@ def _custom_instance(cfg, n):
 
 def generate_instance(cfg, n=None):
     """Build the market instance for one run; deterministic per (family, n, seed)."""
-    n = int(n if n is not None else (cfg.n if cfg.n is not None else cfg.sizes[0]))
+    n = _size(n if n is not None else (cfg.n if cfg.n is not None else cfg.sizes[0]), "n")
     if cfg.example is ExampleFamily.LOG:
         return log_cost_market(n, cfg.seed)
     if cfg.example is ExampleFamily.EXP:
@@ -281,6 +283,9 @@ def run_experiment(cfg):
             oracle_err = _fmt(err)
             all_ok &= err <= 1e-6
         all_ok &= result.status is SolveStatus.CONVERGED and bound_ok
+        # L is the bound that sized the damping; both read the instance's stored L_h
+        L_gamma = lipschitz_gamma(inst)
+        L = L_gamma if cfg.splitting is Splitting.PAPER else inst.L_h
         if cfg.trace:
             write_trace_csv(cfg.out_dir / _trace_name(cfg, n), trace)
         rows.append(
@@ -296,10 +301,11 @@ def run_experiment(cfg):
                 int(bound_ok),
                 _fmt(result.certificate),
                 result.trials,
-                _fmt(lipschitz_gamma(inst)),
+                _fmt(L_gamma),
                 _fmt(result.c_final),
                 "" if trace.gamma_lb is None else _fmt(trace.gamma_lb),
                 cfg.splitting.value,
+                _fmt(L),
             ]
         )
     with open(cfg.out_dir / "summary.csv", "w", newline="") as fh:

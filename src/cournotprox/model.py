@@ -50,7 +50,9 @@ class MarketInstance:
     zero when the whole cost lives in ``cost``), and [lower, upper] is
     the box of admissible production levels. Fixed cost offsets belong
     to the cost model (e.g. ``AffineCost.xi``) and shift reported cost
-    and potential values only.
+    and potential values only. ``L_h`` is the cost's curvature bound
+    ``cost.lipschitz_on(lower)`` over the box, computed once here; a box
+    on which it is infinite is rejected.
     """
 
     beta: float
@@ -60,6 +62,7 @@ class MarketInstance:
     upper: np.ndarray
     cost: CostModel
     alpha_tilde: np.ndarray = field(init=False, repr=False, compare=False)
+    L_h: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.cost, CostModel):
@@ -84,7 +87,8 @@ class MarketInstance:
             raise ValueError("lower must be below +inf and upper above -inf")
         if not self.cost.contains(lower):
             raise ValueError("box extends outside the cost domain")
-        if not math.isfinite(self.cost.lipschitz_on(lower)):
+        L_h = float(self.cost.lipschitz_on(lower))
+        if not math.isfinite(L_h):
             raise ValueError("the cost's curvature is unbounded on the box")
         alpha_tilde = alpha0 - mu
         alpha_tilde.setflags(write=False)
@@ -94,6 +98,7 @@ class MarketInstance:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "alpha_tilde", alpha_tilde)
+        object.__setattr__(self, "L_h", L_h)
 
     @property
     def n(self):
@@ -139,12 +144,13 @@ def potential_gamma(inst, x, cost_grad=None, work=None):
         raise ValueError(f"x must have trailing axis of length {inst.n}, got shape {x.shape}")
     if cost_grad is None:
         cost_grad = np.empty_like(x)
-    sq = np.sum(np.multiply(x, x, out=cost_grad), axis=-1)
-    h = np.sum(inst.cost.value_components(x, cost_grad, work), axis=-1)
-    sigma = np.sum(x, axis=-1)
+    # np.add.reduce is np.sum without its Python-level wrapper: the same bits
+    sq = np.add.reduce(np.multiply(x, x, out=cost_grad), axis=-1)
+    h = np.add.reduce(inst.cost.value_components(x, cost_grad, work), axis=-1)
+    sigma = np.add.reduce(x, axis=-1)
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - h
 
 
 def lipschitz_gamma(inst):
     """Curvature bound for the potential gradient on the box: L_h plus the coupling's (n-1)*beta."""
-    return inst.cost.lipschitz_on(inst.lower) + (inst.n - 1) * inst.beta
+    return inst.L_h + (inst.n - 1) * inst.beta

@@ -7,7 +7,7 @@ what is kept (``Splitting``), and each has its curvature bound L:
 
 - EXACT_COUPLING (the default) keeps the whole demand quadratic
   (beta/2)*(|y|^2 + sum(y)^2) and linearizes only the cost, so L = L_h,
-  the cost's curvature bound over the box (``cost.lipschitz_on``). The
+  the cost's curvature bound over the box (``inst.L_h``). The
   step is clip(a - k*sigma) with sigma the root of one scalar equation
   (``subqp._aggregate_root``). When L_h = 0 the model is the potential
   itself and the damping is c = inf: one step lands on the equilibrium.
@@ -233,12 +233,13 @@ def solve(inst, config=None, x0=None):
     """
     cfg = config if config is not None else SolverConfig()
     if x0 is None:
-        x0 = inst.center()
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (inst.n,):
-        raise ValueError(f"x0 must have shape ({inst.n},), got {x0.shape}")
-    x = inst.project(x0)
-    x0_projected = bool(np.any(x != x0))
+        x, x0_projected = inst.center(), False  # the midpoint lies in the box
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (inst.n,):
+            raise ValueError(f"x0 must have shape ({inst.n},), got {x0.shape}")
+        x = inst.project(x0)
+        x0_projected = bool(np.any(x != x0))
 
     gamma_lb = cfg.gamma_lb
     if (
@@ -262,6 +263,7 @@ def solve(inst, config=None, x0=None):
         c_fixed, c_lo, c_hi = 1.0, 0.1, 10.0
     if cfg.step_policy is StepPolicy.FIXED:
         c_lo = c_hi = c_fixed
+    search = c_lo < c_hi
 
     # The n-vectors of the run, allocated once: the iterate and the trial
     # point, h' at each, the linearized slope at the iterate, and scratch.
@@ -281,9 +283,10 @@ def solve(inst, config=None, x0=None):
     for _ in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
         # Sufficient decrease: gamma(s) may not exceed the local model at x,
         #   gamma(s) <= gamma(x) + kept(s) - kept(x) + g.(s - x) + |s - x|^2/(2c),
-        # written around the known gamma(x), so it needs no h(x).
+        # written around the known gamma(x), so it needs no h(x). A one-point
+        # bracket never reads it.
         slope(x, h_x, g)
-        base = gamma_x - kept(x)
+        base = gamma_x - kept(x) if search else math.nan
         c = min(c_hi, max(c_lo, 2.0 * c_prev))
         n_trials = 0
         while True:
@@ -291,15 +294,14 @@ def solve(inst, config=None, x0=None):
             n_trials += 1
             gamma_s = float(potential_gamma(inst, s, h_s, work))
             dx = np.subtract(s, x, out=work)
+            dx2 = float(dx @ dx)
             # at c <= c_lo the step is in the guaranteed-descent region
             # (c*L <= 1); accept unconditionally
-            if c <= c_lo or gamma_s <= (
-                base + kept(s) + float(g @ dx) + float(dx @ dx) / (2.0 * c)
-            ):
+            if c <= c_lo or gamma_s <= base + kept(s) + float(g @ dx) + dx2 / (2.0 * c):
                 break
             c = max(0.5 * c, c_lo)
         c_k = c
-        step = float(np.linalg.norm(dx))
+        step = math.sqrt(dx2)  # np.linalg.norm's arithmetic, without its wrapper
         if not math.isfinite(step):
             status = SolveStatus.NON_FINITE
             break
@@ -353,7 +355,7 @@ def _local_model(inst, splitting):
     ``step(x, c, g, out, scratch)`` writes the model's minimizer over
     the box (``prox_step``), and the exact-coupling step overwrites the
     n-vector ``scratch`` and a boolean scratch allocated here, once. L
-    comes first: the cost computes it with temporaries of size n.
+    is read from the instance, which computed L_h at construction.
     """
     beta = inst.beta
     if splitting is Splitting.PAPER:
@@ -363,12 +365,11 @@ def _local_model(inst, splitting):
             lambda y: beta * float(y @ y),
             lambda x, c, g, out, scratch: prox_step(inst, x, c, g, out),
         )
-    L_h = inst.cost.lipschitz_on(inst.lower)
     masks = np.empty((2, inst.n), dtype=bool)
     return (
-        L_h,
+        inst.L_h,
         lambda x, h, out: _exact_coupling_slope(inst, h, out),
-        lambda y: 0.5 * beta * (float(y @ y) + float(np.sum(y)) ** 2),
+        lambda y: 0.5 * beta * (float(y @ y) + float(np.add.reduce(y)) ** 2),
         lambda x, c, g, out, scratch: prox_step(inst, x, c, g, out, splitting, (scratch, masks)),
     )
 

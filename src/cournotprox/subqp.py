@@ -88,7 +88,7 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
         np.divide(x, c, out=a)
         np.subtract(a, g, out=a)
         np.divide(a, d, out=a)
-        _aggregate_root(a, inst.beta / d, inst.lower, inst.upper, np.sum(x), out, masks)
+        _aggregate_root(a, inst.beta / d, inst.lower, inst.upper, np.add.reduce(x), out, masks)
         return out
     if g is None:
         g = _model_gradient_at(inst, x)

@@ -84,6 +84,16 @@ class TestLogCost:
         with pytest.raises(ValueError):
             LogCost(c0=0.0, c=1.0, r=1.0)  # all scalars, no n
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3"], ids=["float", "integral_float", "str"])
+    def test_explicit_n_must_be_an_integer(self, n):
+        # truncating 2.5 to 2 would build a 2-firm cost under an n = 2.5 label
+        for family in (LogCost, ExpCost):
+            with pytest.raises(ValueError, match="integer"):
+                family(c0=2.0, c=1.0, r=1.0, n=n)
+        with pytest.raises(ValueError, match="integer"):
+            AffineCost(mu_h=1.0, n=n)
+        assert LogCost(c0=2.0, c=1.0, r=1.0, n=np.int64(3)).n == 3
+
 
 class TestExpCost:
     def test_gradient_at_origin(self):

@@ -451,12 +451,39 @@ class TestScanMin:
     @pytest.mark.parametrize("make, cost", [(log_cost_market, LogCost), (exp_cost_market, ExpCost)])
     def test_lower_bound_walks_only_the_top_level(self, make, cost, monkeypatch):
         # each firm's profile is least at its upper end, where it is steep: the
-        # top level's five nodes, walked twice, rule out every interval
-        inst = make(1000, 0)
+        # top level's five nodes rule out every interval, and the pruning walk
+        # reads the node values the best-value walk kept
         counted = Counted(cost.value_components)
         monkeypatch.setattr(cost, "value_components", lambda self, t: counted(self, t))
-        gamma_lower_bound(inst, 1024)
-        assert 0 < counted.calls <= 16
+        for n in (100, 1000, 10_000):
+            counted.calls = 0
+            gamma_lower_bound(make(n, 0), 1024)
+            assert counted.calls == 5, n
+
+    def test_many_wells_past_the_kept_nodes_match_full_walk(self, monkeypatch):
+        # on a wide box both callers' SinCost profiles have a well each 2*pi (the gap's
+        # anchored at zero output), so the levels below the top span more than
+        # _KEPT_NODES nodes and walk their nodes twice; the top level's five nodes are
+        # evaluated once, and the next level follows them
+        n = 6
+        mu = np.random.default_rng(4).uniform(0.0, 1.0, n)
+        inst = MarketInstance(beta=0.1, alpha0=2.0, mu=mu, lower=0.0, upper=100.0,
+                              cost=SinCost(3.0, n))
+        x = inst.lower.copy()
+        for profile, curvature in caller_scans(inst, x, monkeypatch):
+            for grid in (1024, 2048):
+                seen = []
+
+                def recorded(t):
+                    seen.append(t.tobytes())
+                    return profile(t)
+
+                best, spacing = _scan_min(recorded, inst.lower, inst.upper, grid, curvature)
+                ref_best, ref_spacing = full_scan_min(profile, inst.lower, inst.upper, grid)
+                assert np.array_equal(best, ref_best)
+                assert np.array_equal(spacing, ref_spacing)
+                assert len(set(seen)) < len(seen)  # a wide level walked its nodes twice
+                assert seen[5:10] != seen[:5]
 
     def test_memory_is_a_few_n_vectors(self):
         n = 100_000

@@ -126,6 +126,25 @@ class TestInstanceFamilies:
         assert cfg.n == 3 and cfg.sweep == (2, 5)
         assert all(type(v) is int for v in (cfg.n, *cfg.sweep))
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "3"], ids=["float", "integral_float", "str"])
+    def test_non_integer_seed_is_rejected(self, seed):
+        # numpy's SeedSequence would refuse it only once the run starts
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentConfig(example=ExampleFamily.LOG, n=3, seed=seed)
+
+    def test_seed_is_a_plain_non_negative_int(self):
+        cfg = ExperimentConfig(example=ExampleFamily.LOG, n=3, seed=np.int64(4))
+        assert cfg.seed == 4 and type(cfg.seed) is int
+        with pytest.raises(ValueError, match="non-negative"):
+            ExperimentConfig(example=ExampleFamily.LOG, n=3, seed=-1)
+
+    @pytest.mark.parametrize("example", list(ExampleFamily))
+    def test_generate_instance_rejects_a_non_integer_n(self, example):
+        cfg = ExperimentConfig(example=example, n=3)
+        with pytest.raises(ValueError, match="integer"):
+            generate_instance(cfg, 2.5)
+        assert generate_instance(cfg, np.int64(2)).n == 2
+
 
 class TestRunExperiment:
     def test_affine_sweep_with_oracle_column(self, tmp_path):
@@ -182,6 +201,20 @@ class TestRunExperiment:
             assert float(row["L_gamma"]) == lipschitz_gamma(inst)
             assert float(row["c_final"]) == res.c_final == trace.c[-1]
             assert float(row["gamma_lb"]) == trace.gamma_lb
+
+    @pytest.mark.parametrize("splitting", list(Splitting))
+    def test_summary_L_is_the_bound_that_sized_the_fixed_damping(self, tmp_path, splitting):
+        cfg = ExperimentConfig(
+            example=ExampleFamily.EXP, sweep=(5, 20), out_dir=tmp_path, seed=1, splitting=splitting
+        )
+        assert run_experiment(cfg) == 0
+        for row in read_summary(tmp_path / "summary.csv"):
+            inst = generate_instance(cfg, int(row["n"]))
+            L = float(row["L"])
+            assert L > 0.0
+            assert float(row["c_final"]) == 1.0 / L
+            assert L == (inst.L_h if splitting is Splitting.EXACT_COUPLING else lipschitz_gamma(inst))
+            assert float(row["L_gamma"]) == lipschitz_gamma(inst)
 
     def test_summary_leaves_gamma_lb_empty_on_an_unbounded_box(self, tmp_path):
         cfg = ExperimentConfig(
@@ -487,6 +520,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "given.csv" in err
         assert not (tmp_path / "o").exists()
+
+    def test_out_is_an_existing_file_exits_2(self, tmp_path, capsys):
+        # exit 1 means a run did not converge; an --out that cannot be a directory is a bad setting
+        path = tmp_path / "taken"
+        path.write_text("not a directory\n")
+        assert main(["--example", "log", "--n", "3", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken" in err
+        assert path.read_text() == "not a directory\n"
 
     def test_parse_config_file_errors(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -5,11 +5,19 @@ import pytest
 
 from cournotprox import (
     AffineCost,
+    CostModel,
     ExpCost,
     LogCost,
     MarketInstance,
+    SolverConfig,
+    Splitting,
+    StepPolicy,
+    eps_certificate,
+    gamma_lower_bound,
     lipschitz_gamma,
+    nash_gap,
     potential_gamma,
+    solve,
 )
 from cournotprox.experiments import exp_cost_market, log_cost_market
 from oracles import (
@@ -34,6 +42,23 @@ def affine_cost_market(n, seed):
     return MarketInstance(
         beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=AffineCost(mu_h=mu_h, xi=1.5)
     )
+
+
+class CountingCost(CostModel):
+    """A cost that forwards to another and counts its ``lipschitz_on`` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.bound_calls = inner, inner.n, 0
+
+    def value_components(self, x, grad=None, out=None):
+        return self.inner.value_components(x, grad, out)
+
+    def lipschitz_on(self, lower):
+        self.bound_calls += 1
+        return self.inner.lipschitz_on(lower)
+
+    def contains(self, x):
+        return self.inner.contains(x)
 
 
 def dense_btilde(inst):
@@ -299,3 +324,22 @@ class TestInstanceValidation:
     def test_lipschitz_constant_combines_cost_and_coupling(self):
         inst = log_cost_market(10, 0)
         assert lipschitz_gamma(inst) == pytest.approx(inst.cost.lipschitz_on(0.0) + 0.9, rel=1e-12)
+
+    def test_curvature_bound_is_computed_once_per_instance(self):
+        # construction computes L_h to reject an unbounded box; every later
+        # reader (the solver, the certificate, the scans, L_gamma) reuses it
+        cost = CountingCost(LogCost(c0=2.0, c=1.5, r=np.linspace(1.0, 2.0, 20)))
+        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
+        assert cost.bound_calls == 1
+        assert inst.L_h == cost.inner.lipschitz_on(inst.lower)
+        for splitting in Splitting:
+            for policy in StepPolicy:
+                res, trace = solve(
+                    inst, SolverConfig(step_policy=policy, splitting=splitting, record_iterates=True)
+                )
+                eps_certificate(inst, trace.iterates[-2], res.c_final, splitting)
+        gamma_lower_bound(inst)
+        nash_gap(inst, res.x)
+        nash_gap(inst, res.x, 0.5)
+        assert lipschitz_gamma(inst) == inst.L_h + 19 * inst.beta
+        assert cost.bound_calls == 1

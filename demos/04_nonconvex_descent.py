@@ -38,7 +38,8 @@ print(f"terminal certificate (worst unit-direction slope >= -kappa): kappa = {re
 
 cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-6)
 res_ls, tr_ls = solve(inst, cfg)
-print(f"\nline-search policy: {res_ls.status.value} after {res_ls.iterations} iterations")
+print(f"\nline-search policy: {res_ls.status.value} after {res_ls.iterations} iterations "
+      f"and {res_ls.trials} trials")
 print(f"accepted damping ranged over [{tr_ls.c.min():.4f}, {tr_ls.c.max():.4f}] "
       f"(fixed policy used {1 / L:.4f})")
 print(f"both policies agree on the answer to {np.max(np.abs(res.x - res_ls.x)):.1e}")

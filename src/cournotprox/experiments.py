@@ -271,7 +271,9 @@ def run_experiment(cfg):
     all_ok = True
     for n in cfg.sizes:
         inst = generate_instance(cfg, n)
-        x0 = initial_point(cfg, inst)
+        # solve's default start is the box midpoint, so CENTER passes none
+        # and the start is not projected a second time
+        x0 = None if cfg.x0 is X0Policy.CENTER else initial_point(cfg, inst)
         t0 = time.perf_counter()
         result, trace = solve(inst, solver_cfg, x0)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0

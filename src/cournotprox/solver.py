@@ -79,10 +79,14 @@ class SolverConfig:
     the box under EXACT_COUPLING, L_gamma = L_h + (n-1)*beta under
     PAPER. FIXED takes every step at c = 1/L, which guarantees per-step
     descent.
-    LINE_SEARCH starts each iteration one doubling above the previously
-    accepted value, clipped to [0.1/L, 10/L], and halves until the
-    sufficient-decrease test holds; the floor 0.1/L <= 1/L makes the
-    search terminate. When L is zero, EXACT_COUPLING takes c = inf (its
+    LINE_SEARCH halves the damping from a start value until the
+    sufficient-decrease test holds, within the bracket [0.1/L, 10/L];
+    the floor 0.1/L <= 1/L makes the search terminate. The first search
+    starts at 2/L. Each later one starts one doubling above the last
+    accepted value, clipped to the bracket, when the accepted step also
+    passes the test at that doubled value, and at the accepted value
+    otherwise, so a doubling is tried only where the last step showed
+    room for it. When L is zero, EXACT_COUPLING takes c = inf (its
     model is then exact), and PAPER has the bracket [0.1, 10] and the
     fixed value 1.0.
 
@@ -204,7 +208,8 @@ def solve(inst, config=None, x0=None):
         bound.
     x0 : array_like, optional
         Starting point; the box midpoint when omitted. Points outside
-        the box are projected onto it and flagged in the result.
+        the box, infinite entries included, are projected onto it and
+        flagged in the result; a NaN entry raises ``ValueError``.
 
     Returns
     -------
@@ -238,6 +243,8 @@ def solve(inst, config=None, x0=None):
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (inst.n,):
             raise ValueError(f"x0 must have shape ({inst.n},), got {x0.shape}")
+        if np.isnan(x0).any():
+            raise ValueError("x0 has a NaN entry")
         x = inst.project(x0)
         x0_projected = bool(np.any(x != x0))
 
@@ -274,7 +281,7 @@ def solve(inst, config=None, x0=None):
     gamma_x = float(potential_gamma(inst, x, h_x, work))
     col_gamma, col_step, col_c = [], [], []
     iterates = [] if cfg.record_iterates else None
-    c_prev = c_fixed
+    c_next = min(c_hi, max(c_lo, 2.0 * c_fixed))
     c_k = math.nan
     step = math.nan
     trials = 0
@@ -287,7 +294,7 @@ def solve(inst, config=None, x0=None):
         # bracket never reads it.
         slope(x, h_x, g)
         base = gamma_x - kept(x) if search else math.nan
-        c = min(c_hi, max(c_lo, 2.0 * c_prev))
+        c = c_next
         n_trials = 0
         while True:
             step_to(x, c, g, s, work)
@@ -295,11 +302,19 @@ def solve(inst, config=None, x0=None):
             gamma_s = float(potential_gamma(inst, s, h_s, work))
             dx = np.subtract(s, x, out=work)
             dx2 = float(dx @ dx)
+            if not search:
+                break
+            model = base + kept(s) + float(g @ dx)
             # at c <= c_lo the step is in the guaranteed-descent region
             # (c*L <= 1); accept unconditionally
-            if c <= c_lo or gamma_s <= base + kept(s) + float(g @ dx) + dx2 / (2.0 * c):
+            if c <= c_lo or gamma_s <= model + dx2 / (2.0 * c):
                 break
             c = max(0.5 * c, c_lo)
+        if search:
+            # the next search starts one doubling up only if this step
+            # passes the test there too
+            c_up = min(c_hi, 2.0 * c)
+            c_next = c_up if gamma_s <= model + dx2 / (2.0 * c_up) else c
         c_k = c
         step = math.sqrt(dx2)  # np.linalg.norm's arithmetic, without its wrapper
         if not math.isfinite(step):
@@ -314,7 +329,6 @@ def solve(inst, config=None, x0=None):
         x, s = s, x
         h_x, h_s = h_s, h_x
         gamma_x = gamma_s
-        c_prev = c_k
         if not math.isfinite(gamma_x):
             status = SolveStatus.NON_FINITE
             break
@@ -385,13 +399,16 @@ def eps_certificate(inst, x, c, splitting=Splitting.EXACT_COUPLING):
     arithmetic is that of ``solve``, so at the last iterate before
     ``result.x``, damping ``result.c_final`` and the run's splitting
     this is ``result.certificate`` bit for bit. The paper's step needs a
-    finite c; the exact-coupling step also takes c = inf.
+    finite c; the exact-coupling step also takes c = inf. A NaN entry
+    in ``x`` raises ``ValueError``.
     """
     if not c > 0 or (splitting is Splitting.PAPER and not math.isfinite(c)):
         raise ValueError(f"c must be positive (and finite for the paper's step), got {c!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
+    if np.isnan(x).any():
+        raise ValueError("x has a NaN entry")
     L, slope, _, step_to = _local_model(inst, splitting)
     g = slope(x, inst.cost.gradient(x), np.empty_like(x))
     s = step_to(x, c, g, np.empty_like(x), np.empty_like(x))

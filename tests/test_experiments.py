@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from cournotprox import IterationTrace, SolverConfig, Splitting, StepPolicy, lipschitz_gamma, solve
+from cournotprox import (
+    IterationTrace, MarketInstance, SolverConfig, Splitting, StepPolicy, lipschitz_gamma, solve,
+)
 from cournotprox import experiments
 from cournotprox.cli import main, parse_config_file
 from cournotprox.experiments import (
@@ -225,6 +227,26 @@ class TestRunExperiment:
         (row,) = read_summary(tmp_path / "summary.csv")
         assert row["gamma_lb"] == ""
         assert float(row["L_gamma"]) == lipschitz_gamma(generate_instance(cfg, 3))
+
+    def test_center_sweep_projects_no_start(self, tmp_path, monkeypatch):
+        # solve's default start is the midpoint run_experiment would pass, so
+        # a CENTER sweep hands over none and nothing clips it again
+        calls = []
+        project = MarketInstance.project
+
+        def counting_project(inst, x):
+            calls.append(inst.n)
+            return project(inst, x)
+
+        monkeypatch.setattr(MarketInstance, "project", counting_project)
+        cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(5, 20), out_dir=tmp_path / "c")
+        assert run_experiment(cfg) == 0
+        assert calls == []
+        cfg = ExperimentConfig(
+            example=ExampleFamily.LOG, sweep=(5, 20), x0=X0Policy.ZERO, out_dir=tmp_path / "z"
+        )
+        assert run_experiment(cfg) == 0
+        assert calls  # the counter sees the projections of the other policies
 
     def test_empty_sweep_header_only(self, tmp_path):
         cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(), out_dir=tmp_path)

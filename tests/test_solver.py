@@ -101,23 +101,55 @@ def reference_line_search_run(inst, x, steps, bracket=(0.1, 10.0)):
     """Line search built from prox_step, potential_gamma and decrease_rhs alone.
 
     ``bracket`` is [c_lo, c_hi] in units of 1/L_gamma; (1, 1) is fixed damping.
-    Each iteration tries twice the last accepted damping and halves on failure.
+    The first search starts at 2/L_gamma, clipped to the bracket; each
+    search halves on failure. The next one starts at c_up = 2c, clipped,
+    where c is the damping just accepted, if that accepted step also
+    passes the test at c_up, and at c otherwise.
     """
     L = lipschitz_gamma(inst)
     c_lo, c_hi = bracket[0] / L, bracket[1] / L
-    c_prev = min(c_hi, max(c_lo, 1.0 / L))
+    c_next = min(c_hi, max(c_lo, 2.0 / L))
     cs, xs = [], [x]
     for _ in range(steps):
-        c = min(c_hi, max(c_lo, c_prev / 0.5))
+        c = c_next
         while True:
             s = prox_step(inst, x, c)
             if potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) or c <= c_lo:
                 break
             c = max(0.5 * c, c_lo)
+        c_up = min(c_hi, 2.0 * c)
+        c_next = c_up if potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c_up) else c
         cs.append(c)
         xs.append(s)
-        x, c_prev = s, c
+        x = s
     return np.asarray(cs), xs
+
+
+def doubling_run(inst, eps):
+    """The exact-coupling line search that always starts at twice the last accepted damping.
+
+    Built from prox_step, potential_gamma and exact_decrease_rhs; it stops
+    at the first step of norm at most ``eps``. Returns the damping column,
+    the iterates and the number of trials.
+    """
+    L = inst.L_h
+    c_lo, c_hi = 0.1 / L, 10.0 / L
+    x, c_prev, trials = inst.center(), 1.0 / L, 0
+    cs, xs = [], [x]
+    while True:
+        c = min(c_hi, max(c_lo, 2.0 * c_prev))
+        while True:
+            s = prox_step(inst, x, c, splitting=EXACT)
+            trials += 1
+            if c <= c_lo or potential_gamma(inst, s) <= exact_decrease_rhs(inst, x, s, c):
+                break
+            c = max(0.5 * c, c_lo)
+        cs.append(c)
+        xs.append(s)
+        step = float(np.linalg.norm(s - x))
+        x, c_prev = s, c
+        if step <= eps:
+            return np.asarray(cs), xs, trials
 
 
 def first_step(inst, x0):
@@ -351,6 +383,30 @@ class TestLineSearch:
         for got, want in zip(trace.iterates, xs):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.x, xs[-1], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make, n, seed, old_trials, new_trials",
+        [
+            (log_cost_market, 2000, 0, 18, 11),
+            (log_cost_market, 20_000, 3, 12, 8),
+            (exp_cost_market, 2000, 0, 12, 7),
+            (exp_cost_market, 20_000, 3, 8, 5),
+        ],
+    )
+    def test_checked_doubling_skips_only_rejected_trials(self, make, n, seed, old_trials, new_trials):
+        # here every doubled trial the search no longer makes would have been
+        # rejected, so the run keeps the always-doubling run's answers bit for
+        # bit with fewer trials
+        inst = make(n, seed)
+        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, record_bound=False)
+        res, trace = solve(inst, cfg)
+        cs, xs, trials = doubling_run(inst, cfg.eps)
+        assert res.status is SolveStatus.CONVERGED
+        np.testing.assert_array_equal(res.x, xs[-1])
+        np.testing.assert_array_equal(trace.c, cs)
+        assert res.iterations == len(cs)
+        assert res.certificate == eps_certificate(inst, xs[-2], cs[-1])
+        assert (trials, res.trials) == (old_trials, new_trials)
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
     def test_each_iterate_evaluated_once(self, policy):
@@ -671,6 +727,24 @@ class TestConfigValidation:
         inst = affine_market(3)
         with pytest.raises(ValueError):
             solve(inst, x0=np.zeros(4))
+
+    @pytest.mark.parametrize("name", ["log", "exp", "affine"])
+    def test_nan_start_is_rejected(self, name):
+        # projection keeps a NaN, so unchecked it reaches the cost: a false
+        # cost-domain error on log, a NonFinite stop with NaN in x on the others
+        inst = FAMILIES[name](3, 0)
+        x = np.array([np.nan, 1.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            solve(inst, x0=x)
+        with pytest.raises(ValueError, match="NaN"):
+            eps_certificate(inst, x, 1.0)
+
+    @pytest.mark.parametrize("name", ["log", "exp", "affine"])
+    def test_infinite_start_is_projected(self, name):
+        inst = FAMILIES[name](3, 0)
+        res, _ = solve(inst, x0=np.array([np.inf, -np.inf, 2.0]))
+        assert res.x0_projected
+        assert res.status is SolveStatus.CONVERGED
 
 
 class TestTraceConsistency:

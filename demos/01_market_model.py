@@ -35,10 +35,10 @@ print(f"cost curvature bound L_h           = {inst.L_h:.4f}")
 print(f"potential curvature bound L_gamma  = {lipschitz_gamma(inst):.4f}  (L_h + (n-1)*beta)")
 
 x = np.array([2.0, 4.0, 6.0, 8.0])
-cost_grad = np.empty(n)
+cost_slope = np.empty(n)
 print("\nat x =", x)
-print(f"  potential gamma(x) = {potential_gamma(inst, x, cost_grad):.6f}")
-print("  cost slope h'(x)   =", np.round(cost_grad, 4), "(left by the same cost call)")
+print(f"  potential gamma(x) = {potential_gamma(inst, x, cost_slope):.6f}")
+print("  cost term's slope -h'(x) =", np.round(cost_slope, 4), "(left by the same cost call)")
 
 # the gap is what the firms gain by unilateral deviation: zero exactly at an
 # equilibrium; the bracket's width is the certified error of the 1-D scans

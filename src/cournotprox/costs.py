@@ -34,10 +34,17 @@ class CostDomainError(ValueError):
     """A cost function was evaluated outside its domain."""
 
 
+def _integer(value):
+    # operator.index refuses 2.5 rather than truncate it to 2, but takes True for 1
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def _infer_n(n, *values):
     if n is not None:
         try:
-            n = operator.index(n)  # 2.5 is refused, not truncated to 2
+            n = _integer(n)
         except TypeError:
             raise ValueError(f"n must be a positive integer, got {n!r}") from None
         if n < 1:

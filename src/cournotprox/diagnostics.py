@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import _coupling_slope
+from . import model
 
 __all__ = [
     "nash_gap",
@@ -122,8 +122,9 @@ def nash_gap(inst, x, radius=np.inf):
     it is zero iff x is an equilibrium (a local one at a finite radius).
     The bifunction splits into firm terms,
     phi(x, y) = sum_i q_i(y_i) - q_i(x_i) with
-    q_i(t) = beta*t**2 + (beta*sigma_{-i} - alpha_tilde[i])*t - h_i(t),
-    where sigma_{-i} is the others' total output at x,
+    q_i(t) = beta*t**2 + (beta*sigma_{-i} - alpha_tilde[i])*t + k_i(t),
+    where sigma_{-i} is the others' total output at x and k_i is the
+    cost's term of the potential (``model._cost_term``),
     so each q_i is minimized on its own interval by a ``_GAP_GRID``-node
     scan with the anchor x_i as one extra candidate, which makes
     lo >= 0. |q_i''| <= 2*beta + L_h bounds how far q_i can dip between
@@ -138,10 +139,10 @@ def nash_gap(inst, x, radius=np.inf):
         raise ValueError("radius must be positive")
     if x.shape != (inst.n,) or not inst.contains(x, tol=1e-9):
         raise ValueError("anchor x must lie in the box")
-    slope = _coupling_slope(inst, x)
+    slope = model._coupling_slope(inst, x)
 
     def profile(t):
-        return (inst.beta * t + slope) * t - inst.cost.value_components(t)
+        return (inst.beta * t + slope) * t + model._cost_term(inst, t)
 
     qx = profile(x)
     curvature = 2.0 * inst.beta + inst.L_h
@@ -157,7 +158,8 @@ def gamma_lower_bound(inst, grid_resolution=1024):
     """Separable lower bound on the potential over the box.
 
     Drops the nonnegative quadratic part and minimizes each coordinate's
-    remaining 1-D profile -alpha_tilde[i]*t - h_i(t) by a scan of
+    remaining 1-D profile -alpha_tilde[i]*t + k_i(t), with k_i the cost's
+    term of the potential (``model._cost_term``), by a scan of
     ``grid_resolution`` points along the box diagonal. Between two nodes
     d_i apart a profile with |h_i''| <= L_h dips at most L_h*d_i**2/8
     below the smaller node value, so subtracting that term makes the sum
@@ -171,7 +173,7 @@ def gamma_lower_bound(inst, grid_resolution=1024):
     if not (isinstance(grid_resolution, (int, np.integer)) and grid_resolution >= 2):
         raise ValueError("grid_resolution must be an integer ≥ 2")
     best, spacing = _scan_min(
-        lambda t: -inst.alpha_tilde * t - inst.cost.value_components(t),
+        lambda t: -inst.alpha_tilde * t + model._cost_term(inst, t),
         inst.lower, inst.upper, grid_resolution, inst.L_h,
     )
     return float(np.sum(best) - inst.L_h * np.sum(spacing**2) / 8.0)

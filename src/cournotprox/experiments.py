@@ -10,7 +10,6 @@ same configuration; wall-clock times live only in the summary file.
 from __future__ import annotations
 
 import csv
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,9 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import AffineCost, ExpCost, LogCost
+from .costs import AffineCost, ExpCost, LogCost, _integer
 from .model import MarketInstance, lipschitz_gamma
 from .solver import IterationTrace, SolverConfig, SolveStatus, Splitting, StepPolicy, solve
+from .solver import _local_model
 from .subqp import classical_equilibrium
 
 __all__ = [
@@ -159,7 +159,7 @@ class ExperimentConfig:
 
 def _size(value, name):
     try:
-        return operator.index(value)
+        return _integer(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
@@ -285,9 +285,8 @@ def run_experiment(cfg):
             oracle_err = _fmt(err)
             all_ok &= err <= 1e-6
         all_ok &= result.status is SolveStatus.CONVERGED and bound_ok
-        # L is the bound that sized the damping; both read the instance's stored L_h
         L_gamma = lipschitz_gamma(inst)
-        L = L_gamma if cfg.splitting is Splitting.PAPER else inst.L_h
+        L = _local_model(inst, cfg.splitting)[0]  # the bound that sized the damping
         if cfg.trace:
             write_trace_csv(cfg.out_dir / _trace_name(cfg, n), trace)
         rows.append(

@@ -4,8 +4,10 @@ With affine inverse demand the firms couple only through total output,
 so no quadratic form is ever materialized: firm i sees the others'
 output through the linear slope beta*(sigma - x_i) - alpha_tilde[i],
 where sigma is total output, and the solver step and the Nash gap both
-take that slope from one helper here. Everything runs in O(n) and
-accepts arrays of shape (..., n), firm axis last.
+take that slope from one helper here. The cost's sign is written once,
+in ``_cost_term``: every caller takes the cost's term of the potential
+and its slope from there. Everything runs in O(n) and accepts arrays of
+shape (..., n), firm axis last.
 
 A market instance is immutable after construction and safe to share
 across concurrent solver runs.
@@ -128,27 +130,37 @@ def _coupling_slope(inst, x, out=None):
     return np.subtract(out, inst.alpha_tilde, out=out)
 
 
-def potential_gamma(inst, x, cost_grad=None, work=None):
-    """Merit potential: both quadratic terms minus the effective revenue line minus the cost.
+def _cost_term(inst, t, slope=None, out=None):
+    # the one place the cost's sign is written: the per-firm term of the potential,
+    # -h_i(t), into out when given, and its slope -h_i'(t) into slope when given
+    v = inst.cost.value_components(t, slope, out)
+    if slope is not None:
+        np.negative(slope, out=slope)
+    return np.negative(v, out=out)
+
+
+def potential_gamma(inst, x, cost_slope=None, work=None):
+    """Merit potential: both quadratic terms minus the effective revenue line plus the cost term.
 
     Decreased monotonically by well-damped proximal steps; its gradient
     vanishing (against the box normal cone) characterizes stationarity.
 
-    The cost comes from one ``cost.value_components`` call, which also
-    leaves h'(x) in ``cost_grad`` (an array shaped like ``x``, allocated
-    here when omitted) and writes the per-firm costs into ``work`` (same
-    shape, optional). Neither buffer may alias ``x``.
+    The cost term comes from one ``cost.value_components`` call, which
+    also leaves the term's slope, -h'(x) under the shipped sign, in
+    ``cost_slope`` (an array shaped like ``x``, allocated here when
+    omitted) and writes the per-firm terms into ``work`` (same shape,
+    optional). Neither buffer may alias ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != inst.n:
         raise ValueError(f"x must have trailing axis of length {inst.n}, got shape {x.shape}")
-    if cost_grad is None:
-        cost_grad = np.empty_like(x)
+    if cost_slope is None:
+        cost_slope = np.empty_like(x)
     # np.add.reduce is np.sum without its Python-level wrapper: the same bits
-    sq = np.add.reduce(np.multiply(x, x, out=cost_grad), axis=-1)
-    h = np.add.reduce(inst.cost.value_components(x, cost_grad, work), axis=-1)
+    sq = np.add.reduce(np.multiply(x, x, out=cost_slope), axis=-1)
+    cost = np.add.reduce(_cost_term(inst, x, cost_slope, work), axis=-1)
     sigma = np.add.reduce(x, axis=-1)
-    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - h
+    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde + cost
 
 
 def lipschitz_gamma(inst):

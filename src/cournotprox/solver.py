@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -39,8 +38,9 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
+from .costs import _integer
 from .model import lipschitz_gamma, potential_gamma
-from .subqp import Splitting, _exact_coupling_slope, _model_gradient_at, prox_step
+from .subqp import Splitting, _linear_term, prox_step
 
 __all__ = [
     "ConfigurationError",
@@ -106,17 +106,17 @@ class SolverConfig:
     splitting: Splitting = Splitting.EXACT_COUPLING
 
     def __post_init__(self):
-        if not (isinstance(self.eps, numbers.Real) and math.isfinite(self.eps) and self.eps > 0):
+        if not (_finite_real(self.eps) and self.eps > 0):
             raise ConfigurationError(f"eps must be positive and finite, got {self.eps!r}")
         object.__setattr__(self, "eps", float(self.eps))
         try:
-            object.__setattr__(self, "max_iter", operator.index(self.max_iter))
+            object.__setattr__(self, "max_iter", _integer(self.max_iter))
         except TypeError:
             raise ConfigurationError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
         if self.gamma_lb is not None:
-            if not (isinstance(self.gamma_lb, numbers.Real) and math.isfinite(self.gamma_lb)):
+            if not _finite_real(self.gamma_lb):
                 raise ConfigurationError(f"gamma_lb must be finite, got {self.gamma_lb!r}")
             object.__setattr__(self, "gamma_lb", float(self.gamma_lb))
         if not isinstance(self.splitting, Splitting):
@@ -126,6 +126,11 @@ class SolverConfig:
         for name in ("record_iterates", "record_bound"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ConfigurationError(f"{name} must be a bool, got {getattr(self, name)!r}")
+
+
+def _finite_real(value):
+    # bool is a numbers.Real, but True is no tolerance and False no bound
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -229,12 +234,13 @@ def solve(inst, config=None, x0=None):
     a single trial at 1/L, accepted unconditionally. The trace stores
     the potential, step norm and damping per step; its other columns
     derive from them. A run allocates its n-vectors once (iterate, trial
-    point, h' at each, the linearized slope and scratch, including the
-    exact-coupling step's), and every trial writes into them: one step
-    and one ``potential_gamma`` whose fused cost call also leaves h' at
-    the trial point, which becomes h' at the next iterate when the trial
-    is accepted. ``result.x`` and the recorded iterates are never
-    written again once ``solve`` returns.
+    point, the cost term's slope at each, the model's linear term and
+    scratch, including the exact-coupling step's), and every trial
+    writes into them: one step and one ``potential_gamma`` whose fused
+    cost call also leaves the slope at the trial point, which becomes
+    the slope at the next iterate when the trial is accepted.
+    ``result.x`` and the recorded iterates are never written again once
+    ``solve`` returns.
     """
     cfg = config if config is not None else SolverConfig()
     if x0 is None:
@@ -257,7 +263,7 @@ def solve(inst, config=None, x0=None):
     ):
         gamma_lb = diagnostics.gamma_lower_bound(inst)
 
-    L, slope, kept, step_to = _local_model(inst, cfg.splitting)
+    L, kept = _local_model(inst, cfg.splitting)
 
     # The damping bracket [c_lo, c_hi] around 1/L. FIXED is the search on
     # the one-point bracket at 1/L: its single trial sits at the floor and
@@ -273,12 +279,14 @@ def solve(inst, config=None, x0=None):
     search = c_lo < c_hi
 
     # The n-vectors of the run, allocated once: the iterate and the trial
-    # point, h' at each, the linearized slope at the iterate, and scratch.
+    # point, the cost term's slope at each, the model's linear term at the
+    # iterate, and scratch, with the exact-coupling step's boolean masks.
     # Every trial writes into them; the accepted trial swaps in as the
-    # next iterate together with h' there, so the cost is never evaluated twice
-    # at one point.
-    s, h_x, h_s, g, work = (np.empty_like(x) for _ in range(5))
-    gamma_x = float(potential_gamma(inst, x, h_x, work))
+    # next iterate together with the slope there, so the cost is never
+    # evaluated twice at one point.
+    s, dh_x, dh_s, g, work = (np.empty_like(x) for _ in range(5))
+    masks = np.empty((2, inst.n), dtype=bool)
+    gamma_x = float(potential_gamma(inst, x, dh_x, work))
     col_gamma, col_step, col_c = [], [], []
     iterates = [] if cfg.record_iterates else None
     c_next = min(c_hi, max(c_lo, 2.0 * c_fixed))
@@ -292,14 +300,14 @@ def solve(inst, config=None, x0=None):
         #   gamma(s) <= gamma(x) + kept(s) - kept(x) + g.(s - x) + |s - x|^2/(2c),
         # written around the known gamma(x), so it needs no h(x). A one-point
         # bracket never reads it.
-        slope(x, h_x, g)
+        _linear_term(inst, x, dh_x, cfg.splitting, g)
         base = gamma_x - kept(x) if search else math.nan
         c = c_next
         n_trials = 0
         while True:
-            step_to(x, c, g, s, work)
+            prox_step(inst, x, c, g, s, cfg.splitting, (work, masks))
             n_trials += 1
-            gamma_s = float(potential_gamma(inst, s, h_s, work))
+            gamma_s = float(potential_gamma(inst, s, dh_s, work))
             dx = np.subtract(s, x, out=work)
             dx2 = float(dx @ dx)
             if not search:
@@ -327,7 +335,7 @@ def solve(inst, config=None, x0=None):
         if iterates is not None:
             iterates.append(x.copy())
         x, s = s, x
-        h_x, h_s = h_s, h_x
+        dh_x, dh_s = dh_s, dh_x
         gamma_x = gamma_s
         if not math.isfinite(gamma_x):
             status = SolveStatus.NON_FINITE
@@ -362,30 +370,11 @@ def solve(inst, config=None, x0=None):
 
 
 def _local_model(inst, splitting):
-    """The splitting's pieces: (L, slope, kept, step).
-
-    ``slope(x, h, out)`` writes the linear term g of the model at x,
-    given h = h'(x); ``kept(y)`` is the quadratic kept exact;
-    ``step(x, c, g, out, scratch)`` writes the model's minimizer over
-    the box (``prox_step``), and the exact-coupling step overwrites the
-    n-vector ``scratch`` and a boolean scratch allocated here, once. L
-    is read from the instance, which computed L_h at construction.
-    """
+    """The splitting's curvature bound L, from the instance's L_h, and the quadratic kept exact."""
     beta = inst.beta
     if splitting is Splitting.PAPER:
-        return (
-            lipschitz_gamma(inst),
-            lambda x, h, out: _model_gradient_at(inst, x, h, out=out),
-            lambda y: beta * float(y @ y),
-            lambda x, c, g, out, scratch: prox_step(inst, x, c, g, out),
-        )
-    masks = np.empty((2, inst.n), dtype=bool)
-    return (
-        inst.L_h,
-        lambda x, h, out: _exact_coupling_slope(inst, h, out),
-        lambda y: 0.5 * beta * (float(y @ y) + float(np.add.reduce(y)) ** 2),
-        lambda x, c, g, out, scratch: prox_step(inst, x, c, g, out, splitting, (scratch, masks)),
-    )
+        return lipschitz_gamma(inst), lambda y: beta * float(y @ y)
+    return inst.L_h, lambda y: 0.5 * beta * (float(y @ y) + float(np.add.reduce(y)) ** 2)
 
 
 def eps_certificate(inst, x, c, splitting=Splitting.EXACT_COUPLING):
@@ -402,15 +391,9 @@ def eps_certificate(inst, x, c, splitting=Splitting.EXACT_COUPLING):
     finite c; the exact-coupling step also takes c = inf. A NaN entry
     in ``x`` raises ``ValueError``.
     """
-    if not c > 0 or (splitting is Splitting.PAPER and not math.isfinite(c)):
-        raise ValueError(f"c must be positive (and finite for the paper's step), got {c!r}")
     x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
     if np.isnan(x).any():
         raise ValueError("x has a NaN entry")
-    L, slope, _, step_to = _local_model(inst, splitting)
-    g = slope(x, inst.cost.gradient(x), np.empty_like(x))
-    s = step_to(x, c, g, np.empty_like(x), np.empty_like(x))
+    s = prox_step(inst, x, c, splitting=splitting)
     step = float(np.linalg.norm(s - x))
-    return float((1.0 / c + L) * step)
+    return float((1.0 / c + _local_model(inst, splitting)[0]) * step)

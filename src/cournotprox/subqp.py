@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import model
 from .costs import AffineCost
-from .model import _coupling_slope
 
 __all__ = [
     "Splitting",
@@ -35,13 +35,13 @@ class Splitting(Enum):
     PAPER = "paper"
 
 
-def _model_gradient_at(inst, x, cost_grad=None, out=None):
-    # linearized part of the local model, no own-output term: the coupling
-    # slope minus h'(x)
-    if cost_grad is None:
-        cost_grad = inst.cost.gradient(x)
-    g = _coupling_slope(inst, x, out)
-    return np.subtract(g, cost_grad, out=g)
+def _linear_term(inst, x, dh, splitting, out=None):
+    # the splitting's linear term g at x, from the cost term's slope dh there:
+    # dh - alpha_tilde, plus the coupling slope under PAPER (out may then not alias dh)
+    if splitting is Splitting.PAPER:
+        out = model._coupling_slope(inst, x, out)
+        return np.add(out, dh, out=out)
+    return np.subtract(dh, inst.alpha_tilde, out=out)
 
 
 def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=None):
@@ -53,11 +53,13 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     points, for every c > 0.
 
     - PAPER keeps the own-output quadratic beta*|y|^2 and linearizes the
-      coupling and the cost: g = beta*(sigma - x) - alpha_tilde - h'(x),
-      with sigma the total output. Separability gives the closed form
-      clamp((x - c*g)/(1 + 2*beta*c)) per coordinate; c must be finite.
+      coupling and the cost: g = beta*(sigma - x) - alpha_tilde + dh,
+      with sigma the total output and dh the slope at x of the cost's
+      term of the potential (``model._cost_term``). Separability gives
+      the closed form clamp((x - c*g)/(1 + 2*beta*c)) per coordinate; c
+      must be finite.
     - EXACT_COUPLING keeps (beta/2)*(|y|^2 + sum(y)^2) and linearizes
-      only the cost: g = -(alpha_tilde + h'(x)). The step is
+      only the cost: g = dh - alpha_tilde. The step is
       clip(a - k*sigma) with a = (x/c - g)/(beta + 1/c),
       k = beta/(beta + 1/c) and sigma the aggregate root
       (``_aggregate_root``), warm-started at sum(x), which is the
@@ -78,9 +80,11 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
+    if g is None:
+        dh = np.empty_like(x)
+        model._cost_term(inst, x, dh)
+        g = _linear_term(inst, x, dh, splitting)
     if exact:
-        if g is None:
-            g = _exact_coupling_slope(inst, inst.cost.gradient(x))
         if out is None:
             out = np.empty_like(x)
         a, masks = scratch if scratch is not None else (np.empty_like(x), None)
@@ -90,8 +94,6 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
         np.divide(a, d, out=a)
         _aggregate_root(a, inst.beta / d, inst.lower, inst.upper, np.add.reduce(x), out, masks)
         return out
-    if g is None:
-        g = _model_gradient_at(inst, x)
     out = np.multiply(c, g, out=out)
     np.subtract(x, out, out=out)
     np.divide(out, 1.0 + 2.0 * inst.beta * c, out=out)
@@ -160,12 +162,6 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
         sigma += move
         if not lo < sigma < hi:
             sigma = 0.5 * (lo + hi)
-
-
-def _exact_coupling_slope(inst, cost_grad, out=None):
-    # linear term of the exact-coupling model, -(alpha_tilde + h'(x))
-    out = np.add(inst.alpha_tilde, cost_grad, out=out)
-    return np.negative(out, out=out)
 
 
 def classical_equilibrium(inst):

@@ -84,7 +84,9 @@ class TestLogCost:
         with pytest.raises(ValueError):
             LogCost(c0=0.0, c=1.0, r=1.0)  # all scalars, no n
 
-    @pytest.mark.parametrize("n", [2.5, 2.0, "3"], ids=["float", "integral_float", "str"])
+    @pytest.mark.parametrize(
+        "n", [2.5, 2.0, "3", True], ids=["float", "integral_float", "str", "bool"]
+    )
     def test_explicit_n_must_be_an_integer(self, n):
         # truncating 2.5 to 2 would build a 2-firm cost under an n = 2.5 label
         for family in (LogCost, ExpCost):

@@ -115,8 +115,10 @@ class TestInstanceFamilies:
             ExperimentConfig().sizes
 
     @pytest.mark.parametrize(
-        "sizes", [{"n": 2.5}, {"n": "3"}, {"sweep": (2.9, 3.5)}, {"sweep": (10, np.float64(20.0))}],
-        ids=["n_float", "n_str", "sweep_floats", "sweep_numpy_float"],
+        "sizes",
+        [{"n": 2.5}, {"n": "3"}, {"sweep": (2.9, 3.5)}, {"sweep": (10, np.float64(20.0))},
+         {"n": True}, {"sweep": (True, 2)}],
+        ids=["n_float", "n_str", "sweep_floats", "sweep_numpy_float", "n_bool", "sweep_bool"],
     )
     def test_non_integer_sizes_are_rejected(self, sizes):
         # truncating 2.5 to 2 would solve a 2-firm market under an n = 2.5 label
@@ -128,7 +130,9 @@ class TestInstanceFamilies:
         assert cfg.n == 3 and cfg.sweep == (2, 5)
         assert all(type(v) is int for v in (cfg.n, *cfg.sweep))
 
-    @pytest.mark.parametrize("seed", [2.5, 2.0, "3"], ids=["float", "integral_float", "str"])
+    @pytest.mark.parametrize(
+        "seed", [2.5, 2.0, "3", True], ids=["float", "integral_float", "str", "bool"]
+    )
     def test_non_integer_seed_is_rejected(self, seed):
         # numpy's SeedSequence would refuse it only once the run starts
         with pytest.raises(ValueError, match="seed must be an integer"):

@@ -12,6 +12,7 @@ from cournotprox import (
     SolverConfig,
     Splitting,
     StepPolicy,
+    classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
     lipschitz_gamma,
@@ -19,6 +20,7 @@ from cournotprox import (
     potential_gamma,
     solve,
 )
+from cournotprox import model
 from cournotprox.experiments import exp_cost_market, log_cost_market
 from oracles import (
     apply_Btilde,
@@ -167,7 +169,7 @@ class TestPotential:
     @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_cost_market])
     def test_fused_call_keeps_the_bits_and_leaves_the_cost_gradient(self, make):
         # with and without buffers, on one point and on a batch, the bits of the
-        # cost.value formula
+        # cost.value formula; the buffer receives the cost term's slope, -h'(x)
         inst = make(9, 4)
         for shape in ((9,), (3, 9)):
             x = np.random.default_rng(6).uniform(0.0, 10.0, shape)
@@ -176,7 +178,7 @@ class TestPotential:
             for work in (None, np.empty(shape)):
                 grad = np.full(shape, np.nan)
                 assert np.asarray(potential_gamma(inst, x, grad, work)).tobytes() == want
-                assert grad.tobytes() == inst.cost.gradient(x).tobytes()
+                assert grad.tobytes() == (-inst.cost.gradient(x)).tobytes()
 
     def test_single_firm_closed_form(self):
         inst = zero_cost_instance(1)
@@ -209,6 +211,48 @@ class TestPotential:
         x = rng.uniform(0, 10, 7)
         expected = dense_q(inst) @ x - inst.alpha_tilde - inst.cost.gradient(x)
         np.testing.assert_allclose(grad_gamma(inst, x), expected, atol=1e-12)
+
+
+def check_the_papers_sign():
+    """Every answer on 4 firms with AffineCost(mu_h=2) follows the paper's potential, +h.
+
+    Its equilibrium is (alpha0 - mu_h)/(beta*(n + 1)) = 19.6 per firm, the
+    oracle's answer; the shipped -h model solves to 20.4.
+    """
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    for upper in (np.inf, 50.0):
+        inst = MarketInstance(beta=1.0, alpha0=100.0, mu=0.0, lower=0.0, upper=upper,
+                              cost=AffineCost(mu_h=2.0, n=4))
+        star = classical_equilibrium(inst)
+        np.testing.assert_allclose(star, 19.6, rtol=1e-14)
+        gamma = 0.5 * (x @ x + x.sum() ** 2) - inst.alpha_tilde @ x + inst.cost.value(x)
+        assert potential_gamma(inst, x) == pytest.approx(gamma, rel=1e-14)
+        for splitting in Splitting:
+            # a fixed point of the step: reaches prox_step's own cost call
+            assert eps_certificate(inst, star, 1.0, splitting) <= 1e-12
+            for policy in StepPolicy:
+                cfg = SolverConfig(step_policy=policy, splitting=splitting, eps=1e-12)
+                res, _ = solve(inst, cfg)
+                np.testing.assert_allclose(res.x, star, rtol=1e-12)
+                if upper < np.inf:
+                    assert nash_gap(inst, res.x)[0] == 0.0
+                    assert gamma_lower_bound(inst) <= res.gamma_final
+    # each firm's bound profile -alpha_tilde*t + h(t) = -98*t is least at t = 50
+    assert gamma_lower_bound(inst) == pytest.approx(-4 * 98.0 * 50.0, rel=1e-14)
+
+
+class TestCostSign:
+    def test_the_sign_is_written_in_one_function(self, monkeypatch):
+        # flipping model._cost_term alone turns every answer into the paper's
+        def plus_h(inst, t, slope=None, out=None):
+            return inst.cost.value_components(t, slope, out)
+
+        monkeypatch.setattr(model, "_cost_term", plus_h)
+        check_the_papers_sign()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 step 3: the library still writes -h")
+    def test_the_library_solves_the_papers_model(self):
+        check_the_papers_sign()
 
 
 class TestBifunctions:

@@ -60,6 +60,24 @@ def test_oracles_import_only_public_names():
     assert imported and set(imported) <= PUBLIC_NAMES
 
 
+def test_only_the_cost_term_evaluates_the_cost():
+    # the cost's sign is written in model._cost_term; a second caller of the cost's
+    # kernel outside costs.py would be a second place that writes it
+    callers = set()
+    for path in sorted(Path(cournotprox.__file__).parent.glob("*.py")):
+        if path.name == "costs.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("value_components", "value", "gradient")
+                ):
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("model.py", "_cost_term")}
+
+
 def test_solver_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == SOLVER_CONFIG_FIELDS
 

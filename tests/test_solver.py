@@ -691,7 +691,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("max_iter", 2.5), ("max_iter", "10"), ("eps", "0.1"), ("eps", None), ("gamma_lb", "1.0"),
-         ("step_policy", "fixed"), ("record_bound", "no"), ("record_iterates", 1)],
+         ("step_policy", "fixed"), ("record_bound", "no"), ("record_iterates", 1),
+         ("max_iter", True), ("eps", True), ("gamma_lb", False)],
     )
     def test_rejects_settings_of_the_wrong_type(self, field, value):
         # rejected at construction, not as a TypeError inside solve; a bare "fixed"

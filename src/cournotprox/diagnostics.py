@@ -135,8 +135,8 @@ def nash_gap(inst, x, radius=np.inf):
     to 5/3 of the full walk when every q_i has many wells.
     """
     x = np.asarray(x, dtype=float)
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if isinstance(radius, (bool, np.bool_)) or not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
     if x.shape != (inst.n,) or not inst.contains(x, tol=1e-9):
         raise ValueError("anchor x must lie in the box")
     slope = model._coupling_slope(inst, x)

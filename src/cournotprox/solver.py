@@ -79,9 +79,13 @@ class SolverConfig:
     the box under EXACT_COUPLING, L_gamma = L_h + (n-1)*beta under
     PAPER. FIXED takes every step at c = 1/L, which guarantees per-step
     descent.
-    LINE_SEARCH halves the damping from a start value until the
-    sufficient-decrease test holds, within the bracket [0.1/L, 10/L];
-    the floor 0.1/L <= 1/L makes the search terminate. The first search
+    LINE_SEARCH lowers the damping by halvings from a start value until
+    the sufficient-decrease test holds, within the bracket [0.1/L, 10/L];
+    the floor 0.1/L <= 1/L makes the search terminate. A failed trial's
+    own numbers give the damping at which its step would just pass, and
+    the next trial is the first halving at or below it, floored at
+    0.1/L (one halving when the test's excess is not finite), so every
+    trial is one that plain halving makes too. The first search
     starts at 2/L. Each later one starts one doubling above the last
     accepted value, clipped to the bracket, when the accepted step also
     passes the test at that doubled value, and at the accepted value
@@ -287,6 +291,8 @@ def solve(inst, config=None, x0=None):
     s, dh_x, dh_s, g, work = (np.empty_like(x) for _ in range(5))
     masks = np.empty((2, inst.n), dtype=bool)
     gamma_x = float(potential_gamma(inst, x, dh_x, work))
+    # the kept quadratic at the iterate, carried over from the accepted trial
+    kept_x = kept(x) if search else math.nan
     col_gamma, col_step, col_c = [], [], []
     iterates = [] if cfg.record_iterates else None
     c_next = min(c_hi, max(c_lo, 2.0 * c_fixed))
@@ -301,7 +307,7 @@ def solve(inst, config=None, x0=None):
         # written around the known gamma(x), so it needs no h(x). A one-point
         # bracket never reads it.
         _linear_term(inst, x, dh_x, cfg.splitting, g)
-        base = gamma_x - kept(x) if search else math.nan
+        base = gamma_x - kept_x
         c = c_next
         n_trials = 0
         while True:
@@ -312,17 +318,28 @@ def solve(inst, config=None, x0=None):
             dx2 = float(dx @ dx)
             if not search:
                 break
-            model = base + kept(s) + float(g @ dx)
+            kept_s = kept(s)
+            model = base + kept_s + float(g @ dx)
             # at c <= c_lo the step is in the guaranteed-descent region
             # (c*L <= 1); accept unconditionally
             if c <= c_lo or gamma_s <= model + dx2 / (2.0 * c):
                 break
-            c = max(0.5 * c, c_lo)
+            # this same step would just pass at c_need = dx2/(2*excess) < c,
+            # so the next trial is the first halving of c at or below c_need,
+            # floored at c_lo: a trial the halving search makes too. A
+            # non-finite excess halves once.
+            excess = gamma_s - model
+            c_need = dx2 / (2.0 * excess) if math.isfinite(excess) else c
+            c *= 0.5
+            while c > c_need and c > c_lo:
+                c *= 0.5
+            c = max(c, c_lo)
         if search:
             # the next search starts one doubling up only if this step
             # passes the test there too
             c_up = min(c_hi, 2.0 * c)
             c_next = c_up if gamma_s <= model + dx2 / (2.0 * c_up) else c
+            kept_x = kept_s  # s becomes the iterate
         c_k = c
         step = math.sqrt(dx2)  # np.linalg.norm's arithmetic, without its wrapper
         if not math.isfinite(step):

@@ -75,7 +75,7 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     boolean (2, n) array; it is allocated here when omitted.
     """
     exact = splitting is Splitting.EXACT_COUPLING
-    if not (c > 0 and (exact or math.isfinite(c))):
+    if isinstance(c, (bool, np.bool_)) or not (c > 0 and (exact or math.isfinite(c))):
         raise ValueError(f"c must be positive{'' if exact else ' and finite'}, got {c!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):

@@ -1,0 +1,79 @@
+"""Print a fingerprint of the solver's answers over a fixed grid of solves.
+
+    PYTHONPATH=src python tests/answer_hash.py
+
+Grid: the log, exp and affine families at n = 100, 1000 and 10000, seeds
+0 and 7, both splittings and both step policies, plus the log n = 100000
+line search (73 solves, default settings otherwise). Each solve prints one
+line: family, n, seed, splitting, policy, iterations, trials, the
+certificate in ``float.hex``, and the SHA-256 of ``x`` and of the trace
+columns (potential, step norm, damping and the lower bound). The last two
+lines are SHA-256 totals: one over the whole lines, and one over the lines
+with the trial count left out, which stays put when only the number of
+line-search trials changes. Run it at two commits and compare the output
+to show that a change keeps the answers.
+
+The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from cournotprox import SolverConfig, Splitting, StepPolicy, solve
+from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
+
+FAMILIES = {
+    "log": log_cost_market,
+    "exp": exp_cost_market,
+    "affine": lambda n, seed: affine_market(n, mu=np.random.default_rng(seed).uniform(0.0, 5.0, n)),
+}
+SIZES = (100, 1000, 10_000)
+SEEDS = (0, 7)
+
+
+def grid():
+    for family in FAMILIES:
+        for n in SIZES:
+            for seed in SEEDS:
+                for splitting in Splitting:
+                    for policy in StepPolicy:
+                        yield family, n, seed, splitting, policy
+    yield "log", 100_000, 0, Splitting.EXACT_COUPLING, StepPolicy.LINE_SEARCH
+
+
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def answer_line(family, n, seed, splitting, policy):
+    """The fields of one solve's line; the trial count is field 6."""
+    inst = FAMILIES[family](n, seed)
+    res, trace = solve(inst, SolverConfig(step_policy=policy, splitting=splitting))
+    lb = np.nan if trace.gamma_lb is None else trace.gamma_lb
+    return [
+        family, str(n), str(seed), splitting.value, policy.value,
+        str(res.iterations), str(res.trials), float(res.certificate).hex(),
+        sha(res.x), sha(trace.gamma, trace.step_norm, trace.c, [lb]),
+    ]
+
+
+def main():
+    whole, no_trials = hashlib.sha256(), hashlib.sha256()
+    for case in grid():
+        fields = answer_line(*case)
+        line = " ".join(fields)
+        print(line, flush=True)
+        whole.update(line.encode() + b"\n")
+        no_trials.update(" ".join(fields[:6] + fields[7:]).encode() + b"\n")
+    print("total", whole.hexdigest())
+    print("total-without-trials", no_trials.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

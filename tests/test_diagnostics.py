@@ -149,6 +149,13 @@ class TestNashGap:
         # within the 1e-9 tolerance an anchor just outside the box is accepted
         assert nash_gap(inst, np.array([10.0 + 5e-10, 0.0]))[0] >= 0.0
 
+    @pytest.mark.parametrize("radius", [True, np.True_], ids=["bool", "np_bool"])
+    def test_rejects_boolean_radius(self, radius):
+        # True would scan at radius 1
+        inst = log_cost_market(2, 6)
+        with pytest.raises(ValueError, match="radius"):
+            nash_gap(inst, inst.center(), radius=radius)
+
 
 class TestGapSample:
     """The local gap test: nash_gap over an infinity-norm ball of finite radius."""

@@ -314,6 +314,15 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="finite"):
             MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=0.0, upper=1.0, cost=cost)
 
+    @pytest.mark.parametrize(
+        "beta, alpha0", [(True, 1.0), (1.0, True), (np.True_, 1.0)], ids=["beta", "alpha0", "np_bool"]
+    )
+    def test_rejects_boolean_scalars(self, beta, alpha0):
+        # float(True) is 1.0, but True is no demand slope or intercept
+        cost = AffineCost(mu_h=np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=0.0, upper=1.0, cost=cost)
+
     def test_rejects_bad_vectors(self):
         cost = AffineCost(mu_h=np.zeros(2))
         with pytest.raises(ValueError):
@@ -364,6 +373,28 @@ class TestInstanceValidation:
             warnings.simplefilter("error")
             center = inst.center()
         np.testing.assert_array_equal(center, [0.0, 0.0, 3.0, 1.5])
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ([0.0, -2.5, 1e-300, 7.0], [10.0, 3.25, 3e-300, 7.0]),
+            ([-np.inf, 0.0, -np.inf, 1.0], [np.inf, np.inf, 3.0, 2.0]),
+            (-np.inf, np.inf),
+            ([1e308, -1e308, -1e308, 1e308], [1.5e308, -1e308, 1e308, 1e308]),
+            ([-1e308, -1.7e308, -np.inf, 1e308], [1e308, -1e308, -1e308, np.inf]),
+        ],
+        ids=["finite", "half_infinite", "whole_line", "overflowing", "overflowing_half_infinite"],
+    )
+    def test_center_keeps_the_clipped_midpoint_bits(self, lower, upper):
+        inst = zero_cost_instance(4, lower=lower, upper=upper)
+        lo, up = inst.lower, inst.upper
+        with np.errstate(over="ignore"):  # 1e308 + 1e308 overflows on both sides
+            lo_f = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
+            up_f = np.where(np.isfinite(up), up, lo_f)
+            want = np.clip(0.5 * (lo_f + up_f), lo, up)
+            got = inst.center()
+        assert got.tobytes() == want.tobytes()
+        assert inst.contains(got)
 
     def test_lipschitz_constant_combines_cost_and_coupling(self):
         inst = log_cost_market(10, 0)

@@ -101,10 +101,14 @@ def reference_line_search_run(inst, x, steps, bracket=(0.1, 10.0)):
     """Line search built from prox_step, potential_gamma and decrease_rhs alone.
 
     ``bracket`` is [c_lo, c_hi] in units of 1/L_gamma; (1, 1) is fixed damping.
-    The first search starts at 2/L_gamma, clipped to the bracket; each
-    search halves on failure. The next one starts at c_up = 2c, clipped,
-    where c is the damping just accepted, if that accepted step also
-    passes the test at c_up, and at c otherwise.
+    The first search starts at 2/L_gamma, clipped to the bracket. A
+    failed trial at c asks for c_need = |s - x|^2 / (2*(gamma(s) - m)),
+    where m is the local model at s without its damping term; the next
+    trial is the first halving of c at or below c_need, floored at c_lo,
+    or one halving when gamma(s) - m is not finite. The next search
+    starts at c_up = 2c, clipped, where c is the damping just accepted,
+    if that accepted step also passes the test at c_up, and at c
+    otherwise.
     """
     L = lipschitz_gamma(inst)
     c_lo, c_hi = bracket[0] / L, bracket[1] / L
@@ -116,7 +120,12 @@ def reference_line_search_run(inst, x, steps, bracket=(0.1, 10.0)):
             s = prox_step(inst, x, c)
             if potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) or c <= c_lo:
                 break
-            c = max(0.5 * c, c_lo)
+            excess = potential_gamma(inst, s) - decrease_rhs(inst, x, s, math.inf)
+            c_need = float((s - x) @ (s - x)) / (2.0 * excess) if math.isfinite(excess) else c
+            c = 0.5 * c
+            while c > max(c_need, c_lo):
+                c = 0.5 * c
+            c = max(c, c_lo)
         c_up = min(c_hi, 2.0 * c)
         c_next = c_up if potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c_up) else c
         cs.append(c)
@@ -150,6 +159,55 @@ def doubling_run(inst, eps):
         x, c_prev = s, c
         if step <= eps:
             return np.asarray(cs), xs, trials
+
+
+def halving_run(inst, splitting, eps):
+    """The line search that halves the damping after every failed trial.
+
+    Built from prox_step, potential_gamma and the splitting's
+    sufficient-decrease test (decrease_rhs or exact_decrease_rhs); it
+    starts at 2/L, keeps the solver's checked doubling between searches
+    and stops at the first step of norm at most ``eps``. Returns the
+    damping column, the iterates and the number of trials.
+    """
+    if splitting is PAPER:
+        L, rhs = lipschitz_gamma(inst), decrease_rhs
+    else:
+        L, rhs = inst.L_h, exact_decrease_rhs
+    c_lo, c_hi = 0.1 / L, 10.0 / L
+    x, c_next, trials = inst.center(), min(c_hi, 2.0 / L), 0
+    cs, xs = [], [x]
+    while True:
+        c = c_next
+        while True:
+            s = prox_step(inst, x, c, splitting=splitting)
+            trials += 1
+            if c <= c_lo or potential_gamma(inst, s) <= rhs(inst, x, s, c):
+                break
+            c = max(0.5 * c, c_lo)
+        c_up = min(c_hi, 2.0 * c)
+        c_next = c_up if potential_gamma(inst, s) <= rhs(inst, x, s, c_up) else c
+        cs.append(c)
+        xs.append(s)
+        step = float(np.linalg.norm(s - x))
+        x = s
+        if step <= eps:
+            return np.asarray(cs), xs, trials
+
+
+class FarNonFiniteLogCost(LogCost):
+    """LogCost whose value is ``bad`` beyond ``radius`` from ``anchor``; it records each point."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "seen", [])
+
+    def value_components(self, x, grad=None, out=None):
+        values = super().value_components(x, grad, out)
+        self.seen.append(np.array(x))
+        if np.linalg.norm(x - self.anchor) > self.radius:
+            values[...] = self.bad
+        return values
 
 
 def first_step(inst, x0):
@@ -388,7 +446,7 @@ class TestLineSearch:
         "make, n, seed, old_trials, new_trials",
         [
             (log_cost_market, 2000, 0, 18, 11),
-            (log_cost_market, 20_000, 3, 12, 8),
+            (log_cost_market, 20_000, 3, 12, 7),
             (exp_cost_market, 2000, 0, 12, 7),
             (exp_cost_market, 20_000, 3, 8, 5),
         ],
@@ -407,6 +465,63 @@ class TestLineSearch:
         assert res.iterations == len(cs)
         assert res.certificate == eps_certificate(inst, xs[-2], cs[-1])
         assert (trials, res.trials) == (old_trials, new_trials)
+
+    @pytest.mark.parametrize(
+        "make, n, seed, splitting, old_trials, new_trials",
+        [
+            (log_cost_market, 10_000, 0, EXACT, 9, 8),
+            (log_cost_market, 100_000, 0, EXACT, 7, 6),
+            (log_cost_market, 1000, 0, PAPER, 63, 53),
+            (exp_cost_market, 100, 0, PAPER, 153, 126),
+        ],
+        ids=["log-1e4-exact", "log-1e5-exact", "log-1e3-paper", "exp-1e2-paper"],
+    )
+    def test_backtracking_skips_only_failing_trials(
+        self, make, n, seed, splitting, old_trials, new_trials
+    ):
+        # after a failed trial the search goes straight to the first halving
+        # at or below the damping that failed step asks for; here every
+        # halving it skips would have failed too, so the run keeps the
+        # halving run's answers bit for bit with fewer trials
+        inst = make(n, seed)
+        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, record_bound=False, splitting=splitting)
+        res, trace = solve(inst, cfg)
+        cs, xs, trials = halving_run(inst, splitting, cfg.eps)
+        assert res.status is SolveStatus.CONVERGED
+        np.testing.assert_array_equal(res.x, xs[-1])
+        np.testing.assert_array_equal(trace.c, cs)
+        assert res.iterations == len(cs)
+        assert res.certificate == eps_certificate(inst, xs[-2], cs[-1], splitting)
+        assert (trials, res.trials) == (old_trials, new_trials)
+
+    @pytest.mark.parametrize("splitting", [EXACT, PAPER])
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_trials_halve_once_each(self, bad, splitting):
+        # the potential is non-finite at every trial above c_lo (a cost value
+        # of -inf makes it +inf), so no failed trial names a damping: the
+        # search halves once per trial down the whole grid 2/L, 1/L, ...,
+        # 0.125/L and accepts the floor 0.1/L
+        base = log_cost_market(50, 2)
+        L = lipschitz_gamma(base) if splitting is PAPER else base.L_h
+        x0 = base.center()
+        grid = [2.0 / L, 1.0 / L, 0.5 / L, 0.25 / L, 0.125 / L, 0.1 / L]
+        steps = [prox_step(base, x0, c, splitting=splitting) for c in grid]
+        norms = [float(np.linalg.norm(s - x0)) for s in steps]
+        assert norms[-1] < norms[-2]
+        cost = FarNonFiniteLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r)
+        for name, value in (("anchor", x0), ("radius", 0.5 * (norms[-1] + norms[-2])), ("bad", bad)):
+            object.__setattr__(cost, name, value)
+        inst = with_cost(base, cost)
+        cfg = SolverConfig(
+            step_policy=StepPolicy.LINE_SEARCH, max_iter=1, record_bound=False, splitting=splitting
+        )
+        res, trace = solve(inst, cfg)
+        assert res.trials == len(grid)
+        np.testing.assert_array_equal(trace.c, [0.1 / L])
+        assert math.isfinite(res.gamma_final)
+        assert len(cost.seen) == 1 + len(grid)  # the start point, then each trial
+        for seen, step in zip(cost.seen[1:], steps):
+            np.testing.assert_array_equal(seen, step)
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
     def test_each_iterate_evaluated_once(self, policy):
@@ -645,6 +760,13 @@ class TestBoundAndCertificates:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 eps_certificate(inst, inst.center(), c, PAPER)
+
+    @pytest.mark.parametrize("splitting", [PAPER, EXACT])
+    def test_certificate_rejects_boolean_damping(self, splitting):
+        # True would step at c = 1
+        inst = log_cost_market(3, 0)
+        with pytest.raises(ValueError, match="positive"):
+            eps_certificate(inst, inst.center(), True, splitting)
 
     @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
     def test_exact_coupling_certificate_rejects_bad_damping(self, c):

@@ -79,6 +79,14 @@ class TestProxStep:
         with pytest.raises(ValueError):
             prox_step(inst, np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("splitting", [Splitting.PAPER, Splitting.EXACT_COUPLING])
+    @pytest.mark.parametrize("c", [True, np.True_], ids=["bool", "np_bool"])
+    def test_rejects_boolean_damping(self, c, splitting):
+        # True would step at c = 1
+        inst = log_cost_market(3, 0)
+        with pytest.raises(ValueError, match="positive"):
+            prox_step(inst, inst.center(), c, splitting=splitting)
+
     @pytest.mark.parametrize("c", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_damping(self, c):
         inst = log_cost_market(3, 0)

@@ -11,6 +11,11 @@ pass; the solver makes exactly one such call per trial point. ``value``
 and ``gradient`` are derived from it. A custom cost subclasses
 ``CostModel`` and implements ``value_components``, ``lipschitz_on`` and
 ``contains``.
+
+Per-firm parameters are read-only float vectors of shape (n,). One given
+as a scalar is stored once, as a stride-0 broadcast view: ufuncs read it
+as fast as the scalar, and it costs no n-vector of memory. A length-n
+input is copied. Booleans are refused.
 """
 
 from __future__ import annotations
@@ -56,15 +61,22 @@ def _infer_n(n, *values):
     raise ValueError("pass n= when every parameter is a scalar")
 
 
-def _param(value, n, name):
-    arr = np.asarray(value, dtype=float)
+def _param(value, n, name, finite=True):
+    # float() copies a scalar: a caller's 0-d array changed later must not change the view
+    arr = np.asarray(value)
+    if arr.dtype == bool:
+        raise ValueError(f"{name} must be numbers, not booleans")
     if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
+        arr = np.broadcast_to(float(arr), (n,))
+    elif arr.shape == (n,):
+        arr = _frozen(np.array(arr, dtype=float))
+    else:
         raise ValueError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    return _frozen(arr.copy())
+    if np.any(np.isnan(arr)):
+        raise ValueError(f"{name} must not contain NaN")
+    return arr
 
 
 def _frozen(arr):

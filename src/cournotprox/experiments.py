@@ -85,7 +85,7 @@ def log_cost_market(n, seed_or_rng=0, beta=0.1, alpha0=10.0, lower=0.0, upper=10
     rng = np.random.default_rng(seed_or_rng)
     r = 1.0 + rng.random(n)
     cost = LogCost(c0=ceiling, c=scale, r=r, n=n)
-    return MarketInstance(beta=beta, alpha0=alpha0, mu=np.zeros(n), lower=lower, upper=upper, cost=cost)
+    return MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=lower, upper=upper, cost=cost)
 
 
 def exp_cost_market(n, seed_or_rng=0, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0,
@@ -94,14 +94,13 @@ def exp_cost_market(n, seed_or_rng=0, beta=0.1, alpha0=10.0, lower=0.0, upper=10
     rng = np.random.default_rng(seed_or_rng)
     r = 0.1 + 0.1 * rng.random(n)
     cost = ExpCost(c0=ceiling, c=scale, r=r, n=n)
-    return MarketInstance(beta=beta, alpha0=alpha0, mu=np.zeros(n), lower=lower, upper=upper, cost=cost)
+    return MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=lower, upper=upper, cost=cost)
 
 
 def affine_market(n, mu=2.0, beta=0.1, alpha0=10.0, lower=0.0, upper=50.0):
     """Affine-cost market (convex); its unique equilibrium has a QP oracle."""
-    mu_vec = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).copy()
-    cost = AffineCost(mu_h=np.zeros(n), xi=0.0)
-    return MarketInstance(beta=beta, alpha0=alpha0, mu=mu_vec, lower=lower, upper=upper, cost=cost)
+    cost = AffineCost(mu_h=0.0, xi=0.0, n=n)
+    return MarketInstance(beta=beta, alpha0=alpha0, mu=mu, lower=lower, upper=upper, cost=cost)
 
 
 @dataclass

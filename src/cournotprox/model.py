@@ -20,26 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel
+from .costs import CostModel, _param
 
 __all__ = [
     "MarketInstance",
     "potential_gamma",
     "lipschitz_gamma",
 ]
-
-
-def _bound_vector(value, n, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
-    if np.any(np.isnan(arr)):
-        raise ValueError(f"{name} must not contain NaN")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -55,6 +42,13 @@ class MarketInstance:
     and potential values only. ``L_h`` is the cost's curvature bound
     ``cost.lipschitz_on(lower)`` over the box, computed once here; a box
     on which it is infinite is rejected.
+
+    ``mu``, ``lower`` and ``upper`` are read-only float vectors of shape
+    (n,); one given as a scalar is stored once, as a stride-0 broadcast
+    view, so the solver's clip and aggregate root read one number instead
+    of streaming a constant n-vector. ``alpha_tilde`` stays dense: the
+    potential reads it through ``x @ alpha_tilde``, a dot product that
+    over a stride-0 operand runs about 5x slower and rounds differently.
     """
 
     beta: float
@@ -80,11 +74,11 @@ class MarketInstance:
             raise ValueError("beta must be positive")
         if alpha0 < 0:
             raise ValueError("alpha0 must be nonnegative")
-        mu = _bound_vector(self.mu, n, "mu")
-        if np.any(mu < 0) or not np.all(np.isfinite(mu)):
-            raise ValueError("mu must be nonnegative and finite")
-        lower = _bound_vector(self.lower, n, "lower")
-        upper = _bound_vector(self.upper, n, "upper")
+        mu = _param(self.mu, n, "mu")
+        if np.any(mu < 0):
+            raise ValueError("mu must be nonnegative")
+        lower = _param(self.lower, n, "lower", finite=False)
+        upper = _param(self.upper, n, "upper", finite=False)
         if np.any(lower > upper):
             raise ValueError("empty box: lower > upper somewhere")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
@@ -94,7 +88,7 @@ class MarketInstance:
         L_h = float(self.cost.lipschitz_on(lower))
         if not math.isfinite(L_h):
             raise ValueError("the cost's curvature is unbounded on the box")
-        alpha_tilde = alpha0 - mu
+        alpha_tilde = alpha0 - mu  # a ufunc's result: dense even when mu is a stride-0 view
         alpha_tilde.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha0", alpha0)
@@ -112,14 +106,18 @@ class MarketInstance:
         """Box midpoint (coordinates with an infinite side fall back to the finite one, else 0)."""
         lo, up = self.lower, self.upper
         if np.isfinite(lo).all() and np.isfinite(up).all():
-            mid = np.add(lo, up)
+            lo_f, up_f = lo, up
         else:
             # fall back before adding, so no infinite side enters the sum
             lo_f = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
             up_f = np.where(np.isfinite(up), up, lo_f)
+        with np.errstate(over="ignore"):
             mid = np.add(lo_f, up_f)
         # np.clip's bits from in-place ufuncs, at a fraction of its cost
         np.multiply(mid, 0.5, out=mid)
+        huge = np.isinf(mid)
+        if huge.any():  # lo + up overflowed: halve each side first, exact above the subnormals
+            mid[huge] = 0.5 * lo_f[huge] + 0.5 * up_f[huge]
         np.maximum(mid, lo, out=mid)
         return np.minimum(mid, up, out=mid)
 

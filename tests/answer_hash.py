@@ -3,11 +3,15 @@
     PYTHONPATH=src python tests/answer_hash.py
 
 Grid: the log, exp and affine families at n = 100, 1000 and 10000, seeds
-0 and 7, both splittings and both step policies, plus the log n = 100000
-line search (73 solves, default settings otherwise). Each solve prints one
-line: family, n, seed, splitting, policy, iterations, trials, the
-certificate in ``float.hex``, and the SHA-256 of ``x`` and of the trace
-columns (potential, step norm, damping and the lower bound). The last two
+0 and 7, both splittings and both step policies, one default-settings
+solve of ``affine_market(n)`` (every parameter a scalar) per size, plus
+the log n = 100000 line search (76 solves, default settings otherwise).
+Each solve prints one line: family, n, seed, splitting, policy,
+iterations, trials, the certificate in ``float.hex``, the SHA-256 of
+``x`` and of the trace columns (potential, step norm, damping and the
+lower bound), the instance's ``gamma_lower_bound`` in ``float.hex``, and
+for n <= 1000 the ``nash_gap`` bracket at the final ``x`` (``-`` above
+that size). The last two
 lines are SHA-256 totals: one over the whole lines, and one over the lines
 with the trial count left out, which stays put when only the number of
 line-search trials changes. Run it at two commits and compare the output
@@ -22,25 +26,28 @@ import hashlib
 
 import numpy as np
 
-from cournotprox import SolverConfig, Splitting, StepPolicy, solve
+from cournotprox import SolverConfig, Splitting, StepPolicy, gamma_lower_bound, nash_gap, solve
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 
 FAMILIES = {
     "log": log_cost_market,
     "exp": exp_cost_market,
     "affine": lambda n, seed: affine_market(n, mu=np.random.default_rng(seed).uniform(0.0, 5.0, n)),
+    "affine-scalar": lambda n, seed: affine_market(n),
 }
 SIZES = (100, 1000, 10_000)
 SEEDS = (0, 7)
 
 
 def grid():
-    for family in FAMILIES:
+    for family in ("log", "exp", "affine"):
         for n in SIZES:
             for seed in SEEDS:
                 for splitting in Splitting:
                     for policy in StepPolicy:
                         yield family, n, seed, splitting, policy
+    for n in SIZES:
+        yield "affine-scalar", n, 0, Splitting.EXACT_COUPLING, StepPolicy.FIXED
     yield "log", 100_000, 0, Splitting.EXACT_COUPLING, StepPolicy.LINE_SEARCH
 
 
@@ -56,10 +63,12 @@ def answer_line(family, n, seed, splitting, policy):
     inst = FAMILIES[family](n, seed)
     res, trace = solve(inst, SolverConfig(step_policy=policy, splitting=splitting))
     lb = np.nan if trace.gamma_lb is None else trace.gamma_lb
+    gap = ",".join(v.hex() for v in nash_gap(inst, res.x)) if n <= 1000 else "-"
     return [
         family, str(n), str(seed), splitting.value, policy.value,
         str(res.iterations), str(res.trials), float(res.certificate).hex(),
         sha(res.x), sha(trace.gamma, trace.step_norm, trace.c, [lb]),
+        gamma_lower_bound(inst).hex(), gap,
     ]
 
 

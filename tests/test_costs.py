@@ -137,6 +137,37 @@ class TestAffineCost:
         np.testing.assert_array_equal(shifted.gradient(x), base.gradient(x))
 
 
+class TestParameters:
+    @pytest.mark.parametrize(
+        "family, kwargs",
+        [
+            (LogCost, dict(c0=True, c=True, r=np.array([True, True]))),
+            (LogCost, dict(c0=2.0, c=1.0, r=np.array([True, True]))),
+            (ExpCost, dict(c0=4.0, c=np.True_, r=0.1, n=2)),
+            (AffineCost, dict(mu_h=True, n=2)),
+            (AffineCost, dict(mu_h=0.0, xi=np.True_, n=2)),
+        ],
+        ids=["log_all", "log_r_array", "exp_np_bool", "affine_mu_h", "affine_xi"],
+    )
+    def test_rejects_booleans(self, family, kwargs):
+        with pytest.raises(ValueError, match="boolean"):
+            family(**kwargs)
+
+    def test_scalar_parameters_are_stored_once(self):
+        c0 = np.array(2.0)
+        model = LogCost(c0=c0, c=1.5, r=[1.0, 2.0, 3.0])
+        c0[...] = 0.0  # the caller's array is not the parameter
+        for arr in (model.c0, model.c):
+            assert (arr.shape, arr.dtype, arr.strides) == ((3,), np.float64, (0,))
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        np.testing.assert_array_equal(model.c0, [2.0, 2.0, 2.0])
+        assert model.r.strides == (8,) and not model.r.flags.writeable
+        affine = AffineCost(mu_h=0.5, xi=1.0, n=4)
+        assert affine.mu_h.strides == affine.xi.strides == (0,)
+        np.testing.assert_array_equal(affine.gradient(np.ones((2, 4))), np.full((2, 4), 0.5))
+
+
 class TestBatchSemantics:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_value_reduces_trailing_axis(self, family):

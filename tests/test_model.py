@@ -358,6 +358,42 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="curvature"):
             MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=-np.inf, upper=10.0, cost=exp)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lower": False, "upper": True, "mu": False},
+            {"upper": np.True_},
+            {"mu": np.array([False, True])},
+        ],
+        ids=["box_and_mu", "np_bool_side", "bool_array_mu"],
+    )
+    def test_rejects_boolean_parameters(self, kwargs):
+        # float(True) is 1.0, but [False, True] is no box
+        spec = {"beta": 1.0, "alpha0": 1.0, "mu": 0.0, "lower": 0.0, "upper": 1.0, **kwargs}
+        with pytest.raises(ValueError, match="boolean"):
+            MarketInstance(cost=AffineCost(mu_h=0.0, n=2), **spec)
+
+    def test_scalar_parameters_are_stored_once(self):
+        inst = zero_cost_instance(5, lower=0.0, upper=10.0, mu=1.5)
+        for name in ("mu", "lower", "upper"):
+            arr = getattr(inst, name)
+            assert (arr.shape, arr.dtype, arr.strides) == ((5,), np.float64, (0,))
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[2] = 0.0
+        # the potential reads alpha_tilde through a dot product: it stays dense
+        assert inst.alpha_tilde.strides == (8,) and inst.alpha_tilde.flags.c_contiguous
+        np.testing.assert_array_equal(inst.alpha_tilde, np.full(5, 8.5))
+        vector = zero_cost_instance(5, upper=np.full(5, 10.0))
+        assert vector.upper.strides == (8,) and not vector.upper.flags.writeable
+
+    def test_a_callers_scalar_array_is_copied(self):
+        side, mu = np.array(10.0), np.array(1.0)
+        inst = zero_cost_instance(3, upper=side, mu=mu)
+        side[...], mu[...] = 0.5, 4.0
+        np.testing.assert_array_equal(inst.upper, [10.0, 10.0, 10.0])
+        np.testing.assert_array_equal(inst.mu, [1.0, 1.0, 1.0])
+
     def test_instance_arrays_are_readonly(self):
         inst = zero_cost_instance(3)
         with pytest.raises(ValueError):
@@ -388,13 +424,22 @@ class TestInstanceValidation:
     def test_center_keeps_the_clipped_midpoint_bits(self, lower, upper):
         inst = zero_cost_instance(4, lower=lower, upper=upper)
         lo, up = inst.lower, inst.upper
+        lo_f = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
+        up_f = np.where(np.isfinite(up), up, lo_f)
         with np.errstate(over="ignore"):  # 1e308 + 1e308 overflows on both sides
-            lo_f = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
-            up_f = np.where(np.isfinite(up), up, lo_f)
-            want = np.clip(0.5 * (lo_f + up_f), lo, up)
-            got = inst.center()
+            total = lo_f + up_f
+        # where the sum overflows, halving each side first gives the midpoint
+        want = np.clip(np.where(np.isfinite(total), 0.5 * total, 0.5 * lo_f + 0.5 * up_f), lo, up)
+        got = inst.center()
         assert got.tobytes() == want.tobytes()
         assert inst.contains(got)
+
+    def test_center_of_huge_sides_is_the_midpoint(self):
+        inst = zero_cost_instance(2, lower=1e308, upper=[1.5e308, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            center = inst.center()
+        np.testing.assert_array_equal(center, [1.25e308, 1e308])
 
     def test_lipschitz_constant_combines_cost_and_coupling(self):
         inst = log_cost_market(10, 0)

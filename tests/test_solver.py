@@ -18,7 +18,9 @@ from cournotprox import (
     StepPolicy,
     classical_equilibrium,
     eps_certificate,
+    gamma_lower_bound,
     lipschitz_gamma,
+    nash_gap,
     potential_gamma,
     prox_step,
     solve,
@@ -898,3 +900,34 @@ class TestTraceConsistency:
         res, trace = solve(inst, SolverConfig(eps=1e-8), x0=np.zeros(2))
         assert res.status is SolveStatus.CONVERGED
         assert np.all(np.isnan(trace.bound_rhs))
+
+
+class TestScalarParameters:
+    # a scalar parameter is stored once as a stride-0 view; the same market
+    # from dense vectors must give the same bits everywhere
+    @pytest.mark.parametrize(
+        "make",
+        [log_cost_market, exp_cost_market, lambda n, seed: affine_market(n)],
+        ids=["log", "exp", "affine"],
+    )
+    def test_scalar_and_vector_markets_agree_bit_for_bit(self, make):
+        inst = make(300, 4)
+        # replace() passes each stored vector back through construction, which copies it
+        dense = dataclasses.replace(inst, cost=dataclasses.replace(inst.cost))
+        assert inst.lower.strides == inst.mu.strides == (0,)
+        assert dense.lower.strides == dense.mu.strides == (8,)
+        scalar = "mu_h" if isinstance(inst.cost, AffineCost) else "c0"
+        assert getattr(inst.cost, scalar).strides == (0,)
+        assert getattr(dense.cost, scalar).strides == (8,)
+        assert gamma_lower_bound(inst).hex() == gamma_lower_bound(dense).hex()
+        for splitting in Splitting:
+            for policy in StepPolicy:
+                cfg = SolverConfig(step_policy=policy, splitting=splitting)
+                (res, trace), (res_d, trace_d) = solve(inst, cfg), solve(dense, cfg)
+                assert res.x.tobytes() == res_d.x.tobytes()
+                assert res.certificate.hex() == res_d.certificate.hex()
+                assert (res.iterations, res.trials) == (res_d.iterations, res_d.trials)
+                for col in ("gamma", "step_norm", "c"):
+                    assert getattr(trace, col).tobytes() == getattr(trace_d, col).tobytes()
+                assert trace.gamma_lb.hex() == trace_d.gamma_lb.hex()
+                assert nash_gap(inst, res.x) == nash_gap(dense, res.x)

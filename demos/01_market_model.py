@@ -14,7 +14,6 @@ from cournotprox import (
     LogCost,
     MarketInstance,
     SolverConfig,
-    lipschitz_gamma,
     nash_gap,
     potential_gamma,
     solve,
@@ -32,7 +31,8 @@ inst = MarketInstance(
 
 print(f"{n} firms, price 10 - 0.1*total output, box [0, 10]^{n}")
 print(f"cost curvature bound L_h           = {inst.L_h:.4f}")
-print(f"potential curvature bound L_gamma  = {lipschitz_gamma(inst):.4f}  (L_h + (n-1)*beta)")
+L_gamma = inst.L_h + (inst.n - 1) * inst.beta
+print(f"potential curvature bound L_gamma  = {L_gamma:.4f}  (L_h + (n-1)*beta)")
 
 x = np.array([2.0, 4.0, 6.0, 8.0])
 cost_slope = np.empty(n)

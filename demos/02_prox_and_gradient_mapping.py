@@ -14,13 +14,12 @@ from cournotprox import (
     Splitting,
     classical_equilibrium,
     eps_certificate,
-    lipschitz_gamma,
     prox_step,
 )
 from cournotprox.experiments import affine_market, log_cost_market
 
 inst = log_cost_market(6, seed_or_rng=3)
-L = lipschitz_gamma(inst)
+L = inst.L_h + (inst.n - 1) * inst.beta  # L_gamma, the bound of the paper's step
 x = inst.center()
 c = 1.0 / L
 
@@ -35,7 +34,9 @@ for name, xx in (("center", x), ("random", x_random)):
     for frac in (1.0, 4.0):
         cc = frac / L
         s = prox_step(inst, xx, cc)
-        g = inst.beta * (np.sum(xx) - xx) - inst.alpha_tilde - inst.cost.gradient(xx)
+        h_slope = np.empty(inst.n)
+        inst.cost.value_components(xx, h_slope)  # the cost's one kernel writes h'(x) here
+        g = inst.beta * (np.sum(xx) - xx) - inst.alpha_tilde - h_slope
         v = 2.0 * inst.beta * s + g + (s - xx) / cc
         worst = np.sum(np.minimum((inst.lower - s) * v, (inst.upper - s) * v))
         active = np.count_nonzero((s == inst.lower) | (s == inst.upper))

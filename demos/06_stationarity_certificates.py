@@ -11,7 +11,7 @@ an equilibrium; a stationary point can have a positive gap.
 
 import numpy as np
 
-from cournotprox import SolverConfig, Splitting, lipschitz_gamma, nash_gap, prox_step, solve
+from cournotprox import SolverConfig, Splitting, nash_gap, prox_step, solve
 from cournotprox.experiments import exp_cost_market, log_cost_market
 
 inst = log_cost_market(10, seed_or_rng=0)
@@ -29,7 +29,7 @@ lo, hi = nash_gap(inst, far, radius=0.5)
 print(f"  even within radius 0.5 it is [{lo:.3f}, {hi:.3f}]: not a local equilibrium either")
 
 print("\nfixed-point residuals ||x - s_c(x)|| at the converged point:")
-L = lipschitz_gamma(inst)
+L = inst.L_h + (inst.n - 1) * inst.beta  # L_gamma
 for frac in (0.1, 1.0, 10.0):
     residual = np.linalg.norm(res.x - prox_step(inst, res.x, frac / L))
     print(f"  c = {frac:4.1f}/L: {residual:.2e}")

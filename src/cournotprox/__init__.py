@@ -22,7 +22,7 @@ from .experiments import (
     run_experiment,
     verify_run,
 )
-from .model import MarketInstance, lipschitz_gamma, potential_gamma
+from .model import MarketInstance, potential_gamma
 from .solver import (
     ConfigurationError,
     IterationTrace,

@@ -3,14 +3,13 @@
 Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries an
 analytic gradient, and reports a curvature bound max_i |h_i''| above
 given lower sides (``lipschitz_on``), which sizes proximal steps and the
-grid error of the potential lower bound. Evaluation is vectorized:
+grid error of the potential lower bound and is infinite where there is
+none, including below the cost's domain. Evaluation is vectorized:
 inputs of shape (..., n) are accepted with the firm axis last. A family
 writes its formulas once, in ``value_components``, which returns the
 per-firm values and, given a ``grad`` buffer, writes h'(x) in the same
-pass; the solver makes exactly one such call per trial point. ``value``
-and ``gradient`` are derived from it. A custom cost subclasses
-``CostModel`` and implements ``value_components``, ``lipschitz_on`` and
-``contains``.
+pass; the solver makes exactly one such call per trial point. A custom
+cost subclasses ``CostModel`` and implements those two methods.
 
 Per-firm parameters are read-only float vectors of shape (n,). One given
 as a scalar is stored once, as a stride-0 broadcast view: ufuncs read it
@@ -87,24 +86,13 @@ def _frozen(arr):
 class CostModel(ABC):
     """Separable smooth production cost with an analytic gradient.
 
-    Subclasses implement ``value_components``, ``lipschitz_on`` and
-    ``contains``; ``value`` sums the components and ``gradient`` is one
-    ``value_components`` call into a fresh buffer, so every formula
-    lives in that one kernel.
+    Subclasses implement two methods: ``value_components``, the one
+    kernel that holds every formula of the cost and its slope, and
+    ``lipschitz_on``, the one curvature bound, which also answers
+    whether a box stays inside the cost's domain.
     """
 
     n: int
-
-    def value(self, x):
-        """Total cost, summed over the trailing firm axis."""
-        return np.sum(self.value_components(x), axis=-1)
-
-    def gradient(self, x):
-        """Elementwise gradient (h_1'(x_1), ..., h_n'(x_n))."""
-        x = self._check_points(x)
-        grad = np.empty_like(x)
-        self.value_components(x, grad)
-        return grad
 
     @abstractmethod
     def value_components(self, x, grad=None, out=None):
@@ -117,11 +105,11 @@ class CostModel(ABC):
 
     @abstractmethod
     def lipschitz_on(self, lower) -> float:
-        """Bound on |h_i''| wherever x_i >= lower[i]; infinite when there is none."""
+        """Bound on |h_i''| wherever x_i >= lower[i].
 
-    @abstractmethod
-    def contains(self, x) -> bool:
-        """Whether ``x`` lies in the domain of h."""
+        Infinite when there is none, and when any ``lower[i]`` lies
+        outside the cost's domain.
+        """
 
     def _check_points(self, x):
         x = np.asarray(x, dtype=float)
@@ -130,7 +118,7 @@ class CostModel(ABC):
         return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineCost(CostModel):
     """Linear cost h_i(x) = mu_h[i]*x + xi[i].
 
@@ -159,11 +147,8 @@ class AffineCost(CostModel):
     def lipschitz_on(self, lower):
         return 0.0
 
-    def contains(self, x):
-        return True
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogCost(CostModel):
     """Concave logarithmic cost h_i(x) = c0[i] + c[i]*log(1 + r[i]*x).
 
@@ -179,7 +164,7 @@ class LogCost(CostModel):
     c: np.ndarray
     r: np.ndarray
     n: int = None
-    cr: np.ndarray = field(init=False, repr=False, compare=False)
+    cr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = _infer_n(self.n, self.c0, self.c, self.r)
@@ -208,15 +193,12 @@ class LogCost(CostModel):
 
     def lipschitz_on(self, lower):
         low = np.minimum(lower, 0.0)
-        if not self.contains(low):
+        if not np.all(self.r * low > -1.0):  # a side outside the domain 1 + r*x > 0
             return np.inf
         return float(np.max(self.c * self.r**2 / (1.0 + self.r * low) ** 2))
 
-    def contains(self, x):
-        return bool(np.all(self.r * np.asarray(x, dtype=float) > -1.0))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpCost(CostModel):
     """Concave saturating cost h_i(x) = c0[i] - c[i]*exp(-r[i]*x).
 
@@ -231,7 +213,7 @@ class ExpCost(CostModel):
     c: np.ndarray
     r: np.ndarray
     n: int = None
-    cr: np.ndarray = field(init=False, repr=False, compare=False)
+    cr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = _infer_n(self.n, self.c0, self.c, self.r)
@@ -259,8 +241,5 @@ class ExpCost(CostModel):
 
     def lipschitz_on(self, lower):
         low = np.minimum(lower, 0.0)
-        return float(np.max(self.c * self.r**2 * np.exp(-self.r * low)))
-
-    def contains(self, x):
-        return True
-
+        with np.errstate(over="ignore"):  # a far-negative side has no bound: inf is the answer
+            return float(np.max(self.c * self.r**2 * np.exp(-self.r * low)))

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import AffineCost, ExpCost, LogCost, _integer
-from .model import MarketInstance, lipschitz_gamma
+from .model import MarketInstance
 from .solver import IterationTrace, SolverConfig, SolveStatus, Splitting, StepPolicy, solve
 from .solver import _local_model
 from .subqp import classical_equilibrium
@@ -284,7 +284,7 @@ def run_experiment(cfg):
             oracle_err = _fmt(err)
             all_ok &= err <= 1e-6
         all_ok &= result.status is SolveStatus.CONVERGED and bound_ok
-        L_gamma = lipschitz_gamma(inst)
+        L_gamma = _local_model(inst, Splitting.PAPER)[0]
         L = _local_model(inst, cfg.splitting)[0]  # the bound that sized the damping
         if cfg.trace:
             write_trace_csv(cfg.out_dir / _trace_name(cfg, n), trace)
@@ -362,7 +362,9 @@ def _first_bad(mask):
 
 
 def _first_mismatch(recomputed, stored):
-    return _first_bad(np.abs(recomputed - stored) > 1e-12 * np.maximum(1.0, np.abs(recomputed)))
+    # a NaN on either side is a mismatch; equal values, infinities too, match
+    close = np.abs(recomputed - stored) <= 1e-12 * np.maximum(1.0, np.abs(recomputed))
+    return _first_bad(~(close | (recomputed == stored)))
 
 
 def _bound_violation(delta, rhs):
@@ -378,7 +380,8 @@ def verify_run(path):
     mapping norm step_norm/c_k from the step-norm and damping columns,
     compares each with its stored column, re-checks the former against
     the stored drop budget, and checks that the potential column never
-    increases. A single-row trace passes trivially.
+    increases. A NaN cell in those columns fails its check. A single-row
+    trace passes trivially.
     """
     cols = read_trace_csv(path)
     m = cols["k"].size
@@ -399,7 +402,7 @@ def verify_run(path):
 
     g = cols["gamma"]
     slack = 1e-9 + 1e-12 * np.abs(g[:-1])
-    bad_gamma = g[1:] > g[:-1] + slack
+    bad_gamma = ~(g[1:] <= g[:-1] + slack)  # a NaN potential is not monotone
     gamma_row = _first_bad(bad_gamma)
     gamma_row = gamma_row + 1 if gamma_row is not None else None
 

@@ -1,4 +1,4 @@
-"""Nash-Cournot market datum, its merit potential and the potential's curvature bound.
+"""Nash-Cournot market datum and its merit potential.
 
 With affine inverse demand the firms couple only through total output,
 so no quadratic form is ever materialized: firm i sees the others'
@@ -10,7 +10,9 @@ and its slope from there. Everything runs in O(n) and accepts arrays of
 shape (..., n), firm axis last.
 
 A market instance is immutable after construction and safe to share
-across concurrent solver runs.
+across concurrent solver runs. It stores the cost's curvature bound
+``L_h`` on the box; the potential's bound, L_h plus the coupling's
+(n-1)*beta, is written once, where the solver's paper splitting takes it.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from .costs import CostModel, _param
 __all__ = [
     "MarketInstance",
     "potential_gamma",
-    "lipschitz_gamma",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketInstance:
     """Immutable n-firm market description.
 
@@ -41,7 +42,8 @@ class MarketInstance:
     to the cost model (e.g. ``AffineCost.xi``) and shift reported cost
     and potential values only. ``L_h`` is the cost's curvature bound
     ``cost.lipschitz_on(lower)`` over the box, computed once here; a box
-    on which it is infinite is rejected.
+    on which it is infinite is rejected, and that one test also rejects
+    a box that leaves the cost's domain. Instances compare by identity.
 
     ``mu``, ``lower`` and ``upper`` are read-only float vectors of shape
     (n,); one given as a scalar is stored once, as a stride-0 broadcast
@@ -57,8 +59,8 @@ class MarketInstance:
     lower: np.ndarray
     upper: np.ndarray
     cost: CostModel
-    alpha_tilde: np.ndarray = field(init=False, repr=False, compare=False)
-    L_h: float = field(init=False, repr=False, compare=False)
+    alpha_tilde: np.ndarray = field(init=False, repr=False)
+    L_h: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.cost, CostModel):
@@ -83,11 +85,11 @@ class MarketInstance:
             raise ValueError("empty box: lower > upper somewhere")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("lower must be below +inf and upper above -inf")
-        if not self.cost.contains(lower):
-            raise ValueError("box extends outside the cost domain")
         L_h = float(self.cost.lipschitz_on(lower))
         if not math.isfinite(L_h):
-            raise ValueError("the cost's curvature is unbounded on the box")
+            raise ValueError(
+                "the cost's curvature is unbounded on the box, or the box leaves the cost domain"
+            )
         alpha_tilde = alpha0 - mu  # a ufunc's result: dense even when mu is a stride-0 view
         alpha_tilde.setflags(write=False)
         object.__setattr__(self, "beta", beta)
@@ -168,8 +170,3 @@ def potential_gamma(inst, x, cost_slope=None, work=None):
     cost = np.add.reduce(_cost_term(inst, x, cost_slope, work), axis=-1)
     sigma = np.add.reduce(x, axis=-1)
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde + cost
-
-
-def lipschitz_gamma(inst):
-    """Curvature bound for the potential gradient on the box: L_h plus the coupling's (n-1)*beta."""
-    return inst.L_h + (inst.n - 1) * inst.beta

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import diagnostics
 from .costs import _integer
-from .model import lipschitz_gamma, potential_gamma
+from .model import potential_gamma
 from .subqp import Splitting, _linear_term, prox_step
 
 __all__ = [
@@ -387,10 +387,14 @@ def solve(inst, config=None, x0=None):
 
 
 def _local_model(inst, splitting):
-    """The splitting's curvature bound L, from the instance's L_h, and the quadratic kept exact."""
+    """The splitting's curvature bound L, from the instance's L_h, and the quadratic kept exact.
+
+    Under PAPER, L is the potential's bound L_gamma = L_h + (n-1)*beta:
+    the coupling is linearized, so its curvature joins the cost's.
+    """
     beta = inst.beta
     if splitting is Splitting.PAPER:
-        return lipschitz_gamma(inst), lambda y: beta * float(y @ y)
+        return inst.L_h + (inst.n - 1) * beta, lambda y: beta * float(y @ y)
     return inst.L_h, lambda y: 0.5 * beta * (float(y @ y) + float(np.add.reduce(y)) ** 2)
 
 

@@ -11,23 +11,37 @@ iterations, trials, the certificate in ``float.hex``, the SHA-256 of
 ``x`` and of the trace columns (potential, step norm, damping and the
 lower bound), the instance's ``gamma_lower_bound`` in ``float.hex``, and
 for n <= 1000 the ``nash_gap`` bracket at the final ``x`` (``-`` above
-that size). The last two
-lines are SHA-256 totals: one over the whole lines, and one over the lines
-with the trial count left out, which stays put when only the number of
-line-search trials changes. Run it at two commits and compare the output
-to show that a change keeps the answers.
+that size).
+
+Then one ``run_experiment`` sweep per family (log, exp, affine) over the
+same sizes, seed 0, under each splitting, into a temporary directory,
+prints a line of the same layout: ``sweep-<family>``, the sizes, the
+seed, splitting, policy, the iterations and trials columns, the SHA-256
+of ``summary.csv`` without its ``time_ms`` and ``trials`` columns (so
+the ``L_gamma`` and ``L`` columns are in it) and the SHA-256 of the
+trace CSV bytes in sweep order.
+
+The last two lines are SHA-256 totals: one over the whole lines, and one
+over the lines with the trial count left out, which stays put when only
+the number of line-search trials changes. Run it at two commits and
+compare the output to show that a change keeps the answers.
 
 The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from cournotprox import SolverConfig, Splitting, StepPolicy, gamma_lower_bound, nash_gap, solve
-from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
+from cournotprox import (
+    ExampleFamily, ExperimentConfig, SolverConfig, Splitting, StepPolicy, affine_market,
+    exp_cost_market, gamma_lower_bound, log_cost_market, nash_gap, run_experiment, solve,
+)
 
 FAMILIES = {
     "log": log_cost_market,
@@ -72,10 +86,33 @@ def answer_line(family, n, seed, splitting, policy):
     ]
 
 
+def sweep_line(family, splitting):
+    """The fields of one ``run_experiment`` sweep's line; the trials column is field 6."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = ExperimentConfig(
+            example=ExampleFamily(family), sweep=SIZES, splitting=splitting, out_dir=tmp
+        )
+        run_experiment(cfg)
+        with open(Path(tmp) / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        kept = [[v for k, v in row.items() if k not in ("time_ms", "trials")] for row in rows]
+        traces = hashlib.sha256()
+        for n in SIZES:
+            traces.update((Path(tmp) / f"trace_{family}_n{n}_seed{cfg.seed}.csv").read_bytes())
+    return [
+        f"sweep-{family}", ",".join(map(str, SIZES)), str(cfg.seed), splitting.value,
+        cfg.step_policy.value, ",".join(row["iterations"] for row in rows),
+        ",".join(row["trials"] for row in rows),
+        hashlib.sha256(repr(kept).encode()).hexdigest(), traces.hexdigest(),
+    ]
+
+
 def main():
     whole, no_trials = hashlib.sha256(), hashlib.sha256()
-    for case in grid():
-        fields = answer_line(*case)
+    cases = [(answer_line, case) for case in grid()]
+    cases += [(sweep_line, (family, s)) for family in ("log", "exp", "affine") for s in Splitting]
+    for line_of, case in cases:
+        fields = line_of(*case)
         line = " ".join(fields)
         print(line, flush=True)
         whole.update(line.encode() + b"\n")

@@ -16,6 +16,24 @@ def _points(inst, x, name="x"):
     return x
 
 
+def cost_value(cost, x):
+    """Total cost h(x), the sum of ``value_components`` over the trailing firm axis."""
+    return np.sum(cost.value_components(x), axis=-1)
+
+
+def cost_gradient(cost, x):
+    """Elementwise gradient (h_1'(x_1), ..., h_n'(x_n)), from one ``value_components`` call."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    cost.value_components(x, grad)
+    return grad
+
+
+def lipschitz_gamma(inst):
+    """Curvature bound of the potential's gradient: L_h plus the coupling's (n-1)*beta."""
+    return inst.L_h + (inst.n - 1) * inst.beta
+
+
 def apply_Btilde(inst, x):
     """Cross-firm coupling: firm i receives beta times the others' total output."""
     x = _points(inst, x)
@@ -31,16 +49,16 @@ def apply_Q(inst, x):
 
 
 def potential_reference(inst, x):
-    """The potential 0.5*beta*(|x|^2 + sigma^2) - x.alpha_tilde - h(x), h from ``cost.value``."""
+    """The potential 0.5*beta*(|x|^2 + sigma^2) - x.alpha_tilde - h(x), h from ``cost_value``."""
     x = _points(inst, x)
     sq = np.sum(x * x, axis=-1)
     sigma = np.sum(x, axis=-1)
-    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - inst.cost.value(x)
+    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - cost_value(inst.cost, x)
 
 
 def grad_gamma(inst, x):
     """Gradient of the potential: Q x - alpha_tilde - grad h(x)."""
-    return apply_Q(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
+    return apply_Q(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
 
 
 def phi_bifunction(inst, x, y):
@@ -55,7 +73,7 @@ def phi_bifunction(inst, x, y):
     fx = apply_Btilde(inst, x) - inst.alpha_tilde
     cost = inst.cost
     quad = inst.beta * (np.sum(y * y, axis=-1) - np.sum(x * x, axis=-1))
-    return (y - x) @ fx + quad - (cost.value(y) - cost.value(x))
+    return (y - x) @ fx + quad - (cost_value(cost, y) - cost_value(cost, x))
 
 
 def gradient_mapping(inst, x, c):
@@ -71,12 +89,12 @@ def prox_model_value(inst, x, y, c):
     """Value at y of the convexified local model anchored at x, with damping 1/(2c)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = apply_Btilde(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
+    g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
     dy = y - x
     return (
         inst.beta * float(y @ y)
         + float(g @ dy)
-        - float(inst.cost.value(x))
+        - float(cost_value(inst.cost, x))
         + float(dy @ dy) / (2.0 * c)
     )
 
@@ -106,8 +124,8 @@ def fd_gradient_check(model, x, step):
     if step <= 0:
         raise ValueError("step must be positive")
     shifts = step * np.eye(x.size)
-    fd = (model.value(x + shifts) - model.value(x - shifts)) / (2.0 * step)
-    g = model.gradient(x)
+    fd = (cost_value(model, x + shifts) - cost_value(model, x - shifts)) / (2.0 * step)
+    g = cost_gradient(model, x)
     return float(np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1e-12)))
 
 
@@ -197,7 +215,7 @@ def exact_coupling_step(inst, x, c):
     """
     x = np.asarray(x, dtype=float)
     d = inst.beta + 1.0 / c
-    a = (inst.alpha_tilde + inst.cost.gradient(x) + x / c) / d
+    a = (inst.alpha_tilde + cost_gradient(inst.cost, x) + x / c) / d
     k = inst.beta / d
     return np.clip(a - k * breakpoint_root(a, k, inst.lower, inst.upper), inst.lower, inst.upper)
 
@@ -215,8 +233,8 @@ def exact_decrease_rhs(inst, x, s, c):
     return (
         kept
         - float(inst.alpha_tilde @ s)
-        - float(inst.cost.value(x))
-        - float(inst.cost.gradient(x) @ d)
+        - float(cost_value(inst.cost, x))
+        - float(cost_gradient(inst.cost, x) @ d)
         + float(d @ d) / (2.0 * c)
     )
 

@@ -20,7 +20,6 @@ from cournotprox import (
     classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
-    lipschitz_gamma,
     nash_gap,
     potential_gamma,
     prox_step,
@@ -37,12 +36,15 @@ from cournotprox.experiments import (
 from oracles import (
     affine_equilibrium,
     brute_force_stationary_points,
+    cost_gradient,
+    cost_value,
     decrease_rhs,
     dphi_directional,
     exact_decrease_rhs,
     fd_gradient_check,
     grad_gamma,
     gradient_mapping,
+    lipschitz_gamma,
 )
 
 
@@ -203,9 +205,9 @@ def test_inequality_suite():
 
         # linearization error of the cost against its curvature bound
         Lh = inst.cost.lipschitz_on(0.0)
-        lin = inst.cost.value(X) + np.sum(inst.cost.gradient(X) * (Y - X), axis=1)
+        lin = cost_value(inst.cost, X) + np.sum(cost_gradient(inst.cost, X) * (Y - X), axis=1)
         assert np.all(
-            np.abs(inst.cost.value(Y) - lin) <= 0.5 * Lh * np.sum((Y - X) ** 2, axis=1) + 1e-9
+            np.abs(cost_value(inst.cost, Y) - lin) <= 0.5 * Lh * np.sum((Y - X) ** 2, axis=1) + 1e-9
         )
 
         # damping monotonicity over the nine-point grid

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from cournotprox import AffineCost, CostDomainError, CostModel, ExpCost, LogCost
-from oracles import fd_gradient_check
+from cournotprox import (
+    AffineCost, CostDomainError, CostModel, ExpCost, LogCost, MarketInstance, SolverConfig,
+    SolveStatus, Splitting, solve,
+)
+from oracles import cost_gradient, cost_value, fd_gradient_check
 
 
 def log_family(n=6, seed=0):
@@ -21,7 +24,7 @@ def affine_family(n=6, seed=0):
 
 
 class QuadraticCost(CostModel):
-    """Custom cost h_i(x) = a[i]*x**2 that keeps the base value and gradient."""
+    """Custom cost h_i(x) = a[i]*x**2 that implements only the two abstract methods."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
@@ -36,9 +39,6 @@ class QuadraticCost(CostModel):
     def lipschitz_on(self, lower):
         return float(np.max(2.0 * np.abs(self.a)))
 
-    def contains(self, x):
-        return True
-
 
 def custom_family(n=6, seed=0):
     return QuadraticCost(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
@@ -47,14 +47,25 @@ def custom_family(n=6, seed=0):
 ALL_FAMILIES = [log_family, exp_family, affine_family]
 
 
+class TestContract:
+    def test_two_methods_make_a_cost_that_solves(self):
+        cost = QuadraticCost(np.linspace(0.01, 0.03, 5))
+        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
+        assert inst.L_h == 0.06
+        for splitting in Splitting:
+            res, _ = solve(inst, SolverConfig(splitting=splitting))
+            assert res.status is SolveStatus.CONVERGED
+            assert inst.contains(res.x)
+
+
 class TestLogCost:
     def test_gradient_at_origin(self):
         model = LogCost(c0=2.0, c=1.5, r=2.0, n=3)
-        np.testing.assert_allclose(model.gradient(np.zeros(3)), [3.0, 3.0, 3.0])
+        np.testing.assert_allclose(cost_gradient(model, np.zeros(3)), [3.0, 3.0, 3.0])
 
     def test_gradient_decays_at_large_output(self):
         model = LogCost(c0=2.0, c=1.5, r=2.0, n=2)
-        g = model.gradient(np.full(2, 1e9))
+        g = cost_gradient(model, np.full(2, 1e9))
         assert np.all(g > 0) and np.all(g < 1e-8)
 
     def test_curvature_bound_for_reference_parameters(self):
@@ -68,11 +79,11 @@ class TestLogCost:
         model = LogCost(c0=2.0, c=1.5, r=2.0, n=2)
         bad = np.array([0.5, -0.5])  # 1 + 2*(-0.5) = 0
         with pytest.raises(CostDomainError):
-            model.value(bad)
+            cost_value(model, bad)
         with pytest.raises(CostDomainError):
-            model.gradient(bad)
-        assert not model.contains(bad)
-        assert model.contains(np.zeros(2))
+            cost_gradient(model, bad)
+        assert model.lipschitz_on(bad) == np.inf
+        assert model.lipschitz_on(np.zeros(2)) == 6.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -100,12 +111,12 @@ class TestLogCost:
 class TestExpCost:
     def test_gradient_at_origin(self):
         model = ExpCost(c0=2.0, c=2.0, r=0.15, n=2)
-        np.testing.assert_allclose(model.gradient(np.zeros(2)), [0.3, 0.3])
+        np.testing.assert_allclose(cost_gradient(model, np.zeros(2)), [0.3, 0.3])
 
     def test_gradient_positive_and_decreasing(self):
         model = exp_family(4, 3)
         xs = np.linspace(0.0, 10.0, 50)[:, None] * np.ones(4)
-        g = model.gradient(xs)
+        g = cost_gradient(model, xs)
         assert np.all(g > 0)
         assert np.all(np.diff(g, axis=0) < 0)
 
@@ -125,16 +136,16 @@ class TestAffineCost:
     def test_values_and_gradient(self):
         model = AffineCost(mu_h=[1.0, 2.0], xi=[0.5, 0.5])
         x = np.array([3.0, 4.0])
-        assert model.value(x) == pytest.approx(3.0 + 8.0 + 1.0)
-        np.testing.assert_array_equal(model.gradient(x), [1.0, 2.0])
+        assert cost_value(model, x) == pytest.approx(3.0 + 8.0 + 1.0)
+        np.testing.assert_array_equal(cost_gradient(model, x), [1.0, 2.0])
         assert model.lipschitz_on(0.0) == 0.0
 
     def test_offsets_shift_values_only(self):
         base = AffineCost(mu_h=[1.0, 2.0])
         shifted = AffineCost(mu_h=[1.0, 2.0], xi=5.0)
         x = np.array([1.0, 1.0])
-        assert shifted.value(x) - base.value(x) == pytest.approx(10.0)
-        np.testing.assert_array_equal(shifted.gradient(x), base.gradient(x))
+        assert cost_value(shifted, x) - cost_value(base, x) == pytest.approx(10.0)
+        np.testing.assert_array_equal(cost_gradient(shifted, x), cost_gradient(base, x))
 
 
 class TestParameters:
@@ -165,7 +176,7 @@ class TestParameters:
         assert model.r.strides == (8,) and not model.r.flags.writeable
         affine = AffineCost(mu_h=0.5, xi=1.0, n=4)
         assert affine.mu_h.strides == affine.xi.strides == (0,)
-        np.testing.assert_array_equal(affine.gradient(np.ones((2, 4))), np.full((2, 4), 0.5))
+        np.testing.assert_array_equal(cost_gradient(affine, np.ones((2, 4))), np.full((2, 4), 0.5))
 
 
 class TestBatchSemantics:
@@ -173,9 +184,9 @@ class TestBatchSemantics:
     def test_value_reduces_trailing_axis(self, family):
         model = family()
         X = np.random.default_rng(0).uniform(0, 10, (7, model.n))
-        vals = model.value(X)
+        vals = cost_value(model, X)
         assert vals.shape == (7,)
-        assert vals[2] == pytest.approx(model.value(X[2]))
+        assert vals[2] == pytest.approx(cost_value(model, X[2]))
 
 
 class TestValueAndGradient:
@@ -192,8 +203,8 @@ class TestValueAndGradient:
             got = model.value_components(x, grad, work)
             assert work is None or got is work
             assert got.tobytes() == values.tobytes()
-            assert grad.tobytes() == model.gradient(x).tobytes()
-            assert np.sum(got, axis=-1).tobytes() == np.asarray(model.value(x)).tobytes()
+            assert grad.tobytes() == cost_gradient(model, x).tobytes()
+            assert np.sum(got, axis=-1).tobytes() == np.asarray(cost_value(model, x)).tobytes()
 
     def test_log_domain_violation_raises(self):
         model = LogCost(c0=2.0, c=1.5, r=2.0, n=2)
@@ -235,7 +246,7 @@ class TestAnalyticProperties:
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 10, (1000, model.n))
         Y = rng.uniform(0, 10, (1000, model.n))
-        lhs = np.linalg.norm(model.gradient(X) - model.gradient(Y), axis=1)
+        lhs = np.linalg.norm(cost_gradient(model, X) - cost_gradient(model, Y), axis=1)
         rhs = L * np.linalg.norm(X - Y, axis=1)
         assert np.all(lhs <= rhs)
 
@@ -254,7 +265,7 @@ class TestAnalyticProperties:
         L = model.lipschitz_on(lower)
         assert L > model.lipschitz_on(0.0)
         t = lower + np.linspace(0.0, 5.0, 2001)[:, None]
-        curvature = np.abs(np.gradient(model.gradient(t), t[:, 0], axis=0))
+        curvature = np.abs(np.gradient(cost_gradient(model, t), t[:, 0], axis=0))
         assert np.max(curvature) <= L
         at_lower = np.abs(model.c * model.r**2 / (1.0 + model.r * lower) ** 2)
         if family is exp_family:
@@ -273,8 +284,8 @@ class TestAnalyticProperties:
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 10, (500, model.n))
         Y = rng.uniform(0, 10, (500, model.n))
-        lin = model.value(X) + np.sum(model.gradient(X) * (Y - X), axis=1)
-        err = np.abs(model.value(Y) - lin)
+        lin = cost_value(model, X) + np.sum(cost_gradient(model, X) * (Y - X), axis=1)
+        err = np.abs(cost_value(model, Y) - lin)
         bound = 0.5 * L * np.sum((Y - X) ** 2, axis=1)
         assert np.all(err <= bound + 1e-9)
 
@@ -284,5 +295,5 @@ class TestAnalyticProperties:
         rng = np.random.default_rng(10)
         X = rng.uniform(0, 10, (500, model.n))
         Y = rng.uniform(0, 10, (500, model.n))
-        mid = model.value(0.5 * (X + Y))
-        assert np.all(mid >= 0.5 * model.value(X) + 0.5 * model.value(Y) - 1e-12)
+        mid = cost_value(model, 0.5 * (X + Y))
+        assert np.all(mid >= 0.5 * cost_value(model, X) + 0.5 * cost_value(model, Y) - 1e-12)

@@ -19,7 +19,6 @@ from cournotprox import (
     classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
-    lipschitz_gamma,
     nash_gap,
     potential_gamma,
     prox_step,
@@ -31,8 +30,10 @@ from cournotprox.experiments import affine_market, exp_cost_market, log_cost_mar
 from oracles import (
     apply_Btilde,
     brute_force_stationary_points,
+    cost_gradient,
     full_scan_min,
     gradient_mapping,
+    lipschitz_gamma,
     phi_bifunction,
 )
 
@@ -51,9 +52,6 @@ class SinCost(CostModel):
 
     def lipschitz_on(self, lower):
         return abs(self.a)
-
-    def contains(self, x):
-        return True
 
 
 def sin_market(n, seed):
@@ -276,7 +274,8 @@ class TestGammaLowerBound:
         coarse = gamma_lower_bound(inst, 64)
         fine = gamma_lower_bound(inst, 4096)
         # per-cell error is bounded by the profile slope times the spacing
-        slope = float(np.max(np.abs(inst.alpha_tilde)) + np.max(inst.cost.gradient(np.zeros(4))))
+        h_slope = cost_gradient(inst.cost, np.zeros(4))
+        slope = float(np.max(np.abs(inst.alpha_tilde)) + np.max(h_slope))
         cell = float(np.max(inst.upper - inst.lower)) / 63
         assert abs(coarse - fine) <= inst.n * slope * cell
 

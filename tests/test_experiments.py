@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cournotprox import (
-    IterationTrace, MarketInstance, SolverConfig, Splitting, StepPolicy, lipschitz_gamma, solve,
+    IterationTrace, MarketInstance, SolverConfig, Splitting, StepPolicy, solve,
 )
 from cournotprox import experiments
 from cournotprox.cli import main, parse_config_file
@@ -24,6 +24,7 @@ from cournotprox.experiments import (
     verify_run,
     write_trace_csv,
 )
+from oracles import lipschitz_gamma
 
 
 def read_summary(path):
@@ -380,6 +381,22 @@ class TestVerifyRun:
         assert report.delta_consistent and report.bound_ok and report.gamma_monotone
         assert not report.passed
         assert f"residual recompute: FAIL (row {j})" in str(report)
+
+    @pytest.mark.parametrize("column", ["gamma", "step_norm", "residual_G", "delta_k"])
+    def test_nan_cell_is_detected_at_its_row(self, tmp_path, column, capsys):
+        # NaN compares false both ways: a check written as "beyond tolerance" passes it
+        path = self.make_trace(tmp_path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")  # data row 1
+        fields[TRACE_FIELDS.index(column)] = "nan"
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_run(path)
+        assert not report.passed
+        rows = {report.delta_row, report.residual_row, report.gamma_row} - {None}
+        assert rows == {1}
+        assert main(["--verify", str(path)]) == 1
+        assert "FAIL (row 1)" in capsys.readouterr().out
 
     def test_single_row_trace_trivially_passes(self, tmp_path):
         inst = affine_market(3, mu=2.0)

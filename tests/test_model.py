@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from cournotprox import (
     classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
-    lipschitz_gamma,
     nash_gap,
     potential_gamma,
     solve,
@@ -25,8 +25,11 @@ from cournotprox.experiments import exp_cost_market, log_cost_market
 from oracles import (
     apply_Btilde,
     apply_Q,
+    cost_gradient,
+    cost_value,
     dphi_directional,
     grad_gamma,
+    lipschitz_gamma,
     phi_bifunction,
     potential_reference,
 )
@@ -59,8 +62,25 @@ class CountingCost(CostModel):
         self.bound_calls += 1
         return self.inner.lipschitz_on(lower)
 
-    def contains(self, x):
-        return self.inner.contains(x)
+
+class RootCost(CostModel):
+    """h_i(x) = 2*sqrt(1 + x), defined for x > -1, whose bound is infinite below its domain."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def value_components(self, x, grad=None, out=None):
+        root = np.sqrt(1.0 + self._check_points(x))
+        if grad is not None:
+            np.divide(1.0, root, out=grad)
+        return np.multiply(2.0, root, out=out)
+
+    def lipschitz_on(self, lower):
+        # |h_i''| = 0.5*(1 + x)**-1.5 falls as x grows: the bound sits at the lower side
+        low = np.minimum(lower, 0.0)
+        if not np.all(low > -1.0):
+            return np.inf
+        return float(np.max(0.5 * (1.0 + low) ** -1.5))
 
 
 def dense_btilde(inst):
@@ -163,13 +183,13 @@ class TestPotential:
     def test_value_at_zero_is_minus_fixed_cost(self):
         inst = log_cost_market(6, 3)
         assert potential_gamma(inst, np.zeros(6)) == pytest.approx(
-            -float(inst.cost.value(np.zeros(6))), abs=1e-12
+            -float(cost_value(inst.cost, np.zeros(6))), abs=1e-12
         )
 
     @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_cost_market])
     def test_fused_call_keeps_the_bits_and_leaves_the_cost_gradient(self, make):
         # with and without buffers, on one point and on a batch, the bits of the
-        # cost.value formula; the buffer receives the cost term's slope, -h'(x)
+        # summed cost kernel; the buffer receives the cost term's slope, -h'(x)
         inst = make(9, 4)
         for shape in ((9,), (3, 9)):
             x = np.random.default_rng(6).uniform(0.0, 10.0, shape)
@@ -178,7 +198,7 @@ class TestPotential:
             for work in (None, np.empty(shape)):
                 grad = np.full(shape, np.nan)
                 assert np.asarray(potential_gamma(inst, x, grad, work)).tobytes() == want
-                assert grad.tobytes() == (-inst.cost.gradient(x)).tobytes()
+                assert grad.tobytes() == (-cost_gradient(inst.cost, x)).tobytes()
 
     def test_single_firm_closed_form(self):
         inst = zero_cost_instance(1)
@@ -209,7 +229,7 @@ class TestPotential:
         inst = log_cost_market(7, 2)
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 10, 7)
-        expected = dense_q(inst) @ x - inst.alpha_tilde - inst.cost.gradient(x)
+        expected = dense_q(inst) @ x - inst.alpha_tilde - cost_gradient(inst.cost, x)
         np.testing.assert_allclose(grad_gamma(inst, x), expected, atol=1e-12)
 
 
@@ -225,7 +245,7 @@ def check_the_papers_sign():
                               cost=AffineCost(mu_h=2.0, n=4))
         star = classical_equilibrium(inst)
         np.testing.assert_allclose(star, 19.6, rtol=1e-14)
-        gamma = 0.5 * (x @ x + x.sum() ** 2) - inst.alpha_tilde @ x + inst.cost.value(x)
+        gamma = 0.5 * (x @ x + x.sum() ** 2) - inst.alpha_tilde @ x + cost_value(inst.cost, x)
         assert potential_gamma(inst, x) == pytest.approx(gamma, rel=1e-14)
         for splitting in Splitting:
             # a fixed point of the step: reaches prox_step's own cost call
@@ -352,11 +372,38 @@ class TestInstanceValidation:
             with pytest.raises(ValueError, match="cost domain"):
                 MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=lower, upper=10.0, cost=cost)
         # a cost defined on the whole line takes negative sides, but its curvature
-        # grows without bound below 0, so no damping suits an unbounded side
+        # grows without bound below 0, so no damping suits an unbounded side; at
+        # -1e4 the bound's exp overflows to inf, the right answer, with no warning
         exp = ExpCost(c0=4.0, c=2.0, r=0.1, n=3)
         MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=-5.0, upper=10.0, cost=exp)
-        with pytest.raises(ValueError, match="curvature"):
-            MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=-np.inf, upper=10.0, cost=exp)
+        for lower in (-np.inf, -1e4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="curvature"):
+                    MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=lower, upper=10.0, cost=exp)
+
+    def test_a_custom_costs_domain_is_checked_through_its_bound(self):
+        # the one curvature test also rejects a box that leaves the cost's domain
+        cost = RootCost(3)
+        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=-0.75, upper=10.0, cost=cost)
+        assert inst.L_h == 4.0
+        for lower in (-1.0, [0.0, -2.0, 0.0]):
+            with pytest.raises(ValueError, match="cost domain"):
+                MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=lower, upper=10.0, cost=cost)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: log_cost_market(4), lambda: log_cost_market(4).cost,
+         lambda: exp_cost_market(4).cost, lambda: affine_cost_market(4, 0).cost],
+        ids=["MarketInstance", "LogCost", "ExpCost", "AffineCost"],
+    )
+    def test_instances_compare_and_hash_by_identity(self, make):
+        # comparing the array fields field by field would raise on two equal-valued copies
+        a = make()
+        b = dataclasses.replace(a)
+        assert (a == b) is False and a != b
+        assert a == a
+        assert {a, a, b} == {a, b} and len({a, b}) == 2
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     # costs
     "AffineCost", "CostDomainError", "CostModel", "ExpCost", "LogCost",
     # model
-    "MarketInstance", "lipschitz_gamma", "potential_gamma",
+    "MarketInstance", "potential_gamma",
     # subqp
     "classical_equilibrium", "prox_step",
     # solver
@@ -91,7 +91,15 @@ def test_solve_statuses():
 
 
 def test_cost_contract_is_one_kernel():
-    # every formula lives in value_components; value and gradient are derived from it
-    assert CostModel.__abstractmethods__ == {"value_components", "lipschitz_on", "contains"}
-    for family in (AffineCost, ExpCost, LogCost):
-        assert not {"value_and_gradient", "gradient", "lipschitz_L"} & set(vars(family))
+    # every formula lives in value_components and every bound in lipschitz_on, which
+    # is also the domain test: infinite on a box that leaves the domain
+    assert CostModel.__abstractmethods__ == {"value_components", "lipschitz_on"}
+    for cls in (CostModel, AffineCost, ExpCost, LogCost):
+        gone = {"value", "gradient", "contains", "value_and_gradient", "lipschitz_L"}
+        assert not {name for name in gone if hasattr(cls, name)}
+
+
+def test_the_potentials_bound_is_private():
+    # L_h + (n-1)*beta is written once, in the solver's paper splitting
+    for module in (cournotprox, cournotprox.model):
+        assert not hasattr(module, "lipschitz_gamma")

@@ -19,7 +19,6 @@ from cournotprox import (
     classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
-    lipschitz_gamma,
     nash_gap,
     potential_gamma,
     prox_step,
@@ -33,6 +32,7 @@ from oracles import (
     exact_coupling_step,
     exact_decrease_rhs,
     gradient_mapping,
+    lipschitz_gamma,
 )
 
 PAPER = Splitting.PAPER

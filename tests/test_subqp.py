@@ -12,7 +12,9 @@ import cournotprox.subqp
 from cournotprox import AffineCost, MarketInstance, Splitting, classical_equilibrium
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.subqp import _aggregate_root, prox_step
-from oracles import apply_Btilde, breakpoint_root, exact_coupling_step, phi_bifunction
+from oracles import (
+    apply_Btilde, breakpoint_root, cost_gradient, exact_coupling_step, phi_bifunction,
+)
 
 
 def pg_reference(hess, linear, lower, upper, step, x, tol=1e-12, max_iter=100_000):
@@ -107,7 +109,7 @@ class TestProxStep:
                 2.0 * inst.beta * s
                 + apply_Btilde(inst, x)
                 - inst.alpha_tilde
-                - inst.cost.gradient(x)
+                - cost_gradient(inst.cost, x)
                 - G
             )
             Y = rng.uniform(inst.lower, inst.upper, (100, inst.n))
@@ -134,7 +136,7 @@ class TestProxStep:
             s = prox_step(inst, x, c, splitting=Splitting.EXACT_COUPLING)
             np.testing.assert_allclose(s, exact_coupling_step(inst, x, c), rtol=1e-12, atol=1e-12)
             # into out, with the slope and the scratch from the caller: same bits
-            g = -(inst.alpha_tilde + inst.cost.gradient(x))
+            g = -(inst.alpha_tilde + cost_gradient(inst.cost, x))
             out, scratch = np.full(12, np.nan), (np.empty(12), np.empty((2, 12), dtype=bool))
             t = prox_step(inst, x, c, g, out, Splitting.EXACT_COUPLING, scratch)
             assert t is out and t.tobytes() == s.tobytes()
@@ -160,7 +162,7 @@ class TestBoxPG:
         for n in (1, 5, 30, 100):
             inst = log_cost_market(n, n)
             x = rng.uniform(inst.lower, inst.upper)
-            g = apply_Btilde(inst, x) - inst.alpha_tilde - inst.cost.gradient(x)
+            g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
             for c in (0.1, 1.0):
                 d = 2.0 * inst.beta + 1.0 / c
                 pg = pg_reference(lambda v: d * v, g - x / c, inst.lower, inst.upper, 1.0 / d, x)

@@ -61,12 +61,13 @@ def _infer_n(n, *values):
 
 
 def _param(value, n, name, finite=True):
-    # float() copies a scalar: a caller's 0-d array changed later must not change the view
+    # float() copies a scalar: a caller's 0-d array changed later must not change the view.
+    # A scalar is checked before it is broadcast, not as n stride-0 copies.
     arr = np.asarray(value)
     if arr.dtype == bool:
         raise ValueError(f"{name} must be numbers, not booleans")
     if arr.ndim == 0:
-        arr = np.broadcast_to(float(arr), (n,))
+        arr = np.asarray(float(arr))
     elif arr.shape == (n,):
         arr = _frozen(np.array(arr, dtype=float))
     else:
@@ -75,7 +76,7 @@ def _param(value, n, name, finite=True):
         raise ValueError(f"{name} must be finite")
     if np.any(np.isnan(arr)):
         raise ValueError(f"{name} must not contain NaN")
-    return arr
+    return arr if arr.ndim else np.broadcast_to(arr, (n,))
 
 
 def _frozen(arr):

@@ -321,18 +321,23 @@ class VerifyReport:
 
     path: str
     rows: int
+    index_consistent: bool  # the k column reads 0..rows-1
+    index_row: Optional[int]
     delta_consistent: bool
     delta_row: Optional[int]
     residual_consistent: bool
     residual_row: Optional[int]
-    bound_ok: Optional[bool]  # None when the trace carries no bound column
+    bound_ok: Optional[bool]  # None when the trace carries no bound (an all-NaN column)
     bound_row: Optional[int]
     gamma_monotone: bool
     gamma_row: Optional[int]
 
     @property
     def passed(self):
-        checks = [self.delta_consistent, self.residual_consistent, self.gamma_monotone]
+        checks = [
+            self.index_consistent, self.delta_consistent, self.residual_consistent,
+            self.gamma_monotone,
+        ]
         if self.bound_ok is not None:
             checks.append(self.bound_ok)
         return all(checks)
@@ -348,6 +353,7 @@ class VerifyReport:
         return "\n".join(
             [
                 f"trace: {self.path} ({self.rows} rows)",
+                line("row index", self.index_consistent, self.index_row),
                 line("delta recompute", self.delta_consistent, self.delta_row),
                 line("residual recompute", self.residual_consistent, self.residual_row),
                 line("per-iteration bound", self.bound_ok, self.bound_row),
@@ -376,28 +382,34 @@ def _bound_violation(delta, rhs):
 def verify_run(path):
     """Re-derive the per-iteration checks from a stored trace CSV.
 
-    Recomputes the running best scaled squared step and the gradient-
-    mapping norm step_norm/c_k from the step-norm and damping columns,
-    compares each with its stored column, re-checks the former against
-    the stored drop budget, and checks that the potential column never
-    increases. A NaN cell in those columns fails its check. A single-row
-    trace passes trivially.
+    Checks that the ``k`` column reads 0, 1, ..., recomputes the running
+    best scaled squared step and the gradient-mapping norm step_norm/c_k
+    from the step-norm and damping columns and compares each with its
+    stored column, recomputes the drop budget (gamma_0 - gamma_lb)/(k+1)
+    on every row from its row-0 value, compares it with the stored
+    ``bound_rhs`` and re-checks the running best step against it, and
+    checks that the potential column never increases. A trace without a
+    lower bound must hold NaN in every ``bound_rhs`` cell; its bound
+    check is then skipped. A NaN cell in the other checked columns
+    fails its check. A single-row trace passes trivially.
     """
     cols = read_trace_csv(path)
     m = cols["k"].size
-    if m == 0:
-        return VerifyReport(str(path), 0, True, None, True, None, None, None, True, None)
-    bound = cols["bound_rhs"]
-    gamma_lb = None if np.all(np.isnan(bound)) else cols["gamma"][0] - bound[0]
-    trace = IterationTrace(cols["gamma"], cols["step_norm"], cols["c_k"], gamma_lb=gamma_lb)
+    index_row = _first_bad(cols["k"] != np.arange(m))
+    trace = IterationTrace(cols["gamma"], cols["step_norm"], cols["c_k"])
     delta_re = trace.delta
     delta_row = _first_mismatch(delta_re, cols["delta_k"])
     residual_row = _first_mismatch(trace.residual, cols["residual_G"])
 
-    if gamma_lb is None:
-        bound_ok, bound_row = None, None
+    bound = cols["bound_rhs"]
+    if not m or np.isnan(bound[0]):  # no lower bound: every cell must say so
+        bound_row = _first_bad(~np.isnan(bound))
+        bound_ok = None if bound_row is None else False
     else:
-        bound_row = _bound_violation(delta_re, trace.bound_rhs)
+        # row 0 stores gamma_0 - gamma_lb itself, and row k that over k+1
+        budget = bound[0] / np.arange(1, m + 1)
+        rows = (_first_mismatch(budget, bound), _bound_violation(delta_re, budget))
+        bound_row = min((row for row in rows if row is not None), default=None)
         bound_ok = bound_row is None
 
     g = cols["gamma"]
@@ -409,6 +421,8 @@ def verify_run(path):
     return VerifyReport(
         path=str(path),
         rows=m,
+        index_consistent=index_row is None,
+        index_row=index_row,
         delta_consistent=delta_row is None,
         delta_row=delta_row,
         residual_consistent=residual_row is None,

@@ -44,6 +44,9 @@ class MarketInstance:
     ``cost.lipschitz_on(lower)`` over the box, computed once here; a box
     on which it is infinite is rejected, and that one test also rejects
     a box that leaves the cost's domain. Instances compare by identity.
+    The private ``_signed`` says whether some lower side is negative, so
+    that a clipped output can be: the aggregate root's rounding estimate
+    then needs sum(|clip|).
 
     ``mu``, ``lower`` and ``upper`` are read-only float vectors of shape
     (n,); one given as a scalar is stored once, as a stride-0 broadcast
@@ -61,6 +64,7 @@ class MarketInstance:
     cost: CostModel
     alpha_tilde: np.ndarray = field(init=False, repr=False)
     L_h: float = field(init=False, repr=False)
+    _signed: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.cost, CostModel):
@@ -99,6 +103,9 @@ class MarketInstance:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "alpha_tilde", alpha_tilde)
         object.__setattr__(self, "L_h", L_h)
+        # decided once here, not per root pass: a reduction over a stride-0
+        # side runs several times slower than over a dense one
+        object.__setattr__(self, "_signed", bool(np.min(lower) < 0.0))
 
     @property
     def n(self):
@@ -148,7 +155,7 @@ def _cost_term(inst, t, slope=None, out=None):
     return np.negative(v, out=out)
 
 
-def potential_gamma(inst, x, cost_slope=None, work=None):
+def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None):
     """Merit potential: both quadratic terms minus the effective revenue line plus the cost term.
 
     Decreased monotonically by well-damped proximal steps; its gradient
@@ -159,6 +166,10 @@ def potential_gamma(inst, x, cost_slope=None, work=None):
     ``cost_slope`` (an array shaped like ``x``, allocated here when
     omitted) and writes the per-firm terms into ``work`` (same shape,
     optional). Neither buffer may alias ``x``.
+
+    ``_sigma`` is private to the solver, which already holds the total
+    output of a trial point: it must be bitwise
+    ``np.add.reduce(x, axis=-1)``, and it spares that sum here.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != inst.n:
@@ -168,5 +179,5 @@ def potential_gamma(inst, x, cost_slope=None, work=None):
     # np.add.reduce is np.sum without its Python-level wrapper: the same bits
     sq = np.add.reduce(np.multiply(x, x, out=cost_slope), axis=-1)
     cost = np.add.reduce(_cost_term(inst, x, cost_slope, work), axis=-1)
-    sigma = np.add.reduce(x, axis=-1)
+    sigma = np.add.reduce(x, axis=-1) if _sigma is None else _sigma
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde + cost

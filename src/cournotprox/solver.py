@@ -242,9 +242,14 @@ def solve(inst, config=None, x0=None):
     scratch, including the exact-coupling step's), and every trial
     writes into them: one step and one ``potential_gamma`` whose fused
     cost call also leaves the slope at the trial point, which becomes
-    the slope at the next iterate when the trial is accepted.
-    ``result.x`` and the recorded iterates are never written again once
-    ``solve`` returns.
+    the slope at the next iterate when the trial is accepted. The run
+    also carries the total output sigma(x): it sums x0 once, and each
+    step leaves the sum of its trial point, which its own root computed
+    on the last pass under EXACT_COUPLING; the potential, the
+    sufficient-decrease test and, once the trial is accepted, the next
+    step's warm start read that sum, so every trial point is summed
+    once. ``result.x`` and the recorded iterates are never written again
+    once ``solve`` returns.
     """
     cfg = config if config is not None else SolverConfig()
     if x0 is None:
@@ -290,9 +295,12 @@ def solve(inst, config=None, x0=None):
     # evaluated twice at one point.
     s, dh_x, dh_s, g, work = (np.empty_like(x) for _ in range(5))
     masks = np.empty((2, inst.n), dtype=bool)
-    gamma_x = float(potential_gamma(inst, x, dh_x, work))
+    # the total output at the iterate and at the trial point: x0 is summed
+    # here, and every trial point once, by its step
+    sums = np.array([np.add.reduce(x), math.nan])
+    gamma_x = float(potential_gamma(inst, x, dh_x, work, _sigma=sums[0]))
     # the kept quadratic at the iterate, carried over from the accepted trial
-    kept_x = kept(x) if search else math.nan
+    kept_x = kept(x, sums[0]) if search else math.nan
     col_gamma, col_step, col_c = [], [], []
     iterates = [] if cfg.record_iterates else None
     c_next = min(c_hi, max(c_lo, 2.0 * c_fixed))
@@ -311,14 +319,14 @@ def solve(inst, config=None, x0=None):
         c = c_next
         n_trials = 0
         while True:
-            prox_step(inst, x, c, g, s, cfg.splitting, (work, masks))
+            prox_step(inst, x, c, g, s, cfg.splitting, (work, masks, sums))
             n_trials += 1
-            gamma_s = float(potential_gamma(inst, s, dh_s, work))
+            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1]))
             dx = np.subtract(s, x, out=work)
             dx2 = float(dx @ dx)
             if not search:
                 break
-            kept_s = kept(s)
+            kept_s = kept(s, sums[1])
             model = base + kept_s + float(g @ dx)
             # at c <= c_lo the step is in the guaranteed-descent region
             # (c*L <= 1); accept unconditionally
@@ -353,6 +361,7 @@ def solve(inst, config=None, x0=None):
             iterates.append(x.copy())
         x, s = s, x
         dh_x, dh_s = dh_s, dh_x
+        sums[0] = sums[1]
         gamma_x = gamma_s
         if not math.isfinite(gamma_x):
             status = SolveStatus.NON_FINITE
@@ -389,13 +398,15 @@ def solve(inst, config=None, x0=None):
 def _local_model(inst, splitting):
     """The splitting's curvature bound L, from the instance's L_h, and the quadratic kept exact.
 
+    The kept quadratic takes a point y and its total output sigma = sum(y).
+
     Under PAPER, L is the potential's bound L_gamma = L_h + (n-1)*beta:
     the coupling is linearized, so its curvature joins the cost's.
     """
     beta = inst.beta
     if splitting is Splitting.PAPER:
-        return inst.L_h + (inst.n - 1) * beta, lambda y: beta * float(y @ y)
-    return inst.L_h, lambda y: 0.5 * beta * (float(y @ y) + float(np.add.reduce(y)) ** 2)
+        return inst.L_h + (inst.n - 1) * beta, lambda y, sigma: beta * float(y @ y)
+    return inst.L_h, lambda y, sigma: 0.5 * beta * (float(y @ y) + float(sigma) ** 2)
 
 
 def eps_certificate(inst, x, c, splitting=Splitting.EXACT_COUPLING):

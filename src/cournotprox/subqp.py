@@ -72,7 +72,12 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     like ``x`` that aliases neither ``x`` nor ``g``) and returned.
     ``scratch`` is the exact-coupling step's workspace, a pair of an
     n-vector that aliases none of ``x``, ``g`` and ``out``, and a
-    boolean (2, n) array; it is allocated here when omitted.
+    boolean (2, n) array; it is allocated here when omitted. A caller
+    that carries total outputs may add a third member, a float array
+    ``sums`` of shape (2,) holding sum(x) in ``sums[0]``: the
+    exact-coupling step then warm-starts there instead of summing x, and
+    either step leaves sum(out) in ``sums[1]``, bitwise
+    ``np.add.reduce(out)`` (the root's last pass sums it already).
     """
     exact = splitting is Splitting.EXACT_COUPLING
     if isinstance(c, (bool, np.bool_)) or not (c > 0 and (exact or math.isfinite(c))):
@@ -84,25 +89,34 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
         dh = np.empty_like(x)
         model._cost_term(inst, x, dh)
         g = _linear_term(inst, x, dh, splitting)
+    sums = scratch[2] if scratch is not None and len(scratch) > 2 else None
     if exact:
         if out is None:
             out = np.empty_like(x)
-        a, masks = scratch if scratch is not None else (np.empty_like(x), None)
+        a, masks = scratch[:2] if scratch is not None else (np.empty_like(x), None)
         d = inst.beta + 1.0 / c
         np.divide(x, c, out=a)
         np.subtract(a, g, out=a)
         np.divide(a, d, out=a)
-        _aggregate_root(a, inst.beta / d, inst.lower, inst.upper, np.add.reduce(x), out, masks)
+        sigma_x = np.add.reduce(x) if sums is None else sums[0]
+        _, total = _aggregate_root(
+            a, inst.beta / d, inst.lower, inst.upper, sigma_x, out, masks, inst._signed
+        )
+        if sums is not None:
+            sums[1] = total
         return out
     out = np.multiply(c, g, out=out)
     np.subtract(x, out, out=out)
     np.divide(out, 1.0 + 2.0 * inst.beta * c, out=out)
     # clamp with two ufuncs; np.clip takes about three times as long
     np.maximum(out, inst.lower, out=out)
-    return np.minimum(out, inst.upper, out=out)
+    np.minimum(out, inst.upper, out=out)
+    if sums is not None:
+        sums[1] = np.add.reduce(out)
+    return out
 
 
-def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
+def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
     """Root of F(sigma) = sum(clip(a - k*sigma, lower, upper)) - sigma; the clip is left in ``buf``.
 
     F is continuous, piecewise linear and strictly decreasing, with slope
@@ -122,43 +136,48 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None):
     sigma itself, lets Newton creep or bisection halve on for hundreds
     of passes when the root is near 0 among large cancelling terms. The
     bracket stop ends the search where the rounding exceeds that
-    estimate.
+    estimate. A pass whose |F| is already within the estimate stops
+    before counting the free firms: the move, F/(1 + k*#free), is no
+    larger.
 
-    Returns the last evaluated sigma; ``buf`` (shaped like ``a``, not
+    Returns the last evaluated sigma and the sum of the clip there,
+    bitwise ``np.add.reduce(buf)``; ``buf`` (shaped like ``a``, not
     aliasing it) then holds clip(a - k*sigma, lower, upper). ``masks``
-    is a boolean (2, n) scratch array, allocated here when omitted. A
-    NaN in ``a`` stops at once, with NaN in ``buf``.
+    is a boolean (2, n) scratch array, allocated here when omitted.
+    ``signed`` may be False only when no lower side is negative: every
+    clipped term is then nonnegative, so sum(|clip|) is the sum itself.
+    A NaN in ``a`` stops at once, with NaN in ``buf``.
     """
     if masks is None:
         masks = np.empty((2,) + np.shape(a), dtype=bool)
     inside, below = masks
-    # each term is at least its lower side: with none negative, sum(|t|) = sum(t)
-    signed = not np.min(lower) >= 0.0
     lo, hi = -math.inf, math.inf
     sigma = float(sigma0)
     while True:
         t = np.subtract(a, k * sigma, out=buf)
-        np.less(lower, t, out=inside)
-        np.less(t, upper, out=below)
-        free = np.count_nonzero(np.logical_and(inside, below, out=inside))
         np.maximum(t, lower, out=t)
         np.minimum(t, upper, out=t)
-        total = float(np.sum(t))
+        total = float(np.add.reduce(t))
         f = total - sigma
         if f > 0.0:
             lo = sigma
         elif f < 0.0:
             hi = sigma
         else:  # the exact root, or NaN
-            return sigma
-        move = f / (1.0 + k * free)
+            return sigma, total
         noise = 4.0 * math.ulp(abs(total) + abs(sigma))
+        if abs(f) <= noise:
+            return sigma, total
+        # on the clipped t, strictly inside the bounds reads as it does before the clip
+        np.less(lower, t, out=inside)
+        np.less(t, upper, out=below)
+        move = f / (1.0 + k * np.count_nonzero(np.logical_and(inside, below, out=inside)))
         if signed and abs(move) > noise:
-            noise = 4.0 * math.ulp(float(np.sum(np.abs(t))) + abs(sigma))
+            noise = 4.0 * math.ulp(float(np.add.reduce(np.abs(t))) + abs(sigma))
         if abs(move) <= noise:
-            return sigma
+            return sigma, total
         if hi - lo <= noise:  # F's sign is rounding noise inside the bracket
-            return sigma
+            return sigma, total
         sigma += move
         if not lo < sigma < hi:
             sigma = 0.5 * (lo + hi)
@@ -180,5 +199,5 @@ def classical_equilibrium(inst):
         raise TypeError("classical equilibrium requires an affine cost model")
     a = -(inst.mu + inst.cost.mu_h - inst.alpha0) / inst.beta
     x = np.empty_like(a)
-    _aggregate_root(a, 1.0, inst.lower, inst.upper, 0.0, x)
+    _aggregate_root(a, 1.0, inst.lower, inst.upper, 0.0, x, signed=inst._signed)
     return x

@@ -398,6 +398,40 @@ class TestVerifyRun:
         assert main(["--verify", str(path)]) == 1
         assert "FAIL (row 1)" in capsys.readouterr().out
 
+    @staticmethod
+    def set_cell(path, row, column, text):
+        lines = path.read_text().splitlines()
+        fields = lines[1 + row].split(",")
+        fields[TRACE_FIELDS.index(column)] = text
+        lines[1 + row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [("bound_rhs", "nan"), ("bound_rhs", "123.0"), ("bound_rhs", "-5.0"), ("k", "7")],
+    )
+    def test_every_stored_column_is_checked(self, tmp_path, column, text, capsys):
+        # a budget too loose, negative or missing on one row, or a row number out of
+        # sequence, is caught at that row: no recomputed column reads them
+        path = self.make_trace(tmp_path)
+        self.set_cell(path, 2, column, text)
+        assert not verify_run(path).passed
+        assert main(["--verify", str(path)]) == 1
+        assert "FAIL (row 2)" in capsys.readouterr().out
+
+    def test_a_trace_without_a_bound_holds_only_nan_budgets(self, tmp_path):
+        inst = log_cost_market(12, 4)
+        _, trace = solve(inst, SolverConfig(record_bound=False))
+        assert trace.gamma_lb is None and len(trace) > 3
+        path = tmp_path / "unbounded.csv"
+        write_trace_csv(path, trace)
+        report = verify_run(path)
+        assert report.passed and report.bound_ok is None
+        self.set_cell(path, 2, "bound_rhs", "1.0")
+        report = verify_run(path)
+        assert not report.passed
+        assert "per-iteration bound: FAIL (row 2)" in str(report)
+
     def test_single_row_trace_trivially_passes(self, tmp_path):
         inst = affine_market(3, mu=2.0)
         from cournotprox import classical_equilibrium

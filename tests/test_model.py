@@ -352,6 +352,31 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             MarketInstance(beta=1.0, alpha0=1.0, mu=np.zeros(3), lower=0.0, upper=1.0, cost=cost)
 
+    @pytest.mark.parametrize("shape", ["scalar", "vector"])
+    def test_non_finite_parameters_name_themselves(self, shape):
+        # a scalar is checked once before it is broadcast, a vector cell by cell:
+        # the messages are the same
+        cost = AffineCost(mu_h=np.zeros(3))
+
+        def given(value):
+            return value if shape == "scalar" else [0.0, value, 0.0]
+
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            MarketInstance(beta=1.0, alpha0=1.0, mu=given(np.inf), lower=0.0, upper=1.0, cost=cost)
+        with pytest.raises(ValueError, match="^lower must not contain NaN$"):
+            MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=given(np.nan), upper=1.0, cost=cost)
+
+    def test_a_negative_lower_side_is_noted_once(self):
+        # the aggregate root's rounding estimate reads this flag instead of
+        # reducing the lower sides on every pass
+        cost = AffineCost(mu_h=np.zeros(3))
+
+        def signed(lower):
+            return MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=lower, upper=1.0, cost=cost)._signed
+
+        assert not signed(0.0) and not signed([0.0, 0.5, 0.0])
+        assert signed(-1.0) and signed([0.0, -np.inf, 0.0])
+
     @pytest.mark.parametrize("side", [np.inf, -np.inf], ids=["plus_inf", "minus_inf"])
     def test_rejects_box_side_at_the_wrong_infinity(self, side):
         # lower = upper = +inf (or -inf) is not an empty box, but no point lies in it

@@ -6,6 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import cournotprox.model
+import cournotprox.solver
+import cournotprox.subqp
 from cournotprox import (
     AffineCost,
     ConfigurationError,
@@ -398,6 +401,59 @@ class TestLineSearch:
         trials, c, s = first_step(inst, x)
         assert (trials, c) == (2, 1.0 / L)
         assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c)
+
+    def test_each_trial_point_is_summed_once(self, monkeypatch):
+        # the exact-coupling step's root sums its trial point on its last pass;
+        # the potential, the sufficient-decrease test and the next warm start
+        # take that total instead of summing the point again
+        n = 200
+        summed = Counter()
+
+        def count(x):
+            if np.shape(x)[-1:] == (n,):
+                summed[np.asarray(x).tobytes()] += 1
+
+        class CountingAdd:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            @staticmethod
+            def reduce(x, *args, **kwargs):
+                count(x)
+                return np.add.reduce(x, *args, **kwargs)
+
+        class CountingSum:
+            add = CountingAdd()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sum(x, *args, **kwargs):
+                count(x)
+                return np.sum(x, *args, **kwargs)
+
+        trial_points = []
+
+        def recording_step(*args, **kwargs):
+            out = prox_step(*args, **kwargs)
+            trial_points.append(out.tobytes())
+            return out
+
+        for module in (cournotprox.model, cournotprox.solver, cournotprox.subqp):
+            monkeypatch.setattr(module, "np", CountingSum())
+        monkeypatch.setattr(cournotprox.solver, "prox_step", recording_step)
+        cfg = SolverConfig(
+            step_policy=StepPolicy.LINE_SEARCH, record_iterates=True, record_bound=False
+        )
+        res, trace = solve(log_cost_market(n, 0), cfg)
+        assert res.status is SolveStatus.CONVERGED
+        assert len(trial_points) == res.trials > res.iterations  # a rejected trial too
+        assert [summed[p] for p in trial_points] == [1] * res.trials
+        assert summed[trace.iterates[0].tobytes()] == 1
 
     def test_affine_single_firm_accepts_any_damping(self):
         # no curvature at all: the local model is exact, every c passes, so

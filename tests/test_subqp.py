@@ -144,6 +144,19 @@ class TestProxStep:
             with pytest.raises(ValueError, match="positive"):
                 prox_step(inst, inst.center(), bad, splitting=Splitting.EXACT_COUPLING)
 
+    @pytest.mark.parametrize("splitting", list(Splitting))
+    def test_a_caller_carrying_total_outputs_gets_the_same_step_and_its_total(self, splitting):
+        # the solver passes sum(x) in and takes sum(out) back through the scratch
+        inst = log_cost_market(12, 3)
+        rng = np.random.default_rng(3)
+        for c in (0.05, 1.0):
+            x = rng.uniform(inst.lower, inst.upper)
+            sums = np.array([np.add.reduce(x), np.nan])
+            scratch = (np.empty(12), np.empty((2, 12), dtype=bool), sums)
+            t = prox_step(inst, x, c, None, None, splitting, scratch)
+            assert t.tobytes() == prox_step(inst, x, c, splitting=splitting).tobytes()
+            assert sums[0] == np.add.reduce(x) and sums[1] == np.add.reduce(t)
+
     def test_output_stays_in_box(self):
         inst = log_cost_market(20, 5)
         rng = np.random.default_rng(2)
@@ -295,7 +308,9 @@ class TestAggregateRoot:
     @staticmethod
     def assert_matches_oracle(a, k, lower, upper, sigma0):
         buf = np.empty_like(a)
-        sigma = _aggregate_root(a, k, lower, upper, sigma0, buf)
+        sigma, total = _aggregate_root(a, k, lower, upper, sigma0, buf)
+        # the sum the solver reuses as the step's total output
+        assert total == np.add.reduce(buf)
         ref = breakpoint_root(a, k, lower, upper)
         x_ref = np.clip(a - k * ref, lower, upper)
         # relative to the magnitude of the terms the root balances
@@ -344,7 +359,7 @@ class TestAggregateRoot:
             lower[rng.random(n) < 0.3] = -3e8
             upper[rng.random(n) < 0.3] = 3e8
             buf = np.empty(n)
-            sigma, ran = lines_run(_aggregate_root, a, k, lower, upper, 0.0, buf)
+            (sigma, _), ran = lines_run(_aggregate_root, a, k, lower, upper, 0.0, buf)
             passes[ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")]] += 1
             ref = breakpoint_root(a, k, lower, upper)
             x_ref = np.clip(a - k * ref, lower, upper)
@@ -358,7 +373,7 @@ class TestAggregateRoot:
         # and each Newton move lands on the far end of the bracket
         n = 1000
         a, lower, upper = np.full(n, 50.0), np.zeros(n), np.ones(n)
-        sigma, ran = lines_run(_aggregate_root, a, 1.0, lower, upper, 1e3, np.empty(n))
+        (sigma, _), ran = lines_run(_aggregate_root, a, 1.0, lower, upper, 1e3, np.empty(n))
         assert ran[line_of(_aggregate_root, "sigma = 0.5 * (lo + hi)")] >= 1
         assert ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")] <= 30
         assert sigma == pytest.approx(breakpoint_root(a, 1.0, lower, upper), rel=1e-14)
@@ -368,14 +383,25 @@ class TestAggregateRoot:
         # changes from point to point: F's sign is then unreliable over a range
         # 16 times the stop's estimate, Newton keeps proposing moves above it,
         # and the search ends once the bracket is inside that estimate
-        class NoisySum:
+        class NoisyAdd:
+            # np.add, whose reduce is the root's sum
             def __getattr__(self, name):
-                return getattr(np, name)
+                return getattr(np.add, name)
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
 
             @staticmethod
-            def sum(x, *args, **kwargs):
+            def reduce(x, *args, **kwargs):
                 sign = 1.0 if zlib.crc32(np.asarray(x).tobytes()) & 1 else -1.0
-                return np.sum(x, *args, **kwargs) + sign * 64.0 * math.ulp(np.sum(np.abs(x)))
+                exact = np.add.reduce(x, *args, **kwargs)
+                return exact + sign * 64.0 * math.ulp(np.add.reduce(np.abs(x)))
+
+        class NoisySum:
+            add = NoisyAdd()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
 
         monkeypatch.setattr(cournotprox.subqp, "np", NoisySum())
         rng = np.random.default_rng(5)
@@ -384,7 +410,7 @@ class TestAggregateRoot:
         lower, upper = np.full(n, -50.0), np.full(n, 50.0)
         ref = breakpoint_root(a, k, lower, upper)
         buf = np.empty(n)
-        sigma, ran = lines_run(_aggregate_root, a, k, lower, upper, ref + 1e3, buf)
+        (sigma, _), ran = lines_run(_aggregate_root, a, k, lower, upper, ref + 1e3, buf)
         # moves leave the bracket (bisection), and the return under the
         # bracket test ends the search
         assert ran[line_of(_aggregate_root, "sigma = 0.5 * (lo + hi)")] >= 1

@@ -25,29 +25,6 @@ from .solver import Splitting, StepPolicy
 _CUSTOM_KEYS = ("beta", "alpha0", "mu", "lower", "upper", "cost", "c0", "c", "r", "mu_h", "xi")
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="cournotprox",
-        description="Run seeded market-equilibrium experiments and emit CSV traces.",
-    )
-    p.add_argument("--config", type=Path, help="flat key=value config file; flags override it")
-    p.add_argument("--verify", type=Path, metavar="TRACE_CSV",
-                   help="re-check a stored trace instead of running experiments")
-    p.add_argument("--example", choices=[f.value for f in ExampleFamily])
-    p.add_argument("--n", type=int)
-    p.add_argument("--sweep", help="comma-separated sizes, e.g. 10,50,100")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--step", choices=[s.value for s in StepPolicy])
-    p.add_argument("--splitting", choices=[s.value for s in Splitting],
-                   help="what the local model keeps exact (default: exact)")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--x0", choices=[x.value for x in X0Policy])
-    p.add_argument("--trace", choices=["on", "off"])
-    return p
-
-
 def parse_config_file(path):
     """Flat ``key = value`` lines; blank lines and # comments ignored."""
     values = {}
@@ -73,21 +50,48 @@ def _on_off(value):
     return value == "on"
 
 
-# flag dest (also its config-file key) -> ExperimentConfig field and the
-# conversion of a flag or file string
+# flag dest (also its config-file key) -> ExperimentConfig field, the conversion
+# of a flag or file string, the flag's choices and its help; --n N is the
+# one-size sweep N
 _FLAG_FIELDS = {
-    "example": ("example", ExampleFamily),
-    "n": ("n", int),
-    "sweep": ("sweep", _sizes),
-    "seed": ("seed", int),
-    "eps": ("eps", float),
-    "step": ("step_policy", StepPolicy),
-    "splitting": ("splitting", Splitting),
-    "max_iter": ("max_iter", int),
-    "out": ("out_dir", Path),
-    "x0": ("x0", X0Policy),
-    "trace": ("trace", _on_off),
+    "example": ("example", ExampleFamily, [f.value for f in ExampleFamily], None),
+    "n": ("sweep", lambda v: (int(v),), None, "one size: the same as --sweep N"),
+    "sweep": ("sweep", _sizes, None, "comma-separated sizes, e.g. 10,50,100"),
+    "seed": ("seed", int, None, None),
+    "eps": ("eps", float, None, None),
+    "step": ("step_policy", StepPolicy, [s.value for s in StepPolicy], None),
+    "splitting": ("splitting", Splitting, [s.value for s in Splitting],
+                  "what the local model keeps exact (default: exact)"),
+    "max_iter": ("max_iter", int, None, None),
+    "out": ("out_dir", Path, None, None),
+    "x0": ("x0", X0Policy, [x.value for x in X0Policy], None),
+    "trace": ("trace", _on_off, ["on", "off"], None),
 }
+
+
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="cournotprox",
+        description="Run seeded market-equilibrium experiments and emit CSV traces.",
+    )
+    p.add_argument("--config", type=Path, help="flat key=value config file; flags override it")
+    p.add_argument("--verify", type=Path, metavar="TRACE_CSV",
+                   help="re-check a stored trace instead of running experiments")
+    # the strings are converted once, by _merged, whether they come from a flag or the file
+    for flag, (_, _, choices, text) in _FLAG_FIELDS.items():
+        p.add_argument("--" + flag.replace("_", "-"), dest=flag, choices=choices, help=text)
+    return p
+
+
+def _by_field(values, where):
+    # field -> (conversion, string) for the keys set in one place, the flags or the file
+    fields = {}
+    for key, value in values.items():
+        name, convert = _FLAG_FIELDS[key][:2]
+        if name in fields:  # only n and sweep share a field
+            raise ValueError(f"{where} sets both n and sweep; give one")
+        fields[name] = (convert, value)
+    return fields
 
 
 def _merged(args):
@@ -96,40 +100,30 @@ def _merged(args):
     unknown = [k for k in file_values if k not in _FLAG_FIELDS and k not in _CUSTOM_KEYS]
     if unknown:
         raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
-    settings = {}
-    for flag, (name, convert) in _FLAG_FIELDS.items():
-        v = getattr(args, flag)
-        if v is None:
-            v = file_values.get(flag)
-        if v is not None:
-            settings[name] = convert(v)
-    custom = {k: file_values[k] for k in _CUSTOM_KEYS if k in file_values}
-    for k in ("beta", "alpha0", "mu", "lower", "upper", "c0", "c", "mu_h", "xi"):
-        if k in custom:
-            custom[k] = float(custom[k])
-    if "r" in custom and custom["r"] != "random":
-        custom["r"] = float(custom["r"])
+    fields = _by_field({k: v for k, v in file_values.items() if k in _FLAG_FIELDS}, args.config)
+    given = {f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f) is not None}
+    fields.update(_by_field(given, "the command line"))  # a flag overrides the file
+    settings = {name: convert(v) for name, (convert, v) in fields.items()}
+    # every market key but the cost family holds a number; r may also say random
+    custom = {k: v if k == "cost" or (k, v) == ("r", "random") else float(v)
+              for k, v in file_values.items() if k in _CUSTOM_KEYS}
     return ExperimentConfig(**settings, custom=custom)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.verify is not None:
-        try:
-            report = verify_run(args.verify)
-        except (OSError, ValueError) as exc:  # an unreadable or malformed trace file
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report)
-        return 0 if report.passed else 1
     try:
+        if args.verify is not None:  # an unreadable or malformed trace exits 2 below
+            report = verify_run(args.verify)
+            print(report)
+            return 0 if report.passed else 1
         cfg = _merged(args)
-        if cfg.sweep is None and cfg.n is None:
+        if cfg.sweep is None:
             raise ValueError("set --n or --sweep")
         # a custom market comes from file values: build one and its start point
         # up front so that a bad parameter is rejected like any other bad setting
-        if cfg.example is ExampleFamily.CUSTOM and cfg.sizes:
-            initial_point(cfg, generate_instance(cfg, cfg.sizes[0]))
+        if cfg.example is ExampleFamily.CUSTOM and cfg.sweep:
+            initial_point(cfg, generate_instance(cfg, cfg.sweep[0]))
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, KeyError) as exc:  # OSError: an unreadable file or unusable --out
         print(f"error: {exc}", file=sys.stderr)

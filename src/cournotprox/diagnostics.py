@@ -139,7 +139,7 @@ def nash_gap(inst, x, radius=np.inf):
         raise ValueError(f"radius must be positive, got {radius!r}")
     if x.shape != (inst.n,) or not inst.contains(x, tol=1e-9):
         raise ValueError("anchor x must lie in the box")
-    slope = model._coupling_slope(inst, x)
+    slope = model._coupling_slope(inst, x, np.add.reduce(x))
 
     def profile(t):
         return (inst.beta * t + slope) * t + model._cost_term(inst, t)

@@ -105,10 +105,12 @@ def affine_market(n, mu=2.0, beta=0.1, alpha0=10.0, lower=0.0, upper=50.0):
 
 @dataclass
 class ExperimentConfig:
-    """One experiment batch: family, sizes, seed, solver knobs, output layout."""
+    """One experiment batch: family, sizes, seed, solver knobs, output layout.
+
+    ``sweep`` holds the sizes, strictly increasing; one run is ``sweep=(n,)``.
+    """
 
     example: ExampleFamily = ExampleFamily.LOG
-    n: Optional[int] = None
     sweep: Optional[tuple] = None
     seed: int = 0
     eps: float = 1e-3
@@ -130,24 +132,12 @@ class ExperimentConfig:
                 raise ValueError("sweep sizes must be strictly increasing")
             if any(v < 1 for v in self.sweep):
                 raise ValueError("sweep sizes must be positive")
-        if self.n is not None:
-            self.n = _size(self.n, "n")
-            if self.n < 1:
-                raise ValueError("n must be positive")
         self.seed = _size(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.custom and self.example is not ExampleFamily.CUSTOM:
             raise ValueError(f"market keys {sorted(self.custom)} need example = custom")
         self.solver_config()  # SolverConfig checks eps and max_iter
-
-    @property
-    def sizes(self):
-        if self.sweep is not None:
-            return self.sweep
-        if self.n is not None:
-            return (self.n,)
-        raise ValueError("set n or sweep")
 
     def solver_config(self):
         return SolverConfig(
@@ -191,9 +181,9 @@ def _custom_instance(cfg, n):
     return MarketInstance(beta=beta, alpha0=alpha0, mu=mu, lower=lower, upper=upper, cost=cost)
 
 
-def generate_instance(cfg, n=None):
-    """Build the market instance for one run; deterministic per (family, n, seed)."""
-    n = _size(n if n is not None else (cfg.n if cfg.n is not None else cfg.sizes[0]), "n")
+def generate_instance(cfg, n):
+    """Build the market instance of size ``n`` for one run; deterministic per (family, n, seed)."""
+    n = _size(n, "n")
     if cfg.example is ExampleFamily.LOG:
         return log_cost_market(n, cfg.seed)
     if cfg.example is ExampleFamily.EXP:
@@ -252,10 +242,6 @@ def read_trace_csv(path):
     return {name: np.asarray(vals) for name, vals in columns.items()}
 
 
-def _trace_name(cfg, n):
-    return f"trace_{cfg.example.value}_n{n}_seed{cfg.seed}.csv"
-
-
 def run_experiment(cfg):
     """Run one sweep; write per-run trace CSVs and a summary CSV.
 
@@ -264,11 +250,13 @@ def run_experiment(cfg):
     appear in sweep order; an empty sweep yields header-only output and
     exit status 0.
     """
+    if cfg.sweep is None:
+        raise ValueError("set sweep")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     solver_cfg = cfg.solver_config()
     rows = []
     all_ok = True
-    for n in cfg.sizes:
+    for n in cfg.sweep:
         inst = generate_instance(cfg, n)
         # solve's default start is the box midpoint, so CENTER passes none
         # and the start is not projected a second time
@@ -287,7 +275,8 @@ def run_experiment(cfg):
         L_gamma = _local_model(inst, Splitting.PAPER)[0]
         L = _local_model(inst, cfg.splitting)[0]  # the bound that sized the damping
         if cfg.trace:
-            write_trace_csv(cfg.out_dir / _trace_name(cfg, n), trace)
+            name = f"trace_{cfg.example.value}_n{n}_seed{cfg.seed}.csv"
+            write_trace_csv(cfg.out_dir / name, trace)
         rows.append(
             [
                 n,
@@ -315,51 +304,36 @@ def run_experiment(cfg):
     return 0 if all_ok else 1
 
 
+_VERIFY_CHECKS = (
+    "row index", "delta recompute", "residual recompute", "per-iteration bound",
+    "potential monotone",
+)
+
+
 @dataclass
 class VerifyReport:
-    """Offline re-check of a stored trace; one flag per invariant."""
+    """Offline re-check of a stored trace.
+
+    ``failures`` maps each check that ran, by its printed name, to its first failing
+    row, or None when it passed; the bound check is absent when the trace has no bound.
+    """
 
     path: str
     rows: int
-    index_consistent: bool  # the k column reads 0..rows-1
-    index_row: Optional[int]
-    delta_consistent: bool
-    delta_row: Optional[int]
-    residual_consistent: bool
-    residual_row: Optional[int]
-    bound_ok: Optional[bool]  # None when the trace carries no bound (an all-NaN column)
-    bound_row: Optional[int]
-    gamma_monotone: bool
-    gamma_row: Optional[int]
+    failures: dict
 
     @property
     def passed(self):
-        checks = [
-            self.index_consistent, self.delta_consistent, self.residual_consistent,
-            self.gamma_monotone,
-        ]
-        if self.bound_ok is not None:
-            checks.append(self.bound_ok)
-        return all(checks)
+        return all(row is None for row in self.failures.values())
 
     def __str__(self):
-        def line(name, ok, row):
-            if ok is None:
+        def line(name):
+            if name not in self.failures:
                 return f"{name}: SKIPPED"
-            if ok:
-                return f"{name}: PASS"
-            return f"{name}: FAIL (row {row})"
+            row = self.failures[name]
+            return f"{name}: PASS" if row is None else f"{name}: FAIL (row {row})"
 
-        return "\n".join(
-            [
-                f"trace: {self.path} ({self.rows} rows)",
-                line("row index", self.index_consistent, self.index_row),
-                line("delta recompute", self.delta_consistent, self.delta_row),
-                line("residual recompute", self.residual_consistent, self.residual_row),
-                line("per-iteration bound", self.bound_ok, self.bound_row),
-                line("potential monotone", self.gamma_monotone, self.gamma_row),
-            ]
-        )
+        return "\n".join([f"trace: {self.path} ({self.rows} rows)", *map(line, _VERIFY_CHECKS)])
 
 
 def _first_bad(mask):
@@ -395,40 +369,27 @@ def verify_run(path):
     """
     cols = read_trace_csv(path)
     m = cols["k"].size
-    index_row = _first_bad(cols["k"] != np.arange(m))
     trace = IterationTrace(cols["gamma"], cols["step_norm"], cols["c_k"])
     delta_re = trace.delta
-    delta_row = _first_mismatch(delta_re, cols["delta_k"])
-    residual_row = _first_mismatch(trace.residual, cols["residual_G"])
+    failures = {
+        "row index": _first_bad(cols["k"] != np.arange(m)),
+        "delta recompute": _first_mismatch(delta_re, cols["delta_k"]),
+        "residual recompute": _first_mismatch(trace.residual, cols["residual_G"]),
+    }
 
     bound = cols["bound_rhs"]
     if not m or np.isnan(bound[0]):  # no lower bound: every cell must say so
         bound_row = _first_bad(~np.isnan(bound))
-        bound_ok = None if bound_row is None else False
+        if bound_row is not None:
+            failures["per-iteration bound"] = bound_row
     else:
         # row 0 stores gamma_0 - gamma_lb itself, and row k that over k+1
         budget = bound[0] / np.arange(1, m + 1)
         rows = (_first_mismatch(budget, bound), _bound_violation(delta_re, budget))
-        bound_row = min((row for row in rows if row is not None), default=None)
-        bound_ok = bound_row is None
+        failures["per-iteration bound"] = min((r for r in rows if r is not None), default=None)
 
     g = cols["gamma"]
     slack = 1e-9 + 1e-12 * np.abs(g[:-1])
-    bad_gamma = ~(g[1:] <= g[:-1] + slack)  # a NaN potential is not monotone
-    gamma_row = _first_bad(bad_gamma)
-    gamma_row = gamma_row + 1 if gamma_row is not None else None
-
-    return VerifyReport(
-        path=str(path),
-        rows=m,
-        index_consistent=index_row is None,
-        index_row=index_row,
-        delta_consistent=delta_row is None,
-        delta_row=delta_row,
-        residual_consistent=residual_row is None,
-        residual_row=residual_row,
-        bound_ok=bound_ok,
-        bound_row=bound_row,
-        gamma_monotone=gamma_row is None,
-        gamma_row=gamma_row,
-    )
+    gamma_row = _first_bad(~(g[1:] <= g[:-1] + slack))  # a NaN potential is not monotone
+    failures["potential monotone"] = None if gamma_row is None else gamma_row + 1
+    return VerifyReport(path=str(path), rows=m, failures=failures)

@@ -138,10 +138,10 @@ class MarketInstance:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
 
-def _coupling_slope(inst, x, out=None):
-    # beta*(sigma - x) - alpha_tilde per firm, in this operation order: the
-    # solver step and nash_gap rely on the bits; written into out when given
-    out = np.subtract(np.sum(x, axis=-1, keepdims=True), x, out=out)
+def _coupling_slope(inst, x, sigma, out=None):
+    # beta*(sigma - x) - alpha_tilde per firm, sigma = np.add.reduce(x), in this operation
+    # order: the solver step and nash_gap rely on the bits; written into out when given
+    out = np.subtract(sigma, x, out=out)
     np.multiply(inst.beta, out, out=out)
     return np.subtract(out, inst.alpha_tilde, out=out)
 

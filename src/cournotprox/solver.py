@@ -247,8 +247,8 @@ def solve(inst, config=None, x0=None):
     step leaves the sum of its trial point, which its own root computed
     on the last pass under EXACT_COUPLING; the potential, the
     sufficient-decrease test and, once the trial is accepted, the next
-    step's warm start read that sum, so every trial point is summed
-    once. ``result.x`` and the recorded iterates are never written again
+    step's linear term and warm start read that sum, so every trial
+    point is summed once. ``result.x`` and the recorded iterates are never written again
     once ``solve`` returns.
     """
     cfg = config if config is not None else SolverConfig()
@@ -314,7 +314,7 @@ def solve(inst, config=None, x0=None):
         #   gamma(s) <= gamma(x) + kept(s) - kept(x) + g.(s - x) + |s - x|^2/(2c),
         # written around the known gamma(x), so it needs no h(x). A one-point
         # bracket never reads it.
-        _linear_term(inst, x, dh_x, cfg.splitting, g)
+        _linear_term(inst, x, dh_x, sums[0], cfg.splitting, g)
         base = gamma_x - kept_x
         c = c_next
         n_trials = 0

@@ -35,11 +35,12 @@ class Splitting(Enum):
     PAPER = "paper"
 
 
-def _linear_term(inst, x, dh, splitting, out=None):
-    # the splitting's linear term g at x, from the cost term's slope dh there:
-    # dh - alpha_tilde, plus the coupling slope under PAPER (out may then not alias dh)
+def _linear_term(inst, x, dh, sigma, splitting, out=None):
+    # the splitting's linear term g at x, from the cost term's slope dh and the
+    # total output sigma there: dh - alpha_tilde, plus the coupling slope under
+    # PAPER (out may then not alias dh)
     if splitting is Splitting.PAPER:
-        out = model._coupling_slope(inst, x, out)
+        out = model._coupling_slope(inst, x, sigma, out)
         return np.add(out, dh, out=out)
     return np.subtract(dh, inst.alpha_tilde, out=out)
 
@@ -70,14 +71,14 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     ``x`` can compute it once and pass it in; by default it is computed
     here. The step is written into ``out`` when given (an array shaped
     like ``x`` that aliases neither ``x`` nor ``g``) and returned.
-    ``scratch`` is the exact-coupling step's workspace, a pair of an
-    n-vector that aliases none of ``x``, ``g`` and ``out``, and a
-    boolean (2, n) array; it is allocated here when omitted. A caller
-    that carries total outputs may add a third member, a float array
-    ``sums`` of shape (2,) holding sum(x) in ``sums[0]``: the
-    exact-coupling step then warm-starts there instead of summing x, and
-    either step leaves sum(out) in ``sums[1]``, bitwise
-    ``np.add.reduce(out)`` (the root's last pass sums it already).
+    ``scratch`` is the triple ``(work, masks, sums)``: an n-vector that
+    aliases none of ``x``, ``g`` and ``out``, a boolean (2, n) array,
+    and a float array of shape (2,) holding sum(x), bitwise
+    ``np.add.reduce(x)``, in ``sums[0]``. The exact-coupling step works
+    in the first two and warm-starts at ``sums[0]``, the linear term
+    reads it, and either step leaves sum(out) in ``sums[1]``, bitwise
+    ``np.add.reduce(out)`` (the root's last pass sums it already). It
+    is allocated here, summing x, when omitted.
     """
     exact = splitting is Splitting.EXACT_COUPLING
     if isinstance(c, (bool, np.bool_)) or not (c > 0 and (exact or math.isfinite(c))):
@@ -85,25 +86,26 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
+    if scratch is None:
+        scratch = (
+            np.empty_like(x), np.empty((2, inst.n), dtype=bool),
+            np.array([np.add.reduce(x), math.nan]),
+        )
+    a, masks, sums = scratch
     if g is None:
         dh = np.empty_like(x)
         model._cost_term(inst, x, dh)
-        g = _linear_term(inst, x, dh, splitting)
-    sums = scratch[2] if scratch is not None and len(scratch) > 2 else None
+        g = _linear_term(inst, x, dh, sums[0], splitting)
     if exact:
         if out is None:
             out = np.empty_like(x)
-        a, masks = scratch[:2] if scratch is not None else (np.empty_like(x), None)
         d = inst.beta + 1.0 / c
         np.divide(x, c, out=a)
         np.subtract(a, g, out=a)
         np.divide(a, d, out=a)
-        sigma_x = np.add.reduce(x) if sums is None else sums[0]
-        _, total = _aggregate_root(
-            a, inst.beta / d, inst.lower, inst.upper, sigma_x, out, masks, inst._signed
+        _, sums[1] = _aggregate_root(
+            a, inst.beta / d, inst.lower, inst.upper, sums[0], out, masks, inst._signed
         )
-        if sums is not None:
-            sums[1] = total
         return out
     out = np.multiply(c, g, out=out)
     np.subtract(x, out, out=out)
@@ -111,8 +113,7 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     # clamp with two ufuncs; np.clip takes about three times as long
     np.maximum(out, inst.lower, out=out)
     np.minimum(out, inst.upper, out=out)
-    if sums is not None:
-        sums[1] = np.add.reduce(out)
+    sums[1] = np.add.reduce(out)
     return out
 
 

@@ -27,6 +27,12 @@ from cournotprox.experiments import (
 from oracles import lipschitz_gamma
 
 
+CHECKS = (
+    "row index", "delta recompute", "residual recompute", "per-iteration bound",
+    "potential monotone",
+)
+
+
 def read_summary(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -56,31 +62,29 @@ class TestInstanceFamilies:
         assert np.any(a.cost.r != c.cost.r)
 
     def test_generate_instance_dispatch(self):
-        cfg = ExperimentConfig(example=ExampleFamily.EXP, n=5, seed=3)
-        inst = generate_instance(cfg)
+        cfg = ExperimentConfig(example=ExampleFamily.EXP, seed=3)
+        inst = generate_instance(cfg, 5)
         assert inst.n == 5
         np.testing.assert_array_equal(inst.cost.r, exp_cost_market(5, 3).cost.r)
-        cfg_a = ExperimentConfig(example=ExampleFamily.AFFINE, n=4)
-        assert generate_instance(cfg_a).cost.lipschitz_on(0.0) == 0.0
+        cfg_a = ExperimentConfig(example=ExampleFamily.AFFINE)
+        assert generate_instance(cfg_a, 4).cost.lipschitz_on(0.0) == 0.0
 
     def test_generate_custom_instance(self):
         cfg = ExperimentConfig(
             example=ExampleFamily.CUSTOM,
-            n=3,
             seed=1,
             custom={"cost": "exp", "c0": 5.0, "c": 2.5, "r": 0.12, "upper": 20.0},
         )
-        inst = generate_instance(cfg)
+        inst = generate_instance(cfg, 3)
         np.testing.assert_array_equal(inst.cost.r, np.full(3, 0.12))
         np.testing.assert_array_equal(inst.upper, np.full(3, 20.0))
         with pytest.raises(ValueError):
-            generate_instance(
-                ExperimentConfig(example=ExampleFamily.CUSTOM, n=2, custom={"bogus": 1})
-            )
+            bogus = ExperimentConfig(example=ExampleFamily.CUSTOM, custom={"bogus": 1})
+            generate_instance(bogus, 2)
 
     def test_initial_point_policies(self):
-        cfg = ExperimentConfig(example=ExampleFamily.LOG, n=6, seed=11)
-        inst = generate_instance(cfg)
+        cfg = ExperimentConfig(example=ExampleFamily.LOG, seed=11)
+        inst = generate_instance(cfg, 6)
         np.testing.assert_array_equal(initial_point(cfg, inst), np.zeros(6) + 5.0)
         cfg.x0 = X0Policy.ZERO
         np.testing.assert_array_equal(initial_point(cfg, inst), np.zeros(6))
@@ -93,32 +97,33 @@ class TestInstanceFamilies:
 
     def test_random_start_needs_a_bounded_box(self):
         cfg = ExperimentConfig(
-            example=ExampleFamily.CUSTOM, n=2, x0=X0Policy.RANDOM,
+            example=ExampleFamily.CUSTOM, x0=X0Policy.RANDOM,
             custom={"cost": "affine", "upper": float("inf")},
         )
         with pytest.raises(ValueError, match="bounded box"):
-            initial_point(cfg, generate_instance(cfg))
+            initial_point(cfg, generate_instance(cfg, 2))
 
     def test_market_keys_need_custom_example(self):
         with pytest.raises(ValueError, match="example = custom"):
-            ExperimentConfig(example=ExampleFamily.LOG, n=3, custom={"beta": 0.5})
+            ExperimentConfig(example=ExampleFamily.LOG, sweep=(3,), custom={"beta": 0.5})
 
-    def test_config_validation(self):
+    def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig(sweep=(10, 10))
         with pytest.raises(ValueError):
             ExperimentConfig(sweep=(50, 10))
         with pytest.raises(ValueError):
-            ExperimentConfig(n=0)
+            ExperimentConfig(sweep=(0,))
         with pytest.raises(ValueError):
             ExperimentConfig(eps=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig().sizes
+        with pytest.raises(ValueError, match="sweep"):
+            run_experiment(ExperimentConfig(out_dir=tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "sizes",
-        [{"n": 2.5}, {"n": "3"}, {"sweep": (2.9, 3.5)}, {"sweep": (10, np.float64(20.0))},
-         {"n": True}, {"sweep": (True, 2)}],
+        [{"sweep": (2.5,)}, {"sweep": ("3",)}, {"sweep": (2.9, 3.5)},
+         {"sweep": (10, np.float64(20.0))}, {"sweep": (True,)}, {"sweep": (True, 2)}],
         ids=["n_float", "n_str", "sweep_floats", "sweep_numpy_float", "n_bool", "sweep_bool"],
     )
     def test_non_integer_sizes_are_rejected(self, sizes):
@@ -127,9 +132,9 @@ class TestInstanceFamilies:
             ExperimentConfig(example=ExampleFamily.LOG, **sizes)
 
     def test_integer_sizes_are_plain_ints(self):
-        cfg = ExperimentConfig(n=np.int64(3), sweep=(np.int32(2), 5))
-        assert cfg.n == 3 and cfg.sweep == (2, 5)
-        assert all(type(v) is int for v in (cfg.n, *cfg.sweep))
+        cfg = ExperimentConfig(sweep=(np.int32(2), np.int64(3), 5))
+        assert cfg.sweep == (2, 3, 5)
+        assert all(type(v) is int for v in cfg.sweep)
 
     @pytest.mark.parametrize(
         "seed", [2.5, 2.0, "3", True], ids=["float", "integral_float", "str", "bool"]
@@ -137,17 +142,17 @@ class TestInstanceFamilies:
     def test_non_integer_seed_is_rejected(self, seed):
         # numpy's SeedSequence would refuse it only once the run starts
         with pytest.raises(ValueError, match="seed must be an integer"):
-            ExperimentConfig(example=ExampleFamily.LOG, n=3, seed=seed)
+            ExperimentConfig(example=ExampleFamily.LOG, sweep=(3,), seed=seed)
 
     def test_seed_is_a_plain_non_negative_int(self):
-        cfg = ExperimentConfig(example=ExampleFamily.LOG, n=3, seed=np.int64(4))
+        cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(3,), seed=np.int64(4))
         assert cfg.seed == 4 and type(cfg.seed) is int
         with pytest.raises(ValueError, match="non-negative"):
-            ExperimentConfig(example=ExampleFamily.LOG, n=3, seed=-1)
+            ExperimentConfig(example=ExampleFamily.LOG, sweep=(3,), seed=-1)
 
     @pytest.mark.parametrize("example", list(ExampleFamily))
     def test_generate_instance_rejects_a_non_integer_n(self, example):
-        cfg = ExperimentConfig(example=example, n=3)
+        cfg = ExperimentConfig(example=example)
         with pytest.raises(ValueError, match="integer"):
             generate_instance(cfg, 2.5)
         assert generate_instance(cfg, np.int64(2)).n == 2
@@ -225,7 +230,7 @@ class TestRunExperiment:
 
     def test_summary_leaves_gamma_lb_empty_on_an_unbounded_box(self, tmp_path):
         cfg = ExperimentConfig(
-            example=ExampleFamily.CUSTOM, n=3, eps=1e-8, out_dir=tmp_path,
+            example=ExampleFamily.CUSTOM, sweep=(3,), eps=1e-8, out_dir=tmp_path,
             custom={"cost": "affine", "mu_h": 2.0, "upper": float("inf")},
         )
         assert run_experiment(cfg) == 0
@@ -260,7 +265,7 @@ class TestRunExperiment:
 
     def test_failure_exit_code(self, tmp_path):
         cfg = ExperimentConfig(
-            example=ExampleFamily.EXP, n=40, eps=1e-10, max_iter=3, out_dir=tmp_path
+            example=ExampleFamily.EXP, sweep=(40,), eps=1e-10, max_iter=3, out_dir=tmp_path
         )
         assert run_experiment(cfg) == 1
         rows = read_summary(tmp_path / "summary.csv")
@@ -277,14 +282,15 @@ class TestRunExperiment:
         )
         assert trace.delta[0] > trace.bound_rhs[0] + 1e-12
         monkeypatch.setattr(experiments, "solve", lambda *args: (res, trace))
-        cfg = ExperimentConfig(example=ExampleFamily.LOG, n=3, out_dir=tmp_path)
+        cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(3,), out_dir=tmp_path)
         assert run_experiment(cfg) == 0
         (row,) = read_summary(tmp_path / "summary.csv")
         assert row["bound_ok"] == "1"
-        assert verify_run(tmp_path / "trace_log_n3_seed0.csv").bound_ok
+        report = verify_run(tmp_path / "trace_log_n3_seed0.csv")
+        assert report.failures["per-iteration bound"] is None
 
     def test_trace_off_writes_summary_only(self, tmp_path):
-        cfg = ExperimentConfig(example=ExampleFamily.LOG, n=5, out_dir=tmp_path, trace=False)
+        cfg = ExperimentConfig(example=ExampleFamily.LOG, sweep=(5,), out_dir=tmp_path, trace=False)
         run_experiment(cfg)
         assert not list(tmp_path.glob("trace_*.csv"))
         assert (tmp_path / "summary.csv").exists()
@@ -335,7 +341,7 @@ class TestTraceCSV:
 class TestVerifyRun:
     def make_trace(self, tmp_path, **cfg_kwargs):
         cfg = ExperimentConfig(
-            example=ExampleFamily.LOG, n=12, seed=4, out_dir=tmp_path, **cfg_kwargs
+            example=ExampleFamily.LOG, sweep=(12,), seed=4, out_dir=tmp_path, **cfg_kwargs
         )
         assert run_experiment(cfg) == 0
         return tmp_path / "trace_log_n12_seed4.csv"
@@ -343,8 +349,7 @@ class TestVerifyRun:
     def test_clean_trace_passes(self, tmp_path):
         report = verify_run(self.make_trace(tmp_path))
         assert report.passed
-        assert report.delta_consistent and report.residual_consistent
-        assert report.bound_ok and report.gamma_monotone
+        assert report.failures == dict.fromkeys(CHECKS)  # every check ran and passed
         assert "PASS" in str(report)
 
     def test_delta_recompute_is_exact(self, tmp_path):
@@ -362,8 +367,7 @@ class TestVerifyRun:
         lines[1 + j] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         report = verify_run(path)
-        assert not report.gamma_monotone
-        assert report.gamma_row == j
+        assert report.failures["potential monotone"] == j
         assert not report.passed
         assert "FAIL" in str(report)
 
@@ -376,9 +380,7 @@ class TestVerifyRun:
         lines[1 + j] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         report = verify_run(path)
-        assert not report.residual_consistent
-        assert report.residual_row == j
-        assert report.delta_consistent and report.bound_ok and report.gamma_monotone
+        assert report.failures == {**dict.fromkeys(CHECKS), "residual recompute": j}
         assert not report.passed
         assert f"residual recompute: FAIL (row {j})" in str(report)
 
@@ -393,7 +395,8 @@ class TestVerifyRun:
         path.write_text("\n".join(lines) + "\n")
         report = verify_run(path)
         assert not report.passed
-        rows = {report.delta_row, report.residual_row, report.gamma_row} - {None}
+        checked = ("delta recompute", "residual recompute", "potential monotone")
+        rows = {report.failures[name] for name in checked} - {None}
         assert rows == {1}
         assert main(["--verify", str(path)]) == 1
         assert "FAIL (row 1)" in capsys.readouterr().out
@@ -426,11 +429,35 @@ class TestVerifyRun:
         path = tmp_path / "unbounded.csv"
         write_trace_csv(path, trace)
         report = verify_run(path)
-        assert report.passed and report.bound_ok is None
+        assert report.passed and "per-iteration bound" not in report.failures
         self.set_cell(path, 2, "bound_rhs", "1.0")
         report = verify_run(path)
         assert not report.passed
         assert "per-iteration bound: FAIL (row 2)" in str(report)
+
+    @pytest.mark.parametrize("case, code, expected", [
+        ("clean", 0, ["PASS", "PASS", "PASS", "PASS", "PASS"]),
+        ("corrupted", 1, ["FAIL (row 5)", "PASS", "FAIL (row 2)", "FAIL (row 6)", "FAIL (row 3)"]),
+        ("unbounded", 0, ["PASS", "PASS", "PASS", "SKIPPED", "PASS"]),
+    ])
+    def test_printed_report(self, tmp_path, capsys, case, code, expected):
+        # the text --verify prints, line by line, for a trace that passes, one that
+        # fails four checks at once, and one without a lower bound
+        if case == "unbounded":
+            _, trace = solve(log_cost_market(12, 4), SolverConfig(record_bound=False))
+            path = tmp_path / "unbounded.csv"
+            write_trace_csv(path, trace)
+        else:
+            path = self.make_trace(tmp_path)
+        if case == "corrupted":
+            self.set_cell(path, 3, "gamma", "1e9")
+            self.set_cell(path, 2, "residual_G", "0.5")
+            self.set_cell(path, 6, "bound_rhs", "nan")
+            self.set_cell(path, 5, "k", "7")
+        assert main(["--verify", str(path)]) == code
+        lines = [f"trace: {path} (39 rows)"]
+        lines += [f"{name}: {verdict}" for name, verdict in zip(CHECKS, expected)]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_single_row_trace_trivially_passes(self, tmp_path):
         inst = affine_market(3, mu=2.0)
@@ -485,6 +512,42 @@ class TestCli:
     def test_missing_size_is_an_error(self, tmp_path, capsys):
         assert main(["--example", "log", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, keys", [
+        (["--n", "5", "--sweep", "10,20"], ""), ([], "n = 5\nsweep = 10,20\n"),
+    ], ids=["flags", "file_keys"])
+    def test_both_sizes_from_one_place_exit_2(self, tmp_path, capsys, flags, keys):
+        # --n N is the sweep N: given beside --sweep, one of the two would be dropped
+        cfgfile = tmp_path / "sizes.cfg"
+        cfgfile.write_text(f"example = log\n{keys}")
+        argv = ["--config", str(cfgfile), *flags, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "both n and sweep" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("keys, flags, sizes", [
+        ("n = 4", ["--sweep", "5,6"], ["5", "6"]),
+        ("sweep = 5,6", ["--n", "4"], ["4"]),
+        ("sweep = 5,6", ["--sweep", "3"], ["3"]),
+        ("n = 4", [], ["4"]),
+    ], ids=["sweep_flag_over_n_key", "n_flag_over_sweep_key", "sweep_over_sweep", "file_only"])
+    def test_a_size_flag_overrides_the_files_size(self, tmp_path, keys, flags, sizes):
+        cfgfile = tmp_path / "sizes.cfg"
+        cfgfile.write_text(f"example = log\n{keys}\n")
+        assert main(["--config", str(cfgfile), *flags, "--out", str(tmp_path / "o")]) == 0
+        assert [r["n"] for r in read_summary(tmp_path / "o" / "summary.csv")] == sizes
+
+    @pytest.mark.parametrize(
+        "flags", [["--n", "2.5"], ["--n", "x"], ["--n", "3", "--seed", "1.5"]],
+        ids=["n_float", "n_word", "seed_float"],
+    )
+    def test_non_integer_size_or_seed_flag_exits_2(self, tmp_path, capsys, flags):
+        # the flags' strings are converted with the file's, so a bad one is a bad setting
+        argv = ["--example", "log", *flags, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flags",

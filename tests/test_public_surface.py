@@ -9,6 +9,7 @@ import cournotprox
 from cournotprox import (
     AffineCost, CostModel, ExpCost, ExperimentConfig, LogCost, SolverConfig, SolveStatus,
 )
+from cournotprox.experiments import VerifyReport
 
 PUBLIC_NAMES = {
     # costs
@@ -32,7 +33,7 @@ SOLVER_CONFIG_FIELDS = [
 ]
 
 EXPERIMENT_CONFIG_FIELDS = [
-    "example", "n", "sweep", "seed", "eps", "step_policy", "splitting", "max_iter", "out_dir",
+    "example", "sweep", "seed", "eps", "step_policy", "splitting", "max_iter", "out_dir",
     "x0", "trace", "custom",
 ]
 
@@ -84,6 +85,11 @@ def test_solver_config_fields():
 
 def test_experiment_config_fields():
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == EXPERIMENT_CONFIG_FIELDS
+
+
+def test_verify_report_fields():
+    # each check's verdict is its entry in one map, not a flag beside a row
+    assert [f.name for f in dataclasses.fields(VerifyReport)] == ["path", "rows", "failures"]
 
 
 def test_solve_statuses():

@@ -403,10 +403,10 @@ class TestLineSearch:
         assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c)
 
     def test_each_trial_point_is_summed_once(self, monkeypatch):
-        # the exact-coupling step's root sums its trial point on its last pass;
-        # the potential, the sufficient-decrease test and the next warm start
-        # take that total instead of summing the point again
-        n = 200
+        # each step leaves the sum of its trial point (the exact-coupling root
+        # sums it on its last pass); the potential, the sufficient-decrease test
+        # and the next linear term and warm start take that total instead of
+        # summing the point again
         summed = Counter()
 
         def count(x):
@@ -446,14 +446,19 @@ class TestLineSearch:
         for module in (cournotprox.model, cournotprox.solver, cournotprox.subqp):
             monkeypatch.setattr(module, "np", CountingSum())
         monkeypatch.setattr(cournotprox.solver, "prox_step", recording_step)
-        cfg = SolverConfig(
-            step_policy=StepPolicy.LINE_SEARCH, record_iterates=True, record_bound=False
-        )
-        res, trace = solve(log_cost_market(n, 0), cfg)
-        assert res.status is SolveStatus.CONVERGED
-        assert len(trial_points) == res.trials > res.iterations  # a rejected trial too
-        assert [summed[p] for p in trial_points] == [1] * res.trials
-        assert summed[trace.iterates[0].tobytes()] == 1
+        # PAPER's first trial at n = 200 clips to zero, whose squares have its bytes
+        for splitting, n in ((EXACT, 200), (PAPER, 50)):
+            summed.clear()
+            trial_points.clear()
+            cfg = SolverConfig(
+                step_policy=StepPolicy.LINE_SEARCH, record_iterates=True, record_bound=False,
+                splitting=splitting,
+            )
+            res, trace = solve(log_cost_market(n, 0), cfg)
+            assert res.status is SolveStatus.CONVERGED
+            assert len(trial_points) == res.trials > res.iterations  # a rejected trial too
+            assert [summed[p] for p in trial_points] == [1] * res.trials
+            assert summed[trace.iterates[0].tobytes()] == 1
 
     def test_affine_single_firm_accepts_any_damping(self):
         # no curvature at all: the local model is exact, every c passes, so

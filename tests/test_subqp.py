@@ -137,7 +137,8 @@ class TestProxStep:
             np.testing.assert_allclose(s, exact_coupling_step(inst, x, c), rtol=1e-12, atol=1e-12)
             # into out, with the slope and the scratch from the caller: same bits
             g = -(inst.alpha_tilde + cost_gradient(inst.cost, x))
-            out, scratch = np.full(12, np.nan), (np.empty(12), np.empty((2, 12), dtype=bool))
+            out = np.full(12, np.nan)
+            scratch = (np.empty(12), np.empty((2, 12), dtype=bool), np.array([np.sum(x), np.nan]))
             t = prox_step(inst, x, c, g, out, Splitting.EXACT_COUPLING, scratch)
             assert t is out and t.tobytes() == s.tobytes()
         for bad in (0.0, -1.0, np.nan):

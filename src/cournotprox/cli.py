@@ -46,7 +46,7 @@ def _sizes(value):
 
 def _on_off(value):
     if value not in ("on", "off"):
-        raise ValueError(f"trace must be on or off, got {value!r}")
+        raise ValueError(f"must be on or off, got {value!r}")
     return value == "on"
 
 
@@ -83,14 +83,21 @@ def build_parser():
     return p
 
 
+def _converted(key, convert, value):
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _by_field(values, where):
-    # field -> (conversion, string) for the keys set in one place, the flags or the file
+    # field -> (key, conversion, string) for the keys set in one place, the flags or the file
     fields = {}
     for key, value in values.items():
         name, convert = _FLAG_FIELDS[key][:2]
         if name in fields:  # only n and sweep share a field
             raise ValueError(f"{where} sets both n and sweep; give one")
-        fields[name] = (convert, value)
+        fields[name] = (key, convert, value)
     return fields
 
 
@@ -103,9 +110,9 @@ def _merged(args):
     fields = _by_field({k: v for k, v in file_values.items() if k in _FLAG_FIELDS}, args.config)
     given = {f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f) is not None}
     fields.update(_by_field(given, "the command line"))  # a flag overrides the file
-    settings = {name: convert(v) for name, (convert, v) in fields.items()}
+    settings = {name: _converted(*spec) for name, spec in fields.items()}
     # every market key but the cost family holds a number; r may also say random
-    custom = {k: v if k == "cost" or (k, v) == ("r", "random") else float(v)
+    custom = {k: v if k == "cost" or (k, v) == ("r", "random") else _converted(k, float, v)
               for k, v in file_values.items() if k in _CUSTOM_KEYS}
     return ExperimentConfig(**settings, custom=custom)
 

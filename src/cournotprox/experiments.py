@@ -10,6 +10,7 @@ same configuration; wall-clock times live only in the summary file.
 from __future__ import annotations
 
 import csv
+import inspect
 import os
 import time
 from dataclasses import dataclass, field
@@ -82,19 +83,23 @@ class X0Policy(Enum):
 def log_cost_market(n, seed_or_rng=0, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0,
                     ceiling=2.0, scale=1.5):
     """Log-cost market: r_i = 1 + U(0,1) per firm, box [lower, upper]^n."""
-    rng = np.random.default_rng(seed_or_rng)
-    r = 1.0 + rng.random(n)
-    cost = LogCost(c0=ceiling, c=scale, r=r, n=n)
+    cost = _family_cost("log", n, seed_or_rng, ceiling, scale)
     return MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=lower, upper=upper, cost=cost)
 
 
 def exp_cost_market(n, seed_or_rng=0, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0,
                     ceiling=4.0, scale=2.0):
     """Exponential-cost market: r_i = 0.1 + 0.1*U(0,1) per firm, box [lower, upper]^n."""
-    rng = np.random.default_rng(seed_or_rng)
-    r = 0.1 + 0.1 * rng.random(n)
-    cost = ExpCost(c0=ceiling, c=scale, r=r, n=n)
+    cost = _family_cost("exp", n, seed_or_rng, ceiling, scale)
     return MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=lower, upper=upper, cost=cost)
+
+
+def _family_cost(kind, n, seed_or_rng, c0, c, r="random"):
+    # the one place a family draws its per-firm r; a custom market may fix it instead
+    if isinstance(r, str) and r == "random":
+        rng = np.random.default_rng(seed_or_rng)
+        r = 1.0 + rng.random(n) if kind == "log" else 0.1 + 0.1 * rng.random(n)
+    return (LogCost if kind == "log" else ExpCost)(c0=c0, c=c, r=r, n=n)
 
 
 def affine_market(n, mu=2.0, beta=0.1, alpha0=10.0, lower=0.0, upper=50.0):
@@ -156,29 +161,20 @@ def _size(value, name):
 def _custom_instance(cfg, n):
     spec = dict(cfg.custom)
     kind = str(spec.pop("cost", "log")).lower()
-    beta = float(spec.pop("beta", 0.1))
-    alpha0 = float(spec.pop("alpha0", 10.0))
-    mu = spec.pop("mu", 0.0)
-    lower = spec.pop("lower", 0.0)
-    upper = spec.pop("upper", 10.0)
-    rng = np.random.default_rng(cfg.seed)
+    if kind not in ("affine", "log", "exp"):
+        raise ValueError(f"unknown cost family {kind!r}")
+    # a key left out keeps the family function's default (log's for an affine cost), mu 0
+    family = exp_cost_market if kind == "exp" else log_cost_market
+    default = {k: p.default for k, p in inspect.signature(family).parameters.items()}
+    market = {k: spec.pop(k, default.get(k, 0.0)) for k in ("beta", "alpha0", "mu", "lower", "upper")}
     if kind == "affine":
         cost = AffineCost(mu_h=spec.pop("mu_h", 0.0), xi=spec.pop("xi", 0.0), n=n)
-    elif kind in ("log", "exp"):
-        r = spec.pop("r", "random")
-        if isinstance(r, str) and r == "random":
-            r = 1.0 + rng.random(n) if kind == "log" else 0.1 + 0.1 * rng.random(n)
-        else:
-            r = float(r)
-        if kind == "log":
-            cost = LogCost(c0=spec.pop("c0", 2.0), c=spec.pop("c", 1.5), r=r, n=n)
-        else:
-            cost = ExpCost(c0=spec.pop("c0", 4.0), c=spec.pop("c", 2.0), r=r, n=n)
     else:
-        raise ValueError(f"unknown cost family {kind!r}")
+        c0, c = spec.pop("c0", default["ceiling"]), spec.pop("c", default["scale"])
+        cost = _family_cost(kind, n, cfg.seed, c0, c, spec.pop("r", "random"))
     if spec:
         raise ValueError(f"unknown custom keys: {sorted(spec)}")
-    return MarketInstance(beta=beta, alpha0=alpha0, mu=mu, lower=lower, upper=upper, cost=cost)
+    return MarketInstance(**market, cost=cost)
 
 
 def generate_instance(cfg, n):
@@ -199,7 +195,7 @@ def initial_point(cfg, inst):
         return inst.project(np.zeros(inst.n))
     if cfg.x0 is X0Policy.CENTER:
         return inst.center()
-    if not (np.all(np.isfinite(inst.lower)) and np.all(np.isfinite(inst.upper))):
+    if not inst._bounded:
         raise ValueError("x0 = random needs a bounded box")
     rng = np.random.default_rng([cfg.seed, 1])
     return rng.uniform(inst.lower, inst.upper)

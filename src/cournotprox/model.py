@@ -46,7 +46,7 @@ class MarketInstance:
     a box that leaves the cost's domain. Instances compare by identity.
     The private ``_signed`` says whether some lower side is negative, so
     that a clipped output can be: the aggregate root's rounding estimate
-    then needs sum(|clip|).
+    then needs sum(|clip|); the private ``_bounded``, whether no side is infinite.
 
     ``mu``, ``lower`` and ``upper`` are read-only float vectors of shape
     (n,); one given as a scalar is stored once, as a stride-0 broadcast
@@ -65,6 +65,7 @@ class MarketInstance:
     alpha_tilde: np.ndarray = field(init=False, repr=False)
     L_h: float = field(init=False, repr=False)
     _signed: bool = field(init=False, repr=False)
+    _bounded: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.cost, CostModel):
@@ -106,6 +107,7 @@ class MarketInstance:
         # decided once here, not per root pass: a reduction over a stride-0
         # side runs several times slower than over a dense one
         object.__setattr__(self, "_signed", bool(np.min(lower) < 0.0))
+        object.__setattr__(self, "_bounded", bool(np.isfinite(lower).all() & np.isfinite(upper).all()))
 
     @property
     def n(self):
@@ -114,7 +116,7 @@ class MarketInstance:
     def center(self):
         """Box midpoint (coordinates with an infinite side fall back to the finite one, else 0)."""
         lo, up = self.lower, self.upper
-        if np.isfinite(lo).all() and np.isfinite(up).all():
+        if self._bounded:
             lo_f, up_f = lo, up
         else:
             # fall back before adding, so no infinite side enters the sum

@@ -264,12 +264,7 @@ def solve(inst, config=None, x0=None):
         x0_projected = bool(np.any(x != x0))
 
     gamma_lb = cfg.gamma_lb
-    if (
-        gamma_lb is None
-        and cfg.record_bound
-        and np.all(np.isfinite(inst.lower))
-        and np.all(np.isfinite(inst.upper))
-    ):
+    if gamma_lb is None and cfg.record_bound and inst._bounded:
         gamma_lb = diagnostics.gamma_lower_bound(inst)
 
     L, kept = _local_model(inst, cfg.splitting)

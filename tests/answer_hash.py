@@ -5,7 +5,9 @@
 Grid: the log, exp and affine families at n = 100, 1000 and 10000, seeds
 0 and 7, both splittings and both step policies, one default-settings
 solve of ``affine_market(n)`` (every parameter a scalar) per size, plus
-the log n = 100000 line search (76 solves, default settings otherwise).
+the log n = 100000 line search and the exp n = 100000 fixed-step solve,
+whose first step starts the aggregate root far from its root (77 solves,
+default settings otherwise).
 Each solve prints one line: family, n, seed, splitting, policy,
 iterations, trials, the certificate in ``float.hex``, the SHA-256 of
 ``x`` and of the trace columns (potential, step norm, damping and the
@@ -63,6 +65,7 @@ def grid():
     for n in SIZES:
         yield "affine-scalar", n, 0, Splitting.EXACT_COUPLING, StepPolicy.FIXED
     yield "log", 100_000, 0, Splitting.EXACT_COUPLING, StepPolicy.LINE_SEARCH
+    yield "exp", 100_000, 0, Splitting.EXACT_COUPLING, StepPolicy.FIXED
 
 
 def sha(*arrays):

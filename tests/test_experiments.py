@@ -82,6 +82,25 @@ class TestInstanceFamilies:
             bogus = ExperimentConfig(example=ExampleFamily.CUSTOM, custom={"bogus": 1})
             generate_instance(bogus, 2)
 
+    @pytest.mark.parametrize("kind, custom", [
+        ("log", {}), ("log", {"cost": "log"}), ("exp", {"cost": "exp"}),
+    ], ids=["no_keys", "log", "exp"])
+    def test_custom_market_with_default_keys_is_the_family_market(self, kind, custom):
+        # the r draw, the c0/c defaults and the market and box defaults are the family
+        # function's, bit for bit, stride-0 storage of a scalar included
+        family = {"log": log_cost_market, "exp": exp_cost_market}[kind]
+        for n, seed in ((1, 0), (7, 3), (1000, 11)):
+            cfg = ExperimentConfig(example=ExampleFamily.CUSTOM, seed=seed, custom=custom)
+            got, want = generate_instance(cfg, n), family(n, seed)
+            assert type(got.cost) is type(want.cost)
+            pairs = [(getattr(got, f), getattr(want, f)) for f in
+                     ("beta", "alpha0", "mu", "lower", "upper", "alpha_tilde", "L_h", "_signed")]
+            pairs += [(getattr(got.cost, f), getattr(want.cost, f)) for f in ("c0", "c", "r", "cr")]
+            for mine, theirs in pairs:
+                mine, theirs = np.asarray(mine), np.asarray(theirs)
+                assert mine.dtype == theirs.dtype and mine.strides == theirs.strides
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+
     def test_initial_point_policies(self):
         cfg = ExperimentConfig(example=ExampleFamily.LOG, seed=11)
         inst = generate_instance(cfg, 6)
@@ -538,15 +557,29 @@ class TestCli:
         assert main(["--config", str(cfgfile), *flags, "--out", str(tmp_path / "o")]) == 0
         assert [r["n"] for r in read_summary(tmp_path / "o" / "summary.csv")] == sizes
 
-    @pytest.mark.parametrize(
-        "flags", [["--n", "2.5"], ["--n", "x"], ["--n", "3", "--seed", "1.5"]],
-        ids=["n_float", "n_word", "seed_float"],
-    )
-    def test_non_integer_size_or_seed_flag_exits_2(self, tmp_path, capsys, flags):
-        # the flags' strings are converted with the file's, so a bad one is a bad setting
+    @pytest.mark.parametrize("flags, key", [
+        (["--n", "2.5"], "n"), (["--n", "x"], "n"), (["--n", "3", "--seed", "1.5"], "seed"),
+        (["--n", "3", "--eps", "abc"], "eps"),
+    ], ids=["n_float", "n_word", "seed_float", "eps_word"])
+    def test_non_integer_size_or_seed_flag_exits_2(self, tmp_path, capsys, flags, key):
+        # the flags' strings are converted with the file's, so a bad one is a
+        # bad setting, and the error names it
         argv = ["--example", "log", *flags, "--out", str(tmp_path / "o")]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("keys, key", [
+        ("example = log\nn = 2.5\n", "n"),
+        ("example = log\nn = 3\neps = abc\n", "eps"),
+        ("example = log\nn = 3\ntrace = ON\n", "trace"),
+        ("example = custom\ncost = log\nn = 3\nbeta = abc\n", "beta"),
+    ], ids=["n", "eps", "trace", "market_key"])
+    def test_a_bad_file_value_names_its_key(self, tmp_path, capsys, keys, key):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(keys)
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import cournotprox.subqp
-from cournotprox import AffineCost, MarketInstance, Splitting, classical_equilibrium
+from cournotprox import (
+    AffineCost, MarketInstance, SolverConfig, SolveStatus, Splitting, StepPolicy,
+    classical_equilibrium, solve,
+)
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.subqp import _aggregate_root, prox_step
 from oracles import (
@@ -280,14 +283,23 @@ class TestClassicalEquilibrium:
             np.testing.assert_allclose(star, oracle_reference(inst), atol=1e-9)
 
 
-def lines_run(fn, *args):
-    """Call fn(*args); return its result and how often each source line of fn ran."""
-    code, ran = fn.__code__, Counter()
+def lines_run(fn, *args, traced=None):
+    """Call fn(*args); return its result and how often each source line of ``traced`` ran.
+
+    ``traced`` defaults to fn. Lines run by a recursive call of
+    ``traced`` are not counted.
+    """
+    code, ran = (traced or fn).__code__, Counter()
+
+    def count(frame, event, arg):
+        if event == "line":
+            ran[frame.f_lineno] += 1
+        return count
 
     def tracer(frame, event, arg):
-        if frame.f_code is code and event == "line":
-            ran[frame.f_lineno] += 1
-        return tracer
+        if frame.f_code is code and frame.f_back.f_code is not code:
+            return count
+        return None
 
     sys.settrace(tracer)
     try:
@@ -425,3 +437,112 @@ class TestAggregateRoot:
         buf = np.empty(3)
         _aggregate_root(a, 0.5, np.zeros(3), np.full(3, 5.0), 0.0, buf)
         assert np.isnan(buf[1])
+
+
+class TestRootJump:
+    """From 32,768 firms, a pass that finds no free firm jumps to a stride sample's root."""
+
+    PASS = "t = np.subtract(a, k * sigma"
+    CHECK = "if lo < jump < hi"
+    JUMP = "sigma = jump"
+
+    @staticmethod
+    def runs(ran, text):
+        return ran[line_of(_aggregate_root, text)]
+
+    def test_fuzz_against_breakpoint_root(self):
+        # far starts; dense, stride-0, infinite and pinned sides; a sorted a or
+        # sorted pinned values, which skew the every-(n // 256)-th-firm sample
+        rng = np.random.default_rng(4096)
+        jumps = refused = 0
+        for trial in range(80):
+            n = int(rng.integers(32768, 70000))
+            k = 1.0 if trial % 5 == 0 else float(rng.uniform(1e-3, 1.0))
+            a = rng.normal(0.0, rng.choice([1.0, 10.0, 1e4]), n)
+            if trial % 3 == 1:
+                a.sort()
+            kind = trial % 4
+            if kind == 0:
+                lower = rng.uniform(-5.0, 5.0, n)
+                upper = lower + rng.exponential(3.0, n)
+                lower[rng.random(n) < 0.2] = -np.inf
+                upper[rng.random(n) < 0.2] = np.inf
+            elif kind == 1:
+                lower = np.broadcast_to(0.0, (n,))
+                upper = np.broadcast_to(float(rng.uniform(0.5, 10.0)), (n,))
+            elif kind == 2:
+                lower = np.broadcast_to(-np.inf, (n,))
+                upper = rng.uniform(0.0, 5.0, n)
+            else:
+                lower = rng.uniform(-5.0, 5.0, n)
+                upper = lower + rng.exponential(3.0, n)
+                pinned = rng.random(n) < rng.choice([0.5, 0.9, 1.0])
+                at = np.sort(rng.uniform(-5.0, 5.0, n)) if trial % 2 else rng.uniform(-5.0, 5.0, n)
+                lower[pinned] = upper[pinned] = at[pinned]
+            far = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 8.0)
+            ref = breakpoint_root(a, k, lower, upper)
+            buf = np.empty(n)
+            (sigma, total), ran = lines_run(_aggregate_root, a, k, lower, upper, ref + far, buf)
+            assert total == np.add.reduce(buf)
+            x_ref = np.clip(a - k * ref, lower, upper)
+            scale = float(np.sum(np.abs(x_ref))) + abs(ref)
+            assert abs(sigma - ref) <= 1e-12 * scale
+            assert np.max(np.abs(buf - x_ref)) <= 1e-12 * scale
+            jumps += self.runs(ran, self.JUMP)
+            refused += self.runs(ran, self.CHECK) - self.runs(ran, self.JUMP)
+        assert jumps >= 10
+        assert refused >= 1
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_a_jump_outside_a_one_sided_bracket_is_refused(self, descending):
+        # every firm pinned, at values sorted so that the sample's lowest (or
+        # highest) firm of each block misjudges the total by about n*step/2:
+        # from 1 below (above) the root the jump lands beyond the bracket's
+        # finite end, where the bracket's midpoint would be +inf (-inf); the
+        # Newton move lands on the root instead
+        n = 32768
+        at = np.arange(n, dtype=float)[::-1] if descending else np.arange(n, dtype=float)
+        root = float(np.sum(at))
+        start = root + 1.0 if descending else root - 1.0
+        buf = np.empty(n)
+        (sigma, _), ran = lines_run(_aggregate_root, np.zeros(n), 0.5, at, at, start, buf)
+        assert sigma == root
+        assert self.runs(ran, self.CHECK) == 1
+        assert self.runs(ran, self.JUMP) == 0
+        assert self.runs(ran, self.PASS) == 2
+
+    @pytest.mark.parametrize("n, jumps", [(32767, 0), (32768, 1)])
+    def test_the_jump_runs_from_32768_firms(self, n, jumps):
+        # every firm clipped at the far start; below the threshold Newton creeps
+        rng = np.random.default_rng(3)
+        a, lower, upper = rng.normal(0.0, 1e3, n), np.zeros(n), np.ones(n)
+        ref = breakpoint_root(a, 0.5, lower, upper)
+        (sigma, _), ran = lines_run(_aggregate_root, a, 0.5, lower, upper, ref + 1e6, np.empty(n))
+        assert self.runs(ran, self.JUMP) == jumps
+        assert sigma == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 7, 90])
+    def test_line_search_passes_at_1e5(self, seed):
+        # the linesearch-log1e5 benchmark solve: 32/34/33 full passes without the jump
+        inst = log_cost_market(100_000, seed)
+        config = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, record_bound=False)
+        (res, _), ran = lines_run(solve, inst, config, traced=_aggregate_root)
+        assert res.status is SolveStatus.CONVERGED
+        assert self.runs(ran, self.PASS) <= 25
+
+    @pytest.mark.parametrize("family, damping, most", [
+        (exp_cost_market, "1/L_h", 6),  # 22 full passes without the jump
+        (exp_cost_market, "inf", 6),  # 23
+        (log_cost_market, "inf", 8),  # 26
+    ])
+    def test_cold_first_step_passes_at_1e5(self, family, damping, most):
+        # the first exact-coupling step from the box midpoint, where every firm
+        # is clipped at the warm start sum(x)
+        inst = family(100_000, 0)
+        c = 1.0 / inst.L_h if damping == "1/L_h" else math.inf
+        x = 0.5 * (inst.lower + inst.upper)
+        step, ran = lines_run(
+            prox_step, inst, x, c, None, None, Splitting.EXACT_COUPLING, traced=_aggregate_root
+        )
+        np.testing.assert_allclose(step, exact_coupling_step(inst, x, c), rtol=0, atol=1e-12)
+        assert self.runs(ran, self.PASS) <= most

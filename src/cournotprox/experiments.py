@@ -23,8 +23,7 @@ import numpy as np
 from .costs import AffineCost, ExpCost, LogCost, _integer
 from .model import MarketInstance
 from .solver import IterationTrace, SolverConfig, SolveStatus, Splitting, StepPolicy, solve
-from .solver import _local_model
-from .subqp import classical_equilibrium
+from .subqp import _local_model, classical_equilibrium
 
 __all__ = [
     "ExampleFamily",
@@ -161,10 +160,10 @@ def _size(value, name):
 def _custom_instance(cfg, n):
     spec = dict(cfg.custom)
     kind = str(spec.pop("cost", "log")).lower()
-    if kind not in ("affine", "log", "exp"):
+    family = {"log": log_cost_market, "exp": exp_cost_market, "affine": affine_market}.get(kind)
+    if family is None:
         raise ValueError(f"unknown cost family {kind!r}")
-    # a key left out keeps the family function's default (log's for an affine cost), mu 0
-    family = exp_cost_market if kind == "exp" else log_cost_market
+    # a key left out keeps the family function's default; mu is 0 where it has none
     default = {k: p.default for k, p in inspect.signature(family).parameters.items()}
     market = {k: spec.pop(k, default.get(k, 0.0)) for k in ("beta", "alpha0", "mu", "lower", "upper")}
     if kind == "affine":

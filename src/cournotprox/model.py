@@ -12,7 +12,7 @@ shape (..., n), firm axis last.
 A market instance is immutable after construction and safe to share
 across concurrent solver runs. It stores the cost's curvature bound
 ``L_h`` on the box; the potential's bound, L_h plus the coupling's
-(n-1)*beta, is written once, where the solver's paper splitting takes it.
+(n-1)*beta, is written once, with the paper splitting in ``subqp``.
 """
 
 from __future__ import annotations

@@ -3,19 +3,9 @@
 Each step minimizes a local model of the merit potential over the box:
 a quadratic part kept exact, the rest linearized around the current
 iterate, plus proximal damping |y - x|^2/(2c). Two splittings decide
-what is kept (``Splitting``), and each has its curvature bound L:
-
-- EXACT_COUPLING (the default) keeps the whole demand quadratic
-  (beta/2)*(|y|^2 + sum(y)^2) and linearizes only the cost, so L = L_h,
-  the cost's curvature bound over the box (``inst.L_h``). The
-  step is clip(a - k*sigma) with sigma the root of one scalar equation
-  (``subqp._aggregate_root``). When L_h = 0 the model is the potential
-  itself and the damping is c = inf: one step lands on the equilibrium.
-- PAPER, the cited paper's splitting, keeps the own-output quadratic
-  beta*|y|^2 and linearizes the cross-firm coupling too, so
-  L = L_gamma = L_h + (n-1)*beta; its step is separable.
-
-``subqp.prox_step`` takes either step.
+what is kept and so the curvature bound L (``Splitting``, the default
+EXACT_COUPLING or the paper's PAPER); ``subqp.prox_step`` takes either
+step.
 
 Neither step can fail. With c at or below 1/L the potential drops by at
 least (c/2)*||G_c||^2 per step, which yields an O(1/(k+1)) bound on the
@@ -40,7 +30,7 @@ import numpy as np
 from . import diagnostics
 from .costs import _integer
 from .model import potential_gamma
-from .subqp import Splitting, _linear_term, prox_step
+from .subqp import Splitting, _linear_term, _local_model, prox_step
 
 __all__ = [
     "ConfigurationError",
@@ -75,9 +65,8 @@ class SolverConfig:
     """Step policy, tolerances and recording switches, checked at construction.
 
     The damping comes from the instance and the splitting, not from
-    here. ``splitting`` picks the curvature bound L: the cost's L_h over
-    the box under EXACT_COUPLING, L_gamma = L_h + (n-1)*beta under
-    PAPER. FIXED takes every step at c = 1/L, which guarantees per-step
+    here. ``splitting`` picks the curvature bound L (``Splitting``).
+    FIXED takes every step at c = 1/L, which guarantees per-step
     descent.
     LINE_SEARCH lowers the damping by halvings from a start value until
     the sufficient-decrease test holds, within the bracket [0.1/L, 10/L];
@@ -90,15 +79,16 @@ class SolverConfig:
     accepted value, clipped to the bracket, when the accepted step also
     passes the test at that doubled value, and at the accepted value
     otherwise, so a doubling is tried only where the last step showed
-    room for it. When L is zero, EXACT_COUPLING takes c = inf (its
-    model is then exact), and PAPER has the bracket [0.1, 10] and the
-    fixed value 1.0.
+    room for it. When L is zero the model is exact and either policy
+    steps at c = inf.
 
     Termination compares the Euclidean norm of the step against ``eps``.
     ``record_iterates`` keeps every visited point in the trace.
-    ``gamma_lb`` overrides the potential lower bound used for the
-    trace's bound column; by default it is computed by
-    ``gamma_lower_bound`` when the box is bounded.
+    ``gamma_lb`` is the potential lower bound behind the trace's bound
+    column. When it is None and ``record_bound`` is on, ``solve``
+    computes it with ``gamma_lower_bound`` on a bounded box; with
+    ``record_bound`` off it skips that, and the bound column is NaN. A
+    given ``gamma_lb`` is used whatever ``record_bound`` says.
     """
 
     step_policy: StepPolicy = StepPolicy.FIXED
@@ -274,10 +264,8 @@ def solve(inst, config=None, x0=None):
     # is accepted unconditionally.
     if L > 0.0:
         c_fixed, c_lo, c_hi = 1.0 / L, 0.1 / L, 10.0 / L
-    elif cfg.splitting is Splitting.EXACT_COUPLING:
+    else:  # the model is the potential
         c_fixed = c_lo = c_hi = math.inf
-    else:
-        c_fixed, c_lo, c_hi = 1.0, 0.1, 10.0
     if cfg.step_policy is StepPolicy.FIXED:
         c_lo = c_hi = c_fixed
     search = c_lo < c_hi
@@ -390,33 +378,18 @@ def solve(inst, config=None, x0=None):
     return result, trace
 
 
-def _local_model(inst, splitting):
-    """The splitting's curvature bound L, from the instance's L_h, and the quadratic kept exact.
-
-    The kept quadratic takes a point y and its total output sigma = sum(y).
-
-    Under PAPER, L is the potential's bound L_gamma = L_h + (n-1)*beta:
-    the coupling is linearized, so its curvature joins the cost's.
-    """
-    beta = inst.beta
-    if splitting is Splitting.PAPER:
-        return inst.L_h + (inst.n - 1) * beta, lambda y, sigma: beta * float(y @ y)
-    return inst.L_h, lambda y, sigma: 0.5 * beta * (float(y @ y) + float(sigma) ** 2)
-
-
 def eps_certificate(inst, x, c, splitting=Splitting.EXACT_COUPLING):
     """Stationarity certificate kappa = (1/c + L)*||x - s_c(x)|| of the splitting's step s_c(x).
 
-    L is the splitting's curvature bound (L_h, or L_gamma under PAPER).
-    Along every unit feasible direction at s_c(x), the potential slope
-    is at least -kappa, so s_c(x) is kappa-stationary. For finite c it is
-    zero exactly when x is already stationary; at c = inf with L_h = 0
-    the step lands on the equilibrium and kappa is zero anywhere. The
-    arithmetic is that of ``solve``, so at the last iterate before
-    ``result.x``, damping ``result.c_final`` and the run's splitting
-    this is ``result.certificate`` bit for bit. The paper's step needs a
-    finite c; the exact-coupling step also takes c = inf. A NaN entry
-    in ``x`` raises ``ValueError``.
+    L is the splitting's curvature bound (``Splitting``). Along every
+    unit feasible direction at s_c(x), the potential slope is at least
+    -kappa, so s_c(x) is kappa-stationary. It is zero exactly when x is
+    already stationary, for every c > 0 and at c = inf with L > 0; at
+    c = inf with L = 0 the step lands on the equilibrium and kappa is
+    zero anywhere. The arithmetic is that of ``solve``, so at the last
+    iterate before ``result.x``, damping ``result.c_final`` and the
+    run's splitting this is ``result.certificate`` bit for bit. A NaN
+    entry in ``x`` raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():

@@ -1,12 +1,11 @@
 """Box-constrained quadratic subproblems of the market model, solved in closed form.
 
-``prox_step`` solves the proximal subproblem of either splitting. The
-paper's subproblem is diagonal once the coupling term is linearized,
-so it has a closed-form solution. The exact-coupling subproblem keeps
-the coupling, so its Hessian
-(beta + 1/c)*I + beta*11' is diagonal plus rank one, like that of the
-classical affine-cost equilibrium QP, whose Hessian is beta*(I + 11').
-Both reduce to one scalar equation in total output, solved by
+``prox_step`` solves the proximal subproblem of either splitting.
+``Splitting`` describes both, and this is the one module that tells them
+apart. The paper's subproblem is diagonal; the exact-coupling one adds
+the rank-one term beta*11' to its Hessian, like the classical
+affine-cost equilibrium QP, whose Hessian is beta*(I + 11'). These two
+reduce to one scalar equation in total output, solved by
 ``_aggregate_root``; the classical equilibrium serves as the validation
 oracle for solver runs on convex instances.
 """
@@ -29,7 +28,23 @@ __all__ = [
 
 
 class Splitting(Enum):
-    """What the local model keeps exact; it fixes the curvature bound L of the damping."""
+    """What the local model keeps exact; it fixes the linear term g and the curvature bound L.
+
+    With sigma the total output and dh the slope at x of the cost's term
+    of the potential (``model._cost_term``):
+
+    - EXACT_COUPLING keeps the demand quadratic (beta/2)*(|y|^2 + sum(y)^2)
+      and linearizes only the cost: g = dh - alpha_tilde and L = L_h, the
+      cost's curvature bound over the box (``inst.L_h``).
+    - PAPER, the cited paper's splitting, keeps the own-output quadratic
+      beta*|y|^2 and linearizes the coupling too:
+      g = beta*(sigma - x) - alpha_tilde + dh and
+      L = L_gamma = L_h + (n-1)*beta.
+
+    When L = 0 the model is the potential itself, the damping is c = inf
+    and one step lands on the equilibrium: under EXACT_COUPLING for an
+    affine cost, under PAPER only for one firm with an affine cost.
+    """
 
     EXACT_COUPLING = "exact"
     PAPER = "paper"
@@ -37,35 +52,34 @@ class Splitting(Enum):
 
 def _linear_term(inst, x, dh, sigma, splitting, out=None):
     # the splitting's linear term g at x, from the cost term's slope dh and the
-    # total output sigma there: dh - alpha_tilde, plus the coupling slope under
-    # PAPER (out may then not alias dh)
+    # total output sigma there (out may not alias dh under PAPER)
     if splitting is Splitting.PAPER:
         out = model._coupling_slope(inst, x, sigma, out)
         return np.add(out, dh, out=out)
     return np.subtract(dh, inst.alpha_tilde, out=out)
 
 
+def _local_model(inst, splitting):
+    # the splitting's curvature bound L and its kept quadratic, which takes a
+    # point y and its total output sigma = sum(y)
+    beta = inst.beta
+    if splitting is Splitting.PAPER:
+        return inst.L_h + (inst.n - 1) * beta, lambda y, sigma: beta * float(y @ y)
+    return inst.L_h, lambda y, sigma: 0.5 * beta * (float(y @ y) + float(sigma) ** 2)
+
+
 def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=None):
     """Minimizer over the box of the splitting's local model at ``x`` with damping 1/(2c).
 
-    The model keeps a quadratic exact, linearizes the rest of the
-    potential at ``x`` through its linear term ``g``, and adds
-    |y - x|^2/(2c). Stationary points are exactly the step's fixed
-    points, for every c > 0.
-
-    - PAPER keeps the own-output quadratic beta*|y|^2 and linearizes the
-      coupling and the cost: g = beta*(sigma - x) - alpha_tilde + dh,
-      with sigma the total output and dh the slope at x of the cost's
-      term of the potential (``model._cost_term``). Separability gives
-      the closed form clamp((x - c*g)/(1 + 2*beta*c)) per coordinate; c
-      must be finite.
-    - EXACT_COUPLING keeps (beta/2)*(|y|^2 + sum(y)^2) and linearizes
-      only the cost: g = dh - alpha_tilde. The step is
-      clip(a - k*sigma) with a = (x/c - g)/(beta + 1/c),
-      k = beta/(beta + 1/c) and sigma the aggregate root
-      (``_aggregate_root``), warm-started at sum(x), which is the
-      previous step's root up to rounding; so the step depends on x and
-      c alone. c may be infinite.
+    The model keeps the splitting's quadratic exact, linearizes the rest
+    of the potential at ``x`` through its linear term ``g`` and adds
+    |y - x|^2/(2c); ``Splitting`` gives both. Under either splitting the
+    step is clip(a - k*sigma) with a = (x/c - g)/d: PAPER has
+    d = 2*beta + 1/c and k = 0, EXACT_COUPLING d = beta + 1/c, k = beta/d
+    and sigma the aggregate root (``_aggregate_root``), warm-started at
+    sum(x), which is the previous step's root up to rounding; so the step
+    depends on x and c alone. Stationary points are exactly the step's
+    fixed points, for every c > 0, c = inf included.
 
     ``g`` does not depend on c, so a caller trying several c from one
     ``x`` can compute it once and pass it in; by default it is computed
@@ -74,15 +88,14 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
     ``scratch`` is the triple ``(work, masks, sums)``: an n-vector that
     aliases none of ``x``, ``g`` and ``out``, a boolean (2, n) array,
     and a float array of shape (2,) holding sum(x), bitwise
-    ``np.add.reduce(x)``, in ``sums[0]``. The exact-coupling step works
-    in the first two and warm-starts at ``sums[0]``, the linear term
-    reads it, and either step leaves sum(out) in ``sums[1]``, bitwise
+    ``np.add.reduce(x)``, in ``sums[0]``. The step works in the first
+    two and the root warm-starts at ``sums[0]``, the linear term reads
+    it, and either step leaves sum(out) in ``sums[1]``, bitwise
     ``np.add.reduce(out)`` (the root's last pass sums it already). It
     is allocated here, summing x, when omitted.
     """
-    exact = splitting is Splitting.EXACT_COUPLING
-    if isinstance(c, (bool, np.bool_)) or not (c > 0 and (exact or math.isfinite(c))):
-        raise ValueError(f"c must be positive{'' if exact else ' and finite'}, got {c!r}")
+    if isinstance(c, (bool, np.bool_)) or not c > 0:
+        raise ValueError(f"c must be positive, got {c!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"x must have shape ({inst.n},), got {x.shape}")
@@ -96,22 +109,20 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=N
         dh = np.empty_like(x)
         model._cost_term(inst, x, dh)
         g = _linear_term(inst, x, dh, sums[0], splitting)
+    if out is None:
+        out = np.empty_like(x)
+    exact = splitting is Splitting.EXACT_COUPLING
+    d = (1.0 if exact else 2.0) * inst.beta + 1.0 / c
+    np.divide(x, c, out=a)
+    np.subtract(a, g, out=a)
+    np.divide(a, d, out=a)
     if exact:
-        if out is None:
-            out = np.empty_like(x)
-        d = inst.beta + 1.0 / c
-        np.divide(x, c, out=a)
-        np.subtract(a, g, out=a)
-        np.divide(a, d, out=a)
         _, sums[1] = _aggregate_root(
             a, inst.beta / d, inst.lower, inst.upper, sums[0], out, masks, inst._signed
         )
         return out
-    out = np.multiply(c, g, out=out)
-    np.subtract(x, out, out=out)
-    np.divide(out, 1.0 + 2.0 * inst.beta * c, out=out)
     # two ufuncs: np.clip is 1.3-1.7x faster on stride-0 sides, 1.5-2.3x slower on dense ones
-    np.maximum(out, inst.lower, out=out)
+    np.maximum(a, inst.lower, out=out)
     np.minimum(out, inst.upper, out=out)
     sums[1] = np.add.reduce(out)
     return out

@@ -23,10 +23,13 @@ of ``summary.csv`` without its ``time_ms`` and ``trials`` columns (so
 the ``L_gamma`` and ``L`` columns are in it) and the SHA-256 of the
 trace CSV bytes in sweep order.
 
-The last two lines are SHA-256 totals: one over the whole lines, and one
+The last four lines are SHA-256 totals: one over the whole lines, one
 over the lines with the trial count left out, which stays put when only
-the number of line-search trials changes. Run it at two commits and
-compare the output to show that a change keeps the answers.
+the number of line-search trials changes, and ``total-exact`` and
+``total-paper`` over the whole lines of one splitting each, so a change
+that moves only the paper splitting's bits can show the exact-coupling
+lines unchanged. Run it at two commits and compare the output to show
+that a change keeps the answers.
 
 The file name keeps pytest from collecting it.
 """
@@ -112,6 +115,7 @@ def sweep_line(family, splitting):
 
 def main():
     whole, no_trials = hashlib.sha256(), hashlib.sha256()
+    per_splitting = {s.value: hashlib.sha256() for s in Splitting}
     cases = [(answer_line, case) for case in grid()]
     cases += [(sweep_line, (family, s)) for family in ("log", "exp", "affine") for s in Splitting]
     for line_of, case in cases:
@@ -119,9 +123,12 @@ def main():
         line = " ".join(fields)
         print(line, flush=True)
         whole.update(line.encode() + b"\n")
+        per_splitting[fields[3]].update(line.encode() + b"\n")
         no_trials.update(" ".join(fields[:6] + fields[7:]).encode() + b"\n")
     print("total", whole.hexdigest())
     print("total-without-trials", no_trials.hexdigest())
+    for splitting, total in per_splitting.items():
+        print(f"total-{splitting}", total.hexdigest())
 
 
 if __name__ == "__main__":

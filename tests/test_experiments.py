@@ -84,18 +84,21 @@ class TestInstanceFamilies:
 
     @pytest.mark.parametrize("kind, custom", [
         ("log", {}), ("log", {"cost": "log"}), ("exp", {"cost": "exp"}),
-    ], ids=["no_keys", "log", "exp"])
+        ("affine", {"cost": "affine"}),
+    ], ids=["no_keys", "log", "exp", "affine"])
     def test_custom_market_with_default_keys_is_the_family_market(self, kind, custom):
         # the r draw, the c0/c defaults and the market and box defaults are the family
         # function's, bit for bit, stride-0 storage of a scalar included
-        family = {"log": log_cost_market, "exp": exp_cost_market}[kind]
+        family = {"log": log_cost_market, "exp": exp_cost_market,
+                  "affine": lambda n, seed: affine_market(n)}[kind]
+        cost_fields = ("mu_h", "xi") if kind == "affine" else ("c0", "c", "r", "cr")
         for n, seed in ((1, 0), (7, 3), (1000, 11)):
             cfg = ExperimentConfig(example=ExampleFamily.CUSTOM, seed=seed, custom=custom)
             got, want = generate_instance(cfg, n), family(n, seed)
             assert type(got.cost) is type(want.cost)
             pairs = [(getattr(got, f), getattr(want, f)) for f in
                      ("beta", "alpha0", "mu", "lower", "upper", "alpha_tilde", "L_h", "_signed")]
-            pairs += [(getattr(got.cost, f), getattr(want.cost, f)) for f in ("c0", "c", "r", "cr")]
+            pairs += [(getattr(got.cost, f), getattr(want.cost, f)) for f in cost_fields]
             for mine, theirs in pairs:
                 mine, theirs = np.asarray(mine), np.asarray(theirs)
                 assert mine.dtype == theirs.dtype and mine.strides == theirs.strides

@@ -8,6 +8,7 @@ from pathlib import Path
 import cournotprox
 from cournotprox import (
     AffineCost, CostModel, ExpCost, ExperimentConfig, LogCost, SolverConfig, SolveStatus,
+    Splitting,
 )
 from cournotprox.experiments import VerifyReport
 
@@ -77,6 +78,23 @@ def test_only_the_cost_term_evaluates_the_cost():
                 ):
                     callers.add((path.name, getattr(top, "name", None)))
     assert callers == {("model.py", "_cost_term")}
+
+
+def test_only_subqp_tells_the_splittings_apart():
+    # what each splitting keeps is written in subqp; a comparison with a Splitting
+    # member elsewhere would be a second place that writes it
+    testers = set()
+    for path in sorted(Path(cournotprox.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(v, ast.Attribute) and v.attr in Splitting.__members__
+                    for v in (node.left, *node.comparators)
+                ):
+                    testers.add((path.name, getattr(top, "name", None)))
+    assert testers == {
+        ("subqp.py", "_linear_term"), ("subqp.py", "_local_model"), ("subqp.py", "prox_step"),
+    }
 
 
 def test_solver_config_fields():

@@ -461,15 +461,18 @@ class TestLineSearch:
             assert summed[trace.iterates[0].tobytes()] == 1
 
     def test_affine_single_firm_accepts_any_damping(self):
-        # no curvature at all: the local model is exact, every c passes, so
-        # each trial doubles the last up to the top of the bracket [0.1, 10]
+        # no curvature at all: the local model is exact, so every c passes and
+        # the search has the one-point bracket c = inf; the first step lands on
+        # the equilibrium and the second confirms it
         inst = affine_market(1, mu=2.0)
         cfg = SolverConfig(
             step_policy=StepPolicy.LINE_SEARCH, eps=1e-12, max_iter=4, splitting=PAPER
         )
         res, trace = solve(inst, cfg, np.array([7.0]))
-        assert res.trials == res.iterations == 4
-        np.testing.assert_array_equal(trace.c, [2.0, 4.0, 8.0, 10.0])
+        assert res.status is SolveStatus.CONVERGED
+        assert res.trials == res.iterations == 2
+        np.testing.assert_array_equal(trace.c, [math.inf, math.inf])
+        np.testing.assert_allclose(res.x, classical_equilibrium(inst), rtol=1e-14)
 
     def test_oversized_damping_gets_shrunk(self):
         inst = exp_cost_market(10, 2)
@@ -818,11 +821,18 @@ class TestBoundAndCertificates:
 
     @pytest.mark.parametrize("c", [math.nan, math.inf], ids=["nan", "inf"])
     def test_certificate_rejects_non_finite_damping(self, c):
+        # NaN is refused; at c = inf the paper's certificate is L_gamma*||x - s||
         inst = log_cost_market(3, 0)
+        x = inst.center()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite"):
-                eps_certificate(inst, inst.center(), c, PAPER)
+            if math.isnan(c):
+                with pytest.raises(ValueError, match="positive"):
+                    eps_certificate(inst, x, c, PAPER)
+                return
+            kappa = eps_certificate(inst, x, c, PAPER)
+        step = np.linalg.norm(prox_step(inst, x, c, splitting=PAPER) - x)
+        assert kappa == lipschitz_gamma(inst) * step > 0.0
 
     @pytest.mark.parametrize("splitting", [PAPER, EXACT])
     def test_certificate_rejects_boolean_damping(self, splitting):
@@ -848,25 +858,28 @@ class TestBoundAndCertificates:
 
 class TestConfigValidation:
     def test_zero_curvature_gets_default_damping(self):
-        inst = affine_market(1, mu=2.0)  # L_gamma = 0: any damping is admissible
+        inst = affine_market(1, mu=2.0)  # L_gamma = 0: the model is exact, so c = inf
         res, trace = solve(inst, SolverConfig(eps=1e-8, splitting=PAPER))
         assert res.status is SolveStatus.CONVERGED
-        assert trace.c[0] == 1.0
+        assert trace.c[0] == math.inf
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
     @pytest.mark.parametrize("n", [1, 2, 10, 100, 10_000])
     def test_zero_cost_curvature_takes_infinite_damping(self, n, policy):
         # L_h = 0: the exact-coupling model is the potential, so c = inf and the
-        # first step lands on the equilibrium; the second confirms it
+        # first step lands on the equilibrium; the second confirms it. The
+        # paper's model is the potential too at n = 1, where L_gamma = L_h.
         inst = affine_market(n, mu=np.random.default_rng(n).uniform(0.0, 5.0, n))
-        res, trace = solve(inst, SolverConfig(step_policy=policy, eps=1e-12))
-        assert res.status is SolveStatus.CONVERGED
-        assert res.iterations == 2
-        assert np.all(trace.c == math.inf)
-        np.testing.assert_array_equal(trace.residual, 0.0)
-        np.testing.assert_array_equal(trace.delta, 0.0)
-        assert res.certificate == 0.0
-        np.testing.assert_allclose(res.x, affine_equilibrium(inst), rtol=1e-14, atol=1e-12)
+        for splitting in (EXACT, PAPER) if n == 1 else (EXACT,):
+            cfg = SolverConfig(step_policy=policy, eps=1e-12, splitting=splitting)
+            res, trace = solve(inst, cfg)
+            assert res.status is SolveStatus.CONVERGED
+            assert res.iterations == 2
+            assert np.all(trace.c == math.inf)
+            np.testing.assert_array_equal(trace.residual, 0.0)
+            np.testing.assert_array_equal(trace.delta, 0.0)
+            assert res.certificate == 0.0
+            np.testing.assert_allclose(res.x, affine_equilibrium(inst), rtol=1e-14, atol=1e-12)
 
     def test_parameter_sanity(self):
         for bad in ({"eps": 0.0}, {"max_iter": 0}):

@@ -94,11 +94,20 @@ class TestProxStep:
 
     @pytest.mark.parametrize("c", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_damping(self, c):
+        # NaN is refused; c = inf is no damping at all, which the paper's step
+        # takes too: the box clip of -g/(2*beta)
         inst = log_cost_market(3, 0)
+        x = inst.center()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite"):
-                prox_step(inst, inst.center(), c)
+            if math.isnan(c):
+                with pytest.raises(ValueError, match="positive"):
+                    prox_step(inst, x, c)
+                return
+            s = prox_step(inst, x, c, splitting=Splitting.PAPER)
+        g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
+        want = np.clip(-g / (2.0 * inst.beta), inst.lower, inst.upper)
+        np.testing.assert_allclose(s, want, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("make,seed", [(log_cost_market, 0), (exp_cost_market, 1)])
     def test_variational_optimality_condition(self, make, seed):
@@ -180,7 +189,7 @@ class TestBoxPG:
             inst = log_cost_market(n, n)
             x = rng.uniform(inst.lower, inst.upper)
             g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
-            for c in (0.1, 1.0):
+            for c in (0.1, 1.0, math.inf):  # at c = inf: Hessian 2*beta, linear term g
                 d = 2.0 * inst.beta + 1.0 / c
                 pg = pg_reference(lambda v: d * v, g - x / c, inst.lower, inst.upper, 1.0 / d, x)
                 np.testing.assert_allclose(pg, prox_step(inst, x, c), atol=1e-8)

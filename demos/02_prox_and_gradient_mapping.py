@@ -33,7 +33,7 @@ x_random = np.random.default_rng(0).uniform(inst.lower, inst.upper)
 for name, xx in (("center", x), ("random", x_random)):
     for frac in (1.0, 4.0):
         cc = frac / L
-        s = prox_step(inst, xx, cc)
+        s = prox_step(inst, xx, cc, splitting=Splitting.PAPER)
         h_slope = np.empty(inst.n)
         inst.cost.value_components(xx, h_slope)  # the cost's one kernel writes h'(x) here
         g = inst.beta * (np.sum(xx) - xx) - inst.alpha_tilde - h_slope
@@ -44,7 +44,7 @@ for name, xx in (("center", x), ("random", x_random)):
 print("nonnegative up to rounding: every prox point is the exact minimizer")
 
 print("\ngradient mapping at the box center, c = 1/L_gamma:")
-G = (x - prox_step(inst, x, c)) / c
+G = (x - prox_step(inst, x, c, splitting=Splitting.PAPER)) / c
 print("  G_c(x) =", np.round(G, 4))
 print(f"  certificate (1 + c*L_gamma)*||G_c|| = {eps_certificate(inst, x, c, Splitting.PAPER):.4f}")
 
@@ -53,13 +53,14 @@ conv = affine_market(4, mu=2.0)
 star = classical_equilibrium(conv)
 print("\naffine equilibrium, residual ||x - s_c(x)|| across damping levels:")
 for cc in (0.1, 1.0, 10.0):
-    print(f"  c = {cc:5.1f}: {np.linalg.norm(star - prox_step(conv, star, cc)):.2e}")
+    s = prox_step(conv, star, cc, splitting=Splitting.PAPER)
+    print(f"  c = {cc:5.1f}: {np.linalg.norm(star - s):.2e}")
 
 print("\ndamping sweep at a non-stationary point (log-cost market):")
 print(f"{'c*L_gamma':>10} {'||G_c||':>12} {'||x - s_c||':>12}")
 for frac in 2.0 ** np.arange(-4, 5):
     cc = frac / L
-    r = np.linalg.norm(x - prox_step(inst, x, cc))
+    r = np.linalg.norm(x - prox_step(inst, x, cc, splitting=Splitting.PAPER))
     e = r / cc
     print(f"{frac:10.4f} {e:12.6f} {r:12.6f}")
 print("the mapping norm only falls, the displacement only grows")

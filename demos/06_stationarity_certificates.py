@@ -31,7 +31,7 @@ print(f"  even within radius 0.5 it is [{lo:.3f}, {hi:.3f}]: not a local equilib
 print("\nfixed-point residuals ||x - s_c(x)|| at the converged point:")
 L = inst.L_h + (inst.n - 1) * inst.beta  # L_gamma
 for frac in (0.1, 1.0, 10.0):
-    residual = np.linalg.norm(res.x - prox_step(inst, res.x, frac / L))
+    residual = np.linalg.norm(res.x - prox_step(inst, res.x, frac / L, splitting=Splitting.PAPER))
     print(f"  c = {frac:4.1f}/L: {residual:.2e}")
 
 big = exp_cost_market(1000, seed_or_rng=0)

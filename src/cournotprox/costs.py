@@ -1,13 +1,13 @@
 """Production-cost families for the oligopoly market model.
 
-Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries an
-analytic gradient, and reports a curvature bound max_i |h_i''| above
-given lower sides (``lipschitz_on``), which sizes proximal steps and the
-grid error of the potential lower bound and is infinite where there is
-none, including below the cost's domain. Evaluation is vectorized:
+Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries
+analytic first and second derivatives, and reports a curvature bound
+max_i |h_i''| above given lower sides (``lipschitz_on``), which sizes
+proximal steps and the grid error of the potential lower bound and is
+infinite where there is none, including below the cost's domain. Evaluation is vectorized:
 inputs of shape (..., n) are accepted with the firm axis last. A family
 writes its formulas once, in ``value_components``, which returns the
-per-firm values and, given a ``grad`` buffer, writes h'(x) in the same
+per-firm values and, given buffers, writes h'(x) and h''(x) in the same
 pass; the solver makes exactly one such call per trial point. A custom
 cost subclasses ``CostModel`` and implements those two methods.
 
@@ -96,12 +96,12 @@ class CostModel(ABC):
     n: int
 
     @abstractmethod
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         """Per-firm costs h_i(x_i), shaped like ``x``; written into ``out`` when given.
 
-        When ``grad`` is given the same pass writes h_i'(x_i) into it.
-        Both are arrays shaped like ``x``; neither may alias ``x`` or
-        the other.
+        When ``grad`` is given the same pass writes h_i'(x_i) into it, and
+        h_i''(x_i) into ``curv`` when that is given too. All are arrays
+        shaped like ``x``; none may alias ``x`` or another.
         """
 
     @abstractmethod
@@ -138,10 +138,12 @@ class AffineCost(CostModel):
         object.__setattr__(self, "mu_h", _param(self.mu_h, n, "mu_h"))
         object.__setattr__(self, "xi", _param(self.xi, n, "xi"))
 
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         x = self._check_points(x)
         if grad is not None:
             grad[...] = self.mu_h
+        if curv is not None:
+            curv[...] = 0.0
         out = np.multiply(self.mu_h, x, out=out)
         return np.add(out, self.xi, out=out)
 
@@ -179,7 +181,7 @@ class LogCost(CostModel):
             raise ValueError("c and r must be positive")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         x = self._check_points(x)
         w = np.multiply(self.r, x, out=grad)
         if not np.minimum.reduce(w, axis=None) > -1.0:  # np.min's bits, without its wrapper
@@ -190,6 +192,9 @@ class LogCost(CostModel):
         if grad is not None:
             np.add(1.0, w, out=grad)
             np.divide(self.cr, grad, out=grad)
+            if curv is not None:  # h'' = -h'^2/c
+                np.divide(np.multiply(grad, grad, out=curv), self.c, out=curv)
+                np.negative(curv, out=curv)
         return v
 
     def lipschitz_on(self, lower):
@@ -228,7 +233,7 @@ class ExpCost(CostModel):
             raise ValueError("c0 must dominate c componentwise")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         x = self._check_points(x)
         # -(r*x) equals (-r)*x bit for bit: rounding is symmetric in sign
         e = np.multiply(self.r, x, out=grad)
@@ -238,6 +243,8 @@ class ExpCost(CostModel):
         np.subtract(self.c0, v, out=v)
         if grad is not None:
             np.multiply(self.cr, e, out=grad)
+            if curv is not None:  # h'' = -r*h'
+                np.negative(np.multiply(self.r, grad, out=curv), out=curv)
         return v
 
     def lipschitz_on(self, lower):

@@ -148,16 +148,19 @@ def _coupling_slope(inst, x, sigma, out=None):
     return np.subtract(out, inst.alpha_tilde, out=out)
 
 
-def _cost_term(inst, t, slope=None, out=None):
+def _cost_term(inst, t, slope=None, out=None, curv=None):
     # the one place the cost's sign is written: the per-firm term of the potential,
-    # -h_i(t), into out when given, and its slope -h_i'(t) into slope when given
-    v = inst.cost.value_components(t, slope, out)
+    # -h_i(t), into out when given, its slope -h_i'(t) into slope when given, and
+    # its curvature -h_i''(t) into curv when given with slope
+    v = inst.cost.value_components(t, slope, out, curv)
     if slope is not None:
         np.negative(slope, out=slope)
+    if curv is not None:
+        np.negative(curv, out=curv)
     return np.negative(v, out=out)
 
 
-def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None):
+def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None, _curv=None):
     """Merit potential: both quadratic terms minus the effective revenue line plus the cost term.
 
     Decreased monotonically by well-damped proximal steps; its gradient
@@ -169,9 +172,10 @@ def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None):
     omitted) and writes the per-firm terms into ``work`` (same shape,
     optional). Neither buffer may alias ``x``.
 
-    ``_sigma`` is private to the solver, which already holds the total
-    output of a trial point: it must be bitwise
-    ``np.add.reduce(x, axis=-1)``, and it spares that sum here.
+    ``_sigma`` and ``_curv`` are private to the solver. ``_sigma``, the
+    total output of a trial point that it already holds, must be bitwise
+    ``np.add.reduce(x, axis=-1)``, and spares that sum here; ``_curv``
+    receives the cost term's curvature from the same cost call.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != inst.n:
@@ -180,6 +184,6 @@ def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None):
         cost_slope = np.empty_like(x)
     # np.add.reduce is np.sum without its Python-level wrapper: the same bits
     sq = np.add.reduce(np.multiply(x, x, out=cost_slope), axis=-1)
-    cost = np.add.reduce(_cost_term(inst, x, cost_slope, work), axis=-1)
+    cost = np.add.reduce(_cost_term(inst, x, cost_slope, work, _curv), axis=-1)
     sigma = np.add.reduce(x, axis=-1) if _sigma is None else _sigma
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde + cost

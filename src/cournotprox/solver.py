@@ -11,7 +11,9 @@ Neither step can fail. With c at or below 1/L the potential drops by at
 least (c/2)*||G_c||^2 per step, which yields an O(1/(k+1)) bound on the
 best scaled squared step and the stationarity certificate
 (1/c + L)*||x - s|| at termination. The trace records both sides of
-that bound per iteration (its ``delta`` and ``bound_rhs`` columns).
+that bound per iteration (its ``delta`` and ``bound_rhs`` columns). A
+Newton trial between steps (``solve``) only ever lowers the potential,
+so the bound holds with it.
 
 A solver run is single-threaded and deterministic given (instance,
 config, x0); concurrent runs may share immutable instances.
@@ -132,7 +134,8 @@ class IterationTrace:
     """Per-iteration history; row k describes the step taken from iterate k.
 
     Stored columns: potential at the iterate, step norm and damping c.
-    ``iterates`` holds the visited points, final point included, when
+    ``iterates`` holds each row's iterate, which is a kept Newton point
+    where one replaced the last step's point, and the final point, when
     snapshot recording is on; ``gamma_lb`` is the potential lower bound
     behind ``bound_rhs``. The other columns are derived from these.
     """
@@ -173,9 +176,9 @@ class SolveResult:
     slope along every unit feasible direction at ``x``; it equals
     ``eps_certificate`` at the last iterate before ``x`` with damping
     ``c_final`` and the run's splitting, bit for bit. ``trials``
-    counts the prox steps behind the ``iterations`` recorded steps: the
-    line-search trials under LINE_SEARCH, and ``iterations`` itself
-    under FIXED.
+    counts the points tried: the prox steps behind the ``iterations``
+    recorded steps (one each under FIXED, the line-search trials under
+    LINE_SEARCH) plus the Newton trials.
     """
 
     x: np.ndarray
@@ -225,21 +228,22 @@ def solve(inst, config=None, x0=None):
     Notes
     -----
     Both step policies and both splittings run one trial loop; FIXED is
-    a single trial at 1/L, accepted unconditionally. The trace stores
-    the potential, step norm and damping per step; its other columns
-    derive from them. A run allocates its n-vectors once (iterate, trial
-    point, the cost term's slope at each, the model's linear term and
-    scratch, including the exact-coupling step's), and every trial
-    writes into them: one step and one ``potential_gamma`` whose fused
-    cost call also leaves the slope at the trial point, which becomes
-    the slope at the next iterate when the trial is accepted. The run
-    also carries the total output sigma(x): it sums x0 once, and each
-    step leaves the sum of its trial point, which its own root computed
-    on the last pass under EXACT_COUPLING; the potential, the
-    sufficient-decrease test and, once the trial is accepted, the next
-    step's linear term and warm start read that sum, so every trial
-    point is summed once. ``result.x`` and the recorded iterates are never written again
-    once ``solve`` returns.
+    a single trial at 1/L, accepted unconditionally. Under
+    EXACT_COUPLING an accepted, unconverged step on a slow tail, where
+    step*(step/previous step)^2 > eps predicts more than two more
+    steps, is followed by a Newton trial (projected Newton in
+    proximal-Newton form; Bertsekas 1982, Lee, Sun & Saunders 2014):
+    the box minimizer of the potential's second-order model, skipped
+    where it has none. It counts in ``trials`` and becomes the next
+    iterate, without a trace row, only if it lowers the potential;
+    termination and the certificate stay on the prox steps. A run
+    allocates its n-vectors once (iterate, trial point, the cost term's
+    slope at each, the linear term, scratch) and every trial writes into
+    them: one step and one ``potential_gamma`` whose fused cost call
+    also leaves the slope at the trial point, and the curvature when a
+    Newton trial will follow. Each trial point is summed once, by its
+    own step (on the root's last pass). ``result.x`` and the
+    recorded iterates are never written again once ``solve`` returns.
     """
     cfg = config if config is not None else SolverConfig()
     if x0 is None:
@@ -257,7 +261,7 @@ def solve(inst, config=None, x0=None):
     if gamma_lb is None and cfg.record_bound and inst._bounded:
         gamma_lb = diagnostics.gamma_lower_bound(inst)
 
-    L, kept = _local_model(inst, cfg.splitting)
+    L, kept, newton = _local_model(inst, cfg.splitting)
 
     # The damping bracket [c_lo, c_hi] around 1/L. FIXED is the search on
     # the one-point bracket at 1/L: its single trial sits at the floor and
@@ -289,28 +293,47 @@ def solve(inst, config=None, x0=None):
     c_next = min(c_hi, max(c_lo, 2.0 * c_fixed))
     c_k = math.nan
     step = math.nan
+    curv = None  # the curvature at the iterate, when a Newton trial is due there
     trials = 0
     status = SolveStatus.MAX_ITER if math.isfinite(gamma_x) else SolveStatus.NON_FINITE
 
     for _ in range(cfg.max_iter if status is SolveStatus.MAX_ITER else 0):
+        _linear_term(inst, x, dh_x, sums[0], cfg.splitting, g)
+        # The Newton trial, kept only if it lowers the potential; its point
+        # becomes the iterate without a row of its own.
+        if curv is not None and newton(inst, x, g, curv, s, (work, masks, sums)) is not None:
+            trials += 1
+            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1]))
+            if gamma_s < gamma_x:
+                x, s, dh_x, dh_s = s, x, dh_s, dh_x
+                sums[0] = sums[1]
+                gamma_x = gamma_s
+                kept_x = kept(x, sums[0]) if search else math.nan
+                _linear_term(inst, x, dh_x, sums[0], cfg.splitting, g)
         # Sufficient decrease: gamma(s) may not exceed the local model at x,
         #   gamma(s) <= gamma(x) + kept(s) - kept(x) + g.(s - x) + |s - x|^2/(2c),
         # written around the known gamma(x), so it needs no h(x). A one-point
         # bracket never reads it.
-        _linear_term(inst, x, dh_x, sums[0], cfg.splitting, g)
         base = gamma_x - kept_x
         c = c_next
         n_trials = 0
         while True:
             prox_step(inst, x, c, g, s, cfg.splitting, (work, masks, sums))
             n_trials += 1
-            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1]))
             dx = np.subtract(s, x, out=work)
             dx2 = float(dx @ dx)
+            g_dx = float(g @ dx) if search else math.nan
+            # A slow tail, where the last two steps predict more than two more,
+            # takes a Newton trial from s: its curvature comes from the same
+            # cost call, into the slope at x, which is spent.
+            trial = math.sqrt(dx2)  # np.linalg.norm's arithmetic, without its wrapper
+            rate = trial / step  # NaN on the first step
+            curv = dh_x if newton and trial > cfg.eps and trial * rate * rate > cfg.eps else None
+            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1], _curv=curv))
             if not search:
                 break
             kept_s = kept(s, sums[1])
-            model = base + kept_s + float(g @ dx)
+            model = base + kept_s + g_dx
             # at c <= c_lo the step is in the guaranteed-descent region
             # (c*L <= 1); accept unconditionally
             if c <= c_lo or gamma_s <= model + dx2 / (2.0 * c):
@@ -332,7 +355,7 @@ def solve(inst, config=None, x0=None):
             c_next = c_up if gamma_s <= model + dx2 / (2.0 * c_up) else c
             kept_x = kept_s  # s becomes the iterate
         c_k = c
-        step = math.sqrt(dx2)  # np.linalg.norm's arithmetic, without its wrapper
+        step = trial
         if not math.isfinite(step):
             status = SolveStatus.NON_FINITE
             break
@@ -342,8 +365,7 @@ def solve(inst, config=None, x0=None):
         col_c.append(c_k)
         if iterates is not None:
             iterates.append(x.copy())
-        x, s = s, x
-        dh_x, dh_s = dh_s, dh_x
+        x, s, dh_x, dh_s = s, x, dh_s, dh_x
         sums[0] = sums[1]
         gamma_x = gamma_s
         if not math.isfinite(gamma_x):

@@ -4,8 +4,9 @@
 ``Splitting`` describes both, and this is the one module that tells them
 apart. The paper's subproblem is diagonal; the exact-coupling one adds
 the rank-one term beta*11' to its Hessian, like the classical
-affine-cost equilibrium QP, whose Hessian is beta*(I + 11'). These two
-reduce to one scalar equation in total output, solved by
+affine-cost equilibrium QP, whose Hessian is beta*(I + 11'). These two,
+and the solver's Newton trial, reduce to one equation in total output,
+solved by
 ``_aggregate_root``; the classical equilibrium serves as the validation
 oracle for solver runs on convex instances.
 """
@@ -43,7 +44,9 @@ class Splitting(Enum):
 
     When L = 0 the model is the potential itself, the damping is c = inf
     and one step lands on the equilibrium: under EXACT_COUPLING for an
-    affine cost, under PAPER only for one firm with an affine cost.
+    affine cost, under PAPER only for one firm with an affine cost. Only
+    EXACT_COUPLING takes ``solve``'s Newton trial, whose model keeps the
+    cost's curvature too; PAPER is the paper's iteration alone.
     """
 
     EXACT_COUPLING = "exact"
@@ -60,15 +63,32 @@ def _linear_term(inst, x, dh, sigma, splitting, out=None):
 
 
 def _local_model(inst, splitting):
-    # the splitting's curvature bound L and its kept quadratic, which takes a
-    # point y and its total output sigma = sum(y)
+    # the splitting's curvature bound L, its kept quadratic, which takes a point
+    # y and its total output sigma = sum(y), and its Newton trial (None: none)
     beta = inst.beta
     if splitting is Splitting.PAPER:
-        return inst.L_h + (inst.n - 1) * beta, lambda y, sigma: beta * float(y @ y)
-    return inst.L_h, lambda y, sigma: 0.5 * beta * (float(y @ y) + float(sigma) ** 2)
+        return inst.L_h + (inst.n - 1) * beta, lambda y, sigma: beta * float(y @ y), None
+    return inst.L_h, lambda y, sigma: 0.5 * beta * (float(y @ y) + float(sigma) ** 2), _newton_point
 
 
-def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.PAPER, scratch=None):
+def _newton_point(inst, x, g, curv, out, scratch):
+    # The box minimizer of the potential's second-order model at x: the exact-coupling
+    # step from its linear term g with 1/c replaced by the cost term's curvature curv
+    # (overwritten), so D = beta + curv, a = (curv*x - g)/D and k = beta/D per firm.
+    # Like prox_step it writes out and sum(out); None, writing no out, if some D <= 0.
+    a, masks, sums = scratch
+    np.multiply(curv, x, out=a)
+    np.subtract(a, g, out=a)
+    d = np.add(curv, inst.beta, out=curv)
+    if not np.minimum.reduce(d) > 0.0:
+        return None
+    np.divide(a, d, out=a)
+    k = np.divide(inst.beta, d, out=d)
+    _, sums[1] = _aggregate_root(a, k, inst.lower, inst.upper, sums[0], out, masks, inst._signed)
+    return out
+
+
+def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.EXACT_COUPLING, scratch=None):
     """Minimizer over the box of the splitting's local model at ``x`` with damping 1/(2c).
 
     The model keeps the splitting's quadratic exact, linearizes the rest
@@ -132,9 +152,9 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
     """Root of F(sigma) = sum(clip(a - k*sigma, lower, upper)) - sigma; the clip is left in ``buf``.
 
     F is continuous, piecewise linear and strictly decreasing, with slope
-    -(1 + k*#free), #free the firms strictly inside their bounds, so it
-    has one root for every k >= 0, infinite bounds included. Safeguarded
-    Newton from ``sigma0`` (Cominetti, Mascarenhas & Silva, 2014): each
+    -(1 + the sum of k over the free firms, those strictly inside their
+    bounds), so it has one root for every k >= 0, one number or one per
+    firm, infinite bounds included. Safeguarded Newton from ``sigma0`` (Cominetti, Mascarenhas & Silva, 2014): each
     O(n) pass lands on the root of the current linear piece, and a move
     that leaves the bracket kept by the signs of F is replaced by
     bisection, which keeps the passes few where the slopes alternate.
@@ -152,10 +172,10 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
     halve for hundreds of passes when the root is near 0 among large
     cancelling terms. The bracket stop ends the search where the rounding
     exceeds that estimate, and a pass whose |F| is already within it
-    stops before counting the free firms: F/(1 + k*#free) is no larger.
+    stops before counting the free firms: F over F's slope is no larger.
 
-    ``lower``, ``upper`` and ``buf`` are shaped like ``a``, and ``buf``
-    may not alias it; it is left holding clip(a - k*sigma, lower, upper)
+    ``lower``, ``upper``, ``buf`` and a per-firm ``k`` are shaped like
+    ``a``, and ``buf`` may not alias ``a`` or ``k``; it is left holding clip(a - k*sigma, lower, upper)
     at the last evaluated sigma, which is returned with the sum there,
     bitwise ``np.add.reduce(buf)``. ``masks`` is a boolean (2, n) scratch
     array, allocated here when omitted. ``signed`` may be False only when
@@ -167,8 +187,10 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
     inside, below = masks
     lo, hi = -math.inf, math.inf
     sigma = float(sigma0)
+    uniform = np.ndim(k) == 0
     while True:
-        t = np.subtract(a, k * sigma, out=buf)
+        # a per-firm k times sigma goes into buf first: no temporary n-vector
+        t = np.subtract(a, k * sigma if uniform else np.multiply(k, sigma, out=buf), out=buf)
         np.maximum(t, lower, out=t)
         np.minimum(t, upper, out=t)
         total = float(np.add.reduce(t))
@@ -185,8 +207,10 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
         # on the clipped t, strictly inside the bounds reads as it does before the clip
         np.less(lower, t, out=inside)
         np.less(t, upper, out=below)
-        free = np.count_nonzero(np.logical_and(inside, below, out=inside))
-        move = f / (1.0 + k * free)
+        np.logical_and(inside, below, out=inside)
+        # the sum of k over the free firms: k @ inside is 15x faster than a masked add.reduce
+        free = k * np.count_nonzero(inside) if uniform else k @ inside
+        move = f / (1.0 + free)
         if signed and abs(move) > noise:
             noise = 4.0 * math.ulp(float(np.add.reduce(np.abs(t))) + abs(sigma))
         if abs(move) <= noise:
@@ -197,7 +221,8 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
             step = a.size // 256
             part = a[::step]
             scale = a.size / part.size
-            jump = scale * _aggregate_root(part, k * scale, lower[::step], upper[::step],
+            jump = scale * _aggregate_root(part, (k if uniform else k[::step]) * scale,
+                                           lower[::step], upper[::step],
                                            sigma / scale, np.empty_like(part), signed=signed)[0]
             if lo < jump < hi:
                 sigma = jump

@@ -6,7 +6,7 @@ the private helpers it checks.
 
 import numpy as np
 
-from cournotprox import prox_step
+from cournotprox import Splitting, prox_step
 
 
 def _points(inst, x, name="x"):
@@ -82,7 +82,7 @@ def gradient_mapping(inst, x, c):
     Its norm is nonincreasing in c at fixed x, while the raw displacement
     norm is nondecreasing.
     """
-    return (np.asarray(x, dtype=float) - prox_step(inst, x, c)) / c
+    return (np.asarray(x, dtype=float) - prox_step(inst, x, c, splitting=Splitting.PAPER)) / c
 
 
 def prox_model_value(inst, x, y, c):
@@ -181,10 +181,10 @@ def breakpoint_root(a, k, lower, upper):
     (a - upper)/k and (a - lower)/k. A bisection over the sorted
     breakpoints finds the piece that holds the root, and one division
     gives it: O(n log n), no tolerance and no iteration budget. Infinite
-    bounds are allowed; k must be positive.
+    bounds are allowed; k must be positive, one number or one per firm.
     """
     a = np.asarray(a, dtype=float)
-    lower, upper = (np.broadcast_to(np.asarray(v, dtype=float), a.shape) for v in (lower, upper))
+    lower, upper, k = (np.broadcast_to(np.asarray(v, dtype=float), a.shape) for v in (lower, upper, k))
     bp_up, bp_lo = (a - upper) / k, (a - lower) / k
     knots = np.unique(np.concatenate([bp_up, bp_lo]))
     knots = knots[np.isfinite(knots)]
@@ -202,7 +202,7 @@ def breakpoint_root(a, k, lower, upper):
     at_up, at_lo = bp_up >= right, bp_lo <= left
     free = ~(at_up | at_lo)
     fixed = np.sum(upper[at_up]) + np.sum(lower[at_lo])
-    return float((fixed + np.sum(a[free])) / (1.0 + k * np.count_nonzero(free)))
+    return float((fixed + np.sum(a[free])) / (1.0 + np.sum(k[free])))
 
 
 def exact_coupling_step(inst, x, c):
@@ -216,6 +216,31 @@ def exact_coupling_step(inst, x, c):
     x = np.asarray(x, dtype=float)
     d = inst.beta + 1.0 / c
     a = (inst.alpha_tilde + cost_gradient(inst.cost, x) + x / c) / d
+    k = inst.beta / d
+    return np.clip(a - k * breakpoint_root(a, k, inst.lower, inst.upper), inst.lower, inst.upper)
+
+
+def cost_curvature(cost, x):
+    """Elementwise second derivative (h_1''(x_1), ..., h_n''(x_n)), from one ``value_components`` call."""
+    x = np.asarray(x, dtype=float)
+    curv = np.empty_like(x)
+    cost.value_components(x, np.empty_like(x), None, curv)
+    return curv
+
+
+def newton_point(inst, x):
+    """Minimizer over the box of the potential's second-order model at x.
+
+    The model (beta/2)*(|y|^2 + sum(y)^2) - (alpha_tilde + h'(x)).y
+    - h''(x).(y - x)^2/2 has, where every D = beta - h''(x) is positive,
+    the solution y = clip(a - k*sigma) with
+    a = (alpha_tilde + h'(x) - h''(x)*x)/D, k = beta/D per firm, and
+    sigma from ``breakpoint_root``.
+    """
+    x = np.asarray(x, dtype=float)
+    curv = -cost_curvature(inst.cost, x)
+    d = inst.beta + curv
+    a = (inst.alpha_tilde + cost_gradient(inst.cost, x) + curv * x) / d
     k = inst.beta / d
     return np.clip(a - k * breakpoint_root(a, k, inst.lower, inst.upper), inst.lower, inst.upper)
 

@@ -104,10 +104,14 @@ def _descent_suite(splitting, L_of, rhs):
             )
             res_ls, tr_ls = solve(inst, cfg)
             for k in range(len(tr_ls)):
-                x, s, ck = tr_ls.iterates[k], tr_ls.iterates[k + 1], tr_ls.c[k]
+                # row k's step depends on its iterate and damping alone; a kept
+                # Newton point, never higher, may follow it as the next iterate
+                x, after, ck = tr_ls.iterates[k], tr_ls.iterates[k + 1], tr_ls.c[k]
+                s = prox_step(inst, x, ck, splitting=splitting)
                 assert (
                     potential_gamma(inst, s) <= rhs(inst, x, s, ck) + 1e-9
                 ), f"accepted step without sufficient decrease: seed {seed}, k={k}"
+                assert potential_gamma(inst, after) <= potential_gamma(inst, s)
             checked_ls += len(tr_ls)
     return checked_fixed, checked_ls
 
@@ -177,7 +181,7 @@ def test_inequality_suite():
         for frac in (0.1, 0.5, 1.0):
             c = frac / L
             for x in X:
-                s = prox_step(inst, x, c)
+                s = prox_step(inst, x, c, splitting=Splitting.PAPER)
                 assert dphi_directional(inst, s, x - s) >= (1.0 / c - L) * float(
                     (x - s) @ (x - s)
                 ) - 1e-9
@@ -185,7 +189,7 @@ def test_inequality_suite():
         # slope toward arbitrary points, and its unit-direction consequence
         c = 1.0 / L
         for x, y in zip(X, Y):
-            s = prox_step(inst, x, c)
+            s = prox_step(inst, x, c, splitting=Splitting.PAPER)
             G = np.linalg.norm(gradient_mapping(inst, x, c))
             nd = np.linalg.norm(y - s)
             assert dphi_directional(inst, s, y - s) >= -(1.0 + c * L) * G * nd - 1e-9
@@ -197,7 +201,7 @@ def test_inequality_suite():
         # local-model bounds: drop estimate (any c) and domination (damped c)
         for c in (0.5 / L, 1.0 / L):
             for x in X:
-                s = prox_step(inst, x, c)
+                s = prox_step(inst, x, c, splitting=Splitting.PAPER)
                 G = np.linalg.norm(gradient_mapping(inst, x, c))
                 lhs = decrease_rhs(inst, x, s, c)
                 assert lhs <= potential_gamma(inst, x) - 0.5 * c * G**2 + 1e-9
@@ -214,7 +218,9 @@ def test_inequality_suite():
         cs = 2.0 ** np.arange(-4, 5) / L
         for x in X:
             e = np.array([np.linalg.norm(gradient_mapping(inst, x, c)) for c in cs])
-            r = np.array([np.linalg.norm(x - prox_step(inst, x, c)) for c in cs])
+            r = np.array(
+                [np.linalg.norm(x - prox_step(inst, x, c, splitting=Splitting.PAPER)) for c in cs]
+            )
             assert np.all(np.diff(e) <= 1e-10)
             assert np.all(np.diff(r) >= -1e-10)
     _passed("inequality suite (slope bounds, model bounds, linearization, damping monotonicity)")
@@ -243,7 +249,8 @@ def test_stationarity_certification():
         assert res.status is SolveStatus.CONVERGED
         L = lipschitz_gamma(inst)
         for frac in (0.1, 1.0, 10.0):
-            assert np.linalg.norm(res.x - prox_step(inst, res.x, frac / L)) <= 1e-6
+            s = prox_step(inst, res.x, frac / L, splitting=Splitting.PAPER)
+            assert np.linalg.norm(res.x - s) <= 1e-6
 
     # desk-scale cross-check against the grid oracle
     for make, n, seed in ((log_cost_market, 1, 0), (log_cost_market, 2, 3), (exp_cost_market, 2, 4)):

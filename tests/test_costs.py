@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import cournotprox.subqp
 from cournotprox import (
     AffineCost, CostDomainError, CostModel, ExpCost, LogCost, MarketInstance, SolverConfig,
     SolveStatus, Splitting, solve,
 )
-from oracles import cost_gradient, cost_value, fd_gradient_check
+from cournotprox.model import _cost_term
+from oracles import cost_curvature, cost_gradient, cost_value, fd_gradient_check
 
 
 def log_family(n=6, seed=0):
@@ -30,10 +32,12 @@ class QuadraticCost(CostModel):
         self.a = np.asarray(a, dtype=float)
         self.n = self.a.size
 
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         x = self._check_points(x)
         if grad is not None:
             np.multiply(2.0 * self.a, x, out=grad)
+        if curv is not None:
+            curv[...] = 2.0 * self.a
         return np.multiply(self.a, x**2, out=out)
 
     def lipschitz_on(self, lower):
@@ -56,6 +60,25 @@ class TestContract:
             res, _ = solve(inst, SolverConfig(splitting=splitting))
             assert res.status is SolveStatus.CONVERGED
             assert inst.contains(res.x)
+
+    def test_newton_trial_skipped_where_the_model_has_no_minimizer(self, monkeypatch):
+        # -h'' = -2a: D = beta - 2a <= 0 on the last firm, so every Newton trial
+        # on this slow tail is skipped and counts as no trial
+        skipped = []
+        newton = cournotprox.subqp._newton_point
+
+        def recording(*args):
+            out = newton(*args)
+            skipped.append(out is None)
+            return out
+
+        monkeypatch.setattr(cournotprox.subqp, "_newton_point", recording)
+        cost = QuadraticCost([0.01, 0.02, 0.03, 0.04, 0.06])
+        inst = MarketInstance(beta=0.1, alpha0=1.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
+        res, _ = solve(inst)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.trials == res.iterations == 25
+        assert len(skipped) == 21 and all(skipped)
 
 
 class TestLogCost:
@@ -211,6 +234,41 @@ class TestValueAndGradient:
         for bad in (np.array([0.5, -0.5]), np.array([0.5, np.nan])):
             with pytest.raises(CostDomainError):
                 model.value_components(bad, np.empty(2))
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("family", [log_family, exp_family, custom_family])
+    def test_matches_central_difference_of_the_slope(self, family):
+        model = family(50, 4)
+        x = np.random.default_rng(6).uniform(0.5, 9.5, (20, model.n))
+        step = 1e-5
+        fd = (cost_gradient(model, x + step) - cost_gradient(model, x - step)) / (2.0 * step)
+        np.testing.assert_allclose(cost_curvature(model, x), fd, rtol=1e-6)
+
+    def test_affine_writes_zero(self):
+        curv = np.full(6, np.nan)
+        affine_family().value_components(np.linspace(0.0, 5.0, 6), np.empty(6), None, curv)
+        assert np.all(curv == 0.0)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_asking_for_it_keeps_the_value_and_slope_bits(self, family):
+        model = family(50, 4)
+        x = np.random.default_rng(7).uniform(0.0, 10.0, model.n)
+        grad, plain_grad = np.empty(model.n), np.empty(model.n)
+        values = model.value_components(x, grad, None, np.empty(model.n))
+        assert values.tobytes() == model.value_components(x, plain_grad).tobytes()
+        assert grad.tobytes() == plain_grad.tobytes()
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_cost_term_negates_it_with_the_slope(self, family):
+        cost = family(8, 2)
+        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
+        x = np.linspace(0.0, 10.0, 8)
+        slope, curv = np.empty(8), np.empty(8)
+        terms = _cost_term(inst, x, slope, None, curv)
+        np.testing.assert_array_equal(terms, -cost.value_components(x))
+        np.testing.assert_array_equal(slope, -cost_gradient(cost, x))
+        np.testing.assert_array_equal(curv, -cost_curvature(cost, x))
 
 
 class TestGradientChecks:

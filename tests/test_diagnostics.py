@@ -44,10 +44,12 @@ class SinCost(CostModel):
     def __init__(self, a, n):
         self.a, self.n = float(a), n
 
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         x = self._check_points(x)
         if grad is not None:
             np.multiply(self.a, np.cos(x), out=grad)
+        if curv is not None:
+            np.multiply(-self.a, np.sin(x), out=curv)
         return np.multiply(self.a, np.sin(x), out=out)
 
     def lipschitz_on(self, lower):
@@ -124,7 +126,7 @@ class TestNashGap:
         # from which a unilateral jump to another well still pays
         inst = sin_market(3, 0)
         res, _ = solve(inst, SolverConfig(eps=1e-8), x0=np.full(3, 10.0))
-        assert np.linalg.norm(res.x - prox_step(inst, res.x, 1.0)) <= 1e-6
+        assert np.linalg.norm(res.x - prox_step(inst, res.x, 1.0, splitting=Splitting.PAPER)) <= 1e-6
         lo, _ = assert_certified(inst, res.x, np.inf)
         assert lo > 1e-2
 
@@ -208,7 +210,8 @@ class TestGlobalCheck:
         c = 1.0 / lipschitz_gamma(inst)
         assert np.linalg.norm(gradient_mapping(inst, x, c)) > 1.0
         # the prox point is one feasible deviation, so its gain bounds the gap from below
-        witness = -float(phi_bifunction(inst, x, prox_step(inst, x, c)[None, :])[0])
+        s = prox_step(inst, x, c, splitting=Splitting.PAPER)
+        witness = -float(phi_bifunction(inst, x, s[None, :])[0])
         lo, hi = nash_gap(inst, x)
         assert 1e-2 < witness <= hi
         assert lo > 1e-2
@@ -221,12 +224,12 @@ class TestFixedPointResidual:
         inst = affine_market(5, mu=2.0)
         star = classical_equilibrium(inst)
         for c in (0.1, 1.0, 10.0):
-            assert np.linalg.norm(star - prox_step(inst, star, c)) <= 1e-8
+            assert np.linalg.norm(star - prox_step(inst, star, c, splitting=Splitting.PAPER)) <= 1e-8
 
     def test_positive_away_from_stationarity(self):
         inst = log_cost_market(5, 5)
         x = inst.project(np.ones(5))
-        assert np.linalg.norm(x - prox_step(inst, x, 1.0)) > 1e-2
+        assert np.linalg.norm(x - prox_step(inst, x, 1.0, splitting=Splitting.PAPER)) > 1e-2
 
     def test_identity_with_gradient_mapping(self):
         inst = exp_cost_market(7, 6)
@@ -234,7 +237,7 @@ class TestFixedPointResidual:
         rng = np.random.default_rng(10)
         for c in (0.3, 2.0):
             x = rng.uniform(inst.lower, inst.upper)
-            residual = float(np.linalg.norm(x - prox_step(inst, x, c)))
+            residual = float(np.linalg.norm(x - prox_step(inst, x, c, splitting=Splitting.PAPER)))
             assert eps_certificate(inst, x, c, Splitting.PAPER) == (1.0 / c + L) * residual
 
 

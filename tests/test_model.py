@@ -55,8 +55,8 @@ class CountingCost(CostModel):
     def __init__(self, inner):
         self.inner, self.n, self.bound_calls = inner, inner.n, 0
 
-    def value_components(self, x, grad=None, out=None):
-        return self.inner.value_components(x, grad, out)
+    def value_components(self, x, grad=None, out=None, curv=None):
+        return self.inner.value_components(x, grad, out, curv)
 
     def lipschitz_on(self, lower):
         self.bound_calls += 1
@@ -69,10 +69,12 @@ class RootCost(CostModel):
     def __init__(self, n):
         self.n = n
 
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         root = np.sqrt(1.0 + self._check_points(x))
         if grad is not None:
             np.divide(1.0, root, out=grad)
+        if curv is not None:
+            np.multiply(-0.5, grad**3, out=curv)
         return np.multiply(2.0, root, out=out)
 
     def lipschitz_on(self, lower):
@@ -264,8 +266,8 @@ def check_the_papers_sign():
 class TestCostSign:
     def test_the_sign_is_written_in_one_function(self, monkeypatch):
         # flipping model._cost_term alone turns every answer into the paper's
-        def plus_h(inst, t, slope=None, out=None):
-            return inst.cost.value_components(t, slope, out)
+        def plus_h(inst, t, slope=None, out=None, curv=None):
+            return inst.cost.value_components(t, slope, out, curv)
 
         monkeypatch.setattr(model, "_cost_term", plus_h)
         check_the_papers_sign()

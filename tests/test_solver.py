@@ -27,7 +27,9 @@ from cournotprox import (
     prox_step,
     solve,
 )
-from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
+from cournotprox.experiments import (
+    affine_market, exp_cost_market, log_cost_market, verify_run, write_trace_csv,
+)
 from oracles import (
     affine_equilibrium,
     decrease_rhs,
@@ -82,22 +84,22 @@ class CountingLogCost(LogCost):
         super().__post_init__()
         object.__setattr__(self, "calls", Counter())
 
-    def value_components(self, x, grad=None, out=None):
+    def value_components(self, x, grad=None, out=None, curv=None):
         self.calls["values_only" if grad is None else "with_gradient"] += 1
-        return super().value_components(x, grad, out)
+        return super().value_components(x, grad, out, curv)
 
 
 class NaNGradientExpCost(ExpCost):
-    def value_components(self, x, grad=None, out=None):
-        values = super().value_components(x, grad, out)
+    def value_components(self, x, grad=None, out=None, curv=None):
+        values = super().value_components(x, grad, out, curv)
         if grad is not None:
             grad[...] = np.nan
         return values
 
 
 class NaNValueExpCost(ExpCost):
-    def value_components(self, x, grad=None, out=None):
-        values = super().value_components(x, grad, out)
+    def value_components(self, x, grad=None, out=None, curv=None):
+        values = super().value_components(x, grad, out, curv)
         values[...] = np.nan
         return values
 
@@ -122,7 +124,7 @@ def reference_line_search_run(inst, x, steps, bracket=(0.1, 10.0)):
     for _ in range(steps):
         c = c_next
         while True:
-            s = prox_step(inst, x, c)
+            s = prox_step(inst, x, c, splitting=PAPER)
             if potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) or c <= c_lo:
                 break
             excess = potential_gamma(inst, s) - decrease_rhs(inst, x, s, math.inf)
@@ -139,16 +141,38 @@ def reference_line_search_run(inst, x, steps, bracket=(0.1, 10.0)):
     return np.asarray(cs), xs
 
 
+def slow_tail(step, prev, eps):
+    """The solver's Newton gate: the last two step norms predict more than two further steps."""
+    return step > eps and step * (step / prev) ** 2 > eps
+
+
+def newton_trial(inst, x):
+    """The solver's Newton trial from x: its point if that lowers the potential, else None.
+
+    The point is ``subqp._newton_point``'s (checked against the oracle in
+    test_subqp), from the cost's slope and curvature at x, so its bits
+    are the solver's.
+    """
+    grad, curv, out = np.empty(inst.n), np.empty(inst.n), np.empty(inst.n)
+    inst.cost.value_components(x, grad, None, curv)
+    g = np.negative(grad) - inst.alpha_tilde
+    sums = np.array([np.add.reduce(x), math.nan])
+    scratch = (np.empty(inst.n), np.empty((2, inst.n), dtype=bool), sums)
+    y = cournotprox.subqp._newton_point(inst, x, g, np.negative(curv), out, scratch)
+    return y if y is not None and potential_gamma(inst, y) < potential_gamma(inst, x) else None
+
+
 def doubling_run(inst, eps):
     """The exact-coupling line search that always starts at twice the last accepted damping.
 
-    Built from prox_step, potential_gamma and exact_decrease_rhs; it stops
-    at the first step of norm at most ``eps``. Returns the damping column,
-    the iterates and the number of trials.
+    Built from prox_step, potential_gamma and exact_decrease_rhs, with the
+    solver's Newton trial after a step on a slow tail (``newton_trial``);
+    it stops at the first step of norm at most ``eps``. Returns the
+    damping column, the iterates and the number of trials.
     """
     L = inst.L_h
     c_lo, c_hi = 0.1 / L, 10.0 / L
-    x, c_prev, trials = inst.center(), 1.0 / L, 0
+    x, c_prev, trials, prev = inst.center(), 1.0 / L, 0, math.nan
     cs, xs = [], [x]
     while True:
         c = min(c_hi, max(c_lo, 2.0 * c_prev))
@@ -164,6 +188,12 @@ def doubling_run(inst, eps):
         x, c_prev = s, c
         if step <= eps:
             return np.asarray(cs), xs, trials
+        if slow_tail(step, prev, eps):
+            trials += 1
+            y = newton_trial(inst, x)
+            if y is not None:
+                xs[-1] = x = y
+        prev = step
 
 
 def halving_run(inst, splitting, eps):
@@ -172,15 +202,16 @@ def halving_run(inst, splitting, eps):
     Built from prox_step, potential_gamma and the splitting's
     sufficient-decrease test (decrease_rhs or exact_decrease_rhs); it
     starts at 2/L, keeps the solver's checked doubling between searches
-    and stops at the first step of norm at most ``eps``. Returns the
-    damping column, the iterates and the number of trials.
+    and, under EXACT, its Newton trial after a step on a slow tail, and
+    stops at the first step of norm at most ``eps``. Returns the damping
+    column, the iterates and the number of trials.
     """
     if splitting is PAPER:
         L, rhs = lipschitz_gamma(inst), decrease_rhs
     else:
         L, rhs = inst.L_h, exact_decrease_rhs
     c_lo, c_hi = 0.1 / L, 10.0 / L
-    x, c_next, trials = inst.center(), min(c_hi, 2.0 / L), 0
+    x, c_next, trials, prev = inst.center(), min(c_hi, 2.0 / L), 0, math.nan
     cs, xs = [], [x]
     while True:
         c = c_next
@@ -198,6 +229,12 @@ def halving_run(inst, splitting, eps):
         x = s
         if step <= eps:
             return np.asarray(cs), xs, trials
+        if splitting is EXACT and slow_tail(step, prev, eps):
+            trials += 1
+            y = newton_trial(inst, x)
+            if y is not None:
+                xs[-1] = x = y
+        prev = step
 
 
 class FarNonFiniteLogCost(LogCost):
@@ -207,8 +244,8 @@ class FarNonFiniteLogCost(LogCost):
         super().__post_init__()
         object.__setattr__(self, "seen", [])
 
-    def value_components(self, x, grad=None, out=None):
-        values = super().value_components(x, grad, out)
+    def value_components(self, x, grad=None, out=None, curv=None):
+        values = super().value_components(x, grad, out, curv)
         self.seen.append(np.array(x))
         if np.linalg.norm(x - self.anchor) > self.radius:
             values[...] = self.bad
@@ -225,7 +262,12 @@ def first_step(inst, x0):
 
 
 def assert_accepted_steps_decrease(splitting, rhs):
-    """Every accepted line-search step passes the splitting's sufficient-decrease test."""
+    """Every accepted line-search step passes the splitting's sufficient-decrease test.
+
+    Row k's step is the prox step from iterate k at the row's damping (a
+    step depends on x and c alone); under EXACT a kept Newton point with a
+    lower potential may follow it as the next iterate.
+    """
     for make, seed in ((log_cost_market, 11), (exp_cost_market, 12)):
         inst = make(20, seed)
         cfg = SolverConfig(
@@ -235,10 +277,10 @@ def assert_accepted_steps_decrease(splitting, rhs):
         res, trace = solve(inst, cfg)
         assert res.status is SolveStatus.CONVERGED
         for k in range(len(trace)):
-            x = trace.iterates[k]
-            s = trace.iterates[k + 1]
-            c = trace.c[k]
+            x, after, c = trace.iterates[k], trace.iterates[k + 1], trace.c[k]
+            s = prox_step(inst, x, c, splitting=splitting)
             assert potential_gamma(inst, s) <= rhs(inst, x, s, c) + 1e-9
+            assert np.array_equal(after, s) or potential_gamma(inst, after) < potential_gamma(inst, s)
 
 
 def assert_converged_certificate_sound(splitting, L_of):
@@ -275,7 +317,7 @@ class TestGradientMapping:
         for _ in range(20):
             x = rng.uniform(inst.lower, inst.upper)
             e = np.array([np.linalg.norm(gradient_mapping(inst, x, c)) for c in cs])
-            r = np.array([np.linalg.norm(x - prox_step(inst, x, c)) for c in cs])
+            r = np.array([np.linalg.norm(x - prox_step(inst, x, c, splitting=PAPER)) for c in cs])
             assert np.all(np.diff(e) <= 1e-10)
             assert np.all(np.diff(r) >= -1e-10)
 
@@ -362,13 +404,29 @@ class TestSolveNonconvex:
         drop = 0.5 * trace.c * trace.residual**2
         assert np.all(gammas[1:] <= gammas[:-1] - drop + 1e-9)
 
-    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
-    def test_exact_coupling_steps_match_reference_step(self, make):
-        # every recorded step is the breakpoint-solved exact-coupling step
+    @pytest.mark.parametrize("make, iterations, trials", [
+        (log_cost_market, 7, 10), (exp_cost_market, 5, 7),
+    ])
+    def test_exact_coupling_steps_match_reference_step(self, make, iterations, trials, monkeypatch):
+        # every step is the breakpoint-solved exact-coupling step from its row's
+        # iterate; a kept Newton point replaces the step's point as the next
+        # iterate, so each step is taken where prox_step writes it
+        steps = []
+
+        def recording_step(*args, **kwargs):
+            out = prox_step(*args, **kwargs)
+            steps.append(out.copy())
+            return out
+
+        monkeypatch.setattr(cournotprox.solver, "prox_step", recording_step)
         inst = make(40, 5)
         res, trace = solve(inst, SolverConfig(eps=1e-6, record_iterates=True))
-        for x, s, c in zip(trace.iterates, trace.iterates[1:], trace.c):
+        assert (res.iterations, res.trials) == (iterations, trials)
+        assert len(steps) == len(trace) == len(trace.iterates) - 1
+        for x, s, c, norm in zip(trace.iterates, steps, trace.c, trace.step_norm):
             np.testing.assert_allclose(s, exact_coupling_step(inst, x, c), rtol=0.0, atol=1e-12)
+            assert norm == np.linalg.norm(s - x)
+        np.testing.assert_array_equal(res.x, steps[-1])
 
     def test_max_iter_status(self):
         inst = log_cost_market(10, 4)
@@ -437,15 +495,23 @@ class TestLineSearch:
                 return np.sum(x, *args, **kwargs)
 
         trial_points = []
+        newton = cournotprox.subqp._newton_point
 
         def recording_step(*args, **kwargs):
             out = prox_step(*args, **kwargs)
             trial_points.append(out.tobytes())
             return out
 
+        def recording_newton(*args):
+            out = newton(*args)
+            trial_points.append(out.tobytes())
+            return out
+
         for module in (cournotprox.model, cournotprox.solver, cournotprox.subqp):
             monkeypatch.setattr(module, "np", CountingSum())
         monkeypatch.setattr(cournotprox.solver, "prox_step", recording_step)
+        # the Newton trial points too: EXACT's run keeps two of them
+        monkeypatch.setattr(cournotprox.subqp, "_newton_point", recording_newton)
         # PAPER's first trial at n = 200 clips to zero, whose squares have its bytes
         for splitting, n in ((EXACT, 200), (PAPER, 50)):
             summed.clear()
@@ -511,7 +577,7 @@ class TestLineSearch:
     @pytest.mark.parametrize(
         "make, n, seed, old_trials, new_trials",
         [
-            (log_cost_market, 2000, 0, 18, 11),
+            (log_cost_market, 2000, 0, 7, 6),
             (log_cost_market, 20_000, 3, 12, 7),
             (exp_cost_market, 2000, 0, 12, 7),
             (exp_cost_market, 20_000, 3, 8, 5),
@@ -535,7 +601,7 @@ class TestLineSearch:
     @pytest.mark.parametrize(
         "make, n, seed, splitting, old_trials, new_trials",
         [
-            (log_cost_market, 10_000, 0, EXACT, 9, 8),
+            (log_cost_market, 10_000, 0, EXACT, 7, 6),
             (log_cost_market, 100_000, 0, EXACT, 7, 6),
             (log_cost_market, 1000, 0, PAPER, 63, 53),
             (exp_cost_market, 100, 0, PAPER, 153, 126),
@@ -603,16 +669,18 @@ class TestLineSearch:
         assert inst.cost.calls == {"with_gradient": res.trials + 1}
         assert inst.cost.calls["values_only"] == 0
 
-    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
-    def test_each_iterate_evaluated_once_exact_coupling(self, policy):
-        # the aggregate root needs no cost evaluation: still one per trial plus the start
+    @pytest.mark.parametrize("policy, iterations, trials", [
+        (StepPolicy.FIXED, 5, 7), (StepPolicy.LINE_SEARCH, 5, 10),
+    ])
+    def test_each_iterate_evaluated_once_exact_coupling(self, policy, iterations, trials):
+        # the aggregate root needs no cost evaluation and the Newton trial's
+        # curvature comes from the prox step's own call: still one per trial,
+        # two of them Newton trials here, plus the start
         base = log_cost_market(30, 5)
         inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
         res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False))
         assert res.status is SolveStatus.CONVERGED
-        assert res.trials >= res.iterations
-        if policy is StepPolicy.FIXED:
-            assert res.trials == res.iterations
+        assert (res.iterations, res.trials) == (iterations, trials)
         assert inst.cost.calls == {"with_gradient": res.trials + 1}
 
     def test_line_search_run_still_descends(self):
@@ -620,6 +688,75 @@ class TestLineSearch:
         res, trace = solve(inst, SolverConfig(step_policy=StepPolicy.LINE_SEARCH, eps=1e-5))
         gammas = np.append(trace.gamma, res.gamma_final)
         assert np.all(np.diff(gammas) <= 1e-9)
+
+
+class TestNewtonTrial:
+    """After an exact-coupling step on a slow tail, the box minimizer of the second-order model."""
+
+    @staticmethod
+    def counted_newton(monkeypatch):
+        calls = []
+        newton = cournotprox.subqp._newton_point
+
+        def counting(*args):
+            out = newton(*args)
+            calls.append(out is not None)
+            return out
+
+        monkeypatch.setattr(cournotprox.subqp, "_newton_point", counting)
+        return calls
+
+    def test_cuts_the_slow_log_tail(self, tmp_path, monkeypatch):
+        # 52 steps at 1/L_h alone; each step from iterate 8 on shrank by about 0.9
+        calls = self.counted_newton(monkeypatch)
+        inst = log_cost_market(100, 0)
+        res, trace = solve(inst, SolverConfig(record_iterates=True))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations <= 6
+        assert res.trials == res.iterations + len(calls)
+        assert calls == [True, True]
+        gammas = np.append(trace.gamma, res.gamma_final)
+        assert np.all(np.diff(gammas) <= 0.0)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        # every check ran, the per-iteration bound included, and passed
+        assert list(verify_run(path).failures.values()) == [None] * 5
+
+    def test_certificate_from_a_newton_iterate(self):
+        # the last step starts from a kept Newton point: the certificate is still
+        # eps_certificate there, bit for bit
+        inst = log_cost_market(100, 0)
+        res, trace = solve(inst, SolverConfig(record_iterates=True))
+        before, start = trace.iterates[-3], trace.iterates[-2]
+        assert not np.array_equal(start, prox_step(inst, before, trace.c[-2]))
+        assert res.certificate == eps_certificate(inst, start, res.c_final)
+
+    def test_the_line_search_benchmark_tries_none(self, monkeypatch):
+        # its steps shrink fast enough (largest step*rate^2 about 6e-5 against
+        # eps = 1e-3), so the solve computes what it did without the trial
+        calls = self.counted_newton(monkeypatch)
+        inst = log_cost_market(100_000, 0)
+        cfg = SolverConfig(step_policy=StepPolicy.LINE_SEARCH, record_bound=False)
+        res, _ = solve(inst, cfg)
+        assert calls == []
+        assert (res.iterations, res.trials) == (5, 6)
+        assert res.certificate.hex() == "0x1.3808641ccfc4ep-8"
+
+    def test_only_exact_coupling_tries_it(self, monkeypatch):
+        calls = self.counted_newton(monkeypatch)
+        res, _ = solve(log_cost_market(100, 0), SolverConfig(splitting=PAPER))
+        assert calls == [] and res.trials == res.iterations
+
+    def test_asking_for_the_curvature_adds_no_cost_call(self):
+        base = log_cost_market(100, 0)
+        inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        res, _ = solve(inst, SolverConfig(record_bound=False))
+        assert res.trials > res.iterations
+        assert inst.cost.calls == {"with_gradient": res.trials + 1}
+        slope, curv = np.empty(100), np.empty(100)
+        inst.cost.calls.clear()
+        potential_gamma(inst, res.x, slope, _curv=curv)
+        assert inst.cost.calls == {"with_gradient": 1}
 
 
 class TestNonFinite:
@@ -649,7 +786,7 @@ class TestSlopeBounds:
             c = frac / L
             for _ in range(100):
                 x = rng.uniform(inst.lower, inst.upper)
-                s = prox_step(inst, x, c)
+                s = prox_step(inst, x, c, splitting=PAPER)
                 lhs = dphi_directional(inst, s, x - s)
                 rhs = (1.0 / c - L) * float((x - s) @ (x - s))
                 assert lhs >= rhs - 1e-9
@@ -663,7 +800,7 @@ class TestSlopeBounds:
         for _ in range(100):
             x = rng.uniform(inst.lower, inst.upper)
             y = rng.uniform(inst.lower, inst.upper)
-            s = prox_step(inst, x, c)
+            s = prox_step(inst, x, c, splitting=PAPER)
             G = np.linalg.norm(gradient_mapping(inst, x, c))
             lhs = dphi_directional(inst, s, y - s)
             rhs = -(1.0 + c * L) * G * np.linalg.norm(y - s)
@@ -677,7 +814,7 @@ class TestSlopeBounds:
         rng = np.random.default_rng(33)
         for _ in range(100):
             x = rng.uniform(inst.lower, inst.upper)
-            s = prox_step(inst, x, c)
+            s = prox_step(inst, x, c, splitting=PAPER)
             kappa = eps_certificate(inst, x, c)
             y = rng.uniform(inst.lower, inst.upper)
             d = y - s
@@ -697,7 +834,7 @@ class TestLocalModelBounds:
         for c in (0.3 / L, 1.0 / L, 4.0 / L):
             for _ in range(100):
                 x = rng.uniform(inst.lower, inst.upper)
-                s = prox_step(inst, x, c)
+                s = prox_step(inst, x, c, splitting=PAPER)
                 lhs = decrease_rhs(inst, x, s, c)
                 G = np.linalg.norm(gradient_mapping(inst, x, c))
                 assert lhs <= potential_gamma(inst, x) - 0.5 * c * G**2 + 1e-9
@@ -710,7 +847,7 @@ class TestLocalModelBounds:
         for c in (0.2 / L, 1.0 / L):
             for _ in range(100):
                 x = rng.uniform(inst.lower, inst.upper)
-                s = prox_step(inst, x, c)
+                s = prox_step(inst, x, c, splitting=PAPER)
                 assert potential_gamma(inst, s) <= decrease_rhs(inst, x, s, c) + 1e-9
 
     @pytest.mark.parametrize("name", ["log", "exp"])
@@ -721,7 +858,7 @@ class TestLocalModelBounds:
         rng = np.random.default_rng(36)
         for _ in range(100):
             x = rng.uniform(inst.lower, inst.upper)
-            s = prox_step(inst, x, c)
+            s = prox_step(inst, x, c, splitting=PAPER)
             G = np.linalg.norm(gradient_mapping(inst, x, c))
             assert potential_gamma(inst, s) <= potential_gamma(inst, x) - 0.5 * c * G**2 + 1e-9
 

@@ -14,9 +14,10 @@ from cournotprox import (
     classical_equilibrium, solve,
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from cournotprox.subqp import _aggregate_root, prox_step
+from cournotprox.subqp import _aggregate_root, _newton_point, prox_step
 from oracles import (
-    apply_Btilde, breakpoint_root, cost_gradient, exact_coupling_step, phi_bifunction,
+    apply_Btilde, breakpoint_root, cost_curvature, cost_gradient, exact_coupling_step,
+    newton_point, phi_bifunction,
 )
 
 
@@ -65,24 +66,25 @@ class TestProxStep:
         # model slope g = -alpha_tilde - mu_h = 0.6 at any x when n = 1,
         # so s = (3 - 0.6)/1.2 = 2.0
         inst = single_firm_instance(mu_h=-10.6)
-        s = prox_step(inst, np.array([3.0]), c=1.0)
+        s = prox_step(inst, np.array([3.0]), c=1.0, splitting=Splitting.PAPER)
         assert s[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_clamped_at_lower_bound(self):
         inst = single_firm_instance(mu_h=-15.0)  # g = 5: unclamped (3-5)/1.2 < 0
-        s = prox_step(inst, np.array([3.0]), c=1.0)
+        s = prox_step(inst, np.array([3.0]), c=1.0, splitting=Splitting.PAPER)
         assert s[0] == 0.0
 
     def test_fixed_point_at_equilibrium(self):
         inst = affine_market(8, mu=2.0)
         star = classical_equilibrium(inst)
         for c in (0.1, 1.0, 10.0):
-            np.testing.assert_allclose(prox_step(inst, star, c), star, atol=1e-9)
+            s = prox_step(inst, star, c, splitting=Splitting.PAPER)
+            np.testing.assert_allclose(s, star, atol=1e-9)
 
     def test_rejects_nonpositive_damping(self):
         inst = affine_market(2)
         with pytest.raises(ValueError):
-            prox_step(inst, np.zeros(2), 0.0)
+            prox_step(inst, np.zeros(2), 0.0, splitting=Splitting.PAPER)
 
     @pytest.mark.parametrize("splitting", [Splitting.PAPER, Splitting.EXACT_COUPLING])
     @pytest.mark.parametrize("c", [True, np.True_], ids=["bool", "np_bool"])
@@ -102,7 +104,7 @@ class TestProxStep:
             warnings.simplefilter("error")
             if math.isnan(c):
                 with pytest.raises(ValueError, match="positive"):
-                    prox_step(inst, x, c)
+                    prox_step(inst, x, c, splitting=Splitting.PAPER)
                 return
             s = prox_step(inst, x, c, splitting=Splitting.PAPER)
         g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
@@ -115,7 +117,7 @@ class TestProxStep:
         rng = np.random.default_rng(seed)
         for c in (0.05, 0.2, 1.0):
             x = rng.uniform(inst.lower, inst.upper)
-            s = prox_step(inst, x, c)
+            s = prox_step(inst, x, c, splitting=Splitting.PAPER)
             G = (x - s) / c
             v = (
                 2.0 * inst.beta * s
@@ -134,9 +136,9 @@ class TestProxStep:
         g = rng.normal(size=10)
         for slope in (None, g):
             out = np.full(10, np.nan)
-            s = prox_step(inst, x, 0.7, slope, out)
+            s = prox_step(inst, x, 0.7, slope, out, splitting=Splitting.PAPER)
             assert s is out
-            assert s.tobytes() == prox_step(inst, x, 0.7, slope).tobytes()
+            assert s.tobytes() == prox_step(inst, x, 0.7, slope, splitting=Splitting.PAPER).tobytes()
 
     @pytest.mark.parametrize("make,seed", [(log_cost_market, 0), (exp_cost_market, 1)])
     def test_exact_coupling_step_matches_reference(self, make, seed):
@@ -175,7 +177,7 @@ class TestProxStep:
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.uniform(inst.lower, inst.upper)
-            s = prox_step(inst, x, 3.0)
+            s = prox_step(inst, x, 3.0, splitting=Splitting.PAPER)
             assert inst.contains(s)
 
 
@@ -192,7 +194,8 @@ class TestBoxPG:
             for c in (0.1, 1.0, math.inf):  # at c = inf: Hessian 2*beta, linear term g
                 d = 2.0 * inst.beta + 1.0 / c
                 pg = pg_reference(lambda v: d * v, g - x / c, inst.lower, inst.upper, 1.0 / d, x)
-                np.testing.assert_allclose(pg, prox_step(inst, x, c), atol=1e-8)
+                s = prox_step(inst, x, c, splitting=Splitting.PAPER)
+                np.testing.assert_allclose(pg, s, atol=1e-8)
 
     def test_two_firm_interior_system(self):
         # 0.2 x1 + 0.1 x2 = 8 and symmetric -> x = 8/0.3
@@ -347,6 +350,21 @@ class TestAggregateRoot:
         for trial in range(1000):
             n = int(rng.integers(1, 60))
             k = 1.0 if trial % 7 == 0 else float(rng.uniform(1e-3, 1.0))
+            a = rng.normal(0.0, rng.choice([1.0, 10.0, 1e4]), n)
+            lower = rng.uniform(-5.0, 5.0, n)
+            upper = lower + rng.exponential(3.0, n)
+            lower[rng.random(n) < 0.2] = -np.inf
+            upper[rng.random(n) < 0.2] = np.inf
+            far = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 8.0)
+            start = breakpoint_root(a, k, lower, upper) + far
+            self.assert_matches_oracle(a, k, lower, upper, start)
+
+    def test_fuzz_per_firm_k_against_breakpoint_root(self):
+        # the Newton trial's root: one k per firm in (0, 1]
+        rng = np.random.default_rng(2025)
+        for trial in range(500):
+            n = int(rng.integers(1, 60))
+            k = rng.uniform(1e-3, 1.0, n)
             a = rng.normal(0.0, rng.choice([1.0, 10.0, 1e4]), n)
             lower = rng.uniform(-5.0, 5.0, n)
             upper = lower + rng.exponential(3.0, n)
@@ -555,3 +573,63 @@ class TestRootJump:
         )
         np.testing.assert_allclose(step, exact_coupling_step(inst, x, c), rtol=0, atol=1e-12)
         assert self.runs(ran, self.PASS) <= most
+
+
+class TestNewtonPoint:
+    """The box minimizer of the potential's second-order model, behind the solver's Newton trial."""
+
+    @staticmethod
+    def newton(inst, x):
+        # the solver's inputs: the exact-coupling linear term and the cost term's curvature
+        g = -cost_gradient(inst.cost, x) - inst.alpha_tilde
+        curv = -cost_curvature(inst.cost, x)
+        out, sums = np.empty(inst.n), np.array([np.add.reduce(x), np.nan])
+        scratch = (np.empty(inst.n), np.empty((2, inst.n), dtype=bool), sums)
+        y = _newton_point(inst, x, g, curv, out, scratch)
+        assert y is None or (y is out and sums[1] == np.add.reduce(y))
+        return y
+
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    def test_matches_oracle_and_projected_gradient(self, make):
+        inst = make(12, 3)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            x = rng.uniform(inst.lower, inst.upper)
+            y = self.newton(inst, x)
+            np.testing.assert_allclose(y, newton_point(inst, x), rtol=0.0, atol=1e-12)
+            # Hessian beta*(I + 11') + diag(curv), linear term g - curv*x
+            curv = -cost_curvature(inst.cost, x)
+            g = -cost_gradient(inst.cost, x) - inst.alpha_tilde
+            hess = lambda v: inst.beta * (v + np.sum(v)) + curv * v
+            top = inst.beta * (inst.n + 1) + np.max(curv)
+            pg = pg_reference(hess, g - curv * x, inst.lower, inst.upper, 1.0 / top, x)
+            np.testing.assert_allclose(y, pg, atol=1e-8)
+
+    def test_affine_cost_gives_the_equilibrium(self):
+        # no cost curvature: the model is the potential, from any point
+        inst = affine_market(9, mu=np.linspace(0.0, 4.0, 9))
+        x = np.random.default_rng(1).uniform(inst.lower, inst.upper)
+        np.testing.assert_allclose(self.newton(inst, x), classical_equilibrium(inst), atol=1e-12)
+
+    def test_no_minimizer_where_some_D_is_not_positive(self):
+        # the shipped families have -h'' >= 0, so D >= beta: give one firm a
+        # curvature with D = 0, D < 0 or D NaN
+        inst = log_cost_market(5, 0)
+        x = inst.center()
+        g = -cost_gradient(inst.cost, x) - inst.alpha_tilde
+        for bad in (-inst.beta, -2.0 * inst.beta, np.nan):
+            curv = -cost_curvature(inst.cost, x)
+            curv[2] = bad
+            out = np.full(5, 7.0)
+            scratch = (np.empty(5), np.empty((2, 5), dtype=bool), np.array([np.sum(x), np.nan]))
+            assert _newton_point(inst, x, g, curv, out, scratch) is None
+            assert np.all(out == 7.0)  # the trial point is not touched
+
+    def test_per_firm_k_jumps_from_a_far_start(self):
+        # the first Newton trial at n = 1e5 starts its root far off, every firm
+        # clipped; the stride sample slices k like a, so it jumps at once
+        inst = log_cost_market(100_000, 0)
+        x = inst.center()
+        ran = lines_run(self.newton, inst, x, traced=_aggregate_root)[1]
+        assert ran[line_of(_aggregate_root, TestRootJump.JUMP)] >= 1
+        assert ran[line_of(_aggregate_root, TestRootJump.PASS)] <= 6

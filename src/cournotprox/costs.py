@@ -220,6 +220,7 @@ class ExpCost(CostModel):
     r: np.ndarray
     n: int = None
     cr: np.ndarray = field(init=False, repr=False)
+    _neg_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = _infer_n(self.n, self.c0, self.c, self.r)
@@ -232,19 +233,19 @@ class ExpCost(CostModel):
         if np.any(self.c0 < self.c):
             raise ValueError("c0 must dominate c componentwise")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
+        object.__setattr__(self, "_neg_r", _frozen(-self.r))
 
     def value_components(self, x, grad=None, out=None, curv=None):
         x = self._check_points(x)
-        # -(r*x) equals (-r)*x bit for bit: rounding is symmetric in sign
-        e = np.multiply(self.r, x, out=grad)
-        np.negative(e, out=e)
+        # (-r)*x equals -(r*x) bit for bit: rounding is symmetric in sign
+        e = np.multiply(self._neg_r, x, out=grad)
         np.exp(e, out=e)
         v = np.multiply(self.c, e, out=out)
         np.subtract(self.c0, v, out=v)
         if grad is not None:
             np.multiply(self.cr, e, out=grad)
             if curv is not None:  # h'' = -r*h'
-                np.negative(np.multiply(self.r, grad, out=curv), out=curv)
+                np.multiply(self._neg_r, grad, out=curv)
         return v
 
     def lipschitz_on(self, lower):

@@ -182,8 +182,9 @@ def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None, _curv=N
         raise ValueError(f"x must have trailing axis of length {inst.n}, got shape {x.shape}")
     if cost_slope is None:
         cost_slope = np.empty_like(x)
-    # np.add.reduce is np.sum without its Python-level wrapper: the same bits
-    sq = np.add.reduce(np.multiply(x, x, out=cost_slope), axis=-1)
+    # one point: the dot that subqp's kept quadratics read, one pass; a batch sums
+    # each row's squares (np.add.reduce is np.sum without its Python-level wrapper)
+    sq = x @ x if x.ndim == 1 else np.add.reduce(np.multiply(x, x, out=cost_slope), axis=-1)
     cost = np.add.reduce(_cost_term(inst, x, cost_slope, work, _curv), axis=-1)
     sigma = np.add.reduce(x, axis=-1) if _sigma is None else _sigma
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde + cost

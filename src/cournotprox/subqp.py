@@ -75,13 +75,15 @@ def _newton_point(inst, x, g, curv, out, scratch):
     # The box minimizer of the potential's second-order model at x: the exact-coupling
     # step from its linear term g with 1/c replaced by the cost term's curvature curv
     # (overwritten), so D = beta + curv, a = (curv*x - g)/D and k = beta/D per firm.
-    # Like prox_step it writes out and sum(out); None, writing no out, if some D <= 0.
+    # Like prox_step it writes out and sum(out); None, writing nothing, if some D <= 0:
+    # min(curv) + beta is min(D) bit for bit, as rounding is monotone, so that test
+    # costs one reduction before any pass
+    if not np.minimum.reduce(curv) + inst.beta > 0.0:
+        return None
     a, masks, sums = scratch
     np.multiply(curv, x, out=a)
     np.subtract(a, g, out=a)
     d = np.add(curv, inst.beta, out=curv)
-    if not np.minimum.reduce(d) > 0.0:
-        return None
     np.divide(a, d, out=a)
     k = np.divide(inst.beta, d, out=d)
     _, sums[1] = _aggregate_root(a, k, inst.lower, inst.upper, sums[0], out, masks, inst._signed)
@@ -94,12 +96,13 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.EXACT_COUPLING, 
     The model keeps the splitting's quadratic exact, linearizes the rest
     of the potential at ``x`` through its linear term ``g`` and adds
     |y - x|^2/(2c); ``Splitting`` gives both. Under either splitting the
-    step is clip(a - k*sigma) with a = (x/c - g)/d: PAPER has
+    step is clip(a - k*sigma) with a = (x*(1/c) - g)*(1/d): PAPER has
     d = 2*beta + 1/c and k = 0, EXACT_COUPLING d = beta + 1/c, k = beta/d
     and sigma the aggregate root (``_aggregate_root``), warm-started at
     sum(x), which is the previous step's root up to rounding; so the step
-    depends on x and c alone. Stationary points are exactly the step's
-    fixed points, for every c > 0, c = inf included.
+    depends on x and c alone. Both clip through one clamp, a single
+    ``clip`` on stride-0 box sides. Stationary points are exactly the
+    step's fixed points, for every c > 0, c = inf included.
 
     ``g`` does not depend on c, so a caller trying several c from one
     ``x`` can compute it once and pass it in; by default it is computed
@@ -132,20 +135,28 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.EXACT_COUPLING, 
     if out is None:
         out = np.empty_like(x)
     exact = splitting is Splitting.EXACT_COUPLING
+    # multiplies by the reciprocals: at n = 1e5 a divide costs about 1.4 multiplies
     d = (1.0 if exact else 2.0) * inst.beta + 1.0 / c
-    np.divide(x, c, out=a)
+    np.multiply(x, 1.0 / c, out=a)
     np.subtract(a, g, out=a)
-    np.divide(a, d, out=a)
+    np.multiply(a, 1.0 / d, out=a)
     if exact:
         _, sums[1] = _aggregate_root(
             a, inst.beta / d, inst.lower, inst.upper, sums[0], out, masks, inst._signed
         )
         return out
-    # two ufuncs: np.clip is 1.3-1.7x faster on stride-0 sides, 1.5-2.3x slower on dense ones
-    np.maximum(a, inst.lower, out=out)
-    np.minimum(out, inst.upper, out=out)
-    sums[1] = np.add.reduce(out)
+    sums[1] = np.add.reduce(_clamp(a, inst.lower, inst.upper, out))
     return out
+
+
+def _clamp(t, lower, upper, out):
+    # np.minimum(np.maximum(t, lower), upper) into out, but for a zero's sign (a clip keeps
+    # t's zero on a zero side): one clip, np.clip without its wrapper, where both sides have
+    # stride 0, about 2x faster there from n = 1e4; a clip is 1.6x slower on a dense side
+    if lower.strides == upper.strides == (0,):
+        return t.clip(lower, upper, out=out)
+    np.maximum(t, lower, out=out)
+    return np.minimum(out, upper, out=out)
 
 
 def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
@@ -191,8 +202,7 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
     while True:
         # a per-firm k times sigma goes into buf first: no temporary n-vector
         t = np.subtract(a, k * sigma if uniform else np.multiply(k, sigma, out=buf), out=buf)
-        np.maximum(t, lower, out=t)
-        np.minimum(t, upper, out=t)
+        _clamp(t, lower, upper, t)
         total = float(np.add.reduce(t))
         f = total - sigma
         if f > 0.0:

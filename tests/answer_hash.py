@@ -31,13 +31,23 @@ that moves only the paper splitting's bits can show the exact-coupling
 lines unchanged. Run it at two commits and compare the output to show
 that a change keeps the answers.
 
+    PYTHONPATH=src python tests/answer_hash.py --against before.txt
+
+compares with a saved output instead: it prints only the lines that
+differ from ``before.txt``, each after its saved line, matched by the
+fields that name the solve or sweep (the first five; one for a total).
+A line whose iterations or trials changed is marked ``!``, and the run
+then exits with status 1.
+
 The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
+import sys
 import tempfile
 from pathlib import Path
 
@@ -113,7 +123,8 @@ def sweep_line(family, splitting):
     ]
 
 
-def main():
+def lines():
+    """Every output line, the solves' and sweeps' first, then the four totals."""
     whole, no_trials = hashlib.sha256(), hashlib.sha256()
     per_splitting = {s.value: hashlib.sha256() for s in Splitting}
     cases = [(answer_line, case) for case in grid()]
@@ -121,15 +132,49 @@ def main():
     for line_of, case in cases:
         fields = line_of(*case)
         line = " ".join(fields)
-        print(line, flush=True)
+        yield line
         whole.update(line.encode() + b"\n")
         per_splitting[fields[3]].update(line.encode() + b"\n")
         no_trials.update(" ".join(fields[:6] + fields[7:]).encode() + b"\n")
-    print("total", whole.hexdigest())
-    print("total-without-trials", no_trials.hexdigest())
+    yield f"total {whole.hexdigest()}"
+    yield f"total-without-trials {no_trials.hexdigest()}"
     for splitting, total in per_splitting.items():
-        print(f"total-{splitting}", total.hexdigest())
+        yield f"total-{splitting} {total.hexdigest()}"
+
+
+def key(fields):
+    # what a line is about: the solve or sweep it names, or the total
+    return tuple(fields[:1] if fields[0].startswith("total") else fields[:5])
+
+
+def against(path, new_lines):
+    """Print each line that differs from the saved output at ``path`` after its saved
+    line, marked ``!`` where the iterations or trials (fields 5 and 6) changed; return
+    how many were."""
+    saved = {key(line.split()): line for line in Path(path).read_text().splitlines() if line}
+    pairs = [(saved.pop(key(line.split()), "(none)"), line) for line in new_lines]
+    pairs += [(old, "(none)") for old in saved.values()]
+    differ = moved = 0
+    for old, line in pairs:
+        if old == line:
+            continue
+        mark = "!" if old.split()[5:7] != line.split()[5:7] else " "
+        differ, moved = differ + 1, moved + (mark == "!")
+        print(f"{mark} - {old}\n{mark} + {line}", flush=True)
+    print(f"{differ} lines differ; {moved} changed iterations or trials")
+    return moved
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE", help="a saved output to compare with")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return 1 if against(args.against, lines()) else 0
+    for line in lines():
+        print(line, flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

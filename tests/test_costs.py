@@ -63,14 +63,20 @@ class TestContract:
 
     def test_newton_trial_skipped_where_the_model_has_no_minimizer(self, monkeypatch):
         # -h'' = -2a: D = beta - 2a <= 0 on the last firm, so every Newton trial
-        # on this slow tail is skipped and counts as no trial
-        skipped = []
+        # on this slow tail is skipped and counts as no trial. D is tested before
+        # any pass: a skipped trial writes nothing, its scratch included.
+        skipped, untouched = [], []
         newton = cournotprox.subqp._newton_point
 
-        def recording(*args):
-            out = newton(*args)
-            skipped.append(out is None)
-            return out
+        def recording(inst, x, g, curv, out, scratch):
+            scratch[0].fill(-7.0)  # spent scratch: the prox step after it rewrites it
+            before = curv.tobytes() + out.tobytes()
+            y = newton(inst, x, g, curv, out, scratch)
+            skipped.append(y is None)
+            untouched.append(
+                np.all(scratch[0] == -7.0) and curv.tobytes() + out.tobytes() == before
+            )
+            return y
 
         monkeypatch.setattr(cournotprox.subqp, "_newton_point", recording)
         cost = QuadraticCost([0.01, 0.02, 0.03, 0.04, 0.06])
@@ -78,7 +84,7 @@ class TestContract:
         res, _ = solve(inst)
         assert res.status is SolveStatus.CONVERGED
         assert res.trials == res.iterations == 25
-        assert len(skipped) == 21 and all(skipped)
+        assert len(skipped) == 21 and all(skipped) and all(untouched)
 
 
 class TestLogCost:
@@ -147,6 +153,21 @@ class TestExpCost:
         # c=2 with r < 0.2 keeps the bound below 2 * 0.2^2 = 0.08
         model = exp_family(50, 5)
         assert model.lipschitz_on(0.0) < 0.08
+
+    @pytest.mark.parametrize("n", [1, 100, 10_000])
+    def test_stored_negative_rate_keeps_the_bits(self, n):
+        # -r is stored once: the value, slope and curvature keep the bits of the
+        # formulas that negate r*x and r*h' on every call, negative points included
+        model = exp_family(n, n)
+        x = np.random.default_rng(n).uniform(-30.0, 30.0, (8, n))
+        assert np.any(x < 0.0) and not model._neg_r.flags.writeable
+        e = np.exp(-(model.r * x))
+        value, slope = model.c0 - model.c * e, model.cr * e
+        grad, curv = np.empty_like(x), np.empty_like(x)
+        assert model.value_components(x, grad, None, curv).tobytes() == value.tobytes()
+        assert grad.tobytes() == slope.tobytes()
+        assert curv.tobytes() == (-(model.r * slope)).tobytes()
+        assert model.value_components(x).tobytes() == value.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

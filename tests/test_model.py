@@ -202,6 +202,19 @@ class TestPotential:
                 assert np.asarray(potential_gamma(inst, x, grad, work)).tobytes() == want
                 assert grad.tobytes() == (-cost_gradient(inst.cost, x)).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 9, 1000, 100_000])
+    def test_a_point_squares_by_one_dot(self, n):
+        # one point takes |y|^2 from y @ y, the dot that subqp's kept quadratics read;
+        # on a box around 0, sigma^2 does not swamp |y|^2, where summed squares round otherwise
+        rng = np.random.default_rng(n)
+        for inst in (log_cost_market(n, 2), exp_cost_market(n, 2, lower=-10.0)):
+            for _ in range(10):
+                y = rng.uniform(inst.lower, inst.upper)
+                sigma = np.add.reduce(y)
+                cost = np.add.reduce(model._cost_term(inst, y))
+                want = 0.5 * inst.beta * (y @ y + sigma**2) - y @ inst.alpha_tilde + cost
+                assert float(potential_gamma(inst, y)).hex() == float(want).hex()
+
     def test_single_firm_closed_form(self):
         inst = zero_cost_instance(1)
         # beta*x^2 - alpha_tilde*x at x=10

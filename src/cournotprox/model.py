@@ -160,7 +160,7 @@ def _cost_term(inst, t, slope=None, out=None, curv=None):
     return np.negative(v, out=out)
 
 
-def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None, _curv=None):
+def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None, _curv=None, _sq=None):
     """Merit potential: both quadratic terms minus the effective revenue line plus the cost term.
 
     Decreased monotonically by well-damped proximal steps; its gradient
@@ -172,19 +172,21 @@ def potential_gamma(inst, x, cost_slope=None, work=None, *, _sigma=None, _curv=N
     omitted) and writes the per-firm terms into ``work`` (same shape,
     optional). Neither buffer may alias ``x``.
 
-    ``_sigma`` and ``_curv`` are private to the solver. ``_sigma``, the
-    total output of a trial point that it already holds, must be bitwise
-    ``np.add.reduce(x, axis=-1)``, and spares that sum here; ``_curv``
-    receives the cost term's curvature from the same cost call.
+    ``_sigma``, ``_curv`` and ``_sq`` are private to the solver. ``_sigma``,
+    the total output of a trial point that it already holds, must be bitwise
+    ``np.add.reduce(x, axis=-1)`` and spares that sum; ``_curv`` receives the
+    same cost call's curvature, and the array ``_sq`` the point's |x|^2.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != inst.n:
         raise ValueError(f"x must have trailing axis of length {inst.n}, got shape {x.shape}")
     if cost_slope is None:
         cost_slope = np.empty_like(x)
-    # one point: the dot that subqp's kept quadratics read, one pass; a batch sums
+    # one point: one dot, which the kept quadratics read through _sq; a batch sums
     # each row's squares (np.add.reduce is np.sum without its Python-level wrapper)
     sq = x @ x if x.ndim == 1 else np.add.reduce(np.multiply(x, x, out=cost_slope), axis=-1)
     cost = np.add.reduce(_cost_term(inst, x, cost_slope, work, _curv), axis=-1)
     sigma = np.add.reduce(x, axis=-1) if _sigma is None else _sigma
+    if _sq is not None:
+        _sq[...] = sq
     return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde + cost

@@ -237,13 +237,16 @@ def solve(inst, config=None, x0=None):
     where it has none. It counts in ``trials`` and becomes the next
     iterate, without a trace row, only if it lowers the potential;
     termination and the certificate stay on the prox steps. A run
-    allocates its n-vectors once (iterate, trial point, the cost term's
-    slope at each, the linear term, scratch) and every trial writes into
-    them: one step and one ``potential_gamma`` whose fused cost call
-    also leaves the slope at the trial point, and the curvature when a
-    Newton trial will follow. Each trial point is summed once, by its
-    own step (on the root's last pass). ``result.x`` and the
-    recorded iterates are never written again once ``solve`` returns.
+    allocates its n-vectors once and every trial writes into them: one
+    step and one ``potential_gamma`` whose fused cost call also leaves
+    the slope at the trial point, and the curvature when a Newton trial
+    will follow. The iterate and the trial point own their memory, so
+    ``result.x`` holds just n floats; the cost term's slope at both, the
+    linear term and scratch are one (4, n) block, whose release lifts glibc's
+    trim threshold (mallopt(3)): the scratch stays mapped between runs,
+    not faulted back in on each. Each trial point is summed once, by its
+    step (on the root's last pass), and dotted with itself once.
+    ``result.x`` and the recorded iterates are never written after it returns.
     """
     cfg = config if config is not None else SolverConfig()
     if x0 is None:
@@ -279,15 +282,18 @@ def solve(inst, config=None, x0=None):
     # iterate, and scratch, with the exact-coupling step's boolean masks.
     # Every trial writes into them; the accepted trial swaps in as the
     # next iterate together with the slope there, so the cost is never
-    # evaluated twice at one point.
-    s, dh_x, dh_s, g, work = (np.empty_like(x) for _ in range(5))
+    # evaluated twice at one point. x and s own their memory, as one of
+    # them is result.x; the other four are one block (see Notes).
+    s = np.empty_like(x)
+    dh_x, dh_s, g, work = np.empty((4, inst.n))
     masks = np.empty((2, inst.n), dtype=bool)
     # the total output at the iterate and at the trial point: x0 is summed
     # here, and every trial point once, by its step
     sums = np.array([np.add.reduce(x), math.nan])
-    gamma_x = float(potential_gamma(inst, x, dh_x, work, _sigma=sums[0]))
+    sq = np.empty(1)  # |y|^2 of the last point y that potential_gamma evaluated
+    gamma_x = float(potential_gamma(inst, x, dh_x, work, _sigma=sums[0], _sq=sq))
     # the kept quadratic at the iterate, carried over from the accepted trial
-    kept_x = kept(x, sums[0]) if search else math.nan
+    kept_x = kept(sq[0], sums[0]) if search else math.nan
     col_gamma, col_step, col_c = [], [], []
     iterates = [] if cfg.record_iterates else None
     c_next = min(c_hi, max(c_lo, 2.0 * c_fixed))
@@ -303,12 +309,12 @@ def solve(inst, config=None, x0=None):
         # becomes the iterate without a row of its own.
         if curv is not None and newton(inst, x, g, curv, s, (work, masks, sums)) is not None:
             trials += 1
-            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1]))
+            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1], _sq=sq))
             if gamma_s < gamma_x:
                 x, s, dh_x, dh_s = s, x, dh_s, dh_x
                 sums[0] = sums[1]
                 gamma_x = gamma_s
-                kept_x = kept(x, sums[0]) if search else math.nan
+                kept_x = kept(sq[0], sums[0]) if search else math.nan
                 _linear_term(inst, x, dh_x, sums[0], cfg.splitting, g)
         # Sufficient decrease: gamma(s) may not exceed the local model at x,
         #   gamma(s) <= gamma(x) + kept(s) - kept(x) + g.(s - x) + |s - x|^2/(2c),
@@ -329,10 +335,11 @@ def solve(inst, config=None, x0=None):
             trial = math.sqrt(dx2)  # np.linalg.norm's arithmetic, without its wrapper
             rate = trial / step  # NaN on the first step
             curv = dh_x if newton and trial > cfg.eps and trial * rate * rate > cfg.eps else None
-            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1], _curv=curv))
+            gamma_s = float(potential_gamma(inst, s, dh_s, work, _sigma=sums[1],
+                                            _curv=curv, _sq=sq))
             if not search:
                 break
-            kept_s = kept(s, sums[1])
+            kept_s = kept(sq[0], sums[1])
             model = base + kept_s + g_dx
             # at c <= c_lo the step is in the guaranteed-descent region
             # (c*L <= 1); accept unconditionally

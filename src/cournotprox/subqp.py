@@ -63,12 +63,12 @@ def _linear_term(inst, x, dh, sigma, splitting, out=None):
 
 
 def _local_model(inst, splitting):
-    # the splitting's curvature bound L, its kept quadratic, which takes a point
-    # y and its total output sigma = sum(y), and its Newton trial (None: none)
+    # the splitting's curvature bound L, its kept quadratic, which takes a point's
+    # |y|^2 = y @ y and total output sigma = sum(y), and its Newton trial (None: none)
     beta = inst.beta
     if splitting is Splitting.PAPER:
-        return inst.L_h + (inst.n - 1) * beta, lambda y, sigma: beta * float(y @ y), None
-    return inst.L_h, lambda y, sigma: 0.5 * beta * (float(y @ y) + float(sigma) ** 2), _newton_point
+        return inst.L_h + (inst.n - 1) * beta, lambda sq, sigma: beta * float(sq), None
+    return inst.L_h, lambda sq, sigma: 0.5 * beta * (float(sq) + float(sigma) ** 2), _newton_point
 
 
 def _newton_point(inst, x, g, curv, out, scratch):

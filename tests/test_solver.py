@@ -526,6 +526,59 @@ class TestLineSearch:
             assert [summed[p] for p in trial_points] == [1] * res.trials
             assert summed[trace.iterates[0].tobytes()] == 1
 
+    def test_each_trial_point_is_dotted_once(self, monkeypatch):
+        # potential_gamma dots each point it evaluates with itself and hands
+        # |y|^2 on through _sq; the kept quadratic of the sufficient-decrease
+        # test takes that number, and no other code dots a point again
+        evaluated, kept_args, self_dots = [], [], []
+        potential = cournotprox.solver.potential_gamma
+        local_model = cournotprox.solver._local_model
+        center = MarketInstance.center
+
+        class Point(np.ndarray):
+            # the solve's iterate and trial point (np.empty_like keeps the type);
+            # potential_gamma and the step read them through np.asarray, as ndarrays
+            def __matmul__(self, other):
+                if np.may_share_memory(self, other):
+                    self_dots.append(1)
+                return np.ndarray.__matmul__(self, other)
+
+        def recording_potential(inst, x, *args, **kwargs):
+            value = potential(inst, x, *args, **kwargs)
+            y = np.asarray(x)
+            evaluated.append((float(y @ y), kwargs["_sq"][0]))
+            return value
+
+        def recording_model(inst, splitting):
+            L, kept, newton = local_model(inst, splitting)
+
+            def recording_kept(sq, sigma):
+                kept_args.append((sq, len(evaluated)))
+                return kept(sq, sigma)
+
+            return L, recording_kept, newton
+
+        monkeypatch.setattr(cournotprox.solver, "potential_gamma", recording_potential)
+        monkeypatch.setattr(cournotprox.solver, "_local_model", recording_model)
+        monkeypatch.setattr(MarketInstance, "center", lambda inst: center(inst).view(Point))
+        for splitting, n in ((EXACT, 200), (PAPER, 50)):
+            evaluated.clear()
+            kept_args.clear()
+            cfg = SolverConfig(
+                step_policy=StepPolicy.LINE_SEARCH, record_bound=False, splitting=splitting,
+            )
+            res, _ = solve(log_cost_market(n, 0), cfg)
+            assert res.status is SolveStatus.CONVERGED
+            assert type(res.x) is Point and self_dots == []
+            assert len(evaluated) == res.trials + 1 > res.iterations + 1
+            # the same dot: every bit of |y|^2 reaches the test
+            assert all(sq.hex() == want.hex() for want, sq in evaluated)
+            # each kept quadratic reads a number, that of the point evaluated last
+            assert len(kept_args) >= res.trials
+            for sq, seen in kept_args:
+                assert np.ndim(sq) == 0
+                assert sq.hex() == evaluated[seen - 1][0].hex()
+
     def test_affine_single_firm_accepts_any_damping(self):
         # no curvature at all: the local model is exact, so every c passes and
         # the search has the one-point bracket c = inf; the first step lands on
@@ -757,6 +810,50 @@ class TestNewtonTrial:
         inst.cost.calls.clear()
         potential_gamma(inst, res.x, slope, _curv=curv)
         assert inst.cost.calls == {"with_gradient": 1}
+
+
+class TestResultOwnsItsMemory:
+    """``result.x`` and the recorded iterates hold their n floats and nothing else."""
+
+    @pytest.mark.parametrize("splitting", [EXACT, PAPER])
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    def test_no_result_pins_the_scratch(self, splitting, policy, monkeypatch):
+        # the iterate and the trial point swap after every accepted step and kept
+        # Newton point, so result.x is the start array after an even number of
+        # swaps and the trial point after an odd one; neither may be a view of
+        # the solve's (4, n) scratch block, which a kept result would pin
+        n = 200
+        starts, kept_newton = [], []
+        center = MarketInstance.center
+        newton = cournotprox.subqp._newton_point
+
+        def recording_center(inst):
+            starts.append(center(inst))
+            return starts[-1]
+
+        def recording_newton(*args):
+            out = newton(*args)
+            if out is not None:
+                kept_newton.append(out.tobytes())
+            return out
+
+        monkeypatch.setattr(MarketInstance, "center", recording_center)
+        monkeypatch.setattr(cournotprox.subqp, "_newton_point", recording_newton)
+        parities = set()
+        for max_iter in (1, 2, 100_000):
+            cfg = SolverConfig(
+                step_policy=policy, max_iter=max_iter, record_iterates=True,
+                splitting=splitting,
+            )
+            res, trace = solve(log_cost_market(n, 0), cfg)
+            parities.add(res.x is starts[-1])
+            for y in (res.x, *trace.iterates):
+                assert y.base is None and y.nbytes == 8 * n
+        assert parities == {True, False}
+        if splitting is EXACT and policy is StepPolicy.LINE_SEARCH:
+            # a Newton point was kept: it is a recorded iterate
+            iterates = {y.tobytes() for y in trace.iterates}
+            assert any(p in iterates for p in kept_newton)
 
 
 class TestNonFinite:

@@ -41,7 +41,7 @@ print(f"  potential gamma(x) = {potential_gamma(inst, x, cost_slope):.6f}")
 print("  cost term's slope -h'(x) =", np.round(cost_slope, 4), "(left by the same cost call)")
 
 # the gap is what the firms gain by unilateral deviation: zero exactly at an
-# equilibrium; the bracket's width is the certified error of the 1-D scans
+# equilibrium; the bracket's width is the certified error of the per-firm minimizer
 res, _ = solve(inst, SolverConfig(eps=1e-8))
 print(f"\nstationary candidate after {res.iterations} steps:", np.round(res.x, 4))
 print(f"  potential {res.gamma_final:.6f}, stationarity certificate {res.certificate:.1e}")

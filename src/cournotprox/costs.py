@@ -3,9 +3,9 @@
 Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries
 analytic first and second derivatives, and reports a curvature bound
 max_i |h_i''| above given lower sides (``lipschitz_on``), which sizes
-proximal steps and the grid error of the potential lower bound and is
-infinite where there is none, including below the cost's domain. Evaluation is vectorized:
-inputs of shape (..., n) are accepted with the firm axis last. A family
+proximal steps and is infinite where there is none, including below the
+cost's domain. Evaluation is vectorized: inputs of shape (..., n) are
+accepted with the firm axis last. A family
 writes its formulas once, in ``value_components``, which returns the
 per-firm values and, given buffers, writes h'(x) and h''(x) in the same
 pass; the solver makes exactly one such call per trial point. A custom
@@ -90,7 +90,9 @@ class CostModel(ABC):
     Subclasses implement two methods: ``value_components``, the one
     kernel that holds every formula of the cost and its slope, and
     ``lipschitz_on``, the one curvature bound, which also answers
-    whether a box stays inside the cost's domain.
+    whether a box stays inside the cost's domain. The class: each h_i''
+    is monotone on the box, as on every shipped family. ``nash_gap`` and
+    ``gamma_lower_bound`` are certified only for such a cost.
     """
 
     n: int

@@ -163,9 +163,9 @@ def brute_force_stationary_points(inst, grid_resolution=101):
 def full_scan_min(profile, lower, upper, grid):
     """Per-firm minimum of ``profile`` over all ``grid`` diagonal nodes, and the node spacing.
 
-    The unpruned walk: every node t = lower + u*(upper - lower), u in
-    linspace(0, 1, grid), is evaluated, one n-vector per node. The
-    pruned ``_scan_min`` must return the same bits.
+    Every node t = lower + u*(upper - lower), u in linspace(0, 1, grid),
+    is evaluated, one n-vector per node: the dense reference for the exact
+    per-firm minimizer behind ``nash_gap`` and ``gamma_lower_bound``.
     """
     width = upper - lower
     best = np.full(width.shape, np.inf)

@@ -161,7 +161,7 @@ def test_best_step_bound_on_runs():
         inst = log_cost_market(100, seed)
         res, trace = solve(inst, SolverConfig(eps=1e-3))
         assert res.status is SolveStatus.CONVERGED
-        lb = gamma_lower_bound(inst, 1024)
+        lb = gamma_lower_bound(inst)
         ks = np.arange(len(trace))
         rhs = (trace.gamma[0] - lb) / (ks + 1)
         assert np.all(trace.delta <= rhs), f"bound violated for seed {seed}"

@@ -6,6 +6,7 @@ from cournotprox import (
     AffineCost, CostDomainError, CostModel, ExpCost, LogCost, MarketInstance, SolverConfig,
     SolveStatus, Splitting, solve,
 )
+from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.model import _cost_term
 from oracles import cost_curvature, cost_gradient, cost_value, fd_gradient_check
 
@@ -279,6 +280,16 @@ class TestCurvature:
         values = model.value_components(x, grad, None, np.empty(model.n))
         assert values.tobytes() == model.value_components(x, plain_grad).tobytes()
         assert grad.tobytes() == plain_grad.tobytes()
+
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_market])
+    def test_shipped_families_are_in_the_stated_class(self, make):
+        # CostModel's class, for which nash_gap and gamma_lower_bound are certified:
+        # each h_i'' monotone on the box, so its differences along the box have one sign
+        inst = make(20)
+        t = inst.lower + np.linspace(0.0, 1.0, 10_001)[:, None] * (inst.upper - inst.lower)
+        curv = cost_curvature(inst.cost, t)
+        steps = np.diff(curv, axis=0)
+        assert np.all(np.all(steps >= 0.0, axis=0) | np.all(steps <= 0.0, axis=0))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_cost_term_negates_it_with_the_slope(self, family):

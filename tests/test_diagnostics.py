@@ -24,22 +24,27 @@ from cournotprox import (
     prox_step,
     solve,
 )
-from cournotprox import diagnostics
-from cournotprox.diagnostics import _GAP_GRID, _scan_min
+from cournotprox import diagnostics, model
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from oracles import (
     apply_Btilde,
     brute_force_stationary_points,
-    cost_gradient,
     full_scan_min,
     gradient_mapping,
     lipschitz_gamma,
     phi_bifunction,
 )
+from test_costs import QuadraticCost
 
 
 class SinCost(CostModel):
-    """Nonconvex cost h_i(x) = a*sin(x): each firm's deviation profile has several local minima."""
+    """Nonconvex cost h_i(x) = a*sin(x).
+
+    On ``sin_market``'s box [pi/2, 3*pi/2], h_i'' = -a*sin(x) rises
+    monotonically, as ``CostModel``'s class asks, and changes sign: each
+    firm's deviation profile is convex on the lower part of the box and
+    concave on the upper, so it can have an interior well and a lower end.
+    """
 
     def __init__(self, a, n):
         self.a, self.n = float(a), n
@@ -58,7 +63,7 @@ class SinCost(CostModel):
 
 def sin_market(n, seed):
     return MarketInstance(beta=0.1, alpha0=2.0, mu=np.random.default_rng(seed).uniform(0.0, 1.0, n),
-                          lower=0.0, upper=10.0, cost=SinCost(1.5, n))
+                          lower=0.5 * np.pi, upper=1.5 * np.pi, cost=SinCost(1.5, n))
 
 
 def unilateral_terms(inst, x, t):
@@ -67,13 +72,13 @@ def unilateral_terms(inst, x, t):
     return inst.beta * t * t + slope * t - inst.cost.value_components(t)
 
 
-def scan_interval(inst, x, radius):
+def deviation_box(inst, x, radius):
     return np.maximum(inst.lower, x - radius), np.minimum(inst.upper, x + radius)
 
 
 def dense_gap(inst, x, radius, points=400_000):
     """Per-firm dense scan of phi_bifunction: the gap lies in [ref, ref + slack]."""
-    lo, up = scan_interval(inst, x, radius)
+    lo, up = deviation_box(inst, x, radius)
     ref = 0.0
     for i in range(inst.n):
         Y = np.repeat(x[None, :], points, axis=0)
@@ -84,20 +89,13 @@ def dense_gap(inst, x, radius, points=400_000):
     return ref, slack
 
 
-def scan_slack(inst, x, radius):
-    lo, up = scan_interval(inst, x, radius)
-    d = (up - lo) / (_GAP_GRID - 1)
-    return (2.0 * inst.beta + inst.cost.lipschitz_on(0.0)) * float(np.sum(d**2)) / 8.0
-
-
 def assert_certified(inst, x, radius):
     lo, hi = nash_gap(inst, x, radius)
-    assert 0.0 <= lo <= hi
-    assert hi - lo <= scan_slack(inst, x, radius) * (1 + 1e-12) + np.spacing(hi)
+    assert 0.0 <= lo <= hi <= lo + 1e-12
     ref, ref_slack = dense_gap(inst, x, radius)
-    # both brackets hold the true gap, so they must overlap
-    assert lo <= ref + ref_slack + 1e-12
-    assert ref <= hi + 1e-12
+    # the bracket is exact up to rounding, so it lies inside the dense one
+    assert ref <= lo + 1e-12
+    assert hi <= ref + ref_slack + 1e-12
     return lo, hi
 
 
@@ -122,13 +120,27 @@ class TestNashGap:
                 assert_certified(inst, x, radius)
 
     def test_nonconvex_cost_stationary_point_is_no_equilibrium(self):
-        # with h = 1.5*sin the solver stops at a local minimum of the potential
-        # from which a unilateral jump to another well still pays
+        # with h = 1.5*sin the solver, started at the upper side, stops at a local
+        # minimum of the potential from which a unilateral jump into a well still pays
         inst = sin_market(3, 0)
-        res, _ = solve(inst, SolverConfig(eps=1e-8), x0=np.full(3, 10.0))
+        res, _ = solve(inst, SolverConfig(eps=1e-8), x0=np.full(3, 1.5 * np.pi))
         assert np.linalg.norm(res.x - prox_step(inst, res.x, 1.0, splitting=Splitting.PAPER)) <= 1e-6
         lo, _ = assert_certified(inst, res.x, np.inf)
         assert lo > 1e-2
+
+    def test_a_local_equilibrium_that_is_not_global(self):
+        # the abstract's first claim, on sin_market(3, 1) under today's sign: started at
+        # the upper side, the solver stops with firm 2 at its upper end, where no
+        # deviation within 0.5 pays but a jump into the well at the lower part of its
+        # box gains 0.68; started at the lower side, it stops at a global equilibrium
+        inst = sin_market(3, 1)
+        local, _ = solve(inst, SolverConfig(eps=1e-8), x0=np.full(3, 1.5 * np.pi))
+        assert local.x[2] == inst.upper[2]
+        assert assert_certified(inst, local.x, 0.5)[1] <= 1e-12
+        assert assert_certified(inst, local.x, np.inf)[0] > 0.5
+        best, _ = solve(inst, SolverConfig(eps=1e-8), x0=np.full(3, 0.5 * np.pi))
+        assert assert_certified(inst, best.x, np.inf)[1] <= 1e-12
+        assert best.gamma_final < local.gamma_final
 
     def test_finite_radius_on_unbounded_box(self):
         inst = affine_market(2, mu=2.0, upper=np.inf)
@@ -166,8 +178,7 @@ class TestGapSample:
         for r in (0.5, 5.0):
             lo, hi = nash_gap(inst, star, r)
             assert lo == 0.0
-            assert hi <= scan_slack(inst, star, r) * (1 + 1e-12)
-            assert hi <= 1e-4
+            assert hi <= 1e-12
 
     def test_non_equilibrium_detected(self):
         inst = log_cost_market(5, 2)
@@ -194,8 +205,7 @@ class TestGlobalCheck:
         star = classical_equilibrium(inst)
         lo, hi = nash_gap(inst, star)
         assert lo == 0.0
-        assert hi <= scan_slack(inst, star, np.inf) * (1 + 1e-12)
-        assert hi <= 1e-4
+        assert hi <= 1e-12
 
     @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
     def test_solver_output_certified(self, make):
@@ -246,12 +256,12 @@ class TestGammaLowerBound:
         # h = 0 and alpha_tilde >= 0: each 1-D profile is linear, minimized at
         # the upper bound, so the bound is -sum(alpha_tilde * upper) exactly
         inst = affine_market(3, mu=2.0, upper=50.0)
-        lb = gamma_lower_bound(inst, 512)
+        lb = gamma_lower_bound(inst)
         assert lb == pytest.approx(-np.sum(inst.alpha_tilde * inst.upper), abs=1e-9)
 
     def test_single_firm_reference_values(self):
         inst = affine_market(1, mu=0.0, upper=10.0)
-        lb = gamma_lower_bound(inst, 512)
+        lb = gamma_lower_bound(inst)
         assert lb == pytest.approx(-100.0, abs=1e-9)
         # true potential minimum sits above the separable bound
         assert potential_gamma(inst, np.array([10.0])) == pytest.approx(-90.0)
@@ -260,7 +270,7 @@ class TestGammaLowerBound:
     @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
     def test_bounds_potential_everywhere(self, make):
         inst = make(6, 7)
-        lb = gamma_lower_bound(inst, 256)
+        lb = gamma_lower_bound(inst)
         rng = np.random.default_rng(11)
         X = rng.uniform(inst.lower, inst.upper, (2000, 6))
         assert np.min(potential_gamma(inst, X)) >= lb
@@ -268,65 +278,69 @@ class TestGammaLowerBound:
     def test_bounds_every_trace_value(self):
         inst = log_cost_market(20, 8)
         res, trace = solve(inst, SolverConfig(eps=1e-4))
-        lb = gamma_lower_bound(inst, 1024)
+        lb = gamma_lower_bound(inst)
         assert lb <= np.min(trace.gamma)
         assert lb <= res.gamma_final
 
-    def test_resolution_refinement_moves_little(self):
-        inst = log_cost_market(4, 9)
-        coarse = gamma_lower_bound(inst, 64)
-        fine = gamma_lower_bound(inst, 4096)
-        # per-cell error is bounded by the profile slope times the spacing
-        h_slope = cost_gradient(inst.cost, np.zeros(4))
-        slope = float(np.max(np.abs(inst.alpha_tilde)) + np.max(h_slope))
-        cell = float(np.max(inst.upper - inst.lower)) / 63
-        assert abs(coarse - fine) <= inst.n * slope * cell
-
-    @pytest.mark.parametrize("G", [64, 1024])
-    def test_interior_minimum_bounded_within_grid_error(self, G):
-        # each profile t - 2 - 1.5*log1p(2t) has its minimum at t = 1, between
-        # grid nodes, so only the subtracted L_h*d**2/8 term keeps the bound valid
+    def test_interior_minimum_is_exact(self):
+        # each profile t - 2 - 1.5*log1p(2t) has its minimum at t = 1, inside the box
         n = 3
         cost = LogCost(c0=2.0, c=1.5, r=2.0, n=n)
         inst = MarketInstance(beta=0.1, alpha0=0.0, mu=1.0, lower=0.0, upper=10.0, cost=cost)
         f_min = 1.0 - 2.0 - 1.5 * np.log1p(2.0)
-        d = 10.0 / (G - 1)
-        lb = gamma_lower_bound(inst, G)
-        assert n * f_min - n * cost.lipschitz_on(0.0) * d**2 / 8 <= lb <= n * f_min
+        assert gamma_lower_bound(inst) == pytest.approx(n * f_min, rel=1e-12)
 
-    @pytest.mark.parametrize("grid", [2.5, 1024.0, "64", None, 1, True])
-    def test_grid_must_be_an_integer_of_at_least_two(self, grid):
-        inst = log_cost_market(3, 0)
-        with pytest.raises(ValueError, match="integer"):
-            gamma_lower_bound(inst, grid)
-
-    def test_numpy_integer_grid_accepted(self):
-        inst = log_cost_market(3, 0)
-        assert gamma_lower_bound(inst, np.int64(64)) == gamma_lower_bound(inst, 64)
+    @pytest.mark.parametrize("make, cost", [(log_cost_market, LogCost), (exp_cost_market, ExpCost)])
+    def test_two_cost_calls_on_the_shipped_families(self, make, cost, monkeypatch):
+        # every profile is convex and falls across the box: its two ends settle it
+        counted = Counted(cost.value_components)
+        monkeypatch.setattr(cost, "value_components", lambda *args: counted(*args))
+        for n in (100, 1000, 10_000):
+            counted.calls = 0
+            gamma_lower_bound(make(n, 0))
+            assert counted.calls == 2, n
 
     def test_unbounded_box_rejected(self):
         cost = AffineCost(mu_h=np.zeros(2))
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf, cost=cost)
         with pytest.raises(ValueError):
-            gamma_lower_bound(inst, 64)
+            gamma_lower_bound(inst)
 
 
-def full_walk(profile, lower, upper, grid, curvature):
-    return full_scan_min(profile, lower, upper, grid)
+def quadratic_market(n, seed):
+    # h_i = a_i*x**2 with a_i of either sign: convex and concave profiles
+    cost = QuadraticCost(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+    return MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
 
 
-def caller_scans(inst, x, monkeypatch):
-    """The (profile, curvature) that gamma_lower_bound and nash_gap hand to the scan."""
+MARKETS = [  # at n = 20 some firms' best response is interior under either sign
+    lambda: log_cost_market(20, 3),
+    lambda: exp_cost_market(20, 3),
+    lambda: affine_market(20, mu=2.0),
+    lambda: quadratic_market(20, 3),
+    lambda: sin_market(20, 3),
+]
+MARKET_IDS = ["log", "exp", "affine", "quadratic", "sin"]
+
+
+def profile(inst, a, b):
+    """p_i(t) = (a/2)*t**2 + b[i]*t + k_i(t), written apart from the primitive."""
+    return lambda t: (0.5 * a * t + b) * t + model._cost_term(inst, t)
+
+
+def caller_profiles(inst, x, radius, monkeypatch):
+    """The (a, b, lower, upper) that gamma_lower_bound and nash_gap hand to _profile_min."""
     seen = []
+    real = diagnostics._profile_min
 
-    def record(profile, lower, upper, grid, curvature):
-        seen.append((profile, curvature))
-        return full_scan_min(profile, lower, upper, grid)
+    def record(inst, a, b, lower, upper):
+        seen.append((a, np.array(b), np.array(lower), np.array(upper)))
+        return real(inst, a, b, lower, upper)
 
     with monkeypatch.context() as m:
-        m.setattr(diagnostics, "_scan_min", record)
+        m.setattr(diagnostics, "_profile_min", record)
         gamma_lower_bound(inst)
-        nash_gap(inst, x)
+        nash_gap(inst, x, radius)
     return seen
 
 
@@ -339,172 +353,90 @@ class Counted:
         return self.f(*args)
 
 
-def two_wells(t, deep):
-    # wells of curvature 1e-3 (t in node units): a shallow one on coarse node 320
-    # and, when ``deep``, a deeper one midway between coarse nodes 704 and 736
-    shallow = 5e-4 * (t - 320.0) ** 2
-    return np.minimum(shallow, 5e-4 * (t - 720.0) ** 2 - 0.1) if deep else shallow
+class TestProfileMin:
+    """The exact per-firm minimizer behind nash_gap and gamma_lower_bound."""
 
+    @pytest.mark.parametrize("sign", ["minus_h", "plus_h"])
+    @pytest.mark.parametrize("radius", [np.inf, 0.5])
+    @pytest.mark.parametrize("make", MARKETS, ids=MARKET_IDS)
+    def test_matches_dense_scan_for_both_callers(self, make, radius, sign, monkeypatch):
+        # under the paper's sign, +h, the log and exp profiles start at the upper end
+        if sign == "plus_h":
+            monkeypatch.setattr(model, "_cost_term", lambda inst, t, slope=None, out=None, curv=None:
+                                inst.cost.value_components(t, slope, out, curv))
+        inst = make()
+        for seed in range(2):
+            x = np.random.default_rng(seed).uniform(inst.lower, inst.upper)
+            calls = caller_profiles(inst, x, radius, monkeypatch)
+            assert [a for a, *_ in calls] == [0.0, 2.0 * inst.beta]
+            for a, b, lower, upper in calls:
+                best, floor = diagnostics._profile_min(inst, a, b, lower, upper)
+                dense, spacing = full_scan_min(profile(inst, a, b), lower, upper, 10_001)
+                # the profile dips at most this far below the dense nodes around it
+                dip = (abs(a) + inst.L_h) * spacing**2 / 8.0
+                rounding = 1e-12 * (1.0 + np.abs(dense))
+                assert np.all(floor <= best)
+                assert np.all(floor <= dense)
+                assert np.all(best <= dense + rounding)
+                assert np.all(dense - dip - rounding <= floor)
 
-def fuzz_case(rng, grid):
-    """A scan problem of n < 40 firms with profiles q*t**2 + a*t + b*sin(omega*t).
+    @pytest.mark.parametrize("make", MARKETS, ids=MARKET_IDS)
+    def test_a_point_interval_is_its_value(self, make):
+        inst = make()
+        t = np.random.default_rng(5).uniform(inst.lower, inst.upper)
+        for a, b in ((0.0, -inst.alpha_tilde), (2.0 * inst.beta, np.linspace(-3.0, 3.0, inst.n))):
+            best, floor = diagnostics._profile_min(inst, a, b, t, t)
+            assert np.array_equal(best, profile(inst, a, b)(t))
+            assert np.array_equal(floor, best)
 
-    Every firm sits at the one curvature bound 2|q| + |b|*omega**2, so the
-    envelopes touch the profiles; one case in five has curvature 0 (linear
-    profiles). In every other case the slope a is tuned per firm so that the
-    upper box end, where the profile may be steep, ties to a few ulp with the
-    best interior node, a shallow dip that must not be pruned away when it is
-    the lower of the two.
-    """
-    n = int(rng.integers(1, 40))
-    lower = rng.uniform(-5.0, 5.0, n)
-    upper = lower + rng.choice([0.0, 1e-3, 1.0, 10.0], n) * rng.uniform(0.5, 1.0, n)
-    curvature = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
-    share = rng.uniform(0.0, 1.0, n)
-    omega = 10.0 ** rng.uniform(-1.0, 1.5, n)
-    q = rng.choice([-0.5, 0.5], n) * curvature * (1.0 - share)
-    b = rng.choice([-1.0, 1.0], n) * curvature * share / omega**2
-    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
-    if curvature > 0 and grid > 2 and rng.random() < 0.5:
-        t = lower + np.linspace(0.0, 1.0, grid)[:, None] * (upper - lower)
-        g = q * t * t + b * np.sin(omega * t)
-        dip = np.argmin(g[1:-1], axis=0) + 1
-        cols = np.arange(n)
-        rise = (t[-1] - t[dip, cols]) * (1.0 + rng.uniform(-1e-15, 1e-15, n))
-        a = np.where(rise != 0, (g[dip, cols] - g[-1]) / np.where(rise != 0, rise, 1.0), a)
-    return (lambda t: (q * t + a) * t + b * np.sin(omega * t)), lower, upper, curvature
+    def test_a_concave_profile_is_least_at_an_end(self):
+        # p'' = a -/+ 1 < 0 under either sign of the cost term: no Newton step, the
+        # better end is the minimum, and best and floor are its value
+        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=-2.0, upper=3.0,
+                              cost=QuadraticCost(np.full(20, 0.5)))
+        b = np.linspace(-3.0, 3.0, 20)
+        best, floor = diagnostics._profile_min(inst, -5.0, b, inst.lower, inst.upper)
+        f = profile(inst, -5.0, b)
+        ends = np.minimum(f(inst.lower), f(inst.upper))
+        assert np.array_equal(best, ends)
+        assert np.array_equal(floor, ends)
 
+    def test_a_nan_cost_takes_no_newton_step(self, monkeypatch):
+        calls = []
 
-class TestScanMin:
-    """The pruned scan returns the full walk's bits while skipping nodes the curvature rules out."""
+        def nan_cost(self, x, grad=None, out=None, curv=None):
+            calls.append(x)
+            for buf in (grad, out, curv):
+                buf[...] = np.nan
+            return out
 
-    @pytest.mark.parametrize("radius", [np.inf, 1.5])
-    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_market, sin_market])
-    def test_matches_full_walk_for_both_callers(self, make, radius, monkeypatch):
-        inst = make(7, 3) if make is not affine_market else affine_market(7, mu=2.0)
-        x = np.random.default_rng(3).uniform(inst.lower, inst.upper)
-        lower, upper = scan_interval(inst, x, radius)
-        scans = caller_scans(inst, x, monkeypatch)
-        assert len(scans) == 2
-        for profile, curvature in scans:
-            for grid in (2, 3, 14, 64, 1024, 2048):
-                best, spacing = _scan_min(profile, lower, upper, grid, curvature)
-                ref_best, ref_spacing = full_scan_min(profile, lower, upper, grid)
-                assert np.array_equal(best, ref_best), (grid, curvature)
-                assert np.array_equal(spacing, ref_spacing)
+        inst = exp_cost_market(5, 0)
+        monkeypatch.setattr(ExpCost, "value_components", nan_cost)
+        best, floor = diagnostics._profile_min(inst, 0.2, np.zeros(5), inst.lower, inst.upper)
+        assert np.all(np.isnan(best)) and np.all(np.isnan(floor))
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, sin_market])
-    def test_callers_match_full_walk(self, make, monkeypatch):
-        inst = make(12, 5)
-        res, _ = solve(inst, SolverConfig(eps=1e-3))
-        answers = [gamma_lower_bound(inst), nash_gap(inst, res.x), nash_gap(inst, res.x, 0.5)]
-        monkeypatch.setattr(diagnostics, "_scan_min", full_walk)
-        reference = [gamma_lower_bound(inst), nash_gap(inst, res.x), nash_gap(inst, res.x, 0.5)]
-        assert answers == reference
-
-    def test_verification_walk_widens_to_a_deeper_well(self):
-        # the coarse walk sees only the shallow well; the deep one lies between coarse
-        # nodes, and only the floor test of the verification walk sends the scan there
-        lower, upper = np.zeros(2), np.array([1023.0, 1023.0])
-        counts, results = [], []
-        for deep in (False, True):
-            profile = Counted(
-                lambda t: np.stack([two_wells(t[0], deep), 5e-4 * (t[1] - 100.0) ** 2])
-            )
-            results.append(_scan_min(profile, lower, upper, 1024, 1e-3))
-            counts.append(profile.calls)
-            ref_best, _ = full_scan_min(profile, lower, upper, 1024)
-            assert np.array_equal(results[-1][0], ref_best)
-        assert results[1][0][0] == pytest.approx(-0.1)
-        # the same coarse, window and verification walks, plus the span
-        assert counts[1] > counts[0]
-        assert counts[0] < 150
-
-    def test_a_well_between_nodes_above_best_is_walked(self):
-        # curvature exactly 1e-3: best (0) sits on a top-level node, and a deeper well is
-        # centred midway between top-level nodes 512 and 768, which lie 8.092 above best.
-        # Only the floor's vertex, 0.1 below best, keeps that interval live.
-        well = lambda t, c: 5e-4 * (t - c) ** 2
-        profile = lambda t: np.minimum(well(t, 256.0), well(t, 640.0) - 0.1)
-        lower, upper = np.zeros(1), np.array([1024.0])
-        best, _ = _scan_min(profile, lower, upper, 1025, 1e-3)
-        assert np.array_equal(best, full_scan_min(profile, lower, upper, 1025)[0])
-        assert best[0] == -0.1
-
-    def test_a_tie_with_the_floor_is_walked(self):
-        # a flat profile at curvature 0: every floor ties best, so no interval may be
-        # pruned, and a rounding-sized dip at one node between coarse nodes is found
-        profile = lambda t: np.where(np.abs(t - 500.0) < 0.25, -1e-300, 0.0)
-        lower, upper = np.zeros(3), np.full(3, 1023.0)
-        best, _ = _scan_min(profile, lower, upper, 1024, 0.0)
-        assert np.array_equal(best, full_scan_min(profile, lower, upper, 1024)[0])
-        assert np.all(best == -1e-300)
-
-    def test_lower_bound_evaluates_a_tenth_of_the_grid(self, monkeypatch):
-        inst = log_cost_market(1000, 0)
-        counted = Counted(LogCost.value_components)
-        monkeypatch.setattr(LogCost, "value_components", lambda *args: counted(*args))
-        gamma_lower_bound(inst, 1024)
-        assert 0 < counted.calls <= 150
-
-    @pytest.mark.parametrize("grid", [2, 3, 5, 17, 64, 1024, 2048])
-    def test_fuzz_matches_full_walk(self, grid):
-        rng = np.random.default_rng(grid)
-        for _ in range(40 if grid < 1024 else 8):
-            profile, lower, upper, curvature = fuzz_case(rng, grid)
-            best, spacing = _scan_min(profile, lower, upper, grid, curvature)
-            ref_best, ref_spacing = full_scan_min(profile, lower, upper, grid)
-            assert np.array_equal(best, ref_best)
-            assert np.array_equal(spacing, ref_spacing)
-
-    @pytest.mark.parametrize("make, cost", [(log_cost_market, LogCost), (exp_cost_market, ExpCost)])
-    def test_lower_bound_walks_only_the_top_level(self, make, cost, monkeypatch):
-        # each firm's profile is least at its upper end, where it is steep: the
-        # top level's five nodes rule out every interval, and the pruning walk
-        # reads the node values the best-value walk kept
-        counted = Counted(cost.value_components)
-        monkeypatch.setattr(cost, "value_components", lambda *args: counted(*args))
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    def test_bracket_is_tight_at_the_solver_limit(self, make):
         for n in (100, 1000, 10_000):
-            counted.calls = 0
-            gamma_lower_bound(make(n, 0), 1024)
-            assert counted.calls == 5, n
-
-    def test_many_wells_past_the_kept_nodes_match_full_walk(self, monkeypatch):
-        # on a wide box both callers' SinCost profiles have a well each 2*pi (the gap's
-        # anchored at zero output), so the levels below the top span more than
-        # _KEPT_NODES nodes and walk their nodes twice; the top level's five nodes are
-        # evaluated once, and the next level follows them
-        n = 6
-        mu = np.random.default_rng(4).uniform(0.0, 1.0, n)
-        inst = MarketInstance(beta=0.1, alpha0=2.0, mu=mu, lower=0.0, upper=100.0,
-                              cost=SinCost(3.0, n))
-        x = inst.lower.copy()
-        for profile, curvature in caller_scans(inst, x, monkeypatch):
-            for grid in (1024, 2048):
-                seen = []
-
-                def recorded(t):
-                    seen.append(t.tobytes())
-                    return profile(t)
-
-                best, spacing = _scan_min(recorded, inst.lower, inst.upper, grid, curvature)
-                ref_best, ref_spacing = full_scan_min(profile, inst.lower, inst.upper, grid)
-                assert np.array_equal(best, ref_best)
-                assert np.array_equal(spacing, ref_spacing)
-                assert len(set(seen)) < len(seen)  # a wide level walked its nodes twice
-                assert seen[5:10] != seen[:5]
+            inst = make(n, 0)
+            res, _ = solve(inst, SolverConfig(eps=1e-3))
+            lo, hi = nash_gap(inst, res.x)
+            assert 0.0 <= hi - lo <= 1e-8, n
 
     def test_memory_is_a_few_n_vectors(self):
         n = 100_000
         inst = log_cost_market(n, 0)
-        profile = lambda t: -inst.alpha_tilde * t - inst.cost.value_components(t)
-        tracemalloc.start()
-        try:
-            _scan_min(profile, inst.lower, inst.upper, 1024, inst.cost.lipschitz_on(0.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * n * 8
+        x = inst.center()
+        slope = model._coupling_slope(inst, x, np.add.reduce(x))
+        for a, b in ((0.0, -inst.alpha_tilde), (2.0 * inst.beta, slope)):
+            tracemalloc.start()
+            try:
+                diagnostics._profile_min(inst, a, b, inst.lower, inst.upper)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * n * 8
 
 
 class TestBruteForce:

@@ -534,7 +534,7 @@ class TestInstanceValidation:
 
     def test_curvature_bound_is_computed_once_per_instance(self):
         # construction computes L_h to reject an unbounded box; every later
-        # reader (the solver, the certificate, the scans, L_gamma) reuses it
+        # reader (the solver, the certificate, L_gamma) reuses it, and the diagnostics need none
         cost = CountingCost(LogCost(c0=2.0, c=1.5, r=np.linspace(1.0, 2.0, 20)))
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
         assert cost.bound_calls == 1

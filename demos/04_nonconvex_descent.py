@@ -15,7 +15,7 @@ from cournotprox import SolverConfig, Splitting, StepPolicy, solve
 from cournotprox.experiments import log_cost_market
 
 inst = log_cost_market(20, seed_or_rng=1)
-L = inst.cost.lipschitz_on(inst.lower)
+L = inst.L_h
 print(f"log-cost market, n=20, L_h = {L:.4f}, fixed damping c = 1/L_h = {1 / L:.4f}")
 
 res, trace = solve(inst, SolverConfig(eps=1e-6))

@@ -1,15 +1,15 @@
 """Production-cost families for the oligopoly market model.
 
-Every cost is separable across firms, h(x) = sum_i h_i(x_i), carries
-analytic first and second derivatives, and reports a curvature bound
-max_i |h_i''| above given lower sides (``lipschitz_on``), which sizes
-proximal steps and is infinite where there is none, including below the
-cost's domain. Evaluation is vectorized: inputs of shape (..., n) are
-accepted with the firm axis last. A family
-writes its formulas once, in ``value_components``, which returns the
-per-firm values and, given buffers, writes h'(x) and h''(x) in the same
-pass; the solver makes exactly one such call per trial point. A custom
-cost subclasses ``CostModel`` and implements those two methods.
+Every cost is separable across firms, h(x) = sum_i h_i(x_i), and carries
+analytic first and second derivatives. Evaluation is vectorized: inputs
+of shape (..., n) are accepted with the firm axis last. A family writes
+its formulas once, in ``value_components``, which returns the per-firm
+values and, given buffers, writes h'(x) and h''(x) in the same pass; the
+solver makes exactly one such call per trial point. A custom cost
+subclasses ``CostModel`` and implements that one method. No second
+formula bounds h'': ``MarketInstance`` reads its bound from h'' at the
+box's two ends, and refuses a box with an end outside the cost's domain,
+where the kernel raises ``CostDomainError`` or h'' is not finite.
 
 Per-firm parameters are read-only float vectors of shape (n,). One given
 as a scalar is stored once, as a stride-0 broadcast view: ufuncs read it
@@ -87,12 +87,13 @@ def _frozen(arr):
 class CostModel(ABC):
     """Separable smooth production cost with an analytic gradient.
 
-    Subclasses implement two methods: ``value_components``, the one
-    kernel that holds every formula of the cost and its slope, and
-    ``lipschitz_on``, the one curvature bound, which also answers
-    whether a box stays inside the cost's domain. The class: each h_i''
-    is monotone on the box, as on every shipped family. ``nash_gap`` and
-    ``gamma_lower_bound`` are certified only for such a cost.
+    Subclasses implement one method, ``value_components``, the one
+    kernel that holds every formula of the cost, its slope and its
+    curvature. The class: each h_i'' is monotone on the box, as on every
+    shipped family, so max |h_i''| sits at the box's two ends. The
+    instance's bound ``L_h``, on which the solver's descent rests, is read
+    there, and ``nash_gap`` and ``gamma_lower_bound`` are certified only
+    for such a cost.
     """
 
     n: int
@@ -106,14 +107,6 @@ class CostModel(ABC):
         shaped like ``x``; none may alias ``x`` or another.
         """
 
-    @abstractmethod
-    def lipschitz_on(self, lower) -> float:
-        """Bound on |h_i''| wherever x_i >= lower[i].
-
-        Infinite when there is none, and when any ``lower[i]`` lies
-        outside the cost's domain.
-        """
-
     def _check_points(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
@@ -125,7 +118,7 @@ class CostModel(ABC):
 class AffineCost(CostModel):
     """Linear cost h_i(x) = mu_h[i]*x + xi[i].
 
-    The gradient is constant and the curvature bound is zero. The fixed
+    The gradient is constant and the curvature is zero. The fixed
     offsets ``xi`` shift cost (and potential) values only; they have no
     effect on gradients, equilibria or stationary points.
     """
@@ -149,9 +142,6 @@ class AffineCost(CostModel):
         out = np.multiply(self.mu_h, x, out=out)
         return np.add(out, self.xi, out=out)
 
-    def lipschitz_on(self, lower):
-        return 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class LogCost(CostModel):
@@ -160,9 +150,7 @@ class LogCost(CostModel):
     Models a per-unit cost that falls as production grows, with ceiling
     c0. Defined where 1 + r[i]*x > 0, in particular for nonnegative
     production levels. |h_i''| = c[i]*r[i]**2/(1 + r[i]*x)**2 falls as x
-    grows, so the bound max_i c[i]*r[i]**2 is attained at x = 0 and is
-    valid on the nonnegative orthant; below 0 it is taken at the lower
-    side.
+    grows, so on a box it is largest at the lower side.
     """
 
     c0: np.ndarray
@@ -187,7 +175,7 @@ class LogCost(CostModel):
         x = self._check_points(x)
         w = np.multiply(self.r, x, out=grad)
         if not np.minimum.reduce(w, axis=None) > -1.0:  # np.min's bits, without its wrapper
-            raise CostDomainError("log cost evaluated where 1 + r*x <= 0")
+            raise CostDomainError("log cost evaluated where 1 + r*x <= 0, outside the cost domain")
         v = np.log1p(w, out=out)
         np.multiply(self.c, v, out=v)
         np.add(self.c0, v, out=v)
@@ -199,12 +187,6 @@ class LogCost(CostModel):
                 np.negative(curv, out=curv)
         return v
 
-    def lipschitz_on(self, lower):
-        low = np.minimum(lower, 0.0)
-        if not np.all(self.r * low > -1.0):  # a side outside the domain 1 + r*x > 0
-            return np.inf
-        return float(np.max(self.c * self.r**2 / (1.0 + self.r * low) ** 2))
-
 
 @dataclass(frozen=True, eq=False)
 class ExpCost(CostModel):
@@ -213,8 +195,8 @@ class ExpCost(CostModel):
     Defined on the whole real line; approaches the ceiling c0 as
     production grows. Requires c0[i] >= c[i] > 0 so costs stay
     nonnegative on x >= 0. |h_i''| = c[i]*r[i]**2*exp(-r[i]*x) falls as x
-    grows: the bound is max_i c[i]*r[i]**2 on x >= 0, taken at the lower
-    side below 0, and there is none on an unbounded-below side.
+    grows: on a box it is largest at the lower side, and unbounded on a
+    side at -inf.
     """
 
     c0: np.ndarray
@@ -249,8 +231,3 @@ class ExpCost(CostModel):
             if curv is not None:  # h'' = -r*h'
                 np.multiply(self._neg_r, grad, out=curv)
         return v
-
-    def lipschitz_on(self, lower):
-        low = np.minimum(lower, 0.0)
-        with np.errstate(over="ignore"):  # a far-negative side has no bound: inf is the answer
-            return float(np.max(self.c * self.r**2 * np.exp(-self.r * low)))

@@ -11,8 +11,8 @@ shape (..., n), firm axis last.
 
 A market instance is immutable after construction and safe to share
 across concurrent solver runs. It stores the cost's curvature bound
-``L_h`` on the box; the potential's bound, L_h plus the coupling's
-(n-1)*beta, is written once, with the paper splitting in ``subqp``.
+``L_h``, read at the box's two ends; the potential's bound, L_h plus the
+coupling's (n-1)*beta, is written once, with the paper splitting in ``subqp``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ class MarketInstance:
     the box of admissible production levels. Fixed cost offsets belong
     to the cost model (e.g. ``AffineCost.xi``) and shift reported cost
     and potential values only. ``L_h`` is the cost's curvature bound
-    ``cost.lipschitz_on(lower)`` over the box, computed once here; a box
-    on which it is infinite is rejected, and that one test also rejects
-    a box that leaves the cost's domain. Instances compare by identity.
+    max_i |h_i''| over the box, read once here at the box's two ends (see
+    ``CostModel``); a box on which it is not finite is rejected, and that
+    one test also rejects a box with an end outside the cost's domain.
+    Instances compare by identity.
     The private ``_signed`` says whether some lower side is negative, so
     that a clipped output can be: the aggregate root's rounding estimate
     then needs sum(|clip|); the private ``_bounded``, whether no side is infinite.
@@ -90,7 +91,14 @@ class MarketInstance:
             raise ValueError("empty box: lower > upper somewhere")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("lower must be below +inf and upper above -inf")
-        L_h = float(self.cost.lipschitz_on(lower))
+        # CostModel's class puts max |h_i''| at l or u: one cost pass per end into one
+        # block; an infinite side may read inf (exp at -inf) or NaN in the discarded value
+        ends, at_end = np.empty((3, n)), np.empty(2)
+        with np.errstate(all="ignore"):
+            for k, side in enumerate((lower, upper)):
+                _cost_term(self, side, ends[1], ends[0], ends[2])
+                at_end[k] = np.maximum.reduce(np.abs(ends[2], out=ends[2]))
+        L_h = float(np.max(at_end))  # a NaN at either end survives np.max; max() would drop it
         if not math.isfinite(L_h):
             raise ValueError(
                 "the cost's curvature is unbounded on the box, or the box leaves the cost domain"

@@ -37,7 +37,9 @@ compares with a saved output instead: it prints only the lines that
 differ from ``before.txt``, each after its saved line, matched by the
 fields that name the solve or sweep (the first five; one for a total).
 A line whose iterations or trials changed is marked ``!``, and the run
-then exits with status 1.
+then exits with status 1. The last line gives the largest relative change
+of a certificate over the solves found in both outputs, and names that
+solve, so "moved in the last bits only" reads off one number.
 
 The file name keeps pytest from collecting it.
 """
@@ -147,21 +149,34 @@ def key(fields):
     return tuple(fields[:1] if fields[0].startswith("total") else fields[:5])
 
 
+def certificate_change(old, new):
+    """Relative change of the certificate (field 7) between two lines of one solve."""
+    a, b = (float.fromhex(line.split()[7]) for line in (old, new))
+    return 0.0 if a == b else abs(b - a) / abs(a)
+
+
 def against(path, new_lines):
     """Print each line that differs from the saved output at ``path`` after its saved
-    line, marked ``!`` where the iterations or trials (fields 5 and 6) changed; return
-    how many were."""
+    line, marked ``!`` where the iterations or trials (fields 5 and 6) changed, then
+    the largest relative certificate change over the solves in both; return how many
+    lines were marked."""
     saved = {key(line.split()): line for line in Path(path).read_text().splitlines() if line}
     pairs = [(saved.pop(key(line.split()), "(none)"), line) for line in new_lines]
     pairs += [(old, "(none)") for old in saved.values()]
     differ = moved = 0
+    changes = []
     for old, line in pairs:
+        fields = line.split()
+        if "(none)" not in (old, line) and not fields[0].startswith(("sweep-", "total")):
+            changes.append((certificate_change(old, line), " ".join(fields[:5])))
         if old == line:
             continue
-        mark = "!" if old.split()[5:7] != line.split()[5:7] else " "
+        mark = "!" if old.split()[5:7] != fields[5:7] else " "
         differ, moved = differ + 1, moved + (mark == "!")
         print(f"{mark} - {old}\n{mark} + {line}", flush=True)
+    worst, where = max(changes, default=(0.0, "no solve in both"))
     print(f"{differ} lines differ; {moved} changed iterations or trials")
+    print(f"largest relative certificate change: {worst:.2g} ({where})")
     return moved
 
 

@@ -6,7 +6,7 @@ the private helpers it checks.
 
 import numpy as np
 
-from cournotprox import Splitting, prox_step
+from cournotprox import MarketInstance, Splitting, prox_step
 
 
 def _points(inst, x, name="x"):
@@ -27,6 +27,11 @@ def cost_gradient(cost, x):
     grad = np.empty_like(x)
     cost.value_components(x, grad)
     return grad
+
+
+def box_bound(cost, lower=0.0, upper=np.inf):
+    """The curvature bound ``L_h`` of a market with ``cost`` on the box [lower, upper]."""
+    return MarketInstance(beta=1.0, alpha0=0.0, mu=0.0, lower=lower, upper=upper, cost=cost).L_h
 
 
 def lipschitz_gamma(inst):
@@ -150,7 +155,7 @@ def brute_force_stationary_points(inst, grid_resolution=101):
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     G = grad_gamma(inst, pts)
     spacing = float(np.max((inst.upper - inst.lower) / (grid_resolution - 1)))
-    curvature = inst.beta * (n + 1) + inst.cost.lipschitz_on(0.0)
+    curvature = inst.beta * (n + 1) + inst.L_h
     tol = max(curvature * spacing, 1e-12)
     at_lo = pts == inst.lower
     at_up = pts == inst.upper

@@ -126,7 +126,7 @@ def test_descent_suite():
 
 def test_descent_suite_exact_coupling():
     checked_fixed, checked_ls = _descent_suite(
-        Splitting.EXACT_COUPLING, lambda inst: inst.cost.lipschitz_on(0.0), exact_decrease_rhs
+        Splitting.EXACT_COUPLING, lambda inst: inst.L_h, exact_decrease_rhs
     )
     _passed(
         f"exact-coupling descent suite (40 runs/policy at n=50: {checked_fixed} fixed steps "
@@ -148,7 +148,7 @@ def test_exact_coupling_default_on_sweep_instances():
             exact, _ = solve(inst, cfg)
             paper, _ = solve(inst, dataclasses.replace(cfg, splitting=Splitting.PAPER))
             assert exact.status is SolveStatus.CONVERGED
-            assert exact.certificate <= 2.0 * inst.cost.lipschitz_on(0.0) * cfg.eps
+            assert exact.certificate <= 2.0 * inst.L_h * cfg.eps
             assert np.max(np.abs(exact.x - ref.x)) <= np.max(np.abs(paper.x - ref.x))
             assert exact.gamma_final - ref.gamma_final <= paper.gamma_final - ref.gamma_final
             worst_gap = max(worst_gap, exact.gamma_final - ref.gamma_final)
@@ -208,7 +208,7 @@ def test_inequality_suite():
                 assert potential_gamma(inst, s) <= lhs + 1e-9
 
         # linearization error of the cost against its curvature bound
-        Lh = inst.cost.lipschitz_on(0.0)
+        Lh = inst.L_h
         lin = cost_value(inst.cost, X) + np.sum(cost_gradient(inst.cost, X) * (Y - X), axis=1)
         assert np.all(
             np.abs(cost_value(inst.cost, Y) - lin) <= 0.5 * Lh * np.sum((Y - X) ** 2, axis=1) + 1e-9

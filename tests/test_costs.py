@@ -8,7 +8,7 @@ from cournotprox import (
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.model import _cost_term
-from oracles import cost_curvature, cost_gradient, cost_value, fd_gradient_check
+from oracles import box_bound, cost_curvature, cost_gradient, cost_value, fd_gradient_check
 
 
 def log_family(n=6, seed=0):
@@ -27,7 +27,7 @@ def affine_family(n=6, seed=0):
 
 
 class QuadraticCost(CostModel):
-    """Custom cost h_i(x) = a[i]*x**2 that implements only the two abstract methods."""
+    """Custom cost h_i(x) = a[i]*x**2 that implements only the abstract method."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
@@ -41,9 +41,6 @@ class QuadraticCost(CostModel):
             curv[...] = 2.0 * self.a
         return np.multiply(self.a, x**2, out=out)
 
-    def lipschitz_on(self, lower):
-        return float(np.max(2.0 * np.abs(self.a)))
-
 
 def custom_family(n=6, seed=0):
     return QuadraticCost(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
@@ -53,7 +50,7 @@ ALL_FAMILIES = [log_family, exp_family, affine_family]
 
 
 class TestContract:
-    def test_two_methods_make_a_cost_that_solves(self):
+    def test_one_method_makes_a_cost_that_solves(self):
         cost = QuadraticCost(np.linspace(0.01, 0.03, 5))
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
         assert inst.L_h == 0.06
@@ -101,9 +98,9 @@ class TestLogCost:
     def test_curvature_bound_for_reference_parameters(self):
         # c=1.5 with r <= 2 keeps the bound at or below 1.5 * 2^2 = 6
         model = log_family(20, 1)
-        assert model.lipschitz_on(0.0) <= 6.0
+        assert box_bound(model) <= 6.0
         exact = LogCost(c0=2.0, c=1.5, r=2.0, n=1)
-        assert exact.lipschitz_on(0.0) == pytest.approx(6.0)
+        assert box_bound(exact) == pytest.approx(6.0)
 
     def test_domain_violation_raises(self):
         model = LogCost(c0=2.0, c=1.5, r=2.0, n=2)
@@ -112,8 +109,9 @@ class TestLogCost:
             cost_value(model, bad)
         with pytest.raises(CostDomainError):
             cost_gradient(model, bad)
-        assert model.lipschitz_on(bad) == np.inf
-        assert model.lipschitz_on(np.zeros(2)) == 6.0
+        with pytest.raises(CostDomainError):
+            box_bound(model, bad)
+        assert box_bound(model, np.zeros(2)) == 6.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +151,7 @@ class TestExpCost:
     def test_curvature_bound_for_reference_parameters(self):
         # c=2 with r < 0.2 keeps the bound below 2 * 0.2^2 = 0.08
         model = exp_family(50, 5)
-        assert model.lipschitz_on(0.0) < 0.08
+        assert box_bound(model) < 0.08
 
     @pytest.mark.parametrize("n", [1, 100, 10_000])
     def test_stored_negative_rate_keeps_the_bits(self, n):
@@ -183,7 +181,7 @@ class TestAffineCost:
         x = np.array([3.0, 4.0])
         assert cost_value(model, x) == pytest.approx(3.0 + 8.0 + 1.0)
         np.testing.assert_array_equal(cost_gradient(model, x), [1.0, 2.0])
-        assert model.lipschitz_on(0.0) == 0.0
+        assert box_bound(model) == 0.0
 
     def test_offsets_shift_values_only(self):
         base = AffineCost(mu_h=[1.0, 2.0])
@@ -332,7 +330,7 @@ class TestAnalyticProperties:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_empirical_gradient_lipschitz(self, family):
         model = family(10, 11)
-        L = model.lipschitz_on(0.0)
+        L = box_bound(model, 0.0, 10.0)
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 10, (1000, model.n))
         Y = rng.uniform(0, 10, (1000, model.n))
@@ -340,20 +338,14 @@ class TestAnalyticProperties:
         rhs = L * np.linalg.norm(X - Y, axis=1)
         assert np.all(lhs <= rhs)
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES + [custom_family])
-    def test_box_bound_is_the_orthant_bound_at_or_above_zero(self, family):
-        model = family(10, 13)
-        for lower in (0.0, -0.0, np.linspace(0.0, 3.0, 10)):
-            assert model.lipschitz_on(np.broadcast_to(lower, (10,))) == model.lipschitz_on(0.0)
-
     @pytest.mark.parametrize("family", [log_family, exp_family])
     def test_box_bound_below_zero_is_attained_at_the_lower_side(self, family):
         # the orthant bound c*r^2 fails below 0; the box bound holds on a grid
         # above the lower sides and is the curvature at one of them
         model = family(10, 14)
         lower = np.linspace(-0.3, 0.0, 10)
-        L = model.lipschitz_on(lower)
-        assert L > model.lipschitz_on(0.0)
+        L = box_bound(model, lower)
+        assert L > box_bound(model)
         t = lower + np.linspace(0.0, 5.0, 2001)[:, None]
         curvature = np.abs(np.gradient(cost_gradient(model, t), t[:, 0], axis=0))
         assert np.max(curvature) <= L
@@ -362,15 +354,32 @@ class TestAnalyticProperties:
             at_lower = model.c * model.r**2 * np.exp(-model.r * lower)
         assert L == pytest.approx(np.max(at_lower), rel=1e-14)
 
-    def test_box_bound_is_infinite_without_one(self):
-        assert exp_family(3).lipschitz_on(np.array([0.0, -np.inf, 1.0])) == np.inf
+    @pytest.mark.parametrize("make, at_one", [
+        (log_cost_market, lambda cost: cost.c * cost.r**2 / (1.0 + cost.r) ** 2),
+        (exp_cost_market, lambda cost: cost.c * cost.r**2 * np.exp(-cost.r)),
+    ], ids=["log", "exp"])
+    def test_box_bound_above_zero_is_taken_at_the_lower_side(self, make, at_one):
+        # a box above 0 gets its own bound, not the orthant's c*r^2: on [1, 10]
+        # the curvature is largest at x = 1, and the fixed step damps by it
+        inst = make(100, 0, lower=1.0)
+        cost = inst.cost
+        assert inst.L_h == pytest.approx(np.max(at_one(cost)), rel=1e-15)
+        assert inst.L_h < box_bound(cost)  # the orthant's bound: log 5.98, here 0.666
+        res, trace = solve(inst, SolverConfig(eps=1e-8))
+        assert res.status is SolveStatus.CONVERGED
+        assert np.all(trace.c == 1.0 / inst.L_h)
+
+    def test_a_box_without_a_bound_is_refused(self):
+        with pytest.raises(ValueError, match="curvature"):
+            box_bound(exp_family(3), np.array([0.0, -np.inf, 1.0]))
         # below the log domain, 1 + r*x <= 0, there is no bound either
-        assert LogCost(c0=2.0, c=1.5, r=2.0, n=1).lipschitz_on(np.array([-0.5])) == np.inf
+        with pytest.raises(CostDomainError):
+            box_bound(LogCost(c0=2.0, c=1.5, r=2.0, n=1), np.array([-0.5]))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_linearization_error_bounded_by_curvature(self, family):
         model = family(10, 12)
-        L = model.lipschitz_on(0.0)
+        L = box_bound(model, 0.0, 10.0)
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 10, (500, model.n))
         Y = rng.uniform(0, 10, (500, model.n))

@@ -44,7 +44,7 @@ class TestInstanceFamilies:
     def test_log_parameters_in_range(self):
         inst = log_cost_market(50, 123)
         assert np.all(inst.cost.r > 1.0) and np.all(inst.cost.r < 2.0)
-        assert inst.cost.lipschitz_on(0.0) <= 6.0
+        assert inst.L_h <= 6.0
         assert inst.beta == 0.1 and inst.alpha0 == 10.0
         np.testing.assert_array_equal(inst.lower, np.zeros(50))
         np.testing.assert_array_equal(inst.upper, np.full(50, 10.0))
@@ -52,7 +52,7 @@ class TestInstanceFamilies:
     def test_exp_parameters_in_range(self):
         inst = exp_cost_market(50, 123)
         assert np.all(inst.cost.r > 0.1) and np.all(inst.cost.r < 0.2)
-        assert inst.cost.lipschitz_on(0.0) < 0.08
+        assert inst.L_h < 0.08
 
     def test_same_seed_bit_identical(self):
         a = log_cost_market(20, 7)
@@ -67,7 +67,7 @@ class TestInstanceFamilies:
         assert inst.n == 5
         np.testing.assert_array_equal(inst.cost.r, exp_cost_market(5, 3).cost.r)
         cfg_a = ExperimentConfig(example=ExampleFamily.AFFINE)
-        assert generate_instance(cfg_a, 4).cost.lipschitz_on(0.0) == 0.0
+        assert generate_instance(cfg_a, 4).L_h == 0.0
 
     def test_generate_custom_instance(self):
         cfg = ExperimentConfig(
@@ -629,7 +629,7 @@ class TestCli:
             assert main(["--verify", str(out / f"trace_affine_n{n}_seed0.csv")]) == 0
 
     @pytest.mark.parametrize("splitting, L_of", [
-        ("exact", lambda inst: inst.cost.lipschitz_on(0.0)),
+        ("exact", lambda inst: inst.L_h),
         ("paper", lipschitz_gamma),
     ])
     def test_splitting_flag_and_config_key(self, tmp_path, splitting, L_of):

@@ -25,6 +25,7 @@ from cournotprox.experiments import exp_cost_market, log_cost_market
 from oracles import (
     apply_Btilde,
     apply_Q,
+    cost_curvature,
     cost_gradient,
     cost_value,
     dphi_directional,
@@ -33,6 +34,7 @@ from oracles import (
     phi_bifunction,
     potential_reference,
 )
+from test_diagnostics import SinCost
 
 
 def zero_cost_instance(n, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0, mu=0.0):
@@ -50,39 +52,34 @@ def affine_cost_market(n, seed):
 
 
 class CountingCost(CostModel):
-    """A cost that forwards to another and counts its ``lipschitz_on`` calls."""
+    """A cost that forwards to another and records each point its curvature is asked at."""
 
     def __init__(self, inner):
-        self.inner, self.n, self.bound_calls = inner, inner.n, 0
+        self.inner, self.n, self.curvature_points = inner, inner.n, []
 
     def value_components(self, x, grad=None, out=None, curv=None):
+        if curv is not None:
+            self.curvature_points.append(np.array(x, dtype=float))
         return self.inner.value_components(x, grad, out, curv)
-
-    def lipschitz_on(self, lower):
-        self.bound_calls += 1
-        return self.inner.lipschitz_on(lower)
 
 
 class RootCost(CostModel):
-    """h_i(x) = 2*sqrt(1 + x), defined for x > -1, whose bound is infinite below its domain."""
+    """h_i(x) = 2*sqrt(1 + s*x), defined where s*x > -1; sign s = 1 by default.
 
-    def __init__(self, n):
-        self.n = n
+    |h_i''| = 0.5*(1 + s*x)**-1.5 grows toward the domain's edge: below -1
+    for s = 1, above 1 for s = -1, where h'' reads NaN.
+    """
+
+    def __init__(self, n, sign=1.0):
+        self.n, self.sign = n, sign
 
     def value_components(self, x, grad=None, out=None, curv=None):
-        root = np.sqrt(1.0 + self._check_points(x))
+        root = np.sqrt(1.0 + self.sign * self._check_points(x))
         if grad is not None:
-            np.divide(1.0, root, out=grad)
+            np.divide(self.sign, root, out=grad)
         if curv is not None:
-            np.multiply(-0.5, grad**3, out=curv)
+            np.multiply(-0.5, (1.0 / root) ** 3, out=curv)
         return np.multiply(2.0, root, out=out)
-
-    def lipschitz_on(self, lower):
-        # |h_i''| = 0.5*(1 + x)**-1.5 falls as x grows: the bound sits at the lower side
-        low = np.minimum(lower, 0.0)
-        if not np.all(low > -1.0):
-            return np.inf
-        return float(np.max(0.5 * (1.0 + low) ** -1.5))
 
 
 def dense_btilde(inst):
@@ -422,6 +419,23 @@ class TestInstanceValidation:
                 with pytest.raises(ValueError, match="curvature"):
                     MarketInstance(beta=0.1, alpha0=0.0, mu=5.0, lower=lower, upper=10.0, cost=exp)
 
+    def test_a_box_that_leaves_the_domain_above_is_refused(self):
+        # 2*sqrt(1 - x) on [0, 2]: the lower side is inside the domain, the upper
+        # side is not, and the bound read at both ends sees it
+        cost = RootCost(3, sign=-1.0)
+        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=0.75, cost=cost)
+        assert inst.L_h == 4.0
+        with pytest.raises(ValueError, match="cost domain"):
+            MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=2.0, cost=cost)
+
+    def test_a_nan_curvature_at_the_upper_side_alone_is_refused(self):
+        # sin's curvature is finite at pi/2 and NaN at +inf: one NaN end refuses the box
+        cost = SinCost(1.5, 3)
+        assert MarketInstance(beta=0.1, alpha0=2.0, mu=0.0, lower=0.5 * np.pi,
+                              upper=1.5 * np.pi, cost=cost).L_h == 1.5
+        with pytest.raises(ValueError, match="cost domain"):
+            MarketInstance(beta=0.1, alpha0=2.0, mu=0.0, lower=0.5 * np.pi, upper=np.inf, cost=cost)
+
     def test_a_custom_costs_domain_is_checked_through_its_bound(self):
         # the one curvature test also rejects a box that leaves the cost's domain
         cost = RootCost(3)
@@ -530,23 +544,16 @@ class TestInstanceValidation:
 
     def test_lipschitz_constant_combines_cost_and_coupling(self):
         inst = log_cost_market(10, 0)
-        assert lipschitz_gamma(inst) == pytest.approx(inst.cost.lipschitz_on(0.0) + 0.9, rel=1e-12)
+        cost = inst.cost
+        assert lipschitz_gamma(inst) == pytest.approx(np.max(cost.c * cost.r**2) + 0.9, rel=1e-12)
 
     def test_curvature_bound_is_computed_once_per_instance(self):
-        # construction computes L_h to reject an unbounded box; every later
-        # reader (the solver, the certificate, L_gamma) reuses it, and the diagnostics need none
+        # construction reads L_h from h'' at the box's two ends, to reject an unbounded
+        # box, and stores it; its readers (the solver, the certificate, L_gamma) take it
         cost = CountingCost(LogCost(c0=2.0, c=1.5, r=np.linspace(1.0, 2.0, 20)))
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
-        assert cost.bound_calls == 1
-        assert inst.L_h == cost.inner.lipschitz_on(inst.lower)
-        for splitting in Splitting:
-            for policy in StepPolicy:
-                res, trace = solve(
-                    inst, SolverConfig(step_policy=policy, splitting=splitting, record_iterates=True)
-                )
-                eps_certificate(inst, trace.iterates[-2], res.c_final, splitting)
-        gamma_lower_bound(inst)
-        nash_gap(inst, res.x)
-        nash_gap(inst, res.x, 0.5)
+        ends = cost.curvature_points
+        assert len(ends) == 2
+        assert ends[0].tobytes() == inst.lower.tobytes() and ends[1].tobytes() == inst.upper.tobytes()
+        assert inst.L_h == np.max(np.abs(cost_curvature(cost.inner, inst.lower)))
         assert lipschitz_gamma(inst) == inst.L_h + 19 * inst.beta
-        assert cost.bound_calls == 1

@@ -115,9 +115,9 @@ def test_solve_statuses():
 
 
 def test_cost_contract_is_one_kernel():
-    # every formula lives in value_components and every bound in lipschitz_on, which
-    # is also the domain test: infinite on a box that leaves the domain
-    assert CostModel.__abstractmethods__ == {"value_components", "lipschitz_on"}
+    # every formula lives in value_components, the curvature too: the instance reads
+    # its bound, and with it the domain test, from h'' at the box's two ends
+    assert CostModel.__abstractmethods__ == {"value_components"}
     for cls in (CostModel, AffineCost, ExpCost, LogCost):
         gone = {"value", "gradient", "contains", "value_and_gradient", "lipschitz_L"}
         assert not {name for name in gone if hasattr(cls, name)}

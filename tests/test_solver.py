@@ -32,6 +32,7 @@ from cournotprox.experiments import (
 )
 from oracles import (
     affine_equilibrium,
+    box_bound,
     decrease_rhs,
     dphi_directional,
     exact_coupling_step,
@@ -75,6 +76,13 @@ def with_cost(inst, cost):
         beta=inst.beta, alpha0=inst.alpha0, mu=inst.mu,
         lower=inst.lower, upper=inst.upper, cost=cost,
     )
+
+
+def counting_log_market(base):
+    """``base`` on a ``CountingLogCost``, its counts cleared of the two construction calls."""
+    inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+    inst.cost.calls.clear()  # L_h is read from h'' at the box's two ends
+    return inst
 
 
 class CountingLogCost(LogCost):
@@ -375,7 +383,7 @@ class TestSolveNonconvex:
         # the damping is 1/L_h, independent of n; the drop is still (c/2)*||G_c||^2
         for make, seed in ((log_cost_market, 1), (exp_cost_market, 2)):
             inst = make(20, seed)
-            c = 1.0 / inst.cost.lipschitz_on(0.0)
+            c = 1.0 / inst.L_h
             res, trace = solve(inst, SolverConfig(eps=1e-5))
             assert res.status is SolveStatus.CONVERGED
             gammas = np.append(trace.gamma, res.gamma_final)
@@ -393,8 +401,8 @@ class TestSolveNonconvex:
         # damping comes from the bound at the lower side, 100 and 12 times larger
         # here; the exact-coupling step at 1/(c*r^2) breaks the inequality below
         inst = MarketInstance(beta=0.1, alpha0=0.0, mu=3.0, lower=lower, upper=5.0, cost=cost)
-        L_h = inst.cost.lipschitz_on(inst.lower)
-        assert L_h >= 12.0 * inst.cost.lipschitz_on(0.0)
+        L_h = inst.L_h
+        assert L_h >= 12.0 * box_bound(inst.cost, 0.0, 5.0)
         L = L_h if splitting is EXACT else L_h + 4 * inst.beta
         res, trace = solve(inst, SolverConfig(eps=1e-8, splitting=splitting))
         assert res.status is SolveStatus.CONVERGED
@@ -697,6 +705,7 @@ class TestLineSearch:
         for name, value in (("anchor", x0), ("radius", 0.5 * (norms[-1] + norms[-2])), ("bad", bad)):
             object.__setattr__(cost, name, value)
         inst = with_cost(base, cost)
+        cost.seen.clear()  # construction read h'' at the box's two ends
         cfg = SolverConfig(
             step_policy=StepPolicy.LINE_SEARCH, max_iter=1, record_bound=False, splitting=splitting
         )
@@ -712,7 +721,7 @@ class TestLineSearch:
     def test_each_iterate_evaluated_once(self, policy):
         # one kernel call with a gradient buffer per prox step plus one at the start point
         base = log_cost_market(30, 5)
-        inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        inst = counting_log_market(base)
         res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False, splitting=PAPER))
         assert res.status is SolveStatus.CONVERGED
         if policy is StepPolicy.FIXED:
@@ -730,7 +739,7 @@ class TestLineSearch:
         # curvature comes from the prox step's own call: still one per trial,
         # two of them Newton trials here, plus the start
         base = log_cost_market(30, 5)
-        inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        inst = counting_log_market(base)
         res, _ = solve(inst, SolverConfig(step_policy=policy, record_bound=False))
         assert res.status is SolveStatus.CONVERGED
         assert (res.iterations, res.trials) == (iterations, trials)
@@ -793,7 +802,7 @@ class TestNewtonTrial:
         res, _ = solve(inst, cfg)
         assert calls == []
         assert (res.iterations, res.trials) == (5, 6)
-        assert res.certificate.hex() == "0x1.3808641ccf468p-8"
+        assert res.certificate.hex() == "0x1.3808641ccee7ep-8"
 
     def test_only_exact_coupling_tries_it(self, monkeypatch):
         calls = self.counted_newton(monkeypatch)
@@ -802,7 +811,7 @@ class TestNewtonTrial:
 
     def test_asking_for_the_curvature_adds_no_cost_call(self):
         base = log_cost_market(100, 0)
-        inst = with_cost(base, CountingLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        inst = counting_log_market(base)
         res, _ = solve(inst, SolverConfig(record_bound=False))
         assert res.trials > res.iterations
         assert inst.cost.calls == {"with_gradient": res.trials + 1}
@@ -1021,7 +1030,7 @@ class TestBoundAndCertificates:
 
     def test_certificate_formula_exact_coupling(self):
         inst = log_cost_market(10, 0)
-        L_h = inst.cost.lipschitz_on(0.0)
+        L_h = inst.L_h
         x = inst.center()
         for c in (0.3 / L_h, 1.0 / L_h):
             step = np.linalg.norm(exact_coupling_step(inst, x, c) - x)
@@ -1087,7 +1096,7 @@ class TestBoundAndCertificates:
         assert_converged_certificate_sound(PAPER, lipschitz_gamma)
 
     def test_converged_certificate_soundness_exact_coupling(self):
-        assert_converged_certificate_sound(EXACT, lambda inst: inst.cost.lipschitz_on(0.0))
+        assert_converged_certificate_sound(EXACT, lambda inst: inst.L_h)
 
 
 class TestConfigValidation:

@@ -2,11 +2,24 @@
 
 Built from public names and numpy only, so no oracle shares code with
 the private helpers it checks.
+
+The cost's sign in the potential lives here once, in ``SIGN``, as it
+lives in the library once, in ``model._cost_term``: the potential
+carries SIGN*h(x). Every oracle, and every closed form in the test
+modules, takes the cost through the signed helpers ``cost_term``,
+``cost_term_slope`` and ``cost_term_curvature`` or reads
+``oracles.SIGN`` when it runs, never a copy, so one
+``monkeypatch.setattr(oracles, "SIGN", 1.0)`` moves the whole test side
+to the paper's sign. The unsigned ``cost_value``, ``cost_gradient`` and
+``cost_curvature`` serve these helpers and the raw-cost tests of
+``test_costs.py``.
 """
 
 import numpy as np
 
 from cournotprox import MarketInstance, Splitting, prox_step
+
+SIGN = -1.0  # the cost's sign in the potential: -h, the shipped model; the paper's is +h
 
 
 def _points(inst, x, name="x"):
@@ -27,6 +40,50 @@ def cost_gradient(cost, x):
     grad = np.empty_like(x)
     cost.value_components(x, grad)
     return grad
+
+
+def cost_curvature(cost, x):
+    """Elementwise second derivative (h_1''(x_1), ..., h_n''(x_n)), from one ``value_components`` call."""
+    x = np.asarray(x, dtype=float)
+    curv = np.empty_like(x)
+    cost.value_components(x, np.empty_like(x), None, curv)
+    return curv
+
+
+def cost_term(cost, x):
+    """The cost's per-firm term of the potential, SIGN*h_i(x_i), shaped like ``x``."""
+    return SIGN * cost.value_components(x)
+
+
+def cost_term_slope(cost, x):
+    """Elementwise slope of the cost's term, SIGN*h_i'(x_i)."""
+    return SIGN * cost_gradient(cost, x)
+
+
+def cost_term_curvature(cost, x):
+    """Elementwise curvature of the cost's term, SIGN*h_i''(x_i)."""
+    return SIGN * cost_curvature(cost, x)
+
+
+def cost_term_total(cost, x):
+    """The cost's term of the potential, SIGN*h(x), summed over the trailing firm axis."""
+    return np.sum(cost_term(cost, x), axis=-1)
+
+
+def library_cost_term(sign):
+    """A stand-in for the library's private ``_cost_term`` that writes sign*h, to monkeypatch in.
+
+    Same signature and buffers: the per-firm term, its slope into
+    ``slope`` and its curvature into ``curv`` when given.
+    """
+    def term(inst, t, slope=None, out=None, curv=None):
+        v = inst.cost.value_components(t, slope, out, curv)
+        for buf in (slope, curv):
+            if buf is not None:
+                np.multiply(sign, buf, out=buf)
+        return np.multiply(sign, v, out=out)
+
+    return term
 
 
 def box_bound(cost, lower=0.0, upper=np.inf):
@@ -54,16 +111,16 @@ def apply_Q(inst, x):
 
 
 def potential_reference(inst, x):
-    """The potential 0.5*beta*(|x|^2 + sigma^2) - x.alpha_tilde - h(x), h from ``cost_value``."""
+    """The potential 0.5*beta*(|x|^2 + sigma^2) - x.alpha_tilde + SIGN*h(x)."""
     x = _points(inst, x)
     sq = np.sum(x * x, axis=-1)
     sigma = np.sum(x, axis=-1)
-    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde - cost_value(inst.cost, x)
+    return 0.5 * inst.beta * (sq + sigma**2) - x @ inst.alpha_tilde + cost_term_total(inst.cost, x)
 
 
 def grad_gamma(inst, x):
-    """Gradient of the potential: Q x - alpha_tilde - grad h(x)."""
-    return apply_Q(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
+    """Gradient of the potential: Q x - alpha_tilde + SIGN*grad h(x)."""
+    return apply_Q(inst, x) - inst.alpha_tilde + cost_term_slope(inst.cost, x)
 
 
 def phi_bifunction(inst, x, y):
@@ -76,9 +133,8 @@ def phi_bifunction(inst, x, y):
     x = _points(inst, x, "x")
     y = _points(inst, y, "y")
     fx = apply_Btilde(inst, x) - inst.alpha_tilde
-    cost = inst.cost
     quad = inst.beta * (np.sum(y * y, axis=-1) - np.sum(x * x, axis=-1))
-    return (y - x) @ fx + quad - (cost_value(cost, y) - cost_value(cost, x))
+    return (y - x) @ fx + quad + (cost_term_total(inst.cost, y) - cost_term_total(inst.cost, x))
 
 
 def gradient_mapping(inst, x, c):
@@ -94,12 +150,12 @@ def prox_model_value(inst, x, y, c):
     """Value at y of the convexified local model anchored at x, with damping 1/(2c)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
+    g = apply_Btilde(inst, x) - inst.alpha_tilde + cost_term_slope(inst.cost, x)
     dy = y - x
     return (
         inst.beta * float(y @ y)
         + float(g @ dy)
-        - float(cost_value(inst.cost, x))
+        + float(cost_term_total(inst.cost, x))
         + float(dy @ dy) / (2.0 * c)
     )
 
@@ -213,39 +269,31 @@ def breakpoint_root(a, k, lower, upper):
 def exact_coupling_step(inst, x, c):
     """Minimizer over the box of the exact-coupling model at x with damping 1/(2c), c <= inf.
 
-    The model (beta/2)*(|y|^2 + sum(y)^2) - (alpha_tilde + h'(x)).y
-    + |y - x|^2/(2c) has the solution y = clip(a - k*sigma) with
-    a = (alpha_tilde + h'(x) + x/c)/(beta + 1/c), k = beta/(beta + 1/c),
-    and sigma from ``breakpoint_root``.
+    With dh = SIGN*h'(x), the model (beta/2)*(|y|^2 + sum(y)^2)
+    - (alpha_tilde - dh).y + |y - x|^2/(2c) has the solution
+    y = clip(a - k*sigma) with a = (alpha_tilde - dh + x/c)/(beta + 1/c),
+    k = beta/(beta + 1/c), and sigma from ``breakpoint_root``.
     """
     x = np.asarray(x, dtype=float)
     d = inst.beta + 1.0 / c
-    a = (inst.alpha_tilde + cost_gradient(inst.cost, x) + x / c) / d
+    a = (inst.alpha_tilde - cost_term_slope(inst.cost, x) + x / c) / d
     k = inst.beta / d
     return np.clip(a - k * breakpoint_root(a, k, inst.lower, inst.upper), inst.lower, inst.upper)
-
-
-def cost_curvature(cost, x):
-    """Elementwise second derivative (h_1''(x_1), ..., h_n''(x_n)), from one ``value_components`` call."""
-    x = np.asarray(x, dtype=float)
-    curv = np.empty_like(x)
-    cost.value_components(x, np.empty_like(x), None, curv)
-    return curv
 
 
 def newton_point(inst, x):
     """Minimizer over the box of the potential's second-order model at x.
 
-    The model (beta/2)*(|y|^2 + sum(y)^2) - (alpha_tilde + h'(x)).y
-    - h''(x).(y - x)^2/2 has, where every D = beta - h''(x) is positive,
-    the solution y = clip(a - k*sigma) with
-    a = (alpha_tilde + h'(x) - h''(x)*x)/D, k = beta/D per firm, and
-    sigma from ``breakpoint_root``.
+    With dh = SIGN*h'(x) and curv = SIGN*h''(x), the model
+    (beta/2)*(|y|^2 + sum(y)^2) - (alpha_tilde - dh).y + curv.(y - x)^2/2
+    has, where every D = beta + curv is positive, the solution
+    y = clip(a - k*sigma) with a = (alpha_tilde - dh + curv*x)/D,
+    k = beta/D per firm, and sigma from ``breakpoint_root``.
     """
     x = np.asarray(x, dtype=float)
-    curv = -cost_curvature(inst.cost, x)
+    curv = cost_term_curvature(inst.cost, x)
     d = inst.beta + curv
-    a = (inst.alpha_tilde + cost_gradient(inst.cost, x) + curv * x) / d
+    a = (inst.alpha_tilde - cost_term_slope(inst.cost, x) + curv * x) / d
     k = inst.beta / d
     return np.clip(a - k * breakpoint_root(a, k, inst.lower, inst.upper), inst.lower, inst.upper)
 
@@ -263,19 +311,68 @@ def exact_decrease_rhs(inst, x, s, c):
     return (
         kept
         - float(inst.alpha_tilde @ s)
-        - float(cost_value(inst.cost, x))
-        - float(cost_gradient(inst.cost, x) @ d)
+        + float(cost_term_total(inst.cost, x))
+        + float(cost_term_slope(inst.cost, x) @ d)
         + float(d @ d) / (2.0 * c)
     )
 
 
-def affine_equilibrium(inst):
-    """Equilibrium of an affine-cost market by ``breakpoint_root``; shares no code with the library.
+def oracle_linear(inst):
+    """The linear term b = SIGN*h' - alpha_tilde of the oracle QP of a cost with zero curvature.
 
-    The optimality conditions of the potential give x = clip(a - sigma)
-    with a = (alpha0 - mu - mu_h)/beta and the total output sigma the
-    root of sum(clip(a - sigma)) = sigma, i.e. k = 1.
+    Up to a constant, such a market's potential is the QP
+    (1/2) x'Qx + b'x with Q = beta*(I + 11'). The cost term's slope,
+    constant for such a cost, is read at 0.
     """
-    a = (inst.alpha0 - inst.mu - inst.cost.mu_h) / inst.beta
+    return cost_term_slope(inst.cost, np.zeros(inst.n)) - inst.alpha_tilde
+
+
+def oracle_residual(inst, x):
+    """Unit-step projected-gradient residual of the oracle QP, beta*(x + sigma) + b."""
+    g = inst.beta * (x + np.sum(x)) + oracle_linear(inst)
+    return np.max(np.abs(x - np.clip(x - g, inst.lower, inst.upper)))
+
+
+def pg_reference(hess, linear, lower, upper, step, x, tol=1e-12, max_iter=100_000):
+    """Projected gradient on min (1/2) x'Hx + linear'x over the box, step <= 1/lam_max(H).
+
+    Independent of the library's closed forms; stops on the unit-step
+    projected-gradient residual.
+    """
+    for _ in range(max_iter):
+        g = hess(x) + linear
+        if np.max(np.abs(x - np.clip(x - g, lower, upper))) <= tol:
+            return x
+        x = np.clip(x - step * g, lower, upper)
+    raise AssertionError("reference projected gradient did not converge")
+
+
+def oracle_reference(inst):
+    """The oracle QP's minimizer by ``pg_reference``, from the box center."""
+    return pg_reference(
+        lambda v: inst.beta * (v + np.sum(v)),
+        oracle_linear(inst),
+        inst.lower,
+        inst.upper,
+        1.0 / (inst.beta * (inst.n + 1)),
+        inst.center(),
+    )
+
+
+def affine_equilibrium(inst):
+    """Equilibrium of a market whose cost has zero curvature by ``breakpoint_root``.
+
+    Shares no code with the library. The optimality conditions of the
+    oracle QP give x = clip(a - sigma) with a = -b/beta, b from
+    ``oracle_linear``, and the total output sigma the root of
+    sum(clip(a - sigma)) = sigma, i.e. k = 1.
+    """
+    a = -oracle_linear(inst) / inst.beta
     sigma = breakpoint_root(a, 1.0, inst.lower, inst.upper)
     return np.clip(a - sigma, inst.lower, inst.upper)
+
+
+def unilateral_terms(inst, x, t):
+    """q_i(t) = beta*t**2 + (beta*sigma_{-i} - alpha_tilde[i])*t + SIGN*h_i(t), firm axis last."""
+    slope = apply_Btilde(inst, x) - inst.alpha_tilde
+    return inst.beta * t * t + slope * t + cost_term(inst.cost, t)

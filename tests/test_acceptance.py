@@ -36,8 +36,8 @@ from cournotprox.experiments import (
 from oracles import (
     affine_equilibrium,
     brute_force_stationary_points,
-    cost_gradient,
-    cost_value,
+    cost_term_slope,
+    cost_term_total,
     decrease_rhs,
     dphi_directional,
     exact_decrease_rhs,
@@ -207,12 +207,12 @@ def test_inequality_suite():
                 assert lhs <= potential_gamma(inst, x) - 0.5 * c * G**2 + 1e-9
                 assert potential_gamma(inst, s) <= lhs + 1e-9
 
-        # linearization error of the cost against its curvature bound
+        # linearization error of the cost's term against its curvature bound
         Lh = inst.L_h
-        lin = cost_value(inst.cost, X) + np.sum(cost_gradient(inst.cost, X) * (Y - X), axis=1)
-        assert np.all(
-            np.abs(cost_value(inst.cost, Y) - lin) <= 0.5 * Lh * np.sum((Y - X) ** 2, axis=1) + 1e-9
-        )
+        slope = cost_term_slope(inst.cost, X)
+        lin = cost_term_total(inst.cost, X) + np.sum(slope * (Y - X), axis=1)
+        err = np.abs(cost_term_total(inst.cost, Y) - lin)
+        assert np.all(err <= 0.5 * Lh * np.sum((Y - X) ** 2, axis=1) + 1e-9)
 
         # damping monotonicity over the nine-point grid
         cs = 2.0 ** np.arange(-4, 5) / L

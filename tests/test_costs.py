@@ -8,7 +8,10 @@ from cournotprox import (
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.model import _cost_term
-from oracles import box_bound, cost_curvature, cost_gradient, cost_value, fd_gradient_check
+from oracles import (
+    box_bound, cost_curvature, cost_gradient, cost_term, cost_term_curvature, cost_term_slope,
+    cost_value, fd_gradient_check,
+)
 
 
 def log_family(n=6, seed=0):
@@ -290,15 +293,16 @@ class TestCurvature:
         assert np.all(np.all(steps >= 0.0, axis=0) | np.all(steps <= 0.0, axis=0))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_cost_term_negates_it_with_the_slope(self, family):
+    def test_cost_term_signs_it_with_the_slope(self, family):
         cost = family(8, 2)
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
         x = np.linspace(0.0, 10.0, 8)
         slope, curv = np.empty(8), np.empty(8)
         terms = _cost_term(inst, x, slope, None, curv)
-        np.testing.assert_array_equal(terms, -cost.value_components(x))
-        np.testing.assert_array_equal(slope, -cost_gradient(cost, x))
-        np.testing.assert_array_equal(curv, -cost_curvature(cost, x))
+        # the library's sign, model._cost_term's, against the tests' one, oracles.SIGN
+        np.testing.assert_array_equal(terms, cost_term(cost, x))
+        np.testing.assert_array_equal(slope, cost_term_slope(cost, x))
+        np.testing.assert_array_equal(curv, cost_term_curvature(cost, x))
 
 
 class TestGradientChecks:

@@ -26,13 +26,15 @@ from cournotprox import (
 )
 from cournotprox import diagnostics, model
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
+import oracles
 from oracles import (
-    apply_Btilde,
     brute_force_stationary_points,
     full_scan_min,
     gradient_mapping,
+    library_cost_term,
     lipschitz_gamma,
     phi_bifunction,
+    unilateral_terms,
 )
 from test_costs import QuadraticCost
 
@@ -61,12 +63,6 @@ class SinCost(CostModel):
 def sin_market(n, seed):
     return MarketInstance(beta=0.1, alpha0=2.0, mu=np.random.default_rng(seed).uniform(0.0, 1.0, n),
                           lower=0.5 * np.pi, upper=1.5 * np.pi, cost=SinCost(1.5, n))
-
-
-def unilateral_terms(inst, x, t):
-    """q_i(t) = beta*t**2 + (beta*sigma_{-i} - alpha_tilde[i])*t - h_i(t), firm axis last."""
-    slope = apply_Btilde(inst, x) - inst.alpha_tilde
-    return inst.beta * t * t + slope * t - inst.cost.value_components(t)
 
 
 def deviation_box(inst, x, radius):
@@ -280,11 +276,12 @@ class TestGammaLowerBound:
         assert lb <= res.gamma_final
 
     def test_interior_minimum_is_exact(self):
-        # each profile t - 2 - 1.5*log1p(2t) has its minimum at t = 1, inside the box
+        # each profile t + SIGN*(2 + 1.5*log1p(2t)) is least at a box end or at t = 1,
+        # the interior minimum of t - 2 - 1.5*log1p(2t), its form under -h
         n = 3
         cost = LogCost(c0=2.0, c=1.5, r=2.0, n=n)
         inst = MarketInstance(beta=0.1, alpha0=0.0, mu=1.0, lower=0.0, upper=10.0, cost=cost)
-        f_min = 1.0 - 2.0 - 1.5 * np.log1p(2.0)
+        f_min = min(t + oracles.SIGN * (2.0 + 1.5 * np.log1p(2.0 * t)) for t in (0.0, 1.0, 10.0))
         assert gamma_lower_bound(inst) == pytest.approx(n * f_min, rel=1e-12)
 
     @pytest.mark.parametrize("make, cost", [(log_cost_market, LogCost), (exp_cost_market, ExpCost)])
@@ -360,8 +357,7 @@ class TestProfileMin:
     def test_matches_dense_scan_for_both_callers(self, make, radius, sign, monkeypatch):
         # under the paper's sign, +h, the log and exp profiles start at the upper end
         if sign == "plus_h":
-            monkeypatch.setattr(model, "_cost_term", lambda inst, t, slope=None, out=None, curv=None:
-                                inst.cost.value_components(t, slope, out, curv))
+            monkeypatch.setattr(model, "_cost_term", library_cost_term(1.0))
         inst = make()
         for seed in range(2):
             x = np.random.default_rng(seed).uniform(inst.lower, inst.upper)

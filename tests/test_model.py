@@ -18,18 +18,23 @@ from cournotprox import (
     gamma_lower_bound,
     nash_gap,
     potential_gamma,
+    prox_step,
     solve,
 )
 from cournotprox import model
 from cournotprox.experiments import exp_cost_market, log_cost_market
+import oracles
 from oracles import (
+    affine_equilibrium,
     apply_Btilde,
     apply_Q,
-    cost_curvature,
-    cost_gradient,
-    cost_value,
+    cost_term_curvature,
+    cost_term_slope,
+    cost_term_total,
     dphi_directional,
+    exact_coupling_step,
     grad_gamma,
+    library_cost_term,
     lipschitz_gamma,
     phi_bifunction,
     potential_reference,
@@ -179,16 +184,16 @@ class TestSpectrum:
 
 
 class TestPotential:
-    def test_value_at_zero_is_minus_fixed_cost(self):
+    def test_value_at_zero_is_the_cost_term(self):
         inst = log_cost_market(6, 3)
         assert potential_gamma(inst, np.zeros(6)) == pytest.approx(
-            -float(cost_value(inst.cost, np.zeros(6))), abs=1e-12
+            float(cost_term_total(inst.cost, np.zeros(6))), abs=1e-12
         )
 
     @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market, affine_cost_market])
     def test_fused_call_keeps_the_bits_and_leaves_the_cost_gradient(self, make):
         # with and without buffers, on one point and on a batch, the bits of the
-        # summed cost kernel; the buffer receives the cost term's slope, -h'(x)
+        # summed cost kernel; the buffer receives the cost term's slope, SIGN*h'(x)
         inst = make(9, 4)
         for shape in ((9,), (3, 9)):
             x = np.random.default_rng(6).uniform(0.0, 10.0, shape)
@@ -197,7 +202,7 @@ class TestPotential:
             for work in (None, np.empty(shape)):
                 grad = np.full(shape, np.nan)
                 assert np.asarray(potential_gamma(inst, x, grad, work)).tobytes() == want
-                assert grad.tobytes() == (-cost_gradient(inst.cost, x)).tobytes()
+                assert grad.tobytes() == cost_term_slope(inst.cost, x).tobytes()
 
     @pytest.mark.parametrize("n", [1, 9, 1000, 100_000])
     def test_a_point_squares_by_one_dot(self, n):
@@ -241,24 +246,26 @@ class TestPotential:
         inst = log_cost_market(7, 2)
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 10, 7)
-        expected = dense_q(inst) @ x - inst.alpha_tilde - cost_gradient(inst.cost, x)
+        expected = dense_q(inst) @ x - inst.alpha_tilde + cost_term_slope(inst.cost, x)
         np.testing.assert_allclose(grad_gamma(inst, x), expected, atol=1e-12)
 
 
 def check_the_papers_sign():
     """Every answer on 4 firms with AffineCost(mu_h=2) follows the paper's potential, +h.
 
-    Its equilibrium is (alpha0 - mu_h)/(beta*(n + 1)) = 19.6 per firm, the
-    oracle's answer; the shipped -h model solves to 20.4.
+    The oracles must read the paper's sign, ``oracles.SIGN == 1``. The
+    equilibrium is (alpha0 - mu_h)/(beta*(n + 1)) = 19.6 per firm, the
+    oracle's answer; the shipped -h model solves to 20.4, and so does
+    ``classical_equilibrium``, which takes the cost term that ``solve`` takes.
     """
+    assert oracles.SIGN == 1.0
     x = np.array([1.0, 2.0, 3.0, 4.0])
     for upper in (np.inf, 50.0):
         inst = MarketInstance(beta=1.0, alpha0=100.0, mu=0.0, lower=0.0, upper=upper,
                               cost=AffineCost(mu_h=2.0, n=4))
         star = classical_equilibrium(inst)
         np.testing.assert_allclose(star, 19.6, rtol=1e-14)
-        gamma = 0.5 * (x @ x + x.sum() ** 2) - inst.alpha_tilde @ x + cost_value(inst.cost, x)
-        assert potential_gamma(inst, x) == pytest.approx(gamma, rel=1e-14)
+        assert potential_gamma(inst, x) == pytest.approx(potential_reference(inst, x), rel=1e-14)
         for splitting in Splitting:
             # a fixed point of the step: reaches prox_step's own cost call
             assert eps_certificate(inst, star, 1.0, splitting) <= 1e-12
@@ -274,16 +281,37 @@ def check_the_papers_sign():
 
 
 class TestCostSign:
-    def test_the_sign_is_written_in_one_function(self, monkeypatch):
-        # flipping model._cost_term alone turns every answer into the paper's
-        def plus_h(inst, t, slope=None, out=None, curv=None):
-            return inst.cost.value_components(t, slope, out, curv)
-
-        monkeypatch.setattr(model, "_cost_term", plus_h)
-        check_the_papers_sign()
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["minus_h", "plus_h"])
+    def test_the_sign_is_written_in_one_function(self, sign, monkeypatch):
+        # one function on each side writes the sign, model._cost_term in the library and
+        # oracles.SIGN in the tests: flipped together, the library gives the paper's
+        # answers and every oracle still agrees with it
+        monkeypatch.setattr(model, "_cost_term", library_cost_term(sign))
+        monkeypatch.setattr(oracles, "SIGN", sign)
+        if sign == 1.0:
+            check_the_papers_sign()
+        # the exp family is strongly convex under either sign
+        inst = exp_cost_market(9, 4)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            x = rng.uniform(inst.lower, inst.upper)
+            want = float(potential_reference(inst, x)).hex()
+            assert float(potential_gamma(inst, x)).hex() == want
+            for c in (0.05, 1.0, np.inf):
+                np.testing.assert_allclose(
+                    prox_step(inst, x, c), exact_coupling_step(inst, x, c), rtol=1e-12, atol=1e-12
+                )
+        inst = MarketInstance(beta=1.0, alpha0=100.0, mu=0.0, lower=0.0, upper=np.inf,
+                              cost=AffineCost(mu_h=2.0, n=4))
+        star = affine_equilibrium(inst)
+        np.testing.assert_allclose(star, (100.0 - sign * 2.0) / 5.0, rtol=1e-14)
+        np.testing.assert_allclose(classical_equilibrium(inst), star, rtol=1e-14)
+        res, _ = solve(inst, SolverConfig(eps=1e-12))
+        np.testing.assert_allclose(res.x, star, rtol=1e-12)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 step 3: the library still writes -h")
-    def test_the_library_solves_the_papers_model(self):
+    def test_the_library_solves_the_papers_model(self, monkeypatch):
+        monkeypatch.setattr(oracles, "SIGN", 1.0)
         check_the_papers_sign()
 
 
@@ -320,7 +348,8 @@ class TestDirectionalSlope:
         cost = LogCost(c0=2.0, c=1.5, r=2.0, n=1)
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
         val = dphi_directional(inst, [10.0], [-1.0])
-        assert val == pytest.approx(-(0.2 * 10.0 - 10.0 - 3.0 / 21.0), rel=1e-12)
+        # minus the potential's slope 2*beta*x - alpha_tilde + SIGN*h'(x), h'(10) = 3/21
+        assert val == pytest.approx(-(0.2 * 10.0 - 10.0 + oracles.SIGN * 3.0 / 21.0), rel=1e-12)
         assert val > 0  # moving into the box only increases the potential
         # brute-force grid oracle: the potential is minimized at the upper bound
         ts = np.linspace(0.0, 10.0, 100_001)
@@ -555,5 +584,5 @@ class TestInstanceValidation:
         ends = cost.curvature_points
         assert len(ends) == 2
         assert ends[0].tobytes() == inst.lower.tobytes() and ends[1].tobytes() == inst.upper.tobytes()
-        assert inst.L_h == np.max(np.abs(cost_curvature(cost.inner, inst.lower)))
+        assert inst.L_h == np.max(np.abs(cost_term_curvature(cost.inner, inst.lower)))
         assert lipschitz_gamma(inst) == inst.L_h + 19 * inst.beta

@@ -64,20 +64,67 @@ def test_oracles_import_only_public_names():
 
 def test_only_the_cost_term_evaluates_the_cost():
     # the cost's sign is written in model._cost_term; a second caller of the cost's
-    # kernel outside costs.py would be a second place that writes it
-    callers = set()
+    # kernel outside costs.py, or a second reader of a cost parameter such as
+    # AffineCost.mu_h, would be a second place that writes it
+    callers, reads = set(), set()
     for path in sorted(Path(cournotprox.__file__).parent.glob("*.py")):
         if path.name == "costs.py":
             continue
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
+                where = (path.name, getattr(top, "name", None))
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("value_components", "value", "gradient")
                 ):
-                    callers.add((path.name, getattr(top, "name", None)))
+                    callers.add(where)
+                if isinstance(node, ast.Attribute) and node.attr != "n" and _names_a_cost(node.value):
+                    reads.add((*where, node.attr))
     assert callers == {("model.py", "_cost_term")}
+    assert reads == {("model.py", "_cost_term", "value_components")}
+
+
+def _names_a_cost(node):
+    # inst.cost, self.cost or a plain name cost
+    return (isinstance(node, ast.Attribute) and node.attr == "cost") or (
+        isinstance(node, ast.Name) and node.id == "cost"
+    )
+
+
+def test_the_tests_write_the_sign_once():
+    # tests/oracles.py holds the tests' one copy of the cost's sign, SIGN, and the
+    # signed helpers built on it; every other test module reads oracles.SIGN when it
+    # runs or takes a helper, so one monkeypatch of SIGN flips the whole test side
+    unsigned = {"cost_value", "cost_gradient", "cost_curvature"}
+    assigned, copied, importers, negated = [], [], set(), set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [path.name for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name) and n.id == "SIGN"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                names = {a.name for a in node.names}
+                copied += [path.name] if "SIGN" in names else []
+                if names & unsigned:
+                    importers.add(path.name)
+            elif path.name != "oracles.py" and (
+                (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                 and _calls_the_kernel(node.operand))
+                or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and _calls_the_kernel(node.right))
+            ):
+                negated.add(path.name)
+    assert assigned == ["oracles.py"]
+    assert not copied
+    assert importers == {"test_costs.py"}
+    assert not negated
+
+
+def _calls_the_kernel(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "value_components")
 
 
 def test_only_subqp_tells_the_splittings_apart():

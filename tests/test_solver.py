@@ -30,9 +30,12 @@ from cournotprox import (
 from cournotprox.experiments import (
     affine_market, exp_cost_market, log_cost_market, verify_run, write_trace_csv,
 )
+import oracles
 from oracles import (
     affine_equilibrium,
     box_bound,
+    cost_term_curvature,
+    cost_term_slope,
     decrease_rhs,
     dphi_directional,
     exact_coupling_step,
@@ -158,15 +161,14 @@ def newton_trial(inst, x):
     """The solver's Newton trial from x: its point if that lowers the potential, else None.
 
     The point is ``subqp._newton_point``'s (checked against the oracle in
-    test_subqp), from the cost's slope and curvature at x, so its bits
-    are the solver's.
+    test_subqp), from the cost term's slope and curvature at x, so its
+    bits are the solver's.
     """
-    grad, curv, out = np.empty(inst.n), np.empty(inst.n), np.empty(inst.n)
-    inst.cost.value_components(x, grad, None, curv)
-    g = np.negative(grad) - inst.alpha_tilde
+    g = cost_term_slope(inst.cost, x) - inst.alpha_tilde
     sums = np.array([np.add.reduce(x), math.nan])
     scratch = (np.empty(inst.n), np.empty((2, inst.n), dtype=bool), sums)
-    y = cournotprox.subqp._newton_point(inst, x, g, np.negative(curv), out, scratch)
+    out = np.empty(inst.n)
+    y = cournotprox.subqp._newton_point(inst, x, g, cost_term_curvature(inst.cost, x), out, scratch)
     return y if y is not None and potential_gamma(inst, y) < potential_gamma(inst, x) else None
 
 
@@ -305,7 +307,8 @@ def assert_converged_certificate_sound(splitting, L_of):
 
 class TestGradientMapping:
     def test_single_firm_value(self):
-        cost = AffineCost(mu_h=[-10.6])
+        # g = -alpha_tilde + SIGN*mu_h = 0.6, so s = (3 - 0.6)/1.2 = 2 and G = 3 - s
+        cost = AffineCost(mu_h=[oracles.SIGN * 10.6])
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0, cost=cost)
         G = gradient_mapping(inst, np.array([3.0]), c=1.0)
         assert G[0] == pytest.approx(1.0, abs=1e-14)

@@ -10,50 +10,31 @@ import pytest
 
 import cournotprox.subqp
 from cournotprox import (
-    AffineCost, MarketInstance, SolverConfig, SolveStatus, Splitting, StepPolicy,
+    AffineCost, CostModel, MarketInstance, SolverConfig, SolveStatus, Splitting, StepPolicy,
     classical_equilibrium, solve,
 )
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.subqp import _aggregate_root, _clamp, _newton_point, prox_step
+import oracles
 from oracles import (
-    apply_Btilde, breakpoint_root, cost_curvature, cost_gradient, exact_coupling_step,
-    newton_point, phi_bifunction,
+    apply_Btilde, breakpoint_root, cost_term_curvature, cost_term_slope, exact_coupling_step,
+    newton_point, oracle_reference, oracle_residual, pg_reference, phi_bifunction,
 )
 
 
-def pg_reference(hess, linear, lower, upper, step, x, tol=1e-12, max_iter=100_000):
-    """Projected gradient on min (1/2) x'Hx + linear'x over the box, step <= 1/lam_max(H).
+class LinearCost(CostModel):
+    """h_i(x) = m*x: a custom cost with zero curvature."""
 
-    Independent of the library's closed forms; stops on the unit-step
-    projected-gradient residual.
-    """
-    for _ in range(max_iter):
-        g = hess(x) + linear
-        if np.max(np.abs(x - np.clip(x - g, lower, upper))) <= tol:
-            return x
-        x = np.clip(x - step * g, lower, upper)
-    raise AssertionError("reference projected gradient did not converge")
+    def __init__(self, m, n):
+        self.m, self.n = float(m), n
 
-
-def oracle_linear(inst):
-    return inst.mu + inst.cost.mu_h - inst.alpha0
-
-
-def oracle_residual(inst, x):
-    """Unit-step projected-gradient residual of the oracle QP, beta*(x + sigma) + linear."""
-    g = inst.beta * (x + np.sum(x)) + oracle_linear(inst)
-    return np.max(np.abs(x - np.clip(x - g, inst.lower, inst.upper)))
-
-
-def oracle_reference(inst):
-    return pg_reference(
-        lambda v: inst.beta * (v + np.sum(v)),
-        oracle_linear(inst),
-        inst.lower,
-        inst.upper,
-        1.0 / (inst.beta * (inst.n + 1)),
-        inst.center(),
-    )
+    def value_components(self, x, grad=None, out=None, curv=None):
+        x = self._check_points(x)
+        if grad is not None:
+            grad[...] = self.m
+        if curv is not None:
+            curv[...] = 0.0
+        return np.multiply(self.m, x, out=out)
 
 
 def single_firm_instance(mu_h, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0):
@@ -63,14 +44,14 @@ def single_firm_instance(mu_h, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0):
 
 class TestProxStep:
     def test_interior_closed_form(self):
-        # model slope g = -alpha_tilde - mu_h = 0.6 at any x when n = 1,
+        # model slope g = -alpha_tilde + SIGN*mu_h = 0.6 at any x when n = 1,
         # so s = (3 - 0.6)/1.2 = 2.0
-        inst = single_firm_instance(mu_h=-10.6)
+        inst = single_firm_instance(mu_h=oracles.SIGN * 10.6)
         s = prox_step(inst, np.array([3.0]), c=1.0, splitting=Splitting.PAPER)
         assert s[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_clamped_at_lower_bound(self):
-        inst = single_firm_instance(mu_h=-15.0)  # g = 5: unclamped (3-5)/1.2 < 0
+        inst = single_firm_instance(mu_h=oracles.SIGN * 15.0)  # g = 5: unclamped (3-5)/1.2 < 0
         s = prox_step(inst, np.array([3.0]), c=1.0, splitting=Splitting.PAPER)
         assert s[0] == 0.0
 
@@ -107,7 +88,7 @@ class TestProxStep:
                     prox_step(inst, x, c, splitting=Splitting.PAPER)
                 return
             s = prox_step(inst, x, c, splitting=Splitting.PAPER)
-        g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
+        g = apply_Btilde(inst, x) - inst.alpha_tilde + cost_term_slope(inst.cost, x)
         want = np.clip(-g / (2.0 * inst.beta), inst.lower, inst.upper)
         np.testing.assert_allclose(s, want, rtol=1e-14, atol=1e-14)
 
@@ -123,7 +104,7 @@ class TestProxStep:
                 2.0 * inst.beta * s
                 + apply_Btilde(inst, x)
                 - inst.alpha_tilde
-                - cost_gradient(inst.cost, x)
+                + cost_term_slope(inst.cost, x)
                 - G
             )
             Y = rng.uniform(inst.lower, inst.upper, (100, inst.n))
@@ -150,7 +131,7 @@ class TestProxStep:
             s = prox_step(inst, x, c, splitting=Splitting.EXACT_COUPLING)
             np.testing.assert_allclose(s, exact_coupling_step(inst, x, c), rtol=1e-12, atol=1e-12)
             # into out, with the slope and the scratch from the caller: same bits
-            g = -(inst.alpha_tilde + cost_gradient(inst.cost, x))
+            g = cost_term_slope(inst.cost, x) - inst.alpha_tilde
             out = np.full(12, np.nan)
             scratch = (np.empty(12), np.empty((2, 12), dtype=bool), np.array([np.sum(x), np.nan]))
             t = prox_step(inst, x, c, g, out, Splitting.EXACT_COUPLING, scratch)
@@ -190,7 +171,7 @@ class TestBoxPG:
         for n in (1, 5, 30, 100):
             inst = log_cost_market(n, n)
             x = rng.uniform(inst.lower, inst.upper)
-            g = apply_Btilde(inst, x) - inst.alpha_tilde - cost_gradient(inst.cost, x)
+            g = apply_Btilde(inst, x) - inst.alpha_tilde + cost_term_slope(inst.cost, x)
             for c in (0.1, 1.0, math.inf):  # at c = inf: Hessian 2*beta, linear term g
                 d = 2.0 * inst.beta + 1.0 / c
                 pg = pg_reference(lambda v: d * v, g - x / c, inst.lower, inst.upper, 1.0 / d, x)
@@ -209,10 +190,10 @@ class TestBoxPG:
         d = np.array([1.0, 2.0, 3.0])
         x = pg_reference(lambda v: d * v, np.zeros(3), -1.0, 1.0, 1.0 / 3.0, np.ones(3))
         np.testing.assert_allclose(x, np.zeros(3), atol=1e-12)
-        # mu + mu_h = alpha0 makes the oracle's linear term vanish
+        # mu + SIGN*mu_h = alpha0 makes the oracle's linear term vanish
         inst = MarketInstance(
             beta=1.0, alpha0=5.0, mu=[1.0, 2.0, 3.0], lower=-1.0, upper=1.0,
-            cost=AffineCost(mu_h=[4.0, 3.0, 2.0]),
+            cost=AffineCost(mu_h=oracles.SIGN * np.array([4.0, 3.0, 2.0])),
         )
         np.testing.assert_array_equal(classical_equilibrium(inst), np.zeros(3))
 
@@ -240,11 +221,23 @@ class TestClassicalEquilibrium:
         with pytest.raises(TypeError):
             classical_equilibrium(inst)
 
+    @pytest.mark.parametrize("cost", [AffineCost(mu_h=2.0, n=4), LinearCost(2.0, 4)],
+                             ids=["affine", "custom"])
+    def test_takes_the_cost_term_that_solve_takes(self, cost):
+        # both take the cost term from the library's one function, so they agree on
+        # its sign; any cost with zero curvature is accepted, a custom one too
+        inst = MarketInstance(beta=1.0, alpha0=100.0, mu=0.0, lower=0.0, upper=np.inf, cost=cost)
+        star = classical_equilibrium(inst)
+        np.testing.assert_allclose(star, (100.0 - oracles.SIGN * 2.0) / 5.0, rtol=1e-14)
+        res, _ = solve(inst, SolverConfig(eps=1e-12))
+        np.testing.assert_allclose(res.x, star, rtol=1e-12)
+
     def test_cost_level_linear_coefficients_enter_oracle(self):
-        # same market expressed with the linear part inside the cost model
+        # same market expressed with the linear part inside the cost model, whose
+        # term of the potential is SIGN*mu_h*x
         n = 4
         inst_mu = affine_market(n, mu=2.0)
-        cost = AffineCost(mu_h=np.full(n, 2.0))
+        cost = AffineCost(mu_h=np.full(n, oracles.SIGN * 2.0))
         inst_h = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=50.0, cost=cost)
         np.testing.assert_allclose(
             classical_equilibrium(inst_mu), classical_equilibrium(inst_h), atol=1e-8
@@ -266,13 +259,14 @@ class TestClassicalEquilibrium:
         assert oracle_residual(inst, star) <= 1e-10
 
     def test_unbounded_upper_with_cost_level_coefficients(self):
-        # price 10 - 0.1*sigma, unit cost 2: each firm's best response gives x = 80/(n+1)
+        # price 10 - 0.1*sigma and a cost term SIGN*2*x: each firm's best response
+        # gives x = (10 - SIGN*2)/(0.1*(n+1))
         inst = MarketInstance(
             beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf,
             cost=AffineCost(mu_h=np.full(4, 2.0)),
         )
         star = classical_equilibrium(inst)
-        np.testing.assert_allclose(star, np.full(4, 16.0), rtol=1e-14)
+        np.testing.assert_allclose(star, np.full(4, (10.0 - oracles.SIGN * 2.0) / 0.5), rtol=1e-14)
         assert oracle_residual(inst, star) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 100])
@@ -665,8 +659,8 @@ class TestNewtonPoint:
     @staticmethod
     def newton(inst, x):
         # the solver's inputs: the exact-coupling linear term and the cost term's curvature
-        g = -cost_gradient(inst.cost, x) - inst.alpha_tilde
-        curv = -cost_curvature(inst.cost, x)
+        g = cost_term_slope(inst.cost, x) - inst.alpha_tilde
+        curv = cost_term_curvature(inst.cost, x)
         out, sums = np.empty(inst.n), np.array([np.add.reduce(x), np.nan])
         scratch = (np.empty(inst.n), np.empty((2, inst.n), dtype=bool), sums)
         y = _newton_point(inst, x, g, curv, out, scratch)
@@ -682,8 +676,8 @@ class TestNewtonPoint:
             y = self.newton(inst, x)
             np.testing.assert_allclose(y, newton_point(inst, x), rtol=0.0, atol=1e-12)
             # Hessian beta*(I + 11') + diag(curv), linear term g - curv*x
-            curv = -cost_curvature(inst.cost, x)
-            g = -cost_gradient(inst.cost, x) - inst.alpha_tilde
+            curv = cost_term_curvature(inst.cost, x)
+            g = cost_term_slope(inst.cost, x) - inst.alpha_tilde
             hess = lambda v: inst.beta * (v + np.sum(v)) + curv * v
             top = inst.beta * (inst.n + 1) + np.max(curv)
             pg = pg_reference(hess, g - curv * x, inst.lower, inst.upper, 1.0 / top, x)
@@ -694,8 +688,8 @@ class TestNewtonPoint:
         # D = beta + curv, a = (curv*x - g)/D and k = beta/D, divided as written
         inst = make(1000, 2)
         x = np.random.default_rng(3).uniform(inst.lower, inst.upper)
-        curv = -cost_curvature(inst.cost, x)
-        g = -cost_gradient(inst.cost, x) - inst.alpha_tilde
+        curv = cost_term_curvature(inst.cost, x)
+        g = cost_term_slope(inst.cost, x) - inst.alpha_tilde
         d = curv + inst.beta
         want = np.empty(inst.n)
         _aggregate_root((curv * x - g) / d, inst.beta / d, inst.lower, inst.upper,
@@ -713,9 +707,9 @@ class TestNewtonPoint:
         # curvature with D = 0, D < 0 or D NaN
         inst = log_cost_market(5, 0)
         x = inst.center()
-        g = -cost_gradient(inst.cost, x) - inst.alpha_tilde
+        g = cost_term_slope(inst.cost, x) - inst.alpha_tilde
         for bad in (-inst.beta, -2.0 * inst.beta, np.nan):
-            curv = -cost_curvature(inst.cost, x)
+            curv = cost_term_curvature(inst.cost, x)
             curv[2] = bad
             out = np.full(5, 7.0)
             scratch = (np.empty(5), np.empty((2, 5), dtype=bool), np.array([np.sum(x), np.nan]))

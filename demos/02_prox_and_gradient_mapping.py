@@ -8,11 +8,12 @@ parameter increases, and the stationarity certificate built on it.
 This is the paper's step, ``Splitting.PAPER`` in ``solve``.
 """
 
+import math
+
 import numpy as np
 
 from cournotprox import (
     Splitting,
-    classical_equilibrium,
     eps_certificate,
     prox_step,
 )
@@ -48,9 +49,10 @@ G = (x - prox_step(inst, x, c, splitting=Splitting.PAPER)) / c
 print("  G_c(x) =", np.round(G, 4))
 print(f"  certificate (1 + c*L_gamma)*||G_c|| = {eps_certificate(inst, x, c, Splitting.PAPER):.4f}")
 
-# at a stationary point the prox step goes nowhere, for any damping
+# at a stationary point the prox step goes nowhere, for any damping; with an
+# affine cost the default exact-coupling step at c = inf lands on the equilibrium
 conv = affine_market(4, mu=2.0)
-star = classical_equilibrium(conv)
+star = prox_step(conv, conv.center(), math.inf)
 print("\naffine equilibrium, residual ||x - s_c(x)|| across damping levels:")
 for cc in (0.1, 1.0, 10.0):
     s = prox_step(conv, star, cc, splitting=Splitting.PAPER)

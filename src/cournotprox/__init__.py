@@ -34,6 +34,6 @@ from .solver import (
     eps_certificate,
     solve,
 )
-from .subqp import classical_equilibrium, prox_step
+from .subqp import prox_step
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ def _profile_min(inst, a, b, lower, upper):
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("bounded box required")
     half = 0.5 * a
-    ends, g, h, p_t, g_t, s, w = (np.empty(np.shape(b)) for _ in range(7))
+    ends, g, h, p_t, g_t, s, w = np.empty((7,) + np.shape(b))
 
     def at(t, p, g, h):  # p, p' and p'' at t into p, g and h, from one cost call
         model._cost_term(inst, t, g, p, h)

@@ -3,10 +3,10 @@
 ``prox_step`` solves the proximal subproblem of either splitting.
 ``Splitting`` describes both, and this is the one module that tells them
 apart. The paper's subproblem is diagonal; the exact-coupling one adds
-the rank-one term beta*11' to its Hessian, like the equilibrium QP of a
-cost with zero curvature, beta*(I + 11'). These two and the solver's Newton
-trial reduce to one equation in total output, solved by ``_aggregate_root``;
-the QP's ``classical_equilibrium`` is the validation oracle for such markets.
+the rank-one term beta*11' to its Hessian. It and the solver's Newton trial
+reduce to one equation in total output, solved by ``_aggregate_root``. At
+c = inf and zero cost curvature its model is the potential, the QP with
+Hessian beta*(I + 11'), and its step the equilibrium: the affine oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import model
 __all__ = [
     "Splitting",
     "prox_step",
-    "classical_equilibrium",
 ]
 
 
@@ -237,25 +236,3 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
         sigma += move
         if not lo < sigma < hi:
             sigma = 0.5 * (lo + hi)
-
-
-def classical_equilibrium(inst):
-    """Unique equilibrium of a market whose cost has zero curvature, solved exactly.
-
-    Requires ``inst.L_h == 0``. With dh the slope of the cost's term of
-    the potential at the box center (``model._cost_term``, the sign
-    ``solve`` takes), the potential is the QP (1/2) x'Qx + (dh - alpha_tilde)'x
-    plus a constant, Q = beta*(I + 11'). Its optimality conditions give
-    x_i = clip(a_i - sigma, lower_i, upper_i) with a = (alpha_tilde - dh)/beta,
-    the total output sigma the one root of the strictly decreasing
-    F(sigma) = sum_i clip(a_i - sigma, ...) - sigma, found by
-    ``_aggregate_root`` with k = 1 from sigma = 0. Infinite bounds are allowed.
-    """
-    if inst.L_h != 0.0:
-        raise TypeError("classical equilibrium requires a cost with zero curvature")
-    dh = np.empty(inst.n)
-    model._cost_term(inst, inst.center(), dh)
-    a = (inst.alpha_tilde - dh) / inst.beta
-    x = np.empty_like(a)
-    _aggregate_root(a, 1.0, inst.lower, inst.upper, 0.0, x, signed=inst._signed)
-    return x

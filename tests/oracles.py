@@ -1,7 +1,13 @@
 """Desk-scale oracles and reference formulas shared by the test modules; independent of the solver.
 
 Built from public names and numpy only, so no oracle shares code with
-the private helpers it checks.
+the private helpers it checks. The library's affine oracle is the
+default exact-coupling step at c = inf (``prox_step(inst, x, math.inf)``),
+which for a cost with zero curvature is the market's one equilibrium;
+``affine_equilibrium`` here, by sorted breakpoints, is the only
+reference for that equilibrium that is independent of the library, and
+every test of the step, of ``solve`` or of the diagnostics on such a
+market compares with it.
 
 The cost's sign in the potential lives here once, in ``SIGN``, as it
 lives in the library once, in ``model._cost_term``: the potential
@@ -362,8 +368,9 @@ def oracle_reference(inst):
 def affine_equilibrium(inst):
     """Equilibrium of a market whose cost has zero curvature by ``breakpoint_root``.
 
-    Shares no code with the library. The optimality conditions of the
-    oracle QP give x = clip(a - sigma) with a = -b/beta, b from
+    Shares no code with the library: the independent reference for its
+    affine oracle, the default step at c = inf. The optimality conditions
+    of the oracle QP give x = clip(a - sigma) with a = -b/beta, b from
     ``oracle_linear``, and the total output sigma the root of
     sum(clip(a - sigma)) = sigma, i.e. k = 1.
     """

@@ -8,6 +8,7 @@ property-based at fixed tolerances.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -17,7 +18,6 @@ from cournotprox import (
     SolverConfig,
     Splitting,
     StepPolicy,
-    classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
     nash_gap,
@@ -61,8 +61,8 @@ def family_instances(n, seed):
 
 
 def test_convex_oracle_equivalence():
-    # both splittings against the sorted-breakpoint reference, which shares no
-    # code with the solver's steps or with classical_equilibrium
+    # the library's affine oracle, the default step at c = inf, and both splittings
+    # against the sorted-breakpoint reference, which shares no code with the library
     t0 = time.perf_counter()
     for n in (1, 2, 5, 20, 100):
         if n == 5:
@@ -70,7 +70,7 @@ def test_convex_oracle_equivalence():
         else:
             inst = affine_market(n, mu=np.random.default_rng(100 + n).uniform(0.0, 5.0, n))
         star = affine_equilibrium(inst)
-        assert np.max(np.abs(classical_equilibrium(inst) - star)) <= 1e-9
+        assert np.max(np.abs(prox_step(inst, inst.center(), math.inf) - star)) <= 1e-9
         for splitting in Splitting:
             res, _ = solve(inst, SolverConfig(eps=1e-8, splitting=splitting))
             assert res.status is SolveStatus.CONVERGED

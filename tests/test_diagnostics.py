@@ -16,7 +16,6 @@ from cournotprox import (
     MarketInstance,
     SolverConfig,
     Splitting,
-    classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
     nash_gap,
@@ -28,6 +27,7 @@ from cournotprox import diagnostics, model
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 import oracles
 from oracles import (
+    affine_equilibrium,
     brute_force_stationary_points,
     full_scan_min,
     gradient_mapping,
@@ -137,7 +137,7 @@ class TestNashGap:
 
     def test_finite_radius_on_unbounded_box(self):
         inst = affine_market(2, mu=2.0, upper=np.inf)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         assert nash_gap(inst, star, radius=3.0)[0] == 0.0
         with pytest.raises(ValueError):
             nash_gap(inst, star)
@@ -167,7 +167,7 @@ class TestGapSample:
 
     def test_affine_equilibrium_consistent_with_local_optimality(self):
         inst = affine_market(6, mu=2.0)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         for r in (0.5, 5.0):
             lo, hi = nash_gap(inst, star, r)
             assert lo == 0.0
@@ -195,7 +195,7 @@ class TestGlobalCheck:
 
     def test_affine_equilibrium_certified(self):
         inst = affine_market(6, mu=2.0)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         lo, hi = nash_gap(inst, star)
         assert lo == 0.0
         assert hi <= 1e-12
@@ -225,7 +225,7 @@ class TestFixedPointResidual:
 
     def test_zero_at_equilibrium_for_every_damping(self):
         inst = affine_market(5, mu=2.0)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         for c in (0.1, 1.0, 10.0):
             assert np.linalg.norm(star - prox_step(inst, star, c, splitting=Splitting.PAPER)) <= 1e-8
 
@@ -443,7 +443,7 @@ class TestBruteForce:
 
     def test_two_firm_affine_interior_solution(self):
         inst = affine_market(2, mu=2.0, upper=50.0)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         pts = brute_force_stationary_points(inst, 201)
         assert pts.size > 0
         spacing = 50.0 / 200

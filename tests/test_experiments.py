@@ -24,7 +24,7 @@ from cournotprox.experiments import (
     verify_run,
     write_trace_csv,
 )
-from oracles import lipschitz_gamma
+from oracles import affine_equilibrium, lipschitz_gamma
 
 
 CHECKS = (
@@ -484,9 +484,7 @@ class TestVerifyRun:
 
     def test_single_row_trace_trivially_passes(self, tmp_path):
         inst = affine_market(3, mu=2.0)
-        from cournotprox import classical_equilibrium
-
-        res, trace = solve(inst, SolverConfig(eps=1e-3), x0=classical_equilibrium(inst))
+        res, trace = solve(inst, SolverConfig(eps=1e-3), x0=affine_equilibrium(inst))
         assert len(trace) == 1
         path = tmp_path / "single.csv"
         write_trace_csv(path, trace)

@@ -13,7 +13,6 @@ from cournotprox import (
     SolverConfig,
     Splitting,
     StepPolicy,
-    classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
     nash_gap,
@@ -255,15 +254,15 @@ def check_the_papers_sign():
 
     The oracles must read the paper's sign, ``oracles.SIGN == 1``. The
     equilibrium is (alpha0 - mu_h)/(beta*(n + 1)) = 19.6 per firm, the
-    oracle's answer; the shipped -h model solves to 20.4, and so does
-    ``classical_equilibrium``, which takes the cost term that ``solve`` takes.
+    answer of ``oracles.affine_equilibrium``; the shipped -h model solves
+    to 20.4.
     """
     assert oracles.SIGN == 1.0
     x = np.array([1.0, 2.0, 3.0, 4.0])
     for upper in (np.inf, 50.0):
         inst = MarketInstance(beta=1.0, alpha0=100.0, mu=0.0, lower=0.0, upper=upper,
                               cost=AffineCost(mu_h=2.0, n=4))
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         np.testing.assert_allclose(star, 19.6, rtol=1e-14)
         assert potential_gamma(inst, x) == pytest.approx(potential_reference(inst, x), rel=1e-14)
         for splitting in Splitting:
@@ -305,7 +304,8 @@ class TestCostSign:
                               cost=AffineCost(mu_h=2.0, n=4))
         star = affine_equilibrium(inst)
         np.testing.assert_allclose(star, (100.0 - sign * 2.0) / 5.0, rtol=1e-14)
-        np.testing.assert_allclose(classical_equilibrium(inst), star, rtol=1e-14)
+        # the library's affine oracle, the default step at c = inf
+        np.testing.assert_allclose(prox_step(inst, inst.center(), np.inf), star, rtol=1e-14)
         res, _ = solve(inst, SolverConfig(eps=1e-12))
         np.testing.assert_allclose(res.x, star, rtol=1e-12)
 

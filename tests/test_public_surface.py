@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     # model
     "MarketInstance", "potential_gamma",
     # subqp
-    "classical_equilibrium", "prox_step",
+    "prox_step",
     # solver
     "ConfigurationError", "IterationTrace", "SolveResult", "SolveStatus", "SolverConfig",
     "Splitting", "StepPolicy", "eps_certificate", "solve",

@@ -19,7 +19,6 @@ from cournotprox import (
     SolverConfig,
     Splitting,
     StepPolicy,
-    classical_equilibrium,
     eps_certificate,
     gamma_lower_bound,
     nash_gap,
@@ -315,7 +314,7 @@ class TestGradientMapping:
 
     def test_vanishes_at_stationary_point(self):
         inst = affine_market(6, mu=3.0)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         for c in (0.05, 0.5, 5.0):
             assert np.linalg.norm(gradient_mapping(inst, star, c)) <= 1e-8
 
@@ -335,22 +334,19 @@ class TestGradientMapping:
 
 class TestSolveConvex:
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
-    def test_matches_classical_oracle(self, n):
-        # classical_equilibrium shares the exact-coupling step's root finder, so
-        # both splittings are checked against the sorted-breakpoint reference too
+    def test_matches_affine_oracle(self, n):
+        # both splittings against the sorted-breakpoint reference, which shares no
+        # code with the solver
         inst = FAMILIES["affine"](n, 100 + n)
-        star = classical_equilibrium(inst)
         ref = affine_equilibrium(inst)
-        assert np.max(np.abs(star - ref)) <= 1e-9
         for splitting in Splitting:
             res, _ = solve(inst, SolverConfig(eps=1e-8, splitting=splitting))
             assert res.status is SolveStatus.CONVERGED
-            assert np.max(np.abs(res.x - star)) <= 1e-6
             assert np.max(np.abs(res.x - ref)) <= 1e-6
 
     def test_stationary_start_stops_immediately(self):
         inst = affine_market(4, mu=2.0)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         res, trace = solve(inst, SolverConfig(eps=1e-6), x0=star)
         assert res.status is SolveStatus.CONVERGED
         assert res.iterations == 1
@@ -602,7 +598,7 @@ class TestLineSearch:
         assert res.status is SolveStatus.CONVERGED
         assert res.trials == res.iterations == 2
         np.testing.assert_array_equal(trace.c, [math.inf, math.inf])
-        np.testing.assert_allclose(res.x, classical_equilibrium(inst), rtol=1e-14)
+        np.testing.assert_allclose(res.x, affine_equilibrium(inst), rtol=1e-14)
 
     def test_oversized_damping_gets_shrunk(self):
         inst = exp_cost_market(10, 2)
@@ -1028,7 +1024,7 @@ class TestBoundAndCertificates:
         G = np.linalg.norm(gradient_mapping(inst, x, c))
         # at c = 1/L the certificate is exactly twice the mapping norm
         assert eps_certificate(inst, x, c, PAPER) == pytest.approx(2.0 * G, rel=1e-12)
-        star = classical_equilibrium(affine_market(4))
+        star = affine_equilibrium(affine_market(4))
         assert eps_certificate(affine_market(4), star, 1.0, PAPER) <= 1e-8
 
     def test_certificate_formula_exact_coupling(self):
@@ -1041,7 +1037,7 @@ class TestBoundAndCertificates:
         # affine: L_h = 0 and c = inf, so the certificate is 0 anywhere
         market = affine_market(4)
         assert eps_certificate(market, market.center(), math.inf) == 0.0
-        star = classical_equilibrium(market)
+        star = affine_equilibrium(market)
         assert eps_certificate(market, star, 1.0) <= 1e-8
 
     @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])

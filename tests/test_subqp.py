@@ -10,15 +10,16 @@ import pytest
 
 import cournotprox.subqp
 from cournotprox import (
-    AffineCost, CostModel, MarketInstance, SolverConfig, SolveStatus, Splitting, StepPolicy,
-    classical_equilibrium, solve,
+    AffineCost, CostModel, MarketInstance, SolverConfig, SolveStatus, Splitting, StepPolicy, solve,
 )
+from cournotprox import model
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.subqp import _aggregate_root, _clamp, _newton_point, prox_step
 import oracles
 from oracles import (
-    apply_Btilde, breakpoint_root, cost_term_curvature, cost_term_slope, exact_coupling_step,
-    newton_point, oracle_reference, oracle_residual, pg_reference, phi_bifunction,
+    affine_equilibrium, apply_Btilde, breakpoint_root, cost_term_curvature, cost_term_slope,
+    exact_coupling_step, library_cost_term, newton_point, oracle_reference, oracle_residual,
+    pg_reference, phi_bifunction,
 )
 
 
@@ -57,7 +58,7 @@ class TestProxStep:
 
     def test_fixed_point_at_equilibrium(self):
         inst = affine_market(8, mu=2.0)
-        star = classical_equilibrium(inst)
+        star = affine_equilibrium(inst)
         for c in (0.1, 1.0, 10.0):
             s = prox_step(inst, star, c, splitting=Splitting.PAPER)
             np.testing.assert_allclose(s, star, atol=1e-9)
@@ -184,7 +185,9 @@ class TestBoxPG:
         x = pg_reference(lambda v: Q @ v, np.array([-8.0, -8.0]), 0.0, 50.0, 1.0 / 0.3, np.zeros(2))
         np.testing.assert_allclose(x, [8.0 / 0.3, 8.0 / 0.3], atol=1e-6)
         # the same system is the oracle QP of a two-firm market: beta = 0.1, mu - alpha0 = -8
-        np.testing.assert_allclose(classical_equilibrium(affine_market(2, mu=2.0)), x, atol=1e-9)
+        inst = affine_market(2, mu=2.0)
+        np.testing.assert_allclose(affine_equilibrium(inst), x, atol=1e-9)
+        np.testing.assert_allclose(prox_step(inst, np.zeros(2), math.inf), x, atol=1e-9)
 
     def test_zero_linear_term_gives_origin(self):
         d = np.array([1.0, 2.0, 3.0])
@@ -195,68 +198,110 @@ class TestBoxPG:
             beta=1.0, alpha0=5.0, mu=[1.0, 2.0, 3.0], lower=-1.0, upper=1.0,
             cost=AffineCost(mu_h=oracles.SIGN * np.array([4.0, 3.0, 2.0])),
         )
-        np.testing.assert_array_equal(classical_equilibrium(inst), np.zeros(3))
+        np.testing.assert_array_equal(affine_equilibrium(inst), np.zeros(3))
+        np.testing.assert_array_equal(prox_step(inst, np.ones(3), math.inf), np.zeros(3))
 
 
-class TestClassicalEquilibrium:
+def starts(inst, seed, count=3):
+    """The box center and ``count`` seeded random finite starts, in the box or not."""
+    rng = np.random.default_rng(seed)
+    center = inst.center()
+    return [center] + [center + 20.0 * rng.standard_normal(inst.n) for _ in range(count)]
+
+
+class TestStepAtInfinity:
+    """With zero cost curvature the default step at c = inf is the equilibrium, from any start.
+
+    The exact-coupling model is then the potential itself, so
+    ``prox_step(inst, x, math.inf)`` is the affine oracle that
+    ``run_experiment`` checks ``solve`` against; every answer here is
+    compared with ``oracles.affine_equilibrium``, which shares no code
+    with the library.
+    """
+
     def test_symmetric_closed_form(self):
         inst = affine_market(5, mu=2.0)
-        star = classical_equilibrium(inst)
-        np.testing.assert_allclose(star, np.full(5, 8.0 / 0.6), atol=1e-6)
-        # KKT residual at the reported point
-        g = 2.0 * inst.beta * star + apply_Btilde(inst, star) + inst.mu - inst.alpha0
-        r = np.max(np.abs(star - np.clip(star - g, inst.lower, inst.upper)))
-        assert r <= 1e-8
+        for x in starts(inst, 5):
+            star = prox_step(inst, x, math.inf)
+            np.testing.assert_allclose(star, np.full(5, 8.0 / 0.6), atol=1e-6)
+            np.testing.assert_allclose(star, affine_equilibrium(inst), rtol=1e-12)
+            # KKT residual at the reported point
+            g = 2.0 * inst.beta * star + apply_Btilde(inst, star) + inst.mu - inst.alpha0
+            r = np.max(np.abs(star - np.clip(star - g, inst.lower, inst.upper)))
+            assert r <= 1e-8
 
     def test_single_firm_active_upper_bound(self):
         inst = affine_market(1, mu=0.0, upper=10.0)
-        assert classical_equilibrium(inst)[0] == pytest.approx(10.0, abs=1e-9)
+        assert affine_equilibrium(inst)[0] == pytest.approx(10.0, abs=1e-9)
+        for x in starts(inst, 1):
+            assert prox_step(inst, x, math.inf)[0] == pytest.approx(10.0, abs=1e-9)
 
     def test_single_firm_interior(self):
         inst = affine_market(1, mu=9.0, upper=10.0)
-        assert classical_equilibrium(inst)[0] == pytest.approx(5.0, abs=1e-9)
-
-    def test_requires_affine_cost(self):
-        inst = log_cost_market(3, 0)
-        with pytest.raises(TypeError):
-            classical_equilibrium(inst)
+        assert affine_equilibrium(inst)[0] == pytest.approx(5.0, abs=1e-9)
+        for x in starts(inst, 2):
+            assert prox_step(inst, x, math.inf)[0] == pytest.approx(5.0, abs=1e-9)
 
     @pytest.mark.parametrize("cost", [AffineCost(mu_h=2.0, n=4), LinearCost(2.0, 4)],
                              ids=["affine", "custom"])
     def test_takes_the_cost_term_that_solve_takes(self, cost):
         # both take the cost term from the library's one function, so they agree on
-        # its sign; any cost with zero curvature is accepted, a custom one too
+        # its sign; any cost with zero curvature has the step as its oracle, a custom one too
         inst = MarketInstance(beta=1.0, alpha0=100.0, mu=0.0, lower=0.0, upper=np.inf, cost=cost)
-        star = classical_equilibrium(inst)
-        np.testing.assert_allclose(star, (100.0 - oracles.SIGN * 2.0) / 5.0, rtol=1e-14)
+        ref = affine_equilibrium(inst)
+        np.testing.assert_allclose(ref, (100.0 - oracles.SIGN * 2.0) / 5.0, rtol=1e-14)
+        for x in starts(inst, 4):
+            np.testing.assert_allclose(prox_step(inst, x, math.inf), ref, rtol=1e-13)
         res, _ = solve(inst, SolverConfig(eps=1e-12))
-        np.testing.assert_allclose(res.x, star, rtol=1e-12)
+        np.testing.assert_allclose(res.x, ref, rtol=1e-12)
 
-    def test_cost_level_linear_coefficients_enter_oracle(self):
-        # same market expressed with the linear part inside the cost model, whose
-        # term of the potential is SIGN*mu_h*x
-        n = 4
-        inst_mu = affine_market(n, mu=2.0)
-        cost = AffineCost(mu_h=np.full(n, oracles.SIGN * 2.0))
-        inst_h = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=50.0, cost=cost)
-        np.testing.assert_allclose(
-            classical_equilibrium(inst_mu), classical_equilibrium(inst_h), atol=1e-8
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["minus_h", "plus_h"])
+    def test_cost_level_linear_coefficients_enter_oracle(self, sign, monkeypatch):
+        # one linear cost m*x per firm, split between the market's mu and the cost
+        # model's mu_h, whose term of the potential is SIGN*mu_h*x: the market solves
+        # like the one with the whole cost in mu, under either sign of the potential
+        if sign != oracles.SIGN:  # the other sign: both sides' one copy flipped together
+            monkeypatch.setattr(model, "_cost_term", library_cost_term(sign))
+            monkeypatch.setattr(oracles, "SIGN", sign)
+        n = 6
+        rng = np.random.default_rng(11)
+        m, share = rng.uniform(0.0, 6.0, n), rng.uniform(0.0, 1.0, n)
+        whole = affine_market(n, mu=m)
+        split = MarketInstance(
+            beta=0.1, alpha0=10.0, mu=share * m, lower=0.0, upper=50.0,
+            cost=AffineCost(mu_h=oracles.SIGN * (1.0 - share) * m),
         )
+        ref = affine_equilibrium(whole)
+        assert 0.0 < np.count_nonzero((0.0 < ref) & (ref < 50.0)) < n  # some firms at a bound
+        np.testing.assert_allclose(affine_equilibrium(split), ref, rtol=1e-12, atol=1e-12)
+        for x in starts(split, 11):
+            np.testing.assert_allclose(prox_step(split, x, math.inf), ref, rtol=1e-12, atol=1e-12)
+        for splitting in Splitting:
+            res, _ = solve(split, SolverConfig(eps=1e-10, splitting=splitting))
+            assert res.status is SolveStatus.CONVERGED
+            np.testing.assert_allclose(res.x, ref, rtol=1e-8, atol=1e-8)
 
     def test_solves_the_market_inequality(self):
         rng = np.random.default_rng(6)
         inst = affine_market(7, mu=rng.uniform(0.0, 5.0, 7))
-        star = classical_equilibrium(inst)
         Y = rng.uniform(inst.lower, inst.upper, (10_000, 7))
-        assert np.min(phi_bifunction(inst, star, Y)) >= -1e-6
+        assert np.min(phi_bifunction(inst, affine_equilibrium(inst), Y)) >= -1e-6
+        for x in starts(inst, 6):
+            star = prox_step(inst, x, math.inf)
+            np.testing.assert_allclose(star, affine_equilibrium(inst), rtol=1e-12, atol=1e-12)
+            assert np.min(phi_bifunction(inst, star, Y)) >= -1e-6
 
     @pytest.mark.parametrize("n", [7, 1_000, 10_000, 100_000])
     def test_kkt_residual_on_asymmetric_markets(self, n):
         # cond(Q) = n + 1: a first-order method needs O(n) iterations here
         inst = affine_market(n, mu=np.random.default_rng(n).uniform(0.0, 12.0, n))
-        star = classical_equilibrium(inst)
-        assert inst.contains(star)
-        assert oracle_residual(inst, star) <= 1e-10
+        ref = affine_equilibrium(inst)
+        assert oracle_residual(inst, ref) <= 1e-10
+        for x in starts(inst, n, count=2):
+            star = prox_step(inst, x, math.inf)
+            assert inst.contains(star)
+            assert oracle_residual(inst, star) <= 1e-10
+            np.testing.assert_allclose(star, ref, rtol=1e-12, atol=1e-12)
 
     def test_unbounded_upper_with_cost_level_coefficients(self):
         # price 10 - 0.1*sigma and a cost term SIGN*2*x: each firm's best response
@@ -265,12 +310,16 @@ class TestClassicalEquilibrium:
             beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf,
             cost=AffineCost(mu_h=np.full(4, 2.0)),
         )
-        star = classical_equilibrium(inst)
-        np.testing.assert_allclose(star, np.full(4, (10.0 - oracles.SIGN * 2.0) / 0.5), rtol=1e-14)
-        assert oracle_residual(inst, star) <= 1e-10
+        want = np.full(4, (10.0 - oracles.SIGN * 2.0) / 0.5)
+        np.testing.assert_allclose(affine_equilibrium(inst), want, rtol=1e-14)
+        for x in starts(inst, 3):
+            star = prox_step(inst, x, math.inf)
+            np.testing.assert_allclose(star, want, rtol=1e-14)
+            assert oracle_residual(inst, star) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 100])
     def test_matches_projected_gradient_reference(self, n):
+        # infinite sides too: an open upper side, and an open lower one
         rng = np.random.default_rng(100 + n)
         markets = [
             affine_market(n, mu=rng.uniform(0.0, 12.0, n)),
@@ -284,9 +333,12 @@ class TestClassicalEquilibrium:
             ),
         ]
         for inst in markets:
-            star = classical_equilibrium(inst)
-            assert oracle_residual(inst, star) <= 1e-10
-            np.testing.assert_allclose(star, oracle_reference(inst), atol=1e-9)
+            ref = affine_equilibrium(inst)
+            np.testing.assert_allclose(ref, oracle_reference(inst), atol=1e-9)
+            for x in starts(inst, n):
+                star = prox_step(inst, x, math.inf)
+                assert oracle_residual(inst, star) <= 1e-10
+                np.testing.assert_allclose(star, ref, rtol=1e-12, atol=1e-9)
 
 
 def lines_run(fn, *args, traced=None):
@@ -700,7 +752,7 @@ class TestNewtonPoint:
         # no cost curvature: the model is the potential, from any point
         inst = affine_market(9, mu=np.linspace(0.0, 4.0, 9))
         x = np.random.default_rng(1).uniform(inst.lower, inst.upper)
-        np.testing.assert_allclose(self.newton(inst, x), classical_equilibrium(inst), atol=1e-12)
+        np.testing.assert_allclose(self.newton(inst, x), affine_equilibrium(inst), atol=1e-12)
 
     def test_no_minimizer_where_some_D_is_not_positive(self):
         # the shipped families have -h'' >= 0, so D >= beta: give one firm a

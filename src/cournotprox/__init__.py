@@ -24,7 +24,6 @@ from .experiments import (
 )
 from .model import MarketInstance, potential_gamma
 from .solver import (
-    ConfigurationError,
     IterationTrace,
     SolveResult,
     SolveStatus,

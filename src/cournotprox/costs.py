@@ -14,11 +14,13 @@ where the kernel raises ``CostDomainError`` or h'' is not finite.
 Per-firm parameters are read-only float vectors of shape (n,). One given
 as a scalar is stored once, as a stride-0 broadcast view: ufuncs read it
 as fast as the scalar, and it costs no n-vector of memory. A length-n
-input is copied. Booleans are refused.
+input is copied. Only integer and float dtypes are accepted.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -38,19 +40,29 @@ class CostDomainError(ValueError):
     """A cost function was evaluated outside its domain."""
 
 
-def _integer(value):
+def _integer(value, name):
     # operator.index refuses 2.5 rather than truncate it to 2, but takes True for 1
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a bool")
-    return operator.index(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name, finite=True):
+    # bool is a numbers.Real, but True is no slope or tolerance; a 0-d array is one number
+    x = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    if type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool):
+        x = float(x)
+        if not finite or math.isfinite(x):
+            return x
+    raise ValueError(f"{name} must be a {'finite ' if finite else ''}real number, got {value!r}")
 
 
 def _infer_n(n, *values):
     if n is not None:
-        try:
-            n = _integer(n)
-        except TypeError:
-            raise ValueError(f"n must be a positive integer, got {n!r}") from None
+        n = _integer(n, "n")
         if n < 1:
             raise ValueError("n must be a positive integer")
         return n
@@ -64,8 +76,8 @@ def _param(value, n, name, finite=True):
     # float() copies a scalar: a caller's 0-d array changed later must not change the view.
     # A scalar is checked before it is broadcast, not as n stride-0 copies.
     arr = np.asarray(value)
-    if arr.dtype == bool:
-        raise ValueError(f"{name} must be numbers, not booleans")
+    if arr.dtype.kind not in "iuf":  # float() would take True, "0.5" and Decimal
+        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
     if arr.ndim == 0:
         arr = np.asarray(float(arr))
     elif arr.shape == (n,):
@@ -110,7 +122,7 @@ class CostModel(ABC):
     def _check_points(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
-            raise ValueError(f"expected trailing axis of length {self.n}, got shape {x.shape}")
+            raise ValueError(f"x must have trailing axis of length {self.n}, got shape {x.shape}")
         return x
 
 

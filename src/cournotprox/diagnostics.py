@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model
+from .costs import _real
 
 __all__ = [
     "nash_gap",
@@ -104,7 +105,8 @@ def nash_gap(inst, x, radius=np.inf):
     90, radius inf or 0.5) hi - lo is at most 3e-12, for 8 to 11 cost calls.
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(radius, (bool, np.bool_)) or not radius > 0:
+    radius = _real(radius, "radius", finite=False)
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius!r}")
     if x.shape != (inst.n,) or not inst.contains(x, tol=1e-9):
         raise ValueError("anchor x must lie in the box")

@@ -131,12 +131,12 @@ class ExperimentConfig:
             self.out_dir = Path(os.environ.get(OUT_DIR_ENV, "results"))
         self.out_dir = Path(self.out_dir)
         if self.sweep is not None:
-            self.sweep = tuple(_size(v, "each sweep size") for v in self.sweep)
+            self.sweep = tuple(_integer(v, "each sweep size") for v in self.sweep)
             if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
                 raise ValueError("sweep sizes must be strictly increasing")
             if any(v < 1 for v in self.sweep):
                 raise ValueError("sweep sizes must be positive")
-        self.seed = _size(self.seed, "seed")
+        self.seed = _integer(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.custom and self.example is not ExampleFamily.CUSTOM:
@@ -148,13 +148,6 @@ class ExperimentConfig:
             step_policy=self.step_policy, eps=self.eps, max_iter=self.max_iter,
             splitting=self.splitting,
         )
-
-
-def _size(value, name):
-    try:
-        return _integer(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _custom_instance(cfg, n):
@@ -178,7 +171,7 @@ def _custom_instance(cfg, n):
 
 def generate_instance(cfg, n):
     """Build the market instance of size ``n`` for one run; deterministic per (family, n, seed)."""
-    n = _size(n, "n")
+    n = _integer(n, "n")
     if cfg.example is ExampleFamily.LOG:
         return log_cost_market(n, cfg.seed)
     if cfg.example is ExampleFamily.EXP:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, _param
+from .costs import CostModel, _param, _real
 
 __all__ = [
     "MarketInstance",
@@ -72,12 +72,8 @@ class MarketInstance:
         if not isinstance(self.cost, CostModel):
             raise TypeError("cost must be a CostModel")
         n = self.cost.n
-        if isinstance(self.beta, (bool, np.bool_)) or isinstance(self.alpha0, (bool, np.bool_)):
-            raise ValueError("beta and alpha0 must be finite numbers, not booleans")
-        beta = float(self.beta)
-        alpha0 = float(self.alpha0)
-        if not (math.isfinite(beta) and math.isfinite(alpha0)):
-            raise ValueError("beta and alpha0 must be finite")
+        beta = _real(self.beta, "beta")
+        alpha0 = _real(self.alpha0, "alpha0")
         if not beta > 0:
             raise ValueError("beta must be positive")
         if alpha0 < 0:

@@ -22,7 +22,6 @@ config, x0); concurrent runs may share immutable instances.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -30,12 +29,11 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .costs import _integer
+from .costs import _integer, _real
 from .model import potential_gamma
 from .subqp import Splitting, _linear_term, _local_model, prox_step
 
 __all__ = [
-    "ConfigurationError",
     "Splitting",
     "StepPolicy",
     "SolveStatus",
@@ -45,10 +43,6 @@ __all__ = [
     "solve",
     "eps_certificate",
 ]
-
-
-class ConfigurationError(ValueError):
-    """A ``SolverConfig`` setting out of range, raised at construction."""
 
 
 class StepPolicy(Enum):
@@ -66,8 +60,9 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Step policy, tolerances and recording switches, checked at construction.
 
-    The damping comes from the instance and the splitting, not from
-    here. ``splitting`` picks the curvature bound L (``Splitting``).
+    A bad setting raises a ``ValueError`` that names it. The damping
+    comes from the instance and the splitting, not from here.
+    ``splitting`` picks the curvature bound L (``Splitting``).
     FIXED takes every step at c = 1/L, which guarantees per-step
     descent.
     LINE_SEARCH lowers the damping by halvings from a start value until
@@ -102,31 +97,21 @@ class SolverConfig:
     splitting: Splitting = Splitting.EXACT_COUPLING
 
     def __post_init__(self):
-        if not (_finite_real(self.eps) and self.eps > 0):
-            raise ConfigurationError(f"eps must be positive and finite, got {self.eps!r}")
-        object.__setattr__(self, "eps", float(self.eps))
-        try:
-            object.__setattr__(self, "max_iter", _integer(self.max_iter))
-        except TypeError:
-            raise ConfigurationError(f"max_iter must be an integer, got {self.max_iter!r}") from None
+        object.__setattr__(self, "eps", _real(self.eps, "eps"))
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be at least 1")
+            raise ValueError("max_iter must be at least 1")
         if self.gamma_lb is not None:
-            if not _finite_real(self.gamma_lb):
-                raise ConfigurationError(f"gamma_lb must be finite, got {self.gamma_lb!r}")
-            object.__setattr__(self, "gamma_lb", float(self.gamma_lb))
+            object.__setattr__(self, "gamma_lb", _real(self.gamma_lb, "gamma_lb"))
         if not isinstance(self.splitting, Splitting):
-            raise ConfigurationError(f"splitting must be a Splitting, got {self.splitting!r}")
+            raise ValueError(f"splitting must be a Splitting, got {self.splitting!r}")
         if not isinstance(self.step_policy, StepPolicy):
-            raise ConfigurationError(f"step_policy must be a StepPolicy, got {self.step_policy!r}")
+            raise ValueError(f"step_policy must be a StepPolicy, got {self.step_policy!r}")
         for name in ("record_iterates", "record_bound"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ConfigurationError(f"{name} must be a bool, got {getattr(self, name)!r}")
-
-
-def _finite_real(value):
-    # bool is a numbers.Real, but True is no tolerance and False no bound
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -175,10 +160,11 @@ class SolveResult:
     ``certificate`` bounds from below, by its negation, the potential
     slope along every unit feasible direction at ``x``; it equals
     ``eps_certificate`` at the last iterate before ``x`` with damping
-    ``c_final`` and the run's splitting, bit for bit. ``trials``
-    counts the points tried: the prox steps behind the ``iterations``
-    recorded steps (one each under FIXED, the line-search trials under
-    LINE_SEARCH) plus the Newton trials.
+    ``c_final`` and the run's splitting, bit for bit, but is NaN under
+    NonFinite: no point whose potential is not finite is certified.
+    ``trials`` counts the points tried: the prox steps behind the
+    ``iterations`` recorded steps (one each under FIXED, the line-search
+    trials under LINE_SEARCH) plus the Newton trials.
     """
 
     x: np.ndarray
@@ -385,7 +371,7 @@ def solve(inst, config=None, x0=None):
     if iterates is not None:
         iterates.append(x.copy())
     iterations = len(col_gamma)
-    certificate = (1.0 / c_k + L) * step if iterations else math.nan
+    certificate = (1.0 / c_k + L) * step if iterations and status is not SolveStatus.NON_FINITE else math.nan
     trace = IterationTrace(
         gamma=np.asarray(col_gamma),
         step_norm=np.asarray(col_step),

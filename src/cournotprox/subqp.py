@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import model
+from .costs import _real
 
 __all__ = [
     "Splitting",
@@ -113,7 +114,8 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.EXACT_COUPLING, 
     ``np.add.reduce(out)`` (the root's last pass sums it already). It
     is allocated here, summing x, when omitted.
     """
-    if isinstance(c, (bool, np.bool_)) or not c > 0:
+    c = _real(c, "c", finite=False)
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):

@@ -207,7 +207,7 @@ class TestParameters:
         ids=["log_all", "log_r_array", "exp_np_bool", "affine_mu_h", "affine_xi"],
     )
     def test_rejects_booleans(self, family, kwargs):
-        with pytest.raises(ValueError, match="boolean"):
+        with pytest.raises(ValueError, match="must be real numbers, got dtype bool"):
             family(**kwargs)
 
     def test_scalar_parameters_are_stored_once(self):

@@ -676,6 +676,31 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_trace_off_writes_the_summary_and_no_trace(self, tmp_path, where):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("example = log\n" + ("trace = off\n" if where == "file" else ""))
+        flags = ["--trace", "off"] if where == "flag" else []
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgfile), "--sweep", "3,5", "--out", str(out), *flags]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+        assert [row["n"] for row in read_summary(out / "summary.csv")] == ["3", "5"]
+
+    def test_trace_on_writes_one_trace_per_size(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--example", "log", "--sweep", "3,5", "--trace", "on", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "summary.csv", "trace_log_n3_seed0.csv", "trace_log_n5_seed0.csv",
+        ]
+
+    @pytest.mark.parametrize("in_file, flag", [("off", "on"), ("on", "off")])
+    def test_the_trace_flag_overrides_the_file(self, tmp_path, in_file, flag):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"example = log\ntrace = {in_file}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgfile), "--n", "3", "--trace", flag, "--out", str(out)]) == 0
+        assert (out / "trace_log_n3_seed0.csv").exists() is (flag == "on")
+
     def test_random_start_on_unbounded_box_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "open.cfg"
         cfgfile.write_text("example = custom\ncost = affine\nupper = inf\n")

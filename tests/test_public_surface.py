@@ -5,10 +5,13 @@ import dataclasses
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cournotprox
 from cournotprox import (
-    AffineCost, CostModel, ExpCost, ExperimentConfig, LogCost, SolverConfig, SolveStatus,
-    Splitting,
+    AffineCost, CostModel, ExampleFamily, ExpCost, ExperimentConfig, LogCost, MarketInstance,
+    SolverConfig, SolveStatus, Splitting, generate_instance, log_cost_market, nash_gap, prox_step,
 )
 from cournotprox.experiments import VerifyReport
 
@@ -20,7 +23,7 @@ PUBLIC_NAMES = {
     # subqp
     "prox_step",
     # solver
-    "ConfigurationError", "IterationTrace", "SolveResult", "SolveStatus", "SolverConfig",
+    "IterationTrace", "SolveResult", "SolveStatus", "SolverConfig",
     "Splitting", "StepPolicy", "eps_certificate", "solve",
     # diagnostics
     "gamma_lower_bound", "nash_gap",
@@ -174,3 +177,70 @@ def test_the_potentials_bound_is_private():
     # L_h + (n-1)*beta is written once, in the solver's paper splitting
     for module in (cournotprox, cournotprox.model):
         assert not hasattr(module, "lipschitz_gamma")
+
+
+def market(**kwargs):
+    spec = dict(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=10.0,
+                cost=LogCost(c0=2.0, c=1.5, r=1.0, n=2))
+    return MarketInstance(**{**spec, **kwargs})
+
+
+INST = log_cost_market(2, 0)
+
+# every scalar setting that enters the library, by the name its error must give
+SETTINGS = {
+    "beta": lambda v: market(beta=v),
+    "alpha0": lambda v: market(alpha0=v),
+    "mu": lambda v: market(mu=v),
+    "eps": lambda v: SolverConfig(eps=v),
+    "gamma_lb": lambda v: SolverConfig(gamma_lb=v),
+    "max_iter": lambda v: SolverConfig(max_iter=v),
+    "c": lambda v: prox_step(INST, INST.center(), v),
+    "radius": lambda v: nash_gap(INST, INST.center(), v),
+    "n": lambda v: LogCost(c0=2.0, c=1.5, r=1.0, n=v),
+    "r": lambda v: LogCost(c0=2.0, c=1.5, r=v, n=2),
+    "seed": lambda v: ExperimentConfig(sweep=(2,), seed=v),
+}
+INTEGER_SETTINGS = {"max_iter", "n", "seed"}
+NO_NUMBERS = {"bool": True, "str": "0.1", "none": None, "sized_array": np.array([1.0])}
+
+
+# gamma_lb=None is no bad value: it asks solve to compute the bound
+@pytest.mark.parametrize(
+    "name, value",
+    [pytest.param(name, value, id=f"{name}-{kind}") for name in SETTINGS
+     for kind, value in NO_NUMBERS.items() if (name, kind) != ("gamma_lb", "none")],
+)
+def test_a_setting_that_is_no_number_is_refused_by_name(name, value):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        SETTINGS[name](value)
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_a_number_in_range_is_accepted(name):
+    # a numpy scalar and a 0-d array are one number too
+    if name in INTEGER_SETTINGS:
+        values = (3, np.int32(3), np.array(3))
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            SETTINGS[name](0.1)
+    else:
+        values = (0.1, np.float32(0.1), np.array(0.1))
+    for value in values:
+        SETTINGS[name](value)
+
+
+@pytest.mark.parametrize(
+    "error, name, call",
+    [
+        (TypeError, "cost", lambda: market(cost=object())),
+        (ValueError, "n", lambda: LogCost(c0=2.0, c=1.5, r=1.0, n=0)),
+        (ValueError, "x", lambda: LogCost(c0=2.0, c=1.5, r=1.0, n=2).value_components(np.zeros(3))),
+        (ValueError, "cost", lambda: generate_instance(
+            ExperimentConfig(example=ExampleFamily.CUSTOM, custom={"cost": "quadratic"}), 2)),
+        (ValueError, "x", lambda: prox_step(INST, np.zeros(3), 1.0)),
+    ],
+    ids=["market_cost", "cost_n", "cost_points", "custom_family", "step_x"],
+)
+def test_a_bad_argument_is_refused_by_name(error, name, call):
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        call()

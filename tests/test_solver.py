@@ -11,7 +11,6 @@ import cournotprox.solver
 import cournotprox.subqp
 from cournotprox import (
     AffineCost,
-    ConfigurationError,
     ExpCost,
     LogCost,
     MarketInstance,
@@ -111,6 +110,15 @@ class NaNValueExpCost(ExpCost):
     def value_components(self, x, grad=None, out=None, curv=None):
         values = super().value_components(x, grad, out, curv)
         values[...] = np.nan
+        return values
+
+
+class InfValueOffCenterLogCost(LogCost):
+    # h = -inf everywhere but at the box center 5: the first step, finite, lands
+    # where the potential is not
+    def value_components(self, x, grad=None, out=None, curv=None):
+        values = super().value_components(x, grad, out, curv)
+        values[np.asarray(x) != 5.0] = -np.inf
         return values
 
 
@@ -879,6 +887,17 @@ class TestNonFinite:
             # the start point's potential is NaN: no step is taken, so no residual
             assert res.iterations == 0 and math.isnan(res.final_residual)
 
+    @pytest.mark.parametrize("splitting", [PAPER, EXACT])
+    @pytest.mark.parametrize("policy", [StepPolicy.FIXED, StepPolicy.LINE_SEARCH])
+    def test_an_infinite_potential_after_a_finite_step_is_not_certified(self, policy, splitting):
+        base = log_cost_market(6, 0)
+        inst = with_cost(base, InfValueOffCenterLogCost(c0=base.cost.c0, c=base.cost.c, r=base.cost.r))
+        res, trace = solve(inst, SolverConfig(step_policy=policy, splitting=splitting))
+        assert res.status is SolveStatus.NON_FINITE
+        assert res.iterations == len(trace) == 1
+        assert math.isinf(res.gamma_final) and math.isfinite(res.final_step_norm)
+        assert math.isnan(res.certificate)
+
 
 class TestSlopeBounds:
     # proof-consistent lower bounds for the directional slope at the prox point
@@ -1080,7 +1099,7 @@ class TestBoundAndCertificates:
     def test_certificate_rejects_boolean_damping(self, splitting):
         # True would step at c = 1
         inst = log_cost_market(3, 0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="c must be a real number"):
             eps_certificate(inst, inst.center(), True, splitting)
 
     @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
@@ -1125,7 +1144,7 @@ class TestConfigValidation:
 
     def test_parameter_sanity(self):
         for bad in ({"eps": 0.0}, {"max_iter": 0}):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ValueError):
                 SolverConfig(**bad)
 
     @pytest.mark.parametrize(
@@ -1137,7 +1156,7 @@ class TestConfigValidation:
     def test_rejects_settings_of_the_wrong_type(self, field, value):
         # rejected at construction, not as a TypeError inside solve; a bare "fixed"
         # would otherwise run the line search, and "no" would read as True
-        with pytest.raises(ConfigurationError, match=field):
+        with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
     def test_numeric_settings_are_stored_as_python_numbers(self):
@@ -1151,12 +1170,12 @@ class TestConfigValidation:
     def test_rejects_non_finite_settings(self, field, value):
         # rejected at construction, before any instance is seen
         for policy in StepPolicy:
-            with pytest.raises(ConfigurationError, match=field):
+            with pytest.raises(ValueError, match=field):
                 SolverConfig(step_policy=policy, **{field: value})
 
     def test_rejects_a_splitting_that_is_no_splitting(self):
         # a bare string would fall through to one branch or the other unnoticed
-        with pytest.raises(ConfigurationError, match="splitting"):
+        with pytest.raises(ValueError, match="splitting"):
             SolverConfig(splitting="paper")
 
     def test_settings_are_frozen(self):

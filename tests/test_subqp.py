@@ -73,7 +73,7 @@ class TestProxStep:
     def test_rejects_boolean_damping(self, c, splitting):
         # True would step at c = 1
         inst = log_cost_market(3, 0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="c must be a real number"):
             prox_step(inst, inst.center(), c, splitting=splitting)
 
     @pytest.mark.parametrize("c", [np.nan, np.inf], ids=["nan", "inf"])

@@ -8,6 +8,7 @@ COURNOTPROX_OUTDIR environment variable, falling back to ./results.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -69,7 +70,9 @@ _FLAG_FIELDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process and shared; parsing leaves no state in it."""
     p = argparse.ArgumentParser(
         prog="cournotprox",
         description="Run seeded market-equilibrium experiments and emit CSV traces.",

@@ -13,8 +13,8 @@ where the kernel raises ``CostDomainError`` or h'' is not finite.
 
 Per-firm parameters are read-only float vectors of shape (n,). One given
 as a scalar is stored once, as a stride-0 broadcast view: ufuncs read it
-as fast as the scalar, and it costs no n-vector of memory. A length-n
-input is copied. Only integer and float dtypes are accepted.
+as fast as the scalar, checks read one element, and it costs no n-vector
+of memory. A length-n input is copied. Only int and float dtypes pass.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ def _real(value, name, finite=True):
     # bool is a numbers.Real, but True is no slope or tolerance; a 0-d array is one number
     x = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
     if type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool):
-        x = float(x)
-        if not finite or math.isfinite(x):
-            return x
+        try:  # float() overflows on an int or Fraction beyond every float
+            if math.isfinite(x := float(x)) or not finite:
+                return x
+        except OverflowError:
+            pass
     raise ValueError(f"{name} must be a {'finite ' if finite else ''}real number, got {value!r}")
 
 
@@ -89,6 +91,10 @@ def _param(value, n, name, finite=True):
     if np.any(np.isnan(arr)):
         raise ValueError(f"{name} must not contain NaN")
     return arr if arr.ndim else np.broadcast_to(arr, (n,))
+
+
+def _once(arr):  # a stride-0 view holds one number n times: a check reads it once
+    return arr[:1] if arr.strides == (0,) else arr
 
 
 def _frozen(arr):
@@ -177,9 +183,9 @@ class LogCost(CostModel):
         object.__setattr__(self, "c0", _param(self.c0, n, "c0"))
         object.__setattr__(self, "c", _param(self.c, n, "c"))
         object.__setattr__(self, "r", _param(self.r, n, "r"))
-        if np.any(self.c0 < 0):
+        if np.any(_once(self.c0) < 0):
             raise ValueError("c0 must be nonnegative")
-        if np.any(self.c <= 0) or np.any(self.r <= 0):
+        if np.any(_once(self.c) <= 0) or np.any(_once(self.r) <= 0):
             raise ValueError("c and r must be positive")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
@@ -224,9 +230,9 @@ class ExpCost(CostModel):
         object.__setattr__(self, "c0", _param(self.c0, n, "c0"))
         object.__setattr__(self, "c", _param(self.c, n, "c"))
         object.__setattr__(self, "r", _param(self.r, n, "r"))
-        if np.any(self.c <= 0) or np.any(self.r <= 0):
+        if np.any(_once(self.c) <= 0) or np.any(_once(self.r) <= 0):
             raise ValueError("c and r must be positive")
-        if np.any(self.c0 < self.c):
+        if np.any(_once(self.c0) < _once(self.c)):
             raise ValueError("c0 must dominate c componentwise")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
         object.__setattr__(self, "_neg_r", _frozen(-self.r))

@@ -199,15 +199,13 @@ def _fmt(value):
 
 def write_trace_csv(path, trace):
     """Serialize a trace; floats carry 17 significant digits (round-trip exact)."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_FIELDS)
-        # the derived columns are properties: read each once, not per row
-        columns = (trace.gamma, trace.step_norm, trace.c, trace.residual, trace.delta,
-                   trace.bound_rhs)
-        for k, row in enumerate(zip(*(col.tolist() for col in columns))):
-            writer.writerow([k, *map(_fmt, row)])
+    # the derived columns are properties: read each once, not per row
+    columns = (trace.gamma, trace.step_norm, trace.c, trace.residual, trace.delta,
+               trace.bound_rhs)
+    # every cell is a number, which csv would never quote: one format per row, one write
+    row = "%d" + ",%.17g" * len(columns) + "\n"
+    rows = (row % (k, *cells) for k, cells in enumerate(zip(*(col.tolist() for col in columns))))
+    Path(path).write_text(",".join(TRACE_FIELDS) + "\n" + "".join(rows), newline="")
 
 
 def read_trace_csv(path):

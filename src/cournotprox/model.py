@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, _param, _real
+from .costs import CostModel, _once, _param, _real
 
 __all__ = [
     "MarketInstance",
@@ -51,10 +51,10 @@ class MarketInstance:
 
     ``mu``, ``lower`` and ``upper`` are read-only float vectors of shape
     (n,); one given as a scalar is stored once, as a stride-0 broadcast
-    view, so the solver's clip and aggregate root read one number instead
-    of streaming a constant n-vector. ``alpha_tilde`` stays dense: the
-    potential reads it through ``x @ alpha_tilde``, a dot product that
-    over a stride-0 operand runs about 5x slower and rounds differently.
+    view, so the checks here, the solver's clip and the aggregate root read
+    one number instead of streaming a constant n-vector. ``alpha_tilde``
+    stays dense: the potential reads it through ``x @ alpha_tilde``, a dot
+    product that over a stride-0 operand runs about 5x slower and rounds differently.
     """
 
     beta: float
@@ -79,13 +79,14 @@ class MarketInstance:
         if alpha0 < 0:
             raise ValueError("alpha0 must be nonnegative")
         mu = _param(self.mu, n, "mu")
-        if np.any(mu < 0):
+        if np.any(_once(mu) < 0):
             raise ValueError("mu must be nonnegative")
         lower = _param(self.lower, n, "lower", finite=False)
         upper = _param(self.upper, n, "upper", finite=False)
-        if np.any(lower > upper):
+        lo, up = _once(lower), _once(upper)
+        if np.any(lo > up):
             raise ValueError("empty box: lower > upper somewhere")
-        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+        if np.any(lo == np.inf) or np.any(up == -np.inf):
             raise ValueError("lower must be below +inf and upper above -inf")
         # CostModel's class puts max |h_i''| at l or u: one cost pass per end into one
         # block; an infinite side may read inf (exp at -inf) or NaN in the discarded value
@@ -110,8 +111,8 @@ class MarketInstance:
         object.__setattr__(self, "L_h", L_h)
         # decided once here, not per root pass: a reduction over a stride-0
         # side runs several times slower than over a dense one
-        object.__setattr__(self, "_signed", bool(np.min(lower) < 0.0))
-        object.__setattr__(self, "_bounded", bool(np.isfinite(lower).all() & np.isfinite(upper).all()))
+        object.__setattr__(self, "_signed", bool(np.min(lo) < 0.0))
+        object.__setattr__(self, "_bounded", bool(np.isfinite(lo).all() & np.isfinite(up).all()))
 
     @property
     def n(self):

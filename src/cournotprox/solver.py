@@ -406,7 +406,7 @@ def eps_certificate(inst, x, c, splitting=Splitting.EXACT_COUPLING):
     run's splitting this is ``result.certificate`` bit for bit. A NaN
     entry in ``x`` raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
+    x, c = np.asarray(x, dtype=float), _real(c, "c", finite=False)  # a float32 c rounds as float
     if np.isnan(x).any():
         raise ValueError("x has a NaN entry")
     s = prox_step(inst, x, c, splitting=splitting)

@@ -52,6 +52,12 @@ def custom_family(n=6, seed=0):
 ALL_FAMILIES = [log_family, exp_family, affine_family]
 
 
+def one_bad_cell(shape, bad, good):
+    # a bad value given as a scalar, stored as a stride-0 view, or in one cell of a
+    # length-3 vector: each check must refuse both with the same message
+    return bad if shape == "scalar" else [good, bad, good]
+
+
 class TestContract:
     def test_one_method_makes_a_cost_that_solves(self):
         cost = QuadraticCost(np.linspace(0.01, 0.03, 5))
@@ -116,13 +122,14 @@ class TestLogCost:
             box_bound(model, bad)
         assert box_bound(model, np.zeros(2)) == 6.0
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            LogCost(c0=-1.0, c=1.0, r=1.0, n=1)
-        with pytest.raises(ValueError):
-            LogCost(c0=0.0, c=0.0, r=1.0, n=1)
-        with pytest.raises(ValueError):
-            LogCost(c0=0.0, c=1.0, r=-1.0, n=1)
+    @pytest.mark.parametrize("shape", ["scalar", "vector"])
+    def test_parameter_validation(self, shape):
+        with pytest.raises(ValueError, match="^c0 must be nonnegative$"):
+            LogCost(c0=one_bad_cell(shape, -1.0, 2.0), c=1.0, r=1.0, n=3)
+        with pytest.raises(ValueError, match="^c and r must be positive$"):
+            LogCost(c0=0.0, c=one_bad_cell(shape, 0.0, 1.0), r=1.0, n=3)
+        with pytest.raises(ValueError, match="^c and r must be positive$"):
+            LogCost(c0=0.0, c=1.0, r=one_bad_cell(shape, -1.0, 1.0), n=3)
         with pytest.raises(ValueError):
             LogCost(c0=0.0, c=1.0, r=1.0)  # all scalars, no n
 
@@ -171,11 +178,16 @@ class TestExpCost:
         assert curv.tobytes() == (-(model.r * slope)).tobytes()
         assert model.value_components(x).tobytes() == value.tobytes()
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ExpCost(c0=1.0, c=2.0, r=0.1, n=1)  # ceiling below c
-        with pytest.raises(ValueError):
-            ExpCost(c0=4.0, c=2.0, r=0.0, n=1)
+    @pytest.mark.parametrize("shape", ["scalar", "vector"])
+    def test_parameter_validation(self, shape):
+        with pytest.raises(ValueError, match="^c0 must dominate c componentwise$"):
+            ExpCost(c0=one_bad_cell(shape, 1.0, 4.0), c=2.0, r=0.1, n=3)  # ceiling below c
+        with pytest.raises(ValueError, match="^c0 must dominate c componentwise$"):
+            ExpCost(c0=4.0, c=one_bad_cell(shape, 5.0, 2.0), r=0.1, n=3)
+        with pytest.raises(ValueError, match="^c and r must be positive$"):
+            ExpCost(c0=4.0, c=one_bad_cell(shape, -2.0, 2.0), r=0.1, n=3)
+        with pytest.raises(ValueError, match="^c and r must be positive$"):
+            ExpCost(c0=4.0, c=2.0, r=one_bad_cell(shape, 0.0, 0.1), n=3)
 
 
 class TestAffineCost:

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -319,18 +320,38 @@ class TestRunExperiment:
         assert (tmp_path / "summary.csv").exists()
 
 
+def csv_writer_bytes(trace):
+    # the reference: every cell through csv.writer, a float in 17 significant digits
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_FIELDS)
+    columns = (trace.gamma, trace.step_norm, trace.c, trace.residual, trace.delta,
+               trace.bound_rhs)
+    for k, row in enumerate(zip(*columns)):
+        writer.writerow([k, *(f"{float(v):.17g}" for v in row)])
+    return buf.getvalue().encode()
+
+
 class TestTraceCSV:
-    def test_round_trip_is_exact(self, tmp_path):
-        inst = log_cost_market(8, 2)
-        _, trace = solve(inst, SolverConfig(eps=1e-4))
+    @pytest.mark.parametrize("inst, config", [
+        (log_cost_market(8, 2), SolverConfig(eps=1e-4)),
+        # a NaN in every bound_rhs cell
+        (log_cost_market(8, 2), SolverConfig(eps=1e-4, splitting=Splitting.PAPER,
+                                             record_bound=False)),
+        (affine_market(8), SolverConfig()),  # c = inf on every row
+    ], ids=["log", "no_bound", "affine_c_inf"])
+    def test_round_trip_is_exact(self, tmp_path, inst, config):
+        _, trace = solve(inst, config)
         path = tmp_path / "t.csv"
         write_trace_csv(path, trace)
+        assert path.read_bytes() == csv_writer_bytes(trace)
         cols = read_trace_csv(path)
         assert list(cols) == TRACE_FIELDS
         np.testing.assert_array_equal(cols["gamma"], trace.gamma)
         np.testing.assert_array_equal(cols["step_norm"], trace.step_norm)
         np.testing.assert_array_equal(cols["c_k"], trace.c)
         np.testing.assert_array_equal(cols["delta_k"], trace.delta)
+        np.testing.assert_array_equal(cols["bound_rhs"], trace.bound_rhs)
 
     def test_determinism_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -688,9 +709,16 @@ class TestCli:
 
     def test_trace_on_writes_one_trace_per_size(self, tmp_path):
         out = tmp_path / "o"
-        assert main(["--example", "log", "--sweep", "3,5", "--trace", "on", "--out", str(out)]) == 0
+        assert main(["--example", "exp", "--sweep", "3,5", "--trace", "on", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "summary.csv", "trace_log_n3_seed0.csv", "trace_log_n5_seed0.csv",
+            "summary.csv", "trace_exp_n3_seed0.csv", "trace_exp_n5_seed0.csv",
+        ]
+        # the parser is built once per process: later calls read only their own flags
+        assert main(["--n", "3", "--trace", "off", "--out", str(tmp_path / "off")]) == 0
+        assert [p.name for p in (tmp_path / "off").iterdir()] == ["summary.csv"]
+        assert main(["--n", "4", "--out", str(tmp_path / "default")]) == 0
+        assert sorted(p.name for p in (tmp_path / "default").iterdir()) == [
+            "summary.csv", "trace_log_n4_seed0.csv",
         ]
 
     @pytest.mark.parametrize("in_file, flag", [("off", "on"), ("on", "off")])

@@ -384,14 +384,25 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="finite"):
             MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=0.0, upper=1.0, cost=cost)
 
-    def test_rejects_bad_vectors(self):
-        cost = AffineCost(mu_h=np.zeros(2))
-        with pytest.raises(ValueError):
-            MarketInstance(beta=1.0, alpha0=1.0, mu=[-1.0, 0.0], lower=0.0, upper=1.0, cost=cost)
-        with pytest.raises(ValueError):
-            MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=2.0, upper=1.0, cost=cost)
-        with pytest.raises(ValueError):
-            MarketInstance(beta=1.0, alpha0=1.0, mu=np.zeros(3), lower=0.0, upper=1.0, cost=cost)
+    @pytest.mark.parametrize("shape", ["scalar", "vector"])
+    def test_rejects_bad_vectors(self, shape):
+        # a scalar is stored as a stride-0 view whose one number the checks read;
+        # a vector is checked cell by cell: the messages are the same
+        cost = AffineCost(mu_h=np.zeros(3))
+
+        def given(value):
+            return value if shape == "scalar" else [0.0, value, 0.0]
+
+        def market(mu=0.0, lower=0.0, upper=1.0):
+            return MarketInstance(beta=1.0, alpha0=1.0, mu=mu, lower=lower, upper=upper, cost=cost)
+
+        with pytest.raises(ValueError, match="^mu must be nonnegative$"):
+            market(mu=given(-1.0))
+        for box in (dict(lower=given(2.0)), dict(upper=given(-1.0))):
+            with pytest.raises(ValueError, match="^empty box: lower > upper somewhere$"):
+                market(**box)
+        with pytest.raises(ValueError, match="length-3"):
+            market(mu=np.zeros(4))
 
     @pytest.mark.parametrize("shape", ["scalar", "vector"])
     def test_non_finite_parameters_name_themselves(self, shape):
@@ -418,12 +429,22 @@ class TestInstanceValidation:
         assert not signed(0.0) and not signed([0.0, 0.5, 0.0])
         assert signed(-1.0) and signed([0.0, -np.inf, 0.0])
 
+    def test_an_infinite_side_is_noted_once(self):
+        cost = AffineCost(mu_h=np.zeros(3))
+
+        def bounded(lower, upper):
+            return MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=lower, upper=upper, cost=cost)._bounded
+
+        assert bounded(0.0, 1.0) and bounded([0.0, -1.0, 0.0], [1.0, 2.0, 1.0])
+        assert not bounded(-np.inf, 1.0) and not bounded([0.0, -np.inf, 0.0], 1.0)
+        assert not bounded(0.0, np.inf) and not bounded(0.0, [1.0, np.inf, 1.0])
+
     @pytest.mark.parametrize("side", [np.inf, -np.inf], ids=["plus_inf", "minus_inf"])
     def test_rejects_box_side_at_the_wrong_infinity(self, side):
         # lower = upper = +inf (or -inf) is not an empty box, but no point lies in it
         cost = AffineCost(mu_h=np.zeros(3))
         for lower, upper in ((side, side), ([0.0, side, 0.0], [1.0, side, 1.0])):
-            with pytest.raises(ValueError, match="inf"):
+            with pytest.raises(ValueError, match=r"^lower must be below \+inf and upper above -inf$"):
                 MarketInstance(beta=1.0, alpha0=1.0, mu=0.0, lower=lower, upper=upper, cost=cost)
 
     def test_rejects_box_outside_cost_domain(self):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -203,13 +204,17 @@ SETTINGS = {
 }
 INTEGER_SETTINGS = {"max_iter", "n", "seed"}
 NO_NUMBERS = {"bool": True, "str": "0.1", "none": None, "sized_array": np.array([1.0])}
+# beyond every float, so float() overflows; an integer setting takes them
+TOO_BIG = {"huge_int": 10**400, "huge_fraction": Fraction(10**400)}
 
 
 # gamma_lb=None is no bad value: it asks solve to compute the bound
 @pytest.mark.parametrize(
     "name, value",
     [pytest.param(name, value, id=f"{name}-{kind}") for name in SETTINGS
-     for kind, value in NO_NUMBERS.items() if (name, kind) != ("gamma_lb", "none")],
+     for kind, value in NO_NUMBERS.items() if (name, kind) != ("gamma_lb", "none")]
+    + [pytest.param(name, value, id=f"{name}-{kind}") for name in SETTINGS
+       for kind, value in TOO_BIG.items() if name not in INTEGER_SETTINGS],
 )
 def test_a_setting_that_is_no_number_is_refused_by_name(name, value):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):

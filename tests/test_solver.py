@@ -1102,6 +1102,13 @@ class TestBoundAndCertificates:
         with pytest.raises(ValueError, match="c must be a real number"):
             eps_certificate(inst, inst.center(), True, splitting)
 
+    @pytest.mark.parametrize("splitting", [PAPER, EXACT])
+    def test_certificate_reads_a_float32_damping_as_its_float(self, splitting):
+        # 1/c in float32 would round the certificate's factor to float32
+        inst = log_cost_market(5, 0)
+        kappa = eps_certificate(inst, inst.center(), np.float32(0.1), splitting)
+        assert kappa == eps_certificate(inst, inst.center(), float(np.float32(0.1)), splitting)
+
     @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
     def test_exact_coupling_certificate_rejects_bad_damping(self, c):
         inst = log_cost_market(3, 0)

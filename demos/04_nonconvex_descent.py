@@ -6,8 +6,10 @@ shrinking line search, prints the head of the iteration trace, and
 checks the per-iteration potential drop and the terminal stationarity
 certificate. The default splitting keeps the coupling exact, so its
 damping is 1/L_h; the paper's splitting linearizes it and damps by
-1/L_gamma.
+1/L_gamma. Exits 1 when the descent or the budget check it prints fails.
 """
+
+import sys
 
 import numpy as np
 
@@ -30,9 +32,10 @@ for k in show:
 
 drops = trace.gamma[:-1] - trace.gamma[1:]
 needed = 0.5 * trace.c[:-1] * trace.residual[:-1] ** 2
-print(f"\nper-step potential drop is at least (c/2)*||G_c||^2: {np.all(drops >= needed - 1e-9)}")
-print(f"best scaled squared step delta_k stays under its budget: "
-      f"{np.all(trace.delta <= trace.bound_rhs + 1e-12)}")
+descent = bool(np.all(drops >= needed - 1e-9))
+within_budget = bool(np.all(trace.delta <= trace.bound_rhs + 1e-12))
+print(f"\nper-step potential drop is at least (c/2)*||G_c||^2: {descent}")
+print(f"best scaled squared step delta_k stays under its budget: {within_budget}")
 print(f"delta at the last recorded iteration: {trace.delta[-1]:.3e}")
 print(f"terminal certificate (worst unit-direction slope >= -kappa): kappa = {res.certificate:.3e}")
 
@@ -50,3 +53,5 @@ print(f"\nthe paper's splitting, fixed damping 1/L_gamma = {1 / L_gamma:.4f}: "
       f"{paper.status.value} after {paper.iterations} iterations "
       f"(exact coupling: {res.iterations})")
 print(f"both splittings agree on the answer to {np.max(np.abs(res.x - paper.x)):.1e}")
+if not (descent and within_budget):
+    sys.exit(1)

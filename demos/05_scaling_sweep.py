@@ -3,13 +3,16 @@
 
 Runs both nonconvex families for sizes 10..1000 at the reference
 tolerance 1e-3, prints the summary table, and re-verifies one stored
-trace from its CSV alone. The same sweep is available from the shell:
+trace from its CSV alone. Exits 1 when a sweep's exit status is not 0
+or the re-verified trace fails a check. The same sweep is available from
+the shell:
 
     cournotprox --example log --sweep 10,50,100,500,1000 --out results/
     cournotprox --verify results/trace_log_n100_seed0.csv
 """
 
 import csv
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,11 +25,13 @@ from cournotprox.experiments import (
 
 out_root = Path(tempfile.mkdtemp(prefix="cournotprox_demo_"))
 sizes = (10, 50, 100, 500, 1000)
+codes = []
 
 for family in (ExampleFamily.LOG, ExampleFamily.EXP):
     out = out_root / family.value
     cfg = ExperimentConfig(example=family, sweep=sizes, eps=1e-3, seed=0, out_dir=out)
     code = run_experiment(cfg)
+    codes.append(code)
     print(f"\n{family.value} family sweep (exit status {code}), summary at {out / 'summary.csv'}")
     with open(out / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -41,4 +46,7 @@ print("\niteration counts grow with n; regenerate growth plots from the CSVs wit
 
 trace_path = out_root / "log" / "trace_log_n100_seed0.csv"
 print(f"\noffline re-check of {trace_path.name}:")
-print(verify_run(trace_path))
+report = verify_run(trace_path)
+print(report)
+if any(codes) or not report.passed:
+    sys.exit(1)

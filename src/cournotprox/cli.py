@@ -23,8 +23,6 @@ from .experiments import (
 )
 from .solver import Splitting, StepPolicy
 
-_CUSTOM_KEYS = ("beta", "alpha0", "mu", "lower", "upper", "cost", "c0", "c", "r", "mu_h", "xi")
-
 
 def parse_config_file(path):
     """Flat ``key = value`` lines; blank lines and # comments ignored."""
@@ -107,17 +105,16 @@ def _by_field(values, where):
 def _merged(args):
     """ExperimentConfig from the flags and the config file; unset values keep its defaults."""
     file_values = parse_config_file(args.config) if args.config else {}
-    unknown = [k for k in file_values if k not in _FLAG_FIELDS and k not in _CUSTOM_KEYS]
-    if unknown:
-        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
     fields = _by_field({k: v for k, v in file_values.items() if k in _FLAG_FIELDS}, args.config)
     given = {f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f) is not None}
     fields.update(_by_field(given, "the command line"))  # a flag overrides the file
     settings = {name: _converted(*spec) for name, spec in fields.items()}
-    # every market key but the cost family holds a number; r may also say random
-    custom = {k: v if k == "cost" or (k, v) == ("r", "random") else _converted(k, float, v)
-              for k, v in file_values.items() if k in _CUSTOM_KEYS}
-    return ExperimentConfig(**settings, custom=custom)
+    # every other file key is a market key of the example's family: the config refuses
+    # any other key by name, before its value is read as a number
+    custom = {k: v for k, v in file_values.items() if k not in _FLAG_FIELDS}
+    cfg = ExperimentConfig(**settings, custom=custom)
+    cfg.custom = {k: _converted(k, float, v) for k, v in custom.items()}
+    return cfg
 
 
 def main(argv=None):
@@ -130,9 +127,9 @@ def main(argv=None):
         cfg = _merged(args)
         if cfg.sweep is None:
             raise ValueError("set --n or --sweep")
-        # a custom market comes from file values: build one and its start point
-        # up front so that a bad parameter is rejected like any other bad setting
-        if cfg.example is ExampleFamily.CUSTOM and cfg.sweep:
+        # market keys come from the file: build one market and its start point up
+        # front so that a bad value is rejected like any other bad setting
+        if cfg.custom and cfg.sweep:
             initial_point(cfg, generate_instance(cfg, cfg.sweep[0]))
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, KeyError) as exc:  # OSError: an unreadable file or unusable --out

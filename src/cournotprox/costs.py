@@ -65,8 +65,8 @@ def _real(value, name, finite=True):
 def _infer_n(n, *values):
     if n is not None:
         n = _integer(n, "n")
-        if n < 1:
-            raise ValueError("n must be a positive integer")
+        if not 1 <= n <= np.iinfo(np.intp).max:  # the longest axis numpy can index
+            raise ValueError(f"n must be a positive integer at most {np.iinfo(np.intp).max}")
         return n
     for v in values:
         if np.ndim(v) == 1:

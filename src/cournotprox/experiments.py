@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import AffineCost, ExpCost, LogCost, _integer
+from .costs import AffineCost, ExpCost, LogCost, _infer_n, _integer
 from .model import MarketInstance
 from .solver import IterationTrace, SolverConfig, SolveStatus, Splitting, StepPolicy, solve
 from .subqp import _local_model, prox_step
@@ -70,7 +70,6 @@ class ExampleFamily(Enum):
     LOG = "log"
     EXP = "exp"
     AFFINE = "affine"
-    CUSTOM = "custom"
 
 
 class X0Policy(Enum):
@@ -80,31 +79,31 @@ class X0Policy(Enum):
 
 
 def log_cost_market(n, seed_or_rng=0, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0,
-                    ceiling=2.0, scale=1.5):
-    """Log-cost market: r_i = 1 + U(0,1) per firm, box [lower, upper]^n."""
-    cost = _family_cost("log", n, seed_or_rng, ceiling, scale)
-    return MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=lower, upper=upper, cost=cost)
+                    c0=2.0, c=1.5, mu=0.0, r=None):
+    """Log-cost market on the box [lower, upper]^n; r_i = 1 + U(0,1) per firm unless r is given."""
+    if r is None:
+        r = 1.0 + np.random.default_rng(seed_or_rng).random(n)
+    cost = LogCost(c0=c0, c=c, r=r, n=n)
+    return MarketInstance(beta=beta, alpha0=alpha0, mu=mu, lower=lower, upper=upper, cost=cost)
 
 
 def exp_cost_market(n, seed_or_rng=0, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0,
-                    ceiling=4.0, scale=2.0):
-    """Exponential-cost market: r_i = 0.1 + 0.1*U(0,1) per firm, box [lower, upper]^n."""
-    cost = _family_cost("exp", n, seed_or_rng, ceiling, scale)
-    return MarketInstance(beta=beta, alpha0=alpha0, mu=0.0, lower=lower, upper=upper, cost=cost)
-
-
-def _family_cost(kind, n, seed_or_rng, c0, c, r="random"):
-    # the one place a family draws its per-firm r; a custom market may fix it instead
-    if isinstance(r, str) and r == "random":
-        rng = np.random.default_rng(seed_or_rng)
-        r = 1.0 + rng.random(n) if kind == "log" else 0.1 + 0.1 * rng.random(n)
-    return (LogCost if kind == "log" else ExpCost)(c0=c0, c=c, r=r, n=n)
-
-
-def affine_market(n, mu=2.0, beta=0.1, alpha0=10.0, lower=0.0, upper=50.0):
-    """Affine-cost market (convex); its unique equilibrium has a QP oracle."""
-    cost = AffineCost(mu_h=0.0, xi=0.0, n=n)
+                    c0=4.0, c=2.0, mu=0.0, r=None):
+    """Exponential-cost market on [lower, upper]^n; r_i = 0.1 + 0.1*U(0,1) unless r is given."""
+    if r is None:
+        r = 0.1 + 0.1 * np.random.default_rng(seed_or_rng).random(n)
+    cost = ExpCost(c0=c0, c=c, r=r, n=n)
     return MarketInstance(beta=beta, alpha0=alpha0, mu=mu, lower=lower, upper=upper, cost=cost)
+
+
+def affine_market(n, mu=2.0, beta=0.1, alpha0=10.0, lower=0.0, upper=50.0, mu_h=0.0, xi=0.0):
+    """Affine-cost market (convex); its unique equilibrium has a QP oracle."""
+    cost = AffineCost(mu_h=mu_h, xi=xi, n=n)
+    return MarketInstance(beta=beta, alpha0=alpha0, mu=mu, lower=lower, upper=upper, cost=cost)
+
+
+_MARKETS = {ExampleFamily.LOG: log_cost_market, ExampleFamily.EXP: exp_cost_market,
+            ExampleFamily.AFFINE: affine_market}
 
 
 @dataclass
@@ -112,6 +111,9 @@ class ExperimentConfig:
     """One experiment batch: family, sizes, seed, solver knobs, output layout.
 
     ``sweep`` holds the sizes, strictly increasing; one run is ``sweep=(n,)``.
+    ``custom`` holds market keys: keyword arguments of the family's function
+    (``log_cost_market``, ``exp_cost_market`` or ``affine_market``) other than
+    its size and seed. A key left out keeps that function's default.
     """
 
     example: ExampleFamily = ExampleFamily.LOG
@@ -130,17 +132,23 @@ class ExperimentConfig:
         if self.out_dir is None:
             self.out_dir = Path(os.environ.get(OUT_DIR_ENV, "results"))
         self.out_dir = Path(self.out_dir)
+        for name, kind, what in (("example", ExampleFamily, "an ExampleFamily"),
+                                 ("x0", X0Policy, "an X0Policy"),
+                                 ("trace", (bool, np.bool_), "a bool")):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if self.sweep is not None:
-            self.sweep = tuple(_integer(v, "each sweep size") for v in self.sweep)
+            self.sweep = tuple(_infer_n(v) for v in self.sweep)  # each size is an n
             if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
                 raise ValueError("sweep sizes must be strictly increasing")
-            if any(v < 1 for v in self.sweep):
-                raise ValueError("sweep sizes must be positive")
         self.seed = _integer(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.custom and self.example is not ExampleFamily.CUSTOM:
-            raise ValueError(f"market keys {sorted(self.custom)} need example = custom")
+        if self.custom:  # no keys, no signature lookup
+            takes = inspect.signature(_MARKETS[self.example]).parameters
+            for key in self.custom:  # the size and the seed come from the run
+                if key not in takes or key in ("n", "seed_or_rng"):
+                    raise ValueError(f"unknown market key {key!r} for example = {self.example.value}")
         self.solver_config()  # SolverConfig checks eps and max_iter
 
     def solver_config(self):
@@ -150,35 +158,10 @@ class ExperimentConfig:
         )
 
 
-def _custom_instance(cfg, n):
-    spec = dict(cfg.custom)
-    kind = str(spec.pop("cost", "log")).lower()
-    family = {"log": log_cost_market, "exp": exp_cost_market, "affine": affine_market}.get(kind)
-    if family is None:
-        raise ValueError(f"unknown cost family {kind!r}")
-    # a key left out keeps the family function's default; mu is 0 where it has none
-    default = {k: p.default for k, p in inspect.signature(family).parameters.items()}
-    market = {k: spec.pop(k, default.get(k, 0.0)) for k in ("beta", "alpha0", "mu", "lower", "upper")}
-    if kind == "affine":
-        cost = AffineCost(mu_h=spec.pop("mu_h", 0.0), xi=spec.pop("xi", 0.0), n=n)
-    else:
-        c0, c = spec.pop("c0", default["ceiling"]), spec.pop("c", default["scale"])
-        cost = _family_cost(kind, n, cfg.seed, c0, c, spec.pop("r", "random"))
-    if spec:
-        raise ValueError(f"unknown custom keys: {sorted(spec)}")
-    return MarketInstance(**market, cost=cost)
-
-
 def generate_instance(cfg, n):
-    """Build the market instance of size ``n`` for one run; deterministic per (family, n, seed)."""
-    n = _integer(n, "n")
-    if cfg.example is ExampleFamily.LOG:
-        return log_cost_market(n, cfg.seed)
-    if cfg.example is ExampleFamily.EXP:
-        return exp_cost_market(n, cfg.seed)
-    if cfg.example is ExampleFamily.AFFINE:
-        return affine_market(n)
-    return _custom_instance(cfg, n)
+    """The family's market of size ``n`` with the config's keys; deterministic per (cfg, n)."""
+    seed = () if cfg.example is ExampleFamily.AFFINE else (cfg.seed,)  # only a family that draws
+    return _MARKETS[cfg.example](_integer(n, "n"), *seed, **cfg.custom)
 
 
 def initial_point(cfg, inst):
@@ -232,9 +215,10 @@ def run_experiment(cfg):
     """Run one sweep; write per-run trace CSVs and a summary CSV.
 
     Returns 0 when every run converged and every per-run bound check (and,
-    in affine mode, the oracle check: ``oracle_err``, the answer's sup-norm
-    distance from the c = inf exact-coupling step at the box center, the
-    unique equilibrium, at most 1e-6) passed, 1 otherwise. Summary rows
+    on every affine market, keys set or not, the oracle check: ``oracle_err``,
+    the answer's sup-norm distance from the c = inf exact-coupling step at
+    the box center, the unique equilibrium of the strongly convex potential,
+    at most 1e-6) passed, 1 otherwise. Summary rows
     appear in sweep order; an empty sweep yields header-only output and
     exit status 0.
     """

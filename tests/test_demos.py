@@ -52,4 +52,4 @@ def test_readme_config_file_example_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(cfgfile), "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
-    assert (out / "trace_custom_n50_seed3.csv").exists()
+    assert (out / "trace_log_n50_seed3.csv").exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cournotprox import (
-    IterationTrace, MarketInstance, SolverConfig, Splitting, StepPolicy, solve,
+    AffineCost, IterationTrace, MarketInstance, SolverConfig, Splitting, StepPolicy, solve,
 )
 from cournotprox import experiments
 from cournotprox.cli import main, parse_config_file
@@ -41,6 +41,19 @@ def read_summary(path):
     return [dict(zip(SUMMARY_FIELDS, r)) for r in rows[1:]]
 
 
+def assert_same_market(got, want):
+    # bit for bit, dtype and stride-0 storage of a scalar included
+    assert type(got.cost) is type(want.cost)
+    cost_fields = ("mu_h", "xi") if isinstance(want.cost, AffineCost) else ("c0", "c", "r", "cr")
+    pairs = [(getattr(got, f), getattr(want, f)) for f in
+             ("beta", "alpha0", "mu", "lower", "upper", "alpha_tilde", "L_h", "_signed")]
+    pairs += [(getattr(got.cost, f), getattr(want.cost, f)) for f in cost_fields]
+    for mine, theirs in pairs:
+        mine, theirs = np.asarray(mine), np.asarray(theirs)
+        assert mine.dtype == theirs.dtype and mine.strides == theirs.strides
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+
+
 class TestInstanceFamilies:
     def test_log_parameters_in_range(self):
         inst = log_cost_market(50, 123)
@@ -72,38 +85,48 @@ class TestInstanceFamilies:
 
     def test_generate_custom_instance(self):
         cfg = ExperimentConfig(
-            example=ExampleFamily.CUSTOM,
-            seed=1,
-            custom={"cost": "exp", "c0": 5.0, "c": 2.5, "r": 0.12, "upper": 20.0},
+            example=ExampleFamily.EXP, seed=1,
+            custom={"c0": 5.0, "c": 2.5, "r": 0.12, "upper": 20.0},
         )
         inst = generate_instance(cfg, 3)
         np.testing.assert_array_equal(inst.cost.r, np.full(3, 0.12))
+        np.testing.assert_array_equal(inst.cost.c0, np.full(3, 5.0))
         np.testing.assert_array_equal(inst.upper, np.full(3, 20.0))
-        with pytest.raises(ValueError):
-            bogus = ExperimentConfig(example=ExampleFamily.CUSTOM, custom={"bogus": 1})
-            generate_instance(bogus, 2)
+        with pytest.raises(ValueError, match="'bogus'"):
+            ExperimentConfig(example=ExampleFamily.EXP, custom={"bogus": 1})
 
     @pytest.mark.parametrize("kind, custom", [
-        ("log", {}), ("log", {"cost": "log"}), ("exp", {"cost": "exp"}),
-        ("affine", {"cost": "affine"}),
+        ("log", {}), ("log", {"c0": 2.0, "c": 1.5, "upper": 10.0, "mu": 0.0, "r": None}),
+        ("exp", {"c0": 4.0, "c": 2.0, "beta": 0.1, "lower": 0.0}),
+        ("affine", {"mu": 2.0, "mu_h": 0.0, "xi": 0.0, "upper": 50.0}),
     ], ids=["no_keys", "log", "exp", "affine"])
     def test_custom_market_with_default_keys_is_the_family_market(self, kind, custom):
-        # the r draw, the c0/c defaults and the market and box defaults are the family
-        # function's, bit for bit, stride-0 storage of a scalar included
+        # keys spelled at their defaults leave the r draw, the cost and the market and
+        # box the family function's, bit for bit, stride-0 storage of a scalar included
         family = {"log": log_cost_market, "exp": exp_cost_market,
                   "affine": lambda n, seed: affine_market(n)}[kind]
-        cost_fields = ("mu_h", "xi") if kind == "affine" else ("c0", "c", "r", "cr")
         for n, seed in ((1, 0), (7, 3), (1000, 11)):
-            cfg = ExperimentConfig(example=ExampleFamily.CUSTOM, seed=seed, custom=custom)
-            got, want = generate_instance(cfg, n), family(n, seed)
-            assert type(got.cost) is type(want.cost)
-            pairs = [(getattr(got, f), getattr(want, f)) for f in
-                     ("beta", "alpha0", "mu", "lower", "upper", "alpha_tilde", "L_h", "_signed")]
-            pairs += [(getattr(got.cost, f), getattr(want.cost, f)) for f in cost_fields]
-            for mine, theirs in pairs:
-                mine, theirs = np.asarray(mine), np.asarray(theirs)
-                assert mine.dtype == theirs.dtype and mine.strides == theirs.strides
-                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+            cfg = ExperimentConfig(example=ExampleFamily(kind), seed=seed, custom=custom)
+            assert_same_market(generate_instance(cfg, n), family(n, seed))
+
+    @pytest.mark.parametrize("example, keys", [
+        (ExampleFamily.LOG, {"beta": 0.2, "c0": 3.0, "r": np.linspace(1.0, 2.0, 5), "mu": 0.5}),
+        (ExampleFamily.EXP, {"alpha0": 12.0, "lower": 1.0, "c": 1.0}),
+        (ExampleFamily.AFFINE, {"mu": np.arange(5.0), "mu_h": 1.0, "xi": 0.5}),
+    ], ids=["log", "exp", "affine"])
+    def test_a_config_builds_the_market_a_direct_call_builds(self, example, keys):
+        # one way to build a market: the config passes its keys to the family function
+        cfg = ExperimentConfig(example=example, seed=4, custom=keys)
+        family = {ExampleFamily.LOG: lambda n: log_cost_market(n, 4, **keys),
+                  ExampleFamily.EXP: lambda n: exp_cost_market(n, 4, **keys),
+                  ExampleFamily.AFFINE: lambda n: affine_market(n, **keys)}[example]
+        assert_same_market(generate_instance(cfg, 5), family(5))
+
+    def test_positional_arguments_keep_their_places(self):
+        # market keys were appended: affine_market(5, 3.0) still sets mu
+        assert affine_market(5, 3.0).mu[0] == 3.0
+        assert log_cost_market(5, 0, 0.2, 11.0, 0.0, 9.0, 2.5, 1.0).cost.c0[0] == 2.5
+        assert exp_cost_market(5, 0, 0.2, 11.0, 0.0, 9.0, 4.5, 1.0).cost.c[0] == 1.0
 
     def test_initial_point_policies(self):
         cfg = ExperimentConfig(example=ExampleFamily.LOG, seed=11)
@@ -120,15 +143,29 @@ class TestInstanceFamilies:
 
     def test_random_start_needs_a_bounded_box(self):
         cfg = ExperimentConfig(
-            example=ExampleFamily.CUSTOM, x0=X0Policy.RANDOM,
-            custom={"cost": "affine", "upper": float("inf")},
+            example=ExampleFamily.AFFINE, x0=X0Policy.RANDOM, custom={"upper": float("inf")},
         )
         with pytest.raises(ValueError, match="bounded box"):
             initial_point(cfg, generate_instance(cfg, 2))
 
-    def test_market_keys_need_custom_example(self):
-        with pytest.raises(ValueError, match="example = custom"):
-            ExperimentConfig(example=ExampleFamily.LOG, sweep=(3,), custom={"beta": 0.5})
+    @pytest.mark.parametrize("example, key", [
+        (ExampleFamily.LOG, "mu_h"), (ExampleFamily.AFFINE, "c0"), (ExampleFamily.EXP, "cost"),
+        (ExampleFamily.LOG, "n"), (ExampleFamily.LOG, "seed_or_rng"),
+    ], ids=["mu_h_on_log", "c0_on_affine", "cost_on_exp", "n", "seed_or_rng"])
+    def test_a_key_of_another_family_is_refused_by_name(self, example, key):
+        # the size and the seed come from the run, not from a market key
+        with pytest.raises(ValueError, match=rf"'{key}' for example = {example.value}$"):
+            ExperimentConfig(example=example, sweep=(3,), custom={key: 1.0})
+
+    @pytest.mark.parametrize("field, value", [
+        ("example", "exp"), ("example", "custom"), ("x0", "center"), ("x0", "zero"),
+        ("trace", "off"), ("trace", 0),
+    ], ids=["example_str", "example_custom", "x0_center_str", "x0_zero_str", "trace_str",
+            "trace_int"])
+    def test_a_misread_enum_or_bool_is_refused_by_name(self, field, value):
+        # a plain string is no member: read as one, "exp" would reach the wrong branch
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            ExperimentConfig(sweep=(3,), **{field: value})
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -254,13 +291,28 @@ class TestRunExperiment:
 
     def test_summary_leaves_gamma_lb_empty_on_an_unbounded_box(self, tmp_path):
         cfg = ExperimentConfig(
-            example=ExampleFamily.CUSTOM, sweep=(3,), eps=1e-8, out_dir=tmp_path,
-            custom={"cost": "affine", "mu_h": 2.0, "upper": float("inf")},
+            example=ExampleFamily.AFFINE, sweep=(3,), eps=1e-8, out_dir=tmp_path,
+            custom={"mu_h": 2.0, "upper": float("inf")},
         )
         assert run_experiment(cfg) == 0
         (row,) = read_summary(tmp_path / "summary.csv")
         assert row["gamma_lb"] == ""
         assert float(row["L_gamma"]) == lipschitz_gamma(generate_instance(cfg, 3))
+
+    def test_an_affine_run_with_keys_is_oracle_checked(self, tmp_path, monkeypatch):
+        keys = {"mu": 3.0, "mu_h": 1.0, "xi": 0.5, "upper": 20.0}
+        cfg = ExperimentConfig(example=ExampleFamily.AFFINE, sweep=(1, 5), eps=1e-8,
+                               out_dir=tmp_path, custom=keys)
+        assert run_experiment(cfg) == 0
+        for row in read_summary(tmp_path / "summary.csv"):
+            star = affine_equilibrium(affine_market(int(row["n"]), **keys))
+            res, _ = solve(generate_instance(cfg, int(row["n"])), cfg.solver_config())
+            assert float(row["oracle_err"]) <= 1e-6 and np.max(np.abs(res.x - star)) <= 1e-6
+        # the check bites: an oracle one unit off fails the run
+        oracle = experiments.prox_step
+        monkeypatch.setattr(experiments, "prox_step", lambda *a: oracle(*a) + 1.0)
+        assert run_experiment(cfg) == 1
+        assert all(float(r["oracle_err"]) > 0.5 for r in read_summary(tmp_path / "summary.csv"))
 
     def test_center_sweep_projects_no_start(self, tmp_path, monkeypatch):
         # solve's default start is the midpoint run_experiment would pass, so
@@ -534,15 +586,13 @@ class TestCli:
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
             "# comment line\n"
-            "example = custom\n"
+            "example = log\n"
             "n = 4\n"
             "seed = 2\n"
             "eps = 1e-4\n"
-            "cost = log\n"
-            "c0 = 2.0\n"
+            "c0 = 2.5\n"
             "c = 1.5\n"
-            "r = random\n"
-            "upper = 10\n"
+            "upper = 12\n"
         )
         out = tmp_path / "o"
         code = main(["--config", str(cfgfile), "--seed", "7", "--out", str(out)])
@@ -550,6 +600,11 @@ class TestCli:
         rows = read_summary(out / "summary.csv")
         assert rows[0]["seed"] == "7"  # flag wins over file
         assert rows[0]["n"] == "4"
+        # the file's market keys reach the family function as numbers
+        inst = log_cost_market(4, 7, c0=2.5, c=1.5, upper=12.0)
+        res, _ = solve(inst, SolverConfig(eps=1e-4))
+        assert float(rows[0]["certificate"]) == res.certificate
+        assert float(rows[0]["L"]) == inst.L_h
 
     def test_missing_size_is_an_error(self, tmp_path, capsys):
         assert main(["--example", "log", "--out", str(tmp_path)]) == 2
@@ -596,7 +651,7 @@ class TestCli:
         ("example = log\nn = 2.5\n", "n"),
         ("example = log\nn = 3\neps = abc\n", "eps"),
         ("example = log\nn = 3\ntrace = ON\n", "trace"),
-        ("example = custom\ncost = log\nn = 3\nbeta = abc\n", "beta"),
+        ("example = log\nn = 3\nbeta = abc\n", "beta"),
     ], ids=["n", "eps", "trace", "market_key"])
     def test_a_bad_file_value_names_its_key(self, tmp_path, capsys, keys, key):
         cfgfile = tmp_path / "bad.cfg"
@@ -621,7 +676,7 @@ class TestCli:
     )
     def test_bad_custom_market_exits_2(self, tmp_path, capsys, bad):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text(f"example = custom\ncost = log\n{bad}\n")
+        cfgfile.write_text(f"example = log\n{bad}\n")
         assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -629,7 +684,7 @@ class TestCli:
         # the exp cost is defined on the whole line, but its curvature has no
         # bound on an unbounded-below side, so no damping suits the box
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("example = custom\ncost = exp\nlower = -inf\n")
+        cfgfile.write_text("example = exp\nlower = -inf\n")
         assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
         assert "curvature" in capsys.readouterr().err
 
@@ -674,11 +729,32 @@ class TestCli:
             main(["--example", "log", "--n", "3", "--splitting", "both"])
         assert exc.value.code == 2
 
-    def test_market_keys_need_custom_example_exits_2(self, tmp_path, capsys):
-        cfgfile = tmp_path / "log.cfg"
-        cfgfile.write_text("example = log\nbeta = 0.5\n")
+    @pytest.mark.parametrize("keys, error", [
+        ("example = log\nmu_h = 1\n", "unknown market key 'mu_h' for example = log"),
+        ("example = affine\nc0 = 2\n", "unknown market key 'c0' for example = affine"),
+        ("example = log\ncost = log\n", "unknown market key 'cost' for example = log"),
+        ("mu_h = abc\n", "unknown market key 'mu_h' for example = log"),
+        ("example = exp\nr = random\n", "r: could not convert string to float: 'random'"),
+        ("example = custom\n", "example: 'custom' is not a valid ExampleFamily"),
+    ], ids=["mu_h_on_log", "c0_on_affine", "cost", "unknown_before_its_value", "r_random",
+            "example_custom"])
+    def test_a_key_of_another_family_exits_2(self, tmp_path, capsys, keys, error):
+        # a key is checked against the family before its value is read; r is a log
+        # and exp key, but a number: the family rule is to leave it out; example
+        # alone picks the family
+        cfgfile = tmp_path / "keys.cfg"
+        cfgfile.write_text(keys)
         assert main(["--config", str(cfgfile), "--n", "3", "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sizes", [["--n", "100000000000000000000000"],
+                                       ["--sweep", "3,100000000000000000000000"]], ids=["n", "sweep"])
+    def test_a_size_past_numpys_longest_axis_exits_2(self, tmp_path, capsys, sizes):
+        # numpy would refuse it only inside a run, with no name; a smaller size runs none first
+        assert main(["--example", "log", *sizes, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: n must be a positive integer at most ")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         # the flag's spelling is not a file key: max_iter is
@@ -731,7 +807,7 @@ class TestCli:
 
     def test_random_start_on_unbounded_box_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "open.cfg"
-        cfgfile.write_text("example = custom\ncost = affine\nupper = inf\n")
+        cfgfile.write_text("example = affine\nupper = inf\n")
         argv = ["--config", str(cfgfile), "--n", "3", "--x0", "random", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: x0 = random")

@@ -12,7 +12,7 @@ import pytest
 import cournotprox
 from cournotprox import (
     AffineCost, CostModel, ExampleFamily, ExpCost, ExperimentConfig, LogCost, MarketInstance,
-    SolverConfig, SolveStatus, Splitting, generate_instance, log_cost_market, nash_gap, prox_step,
+    SolverConfig, SolveStatus, Splitting, log_cost_market, nash_gap, prox_step,
 )
 from cournotprox.experiments import VerifyReport
 
@@ -206,6 +206,8 @@ INTEGER_SETTINGS = {"max_iter", "n", "seed"}
 NO_NUMBERS = {"bool": True, "str": "0.1", "none": None, "sized_array": np.array([1.0])}
 # beyond every float, so float() overflows; an integer setting takes them
 TOO_BIG = {"huge_int": 10**400, "huge_fraction": Fraction(10**400)}
+# n is also an axis length, which numpy caps at intp; a size it allows is never built here
+TOO_LONG = {"past_intp": np.iinfo(np.intp).max + 1, "two_to_63": 2**63, "huge_int": 10**400}
 
 
 # gamma_lb=None is no bad value: it asks solve to compute the bound
@@ -214,11 +216,22 @@ TOO_BIG = {"huge_int": 10**400, "huge_fraction": Fraction(10**400)}
     [pytest.param(name, value, id=f"{name}-{kind}") for name in SETTINGS
      for kind, value in NO_NUMBERS.items() if (name, kind) != ("gamma_lb", "none")]
     + [pytest.param(name, value, id=f"{name}-{kind}") for name in SETTINGS
-       for kind, value in TOO_BIG.items() if name not in INTEGER_SETTINGS],
+       for kind, value in TOO_BIG.items() if name not in INTEGER_SETTINGS]
+    + [pytest.param("n", value, id=f"n-{kind}") for kind, value in TOO_LONG.items()],
 )
 def test_a_setting_that_is_no_number_is_refused_by_name(name, value):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         SETTINGS[name](value)
+
+
+@pytest.mark.parametrize("value", list(TOO_LONG.values()), ids=list(TOO_LONG))
+def test_a_sweep_size_past_numpys_longest_axis_is_refused_as_n(value):
+    # each sweep size is an n and passes the cost's own check, before any run
+    message = rf"^n must be a positive integer at most {np.iinfo(np.intp).max}$"
+    for call in (lambda: LogCost(c0=2.0, c=1.5, r=1.0, n=value),
+                 lambda: ExperimentConfig(sweep=(2, value))):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("name", list(SETTINGS))
@@ -240,8 +253,8 @@ def test_a_number_in_range_is_accepted(name):
         (TypeError, "cost", lambda: market(cost=object())),
         (ValueError, "n", lambda: LogCost(c0=2.0, c=1.5, r=1.0, n=0)),
         (ValueError, "x", lambda: LogCost(c0=2.0, c=1.5, r=1.0, n=2).value_components(np.zeros(3))),
-        (ValueError, "cost", lambda: generate_instance(
-            ExperimentConfig(example=ExampleFamily.CUSTOM, custom={"cost": "quadratic"}), 2)),
+        (ValueError, "cost", lambda: ExperimentConfig(
+            example=ExampleFamily.LOG, custom={"cost": "quadratic"})),
         (ValueError, "x", lambda: prox_step(INST, np.zeros(3), 1.0)),
     ],
     ids=["market_cost", "cost_n", "cost_points", "custom_family", "step_x"],

@@ -25,7 +25,7 @@ from .solver import Splitting, StepPolicy
 
 
 def parse_config_file(path):
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+    """Flat ``key = value`` lines, each key once; blank lines and # comments ignored."""
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -34,8 +34,10 @@ def parse_config_file(path):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:  # a later line would silently win
+            raise ValueError(f"{path}:{lineno}: {key!r} is set twice; give each key once")
+        values[key] = value
     return values
 
 

@@ -12,9 +12,10 @@ box's two ends, and refuses a box with an end outside the cost's domain,
 where the kernel raises ``CostDomainError`` or h'' is not finite.
 
 Per-firm parameters are read-only float vectors of shape (n,). One given
-as a scalar is stored once, as a stride-0 broadcast view: ufuncs read it
-as fast as the scalar, checks read one element, and it costs no n-vector
-of memory. A length-n input is copied. Only int and float dtypes pass.
+as a scalar is checked as one number and stored once, as a stride-0 view
+of its own read-only copy: ufuncs read it as fast as the scalar, checks
+read one element (through ufunc reductions, cheaper than np.any), and it
+costs no n-vector. A length-n input is copied. Only int and float dtypes pass.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ __all__ = [
     "LogCost",
     "ExpCost",
 ]
+
+_MAX_N = np.iinfo(np.intp).max  # the longest axis numpy can index
 
 
 class CostDomainError(ValueError):
@@ -65,8 +68,8 @@ def _real(value, name, finite=True):
 def _infer_n(n, *values):
     if n is not None:
         n = _integer(n, "n")
-        if not 1 <= n <= np.iinfo(np.intp).max:  # the longest axis numpy can index
-            raise ValueError(f"n must be a positive integer at most {np.iinfo(np.intp).max}")
+        if not 1 <= n <= _MAX_N:
+            raise ValueError(f"n must be a positive integer at most {_MAX_N}")
         return n
     for v in values:
         if np.ndim(v) == 1:
@@ -75,22 +78,22 @@ def _infer_n(n, *values):
 
 
 def _param(value, n, name, finite=True):
-    # float() copies a scalar: a caller's 0-d array changed later must not change the view.
-    # A scalar is checked before it is broadcast, not as n stride-0 copies.
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":  # float() would take True, "0.5" and Decimal
         raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
-    if arr.ndim == 0:
-        arr = np.asarray(float(arr))
-    elif arr.shape == (n,):
-        arr = _frozen(np.array(arr, dtype=float))
-    else:
+    if arr.ndim == 0:  # checked as one number, then stored as a view that reads it n times
+        x = float(arr)  # a copy: a caller's 0-d array changed later must not change the view
+        if not math.isfinite(x) and (finite or x != x):
+            raise ValueError(f"{name} must be finite" if finite else f"{name} must not contain NaN")
+        return np.ndarray((n,), buffer=_frozen(np.array(x)), strides=(0,))  # read-only for good
+    if arr.shape != (n,):
         raise ValueError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
-    if finite and not np.all(np.isfinite(arr)):
+    arr = _frozen(np.array(arr, dtype=float))
+    if finite and not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    if np.any(np.isnan(arr)):
+    if np.logical_or.reduce(np.isnan(arr)):
         raise ValueError(f"{name} must not contain NaN")
-    return arr if arr.ndim else np.broadcast_to(arr, (n,))
+    return arr
 
 
 def _once(arr):  # a stride-0 view holds one number n times: a check reads it once
@@ -183,9 +186,9 @@ class LogCost(CostModel):
         object.__setattr__(self, "c0", _param(self.c0, n, "c0"))
         object.__setattr__(self, "c", _param(self.c, n, "c"))
         object.__setattr__(self, "r", _param(self.r, n, "r"))
-        if np.any(_once(self.c0) < 0):
+        if np.logical_or.reduce(_once(self.c0) < 0):
             raise ValueError("c0 must be nonnegative")
-        if np.any(_once(self.c) <= 0) or np.any(_once(self.r) <= 0):
+        if np.logical_or.reduce(_once(self.c) <= 0) or np.logical_or.reduce(_once(self.r) <= 0):
             raise ValueError("c and r must be positive")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
 
@@ -230,9 +233,9 @@ class ExpCost(CostModel):
         object.__setattr__(self, "c0", _param(self.c0, n, "c0"))
         object.__setattr__(self, "c", _param(self.c, n, "c"))
         object.__setattr__(self, "r", _param(self.r, n, "r"))
-        if np.any(_once(self.c) <= 0) or np.any(_once(self.r) <= 0):
+        if np.logical_or.reduce(_once(self.c) <= 0) or np.logical_or.reduce(_once(self.r) <= 0):
             raise ValueError("c and r must be positive")
-        if np.any(_once(self.c0) < _once(self.c)):
+        if np.logical_or.reduce(_once(self.c0) < _once(self.c)):
             raise ValueError("c0 must dominate c componentwise")
         object.__setattr__(self, "cr", _frozen(self.c * self.r))
         object.__setattr__(self, "_neg_r", _frozen(-self.r))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model
-from .costs import _real
+from .costs import _once, _real
 
 __all__ = [
     "nash_gap",
@@ -44,9 +44,11 @@ def _profile_min(inst, a, b, lower, upper):
     is least at its ends, so floor = min(p(l), p(u), p(t) - |p'(t)|*(u - l))
     and best = min(p(l), p(u), p(t)). Each pass is one cost call over all
     n firms: two for the ends, then one per Newton step while a firm takes
-    one. Memory peaks below 10 n-vectors (9.4 at n = 1e5).
+    one. When no firm takes one, as on every log and exp profile of the
+    lower bound, both are min(p(l), p(u)), returned right after that test.
+    Memory peaks below 10 n-vectors (9.4 at n = 1e5).
     """
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+    if not (np.isfinite(_once(lower)).all() and np.isfinite(_once(upper)).all()):
         raise ValueError("bounded box required")
     half = 0.5 * a
     ends, g, h, p_t, g_t, s, w = np.empty((7,) + np.shape(b))
@@ -64,8 +66,10 @@ def _profile_min(inst, a, b, lower, upper):
     at_an_end = (h >= 0) & (s >= 0) & (np.sign(g) == np.sign(g_t))
     np.copyto(g, g_t, where=top)
     np.copyto(h, s, where=top)
-    t = np.where(top, upper, lower)
     active = (h > 0) & np.where(top, g > 0, g < 0) & ~at_an_end
+    if not active.any():  # the loop's floor and best would both be min(p(l), p(u))
+        return ends, ends
+    t = np.where(top, upper, lower)
     p_t.fill(np.inf)  # p and p' at the crossing
     g_t.fill(0.0)
     while active.any():
@@ -130,4 +134,4 @@ def gamma_lower_bound(inst):
     calls at its ends show.
     """
     _, floor = _profile_min(inst, 0.0, -inst.alpha_tilde, inst.lower, inst.upper)
-    return float(np.sum(floor))
+    return float(np.add.reduce(floor))

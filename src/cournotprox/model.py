@@ -50,9 +50,9 @@ class MarketInstance:
     then needs sum(|clip|); the private ``_bounded``, whether no side is infinite.
 
     ``mu``, ``lower`` and ``upper`` are read-only float vectors of shape
-    (n,); one given as a scalar is stored once, as a stride-0 broadcast
-    view, so the checks here, the solver's clip and the aggregate root read
-    one number instead of streaming a constant n-vector. ``alpha_tilde``
+    (n,); one given as a scalar is stored once, as a stride-0 view, so
+    the checks here, ``center``, the solver's clip and the aggregate root
+    read one number instead of streaming a constant n-vector. ``alpha_tilde``
     stays dense: the potential reads it through ``x @ alpha_tilde``, a dot
     product that over a stride-0 operand runs about 5x slower and rounds differently.
     """
@@ -79,14 +79,14 @@ class MarketInstance:
         if alpha0 < 0:
             raise ValueError("alpha0 must be nonnegative")
         mu = _param(self.mu, n, "mu")
-        if np.any(_once(mu) < 0):
+        if np.logical_or.reduce(_once(mu) < 0):
             raise ValueError("mu must be nonnegative")
         lower = _param(self.lower, n, "lower", finite=False)
         upper = _param(self.upper, n, "upper", finite=False)
         lo, up = _once(lower), _once(upper)
-        if np.any(lo > up):
+        if np.logical_or.reduce(lo > up):
             raise ValueError("empty box: lower > upper somewhere")
-        if np.any(lo == np.inf) or np.any(up == -np.inf):
+        if np.logical_or.reduce(lo == np.inf) or np.logical_or.reduce(up == -np.inf):
             raise ValueError("lower must be below +inf and upper above -inf")
         # CostModel's class puts max |h_i''| at l or u: one cost pass per end into one
         # block; an infinite side may read inf (exp at -inf) or NaN in the discarded value
@@ -95,7 +95,7 @@ class MarketInstance:
             for k, side in enumerate((lower, upper)):
                 _cost_term(self, side, ends[1], ends[0], ends[2])
                 at_end[k] = np.maximum.reduce(np.abs(ends[2], out=ends[2]))
-        L_h = float(np.max(at_end))  # a NaN at either end survives np.max; max() would drop it
+        L_h = float(np.maximum.reduce(at_end))  # a NaN at either end survives; max() would drop it
         if not math.isfinite(L_h):
             raise ValueError(
                 "the cost's curvature is unbounded on the box, or the box leaves the cost domain"
@@ -111,7 +111,7 @@ class MarketInstance:
         object.__setattr__(self, "L_h", L_h)
         # decided once here, not per root pass: a reduction over a stride-0
         # side runs several times slower than over a dense one
-        object.__setattr__(self, "_signed", bool(np.min(lo) < 0.0))
+        object.__setattr__(self, "_signed", bool(np.minimum.reduce(lo) < 0.0))
         object.__setattr__(self, "_bounded", bool(np.isfinite(lo).all() & np.isfinite(up).all()))
 
     @property
@@ -121,6 +121,8 @@ class MarketInstance:
     def center(self):
         """Box midpoint (coordinates with an infinite side fall back to the finite one, else 0)."""
         lo, up = self.lower, self.upper
+        if one := lo.strides == up.strides == (0,):  # one number per side: its midpoint once
+            lo, up = lo[:1], up[:1]
         if self._bounded:
             lo_f, up_f = lo, up
         else:
@@ -135,7 +137,8 @@ class MarketInstance:
         if huge.any():  # lo + up overflowed: halve each side first, exact above the subnormals
             mid[huge] = 0.5 * lo_f[huge] + 0.5 * up_f[huge]
         np.maximum(mid, lo, out=mid)
-        return np.minimum(mid, up, out=mid)
+        np.minimum(mid, up, out=mid)
+        return mid.repeat(self.n) if one else mid
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)

@@ -6,6 +6,7 @@ from cournotprox import (
     AffineCost, CostDomainError, CostModel, ExpCost, LogCost, MarketInstance, SolverConfig,
     SolveStatus, Splitting, solve,
 )
+from cournotprox.costs import _param
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
 from cournotprox.model import _cost_term
 from oracles import (
@@ -230,11 +231,31 @@ class TestParameters:
             assert (arr.shape, arr.dtype, arr.strides) == ((3,), np.float64, (0,))
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+            with pytest.raises(ValueError):  # nor can its flag be set back
+                arr.setflags(write=True)
         np.testing.assert_array_equal(model.c0, [2.0, 2.0, 2.0])
         assert model.r.strides == (8,) and not model.r.flags.writeable
         affine = AffineCost(mu_h=0.5, xi=1.0, n=4)
         assert affine.mu_h.strides == affine.xi.strides == (0,)
         np.testing.assert_array_equal(cost_gradient(affine, np.ones((2, 4))), np.full((2, 4), 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array(np.nan), np.float32("inf")],
+                             ids=["nan", "inf", "-inf", "0-d nan", "float32 inf"])
+    def test_a_non_finite_number_is_refused_with_its_message(self, bad):
+        # one number is checked once, before it is viewed n times
+        with pytest.raises(ValueError, match="^c must be finite$"):
+            _param(bad, 4, "c")
+        with pytest.raises(ValueError, match="^r must be finite$"):
+            LogCost(c0=2.0, c=1.5, r=bad, n=4)
+
+    def test_an_infinite_side_passes_where_a_nan_does_not(self):
+        # the box's sides may be infinite, never NaN
+        for side in (np.inf, -np.inf):
+            arr = _param(side, 3, "upper", finite=False)
+            assert arr.strides == (0,) and np.all(arr == side)
+        for bad in (np.nan, np.array(np.nan)):
+            with pytest.raises(ValueError, match="^upper must not contain NaN$"):
+                _param(bad, 3, "upper", finite=False)
 
 
 class TestBatchSemantics:

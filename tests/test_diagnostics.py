@@ -295,6 +295,31 @@ class TestGammaLowerBound:
             gamma_lower_bound(inst)
             assert counted.calls == 2, n
 
+    @pytest.mark.parametrize("make", [log_cost_market, exp_cost_market])
+    def test_the_ends_settle_the_bound_bit_for_bit(self, make):
+        # no firm takes a Newton step: the bound is the sum of each profile's
+        # better end, -alpha_tilde*t + k(t), in the primitive's operation order
+        for n in (100, 1000, 10_000):
+            inst = make(n, 0)
+            b = -inst.alpha_tilde
+            p_lower = model._cost_term(inst, inst.lower) + b * inst.lower
+            p_upper = model._cost_term(inst, inst.upper) + b * inst.upper
+            want = float(np.add.reduce(np.minimum(p_lower, p_upper)))
+            assert gamma_lower_bound(inst) == want, n
+
+    def test_an_active_firm_runs_the_newton_loop(self, monkeypatch):
+        # h_i = a_i*x**2 with a_i of either sign: under either sign of the cost term
+        # some profile -10*t +- a_i*t**2 is convex with its minimum inside [0, 10]
+        inst = quadratic_market(20, 3)
+        counted = Counted(QuadraticCost.value_components)
+        monkeypatch.setattr(QuadraticCost, "value_components", lambda *args: counted(*args))
+        lb = gamma_lower_bound(inst)
+        assert counted.calls > 2
+        b = -inst.alpha_tilde
+        ends = np.minimum(model._cost_term(inst, inst.lower) + b * inst.lower,
+                          model._cost_term(inst, inst.upper) + b * inst.upper)
+        assert lb < float(np.add.reduce(ends)) - 1.0
+
     def test_unbounded_box_rejected(self):
         cost = AffineCost(mu_h=np.zeros(2))
         inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=0.0, upper=np.inf, cost=cost)

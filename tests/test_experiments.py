@@ -765,6 +765,19 @@ class TestCli:
         assert err.startswith("error: ") and "'max-iter'" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, first, second", [("seed", "1", "2"), ("c0", "2.0", "3.0")],
+                             ids=["flag_key", "market_key"])
+    def test_a_repeated_config_key_exits_2(self, tmp_path, capsys, key, first, second):
+        # a later line would silently win: the file is refused, naming the key and its line
+        cfgfile = tmp_path / "twice.cfg"
+        cfgfile.write_text(f"example = log\n{key} = {first}\nn = 5\n{key} = {second}\n")
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        message = f"error: {cfgfile}:4: '{key}' is set twice; give each key once\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ValueError, match=f"twice.cfg:4: '{key}' is set twice"):
+            parse_config_file(cfgfile)
+
     @pytest.mark.parametrize("value", ["true", "ON"])
     def test_trace_file_value_must_be_on_or_off_exits_2(self, tmp_path, capsys, value):
         cfgfile = tmp_path / "trace.cfg"

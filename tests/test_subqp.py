@@ -455,11 +455,16 @@ class TestAggregateRoot:
         assert max(passes) <= 4
 
     def test_bisection_where_newton_overshoots(self):
-        # every firm is free only for sigma in (49, 50): outside, F has slope -1
-        # and each Newton move lands on the far end of the bracket
-        n = 1000
+        # 1000 firms are free only for sigma in (49, 50): outside, F has slope -1
+        # and each Newton move lands on the far end of the bracket. One more firm
+        # at its upper side, free only near 1e9, puts the root of the piece where
+        # every firm is free near 1e6, beyond the bracket the first pass leaves
+        n = 1001
         a, lower, upper = np.full(n, 50.0), np.zeros(n), np.ones(n)
+        a[-1] = 1e9
         (sigma, _), ran = lines_run(_aggregate_root, a, 1.0, lower, upper, 1e3, np.empty(n))
+        assert ran[line_of(_aggregate_root, "if lo < piece < hi")] == 1
+        assert ran[line_of(_aggregate_root, "sigma = piece")] == 0
         assert ran[line_of(_aggregate_root, "sigma = 0.5 * (lo + hi)")] >= 1
         assert ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")] <= 30
         assert sigma == pytest.approx(breakpoint_root(a, 1.0, lower, upper), rel=1e-14)
@@ -597,11 +602,14 @@ class TestClamp:
 
 
 class TestRootJump:
-    """From 32,768 firms, a pass that finds no free firm jumps to a stride sample's root."""
+    """A pass that finds no free firm jumps: below 32,768 firms once, to the root of the
+    piece where every firm with room is free; from 32,768 to a stride sample's root."""
 
     PASS = "t = np.subtract(a, k * sigma"
     CHECK = "if lo < jump < hi"
     JUMP = "sigma = jump"
+    PIECE_CHECK = "if lo < piece < hi"
+    PIECE = "sigma = piece"
 
     @staticmethod
     def runs(ran, text):
@@ -650,6 +658,53 @@ class TestRootJump:
         assert jumps >= 10
         assert refused >= 1
 
+    def test_fuzz_the_piece_against_breakpoint_root(self):
+        # below 32,768 firms: far starts; dense, stride-0, infinite and pinned
+        # sides; one k or one per firm; a few firms at a = 1e9, which put the
+        # piece's root, where they too are free, far above the root
+        rng = np.random.default_rng(8191)
+        taken = refused = 0
+        for trial in range(120):
+            n = int(rng.integers(60, 32768)) if trial % 4 else 32767
+            k = rng.uniform(1e-3, 1.0, n) if trial % 3 == 2 else float(rng.uniform(1e-3, 1.0))
+            a = rng.normal(0.0, rng.choice([1.0, 10.0, 1e4]), n)
+            if trial % 2:
+                a[rng.random(n) < 0.01] = 1e9
+            kind = trial % 5
+            if kind == 0:
+                lower = rng.uniform(-5.0, 5.0, n)
+                upper = lower + rng.exponential(3.0, n)
+                lower[rng.random(n) < 0.2] = -np.inf
+                upper[rng.random(n) < 0.2] = np.inf
+            elif kind == 1:
+                lower = np.broadcast_to(0.0, (n,))
+                upper = np.broadcast_to(float(rng.uniform(0.5, 10.0)), (n,))
+            elif kind == 2:
+                lower = np.broadcast_to(-np.inf, (n,))
+                upper = rng.uniform(0.0, 5.0, n)
+            elif kind == 3:
+                lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+                lower[rng.random(n) < 0.5] = 0.0
+            else:
+                lower = rng.uniform(-5.0, 5.0, n)
+                upper = lower + rng.exponential(3.0, n)
+                pinned = rng.random(n) < rng.choice([0.5, 0.9, 1.0])
+                lower[pinned] = upper[pinned] = rng.uniform(-5.0, 5.0, n)[pinned]
+            far = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 8.0)
+            ref = breakpoint_root(a, k, lower, upper)
+            buf = np.empty(n)
+            (sigma, total), ran = lines_run(_aggregate_root, a, k, lower, upper, ref + far, buf)
+            assert total == np.add.reduce(buf)
+            x_ref = np.clip(a - k * ref, lower, upper)
+            scale = float(np.sum(np.abs(x_ref))) + abs(ref)
+            assert abs(sigma - ref) <= 1e-12 * scale
+            assert np.max(np.abs(buf - x_ref)) <= 1e-12 * scale
+            assert self.runs(ran, self.PIECE_CHECK) <= 1 and self.runs(ran, self.CHECK) == 0
+            taken += self.runs(ran, self.PIECE)
+            refused += self.runs(ran, self.PIECE_CHECK) - self.runs(ran, self.PIECE)
+        assert taken >= 20
+        assert refused >= 3
+
     @pytest.mark.parametrize("descending", [False, True])
     def test_a_jump_outside_a_one_sided_bracket_is_refused(self, descending):
         # every firm pinned, at values sorted so that the sample's lowest (or
@@ -670,12 +725,13 @@ class TestRootJump:
 
     @pytest.mark.parametrize("n, jumps", [(32767, 0), (32768, 1)])
     def test_the_jump_runs_from_32768_firms(self, n, jumps):
-        # every firm clipped at the far start; below the threshold Newton creeps
+        # every firm clipped at the far start; below the threshold the piece is tried
         rng = np.random.default_rng(3)
         a, lower, upper = rng.normal(0.0, 1e3, n), np.zeros(n), np.ones(n)
         ref = breakpoint_root(a, 0.5, lower, upper)
         (sigma, _), ran = lines_run(_aggregate_root, a, 0.5, lower, upper, ref + 1e6, np.empty(n))
         assert self.runs(ran, self.JUMP) == jumps
+        assert self.runs(ran, self.PIECE_CHECK) == 1 - jumps
         assert sigma == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 7, 90])
@@ -686,6 +742,30 @@ class TestRootJump:
         (res, _), ran = lines_run(solve, inst, config, traced=_aggregate_root)
         assert res.status is SolveStatus.CONVERGED
         assert self.runs(ran, self.PASS) <= 25
+
+    @pytest.mark.parametrize("family, n, damping, passes", [
+        # the passes before the piece's jump in the comments
+        (log_cost_market, 1000, "1/L_h", 2),  # 3
+        (log_cost_market, 1000, "inf", 3),  # 12
+        (log_cost_market, 10_000, "1/L_h", 2),  # 3
+        (log_cost_market, 10_000, "inf", 6),  # 16
+        (exp_cost_market, 1000, "1/L_h", 2),  # 11
+        (exp_cost_market, 1000, "inf", 4),  # 13
+        (exp_cost_market, 10_000, "1/L_h", 6),  # 16
+        (exp_cost_market, 10_000, "inf", 6),  # 16
+    ])
+    def test_cold_first_step_passes(self, family, n, damping, passes):
+        # the first exact-coupling step from the box midpoint, where every firm
+        # is clipped at the warm start sum(x): the piece's jump leaves a few passes
+        inst = family(n, 0)
+        c = 1.0 / inst.L_h if damping == "1/L_h" else math.inf
+        x = 0.5 * (inst.lower + inst.upper)
+        step, ran = lines_run(
+            prox_step, inst, x, c, None, None, Splitting.EXACT_COUPLING, traced=_aggregate_root
+        )
+        np.testing.assert_allclose(step, exact_coupling_step(inst, x, c), rtol=0, atol=1e-12)
+        assert self.runs(ran, self.PIECE_CHECK) == 1
+        assert self.runs(ran, self.PASS) == passes
 
     @pytest.mark.parametrize("family, damping, most", [
         (exp_cost_market, "1/L_h", 6),  # 22 full passes without the jump

@@ -5,8 +5,12 @@ Builds a small oligopoly with a logarithmic cost, evaluates the merit
 potential in O(n) without any matrices, reads off the curvature bound
 L_gamma that sizes the proximal steps, and brackets the Nash gap (what
 a firm gains by deviating on its own) at a stationary candidate and at
-a point where one firm has moved away from it.
+a point where one firm has moved away from it. Exits 1 when the
+candidate's certificate is above 1e-6 or the deviating firm's gap is not
+positive.
 """
+
+import sys
 
 import numpy as np
 
@@ -52,7 +56,9 @@ y = res.x.copy()
 y[0] = 0.5 * y[0]
 print("\nfirm 1 halves its output:", np.round(y, 4))
 print(f"  potential {potential_gamma(inst, y):.6f}")
-lo, hi = nash_gap(inst, y)
-print(f"  Nash gap in [{lo:.2e}, {hi:.2e}]: firm 1 gains by moving back")
+gap, hi = nash_gap(inst, y)
+print(f"  Nash gap in [{gap:.2e}, {hi:.2e}]: firm 1 gains by moving back")
 lo, hi = nash_gap(inst, y, radius=0.5)
 print(f"  moves of at most 0.5 gain [{lo:.2e}, {hi:.2e}]")
+if not (res.certificate <= 1e-6 and gap > 0.0):
+    sys.exit(1)

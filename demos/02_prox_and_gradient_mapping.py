@@ -5,10 +5,13 @@ Checks the closed-form box prox point against its variational optimality
 condition, shows the fixed-point property at stationary points, how the
 mapping norm shrinks while the raw displacement grows as the damping
 parameter increases, and the stationarity certificate built on it.
-This is the paper's step, ``Splitting.PAPER`` in ``solve``.
+This is the paper's step, ``Splitting.PAPER`` in ``solve``. Exits 1
+when the optimality condition or the damping sweep's monotonicity it
+prints fails.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -31,6 +34,7 @@ c = 1.0 / L
 print("closed-form prox point against its variational optimality condition:")
 print(f"{'point':>8} {'c*L_gamma':>10} {'at a bound':>11} {'min over the box of (y - s)v':>29}")
 x_random = np.random.default_rng(0).uniform(inst.lower, inst.upper)
+lowest = math.inf
 for name, xx in (("center", x), ("random", x_random)):
     for frac in (1.0, 4.0):
         cc = frac / L
@@ -40,9 +44,11 @@ for name, xx in (("center", x), ("random", x_random)):
         g = inst.beta * (np.sum(xx) - xx) - inst.alpha_tilde - h_slope
         v = 2.0 * inst.beta * s + g + (s - xx) / cc
         worst = np.sum(np.minimum((inst.lower - s) * v, (inst.upper - s) * v))
+        lowest = min(lowest, worst)
         active = np.count_nonzero((s == inst.lower) | (s == inst.upper))
         print(f"{name:>8} {frac:10.1f} {active:11d} {worst:29.2e}")
-print("nonnegative up to rounding: every prox point is the exact minimizer")
+optimal = lowest >= -1e-9
+print(f"nonnegative up to rounding (all >= -1e-9: {optimal}): every prox point is the exact minimizer")
 
 print("\ngradient mapping at the box center, c = 1/L_gamma:")
 G = (x - prox_step(inst, x, c, splitting=Splitting.PAPER)) / c
@@ -60,9 +66,15 @@ for cc in (0.1, 1.0, 10.0):
 
 print("\ndamping sweep at a non-stationary point (log-cost market):")
 print(f"{'c*L_gamma':>10} {'||G_c||':>12} {'||x - s_c||':>12}")
+norms, moves = [], []
 for frac in 2.0 ** np.arange(-4, 5):
     cc = frac / L
     r = np.linalg.norm(x - prox_step(inst, x, cc, splitting=Splitting.PAPER))
     e = r / cc
+    norms.append(e)
+    moves.append(r)
     print(f"{frac:10.4f} {e:12.6f} {r:12.6f}")
-print("the mapping norm only falls, the displacement only grows")
+monotone = bool(np.all(np.diff(norms) <= 0.0) and np.all(np.diff(moves) >= 0.0))
+print(f"the mapping norm only falls, the displacement only grows: {monotone}")
+if not (optimal and monotone):
+    sys.exit(1)

@@ -11,11 +11,12 @@ formula bounds h'': ``MarketInstance`` reads its bound from h'' at the
 box's two ends, and refuses a box with an end outside the cost's domain,
 where the kernel raises ``CostDomainError`` or h'' is not finite.
 
-Per-firm parameters are read-only float vectors of shape (n,). One given
-as a scalar is checked as one number and stored once, as a stride-0 view
-of its own read-only copy: ufuncs read it as fast as the scalar, checks
-read one element (through ufunc reductions, cheaper than np.any), and it
-costs no n-vector. A length-n input is copied. Only int and float dtypes pass.
+Per-firm parameters are read-only float vectors of shape (n,), stored by
+``CostModel._store``, which takes n from ``n=`` or the first vector. One as
+a scalar is checked as one number and stored once, as a stride-0 view of
+its own read-only copy: ufuncs read it as fast as the scalar, checks read
+one element (through ufunc reductions, cheaper than np.any), and it costs
+no n-vector. A length-n input is copied. Only int and float dtypes pass.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "ExpCost",
 ]
 
-_MAX_N = np.iinfo(np.intp).max  # the longest axis numpy can index
+_MAX_N = np.iinfo(np.intp).max // 8  # the longest float vector numpy can describe
 
 
 class CostDomainError(ValueError):
@@ -72,7 +73,7 @@ def _infer_n(n, *values):
             raise ValueError(f"n must be a positive integer at most {_MAX_N}")
         return n
     for v in values:
-        if np.ndim(v) == 1:
+        if np.ndim(v):  # one that is no vector either fails in _param, by name and shape
             return len(v)
     raise ValueError("pass n= when every parameter is a scalar")
 
@@ -128,6 +129,12 @@ class CostModel(ABC):
         shaped like ``x``; none may alias ``x`` or another.
         """
 
+    def _store(self, *names):
+        n = _infer_n(self.n, *(getattr(self, name) for name in names))
+        object.__setattr__(self, "n", n)
+        for name in names:
+            object.__setattr__(self, name, _param(getattr(self, name), n, name))
+
     def _check_points(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
@@ -149,10 +156,7 @@ class AffineCost(CostModel):
     n: int = None
 
     def __post_init__(self):
-        n = _infer_n(self.n, self.mu_h, self.xi)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mu_h", _param(self.mu_h, n, "mu_h"))
-        object.__setattr__(self, "xi", _param(self.xi, n, "xi"))
+        self._store("mu_h", "xi")
 
     def value_components(self, x, grad=None, out=None, curv=None):
         x = self._check_points(x)
@@ -181,11 +185,7 @@ class LogCost(CostModel):
     cr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = _infer_n(self.n, self.c0, self.c, self.r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c0", _param(self.c0, n, "c0"))
-        object.__setattr__(self, "c", _param(self.c, n, "c"))
-        object.__setattr__(self, "r", _param(self.r, n, "r"))
+        self._store("c0", "c", "r")
         if np.logical_or.reduce(_once(self.c0) < 0):
             raise ValueError("c0 must be nonnegative")
         if np.logical_or.reduce(_once(self.c) <= 0) or np.logical_or.reduce(_once(self.r) <= 0):
@@ -228,11 +228,7 @@ class ExpCost(CostModel):
     _neg_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = _infer_n(self.n, self.c0, self.c, self.r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c0", _param(self.c0, n, "c0"))
-        object.__setattr__(self, "c", _param(self.c, n, "c"))
-        object.__setattr__(self, "r", _param(self.r, n, "r"))
+        self._store("c0", "c", "r")
         if np.logical_or.reduce(_once(self.c) <= 0) or np.logical_or.reduce(_once(self.r) <= 0):
             raise ValueError("c and r must be positive")
         if np.logical_or.reduce(_once(self.c0) < _once(self.c)):

@@ -119,10 +119,10 @@ class ExperimentConfig:
     example: ExampleFamily = ExampleFamily.LOG
     sweep: Optional[tuple] = None
     seed: int = 0
-    eps: float = 1e-3
-    step_policy: StepPolicy = StepPolicy.FIXED
-    splitting: Splitting = Splitting.EXACT_COUPLING
-    max_iter: int = 100_000
+    eps: float = SolverConfig.eps
+    step_policy: StepPolicy = SolverConfig.step_policy
+    splitting: Splitting = SolverConfig.splitting
+    max_iter: int = SolverConfig.max_iter
     out_dir: Path = None
     x0: X0Policy = X0Policy.CENTER
     trace: bool = True

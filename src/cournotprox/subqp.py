@@ -7,6 +7,7 @@ the rank-one term beta*11' to its Hessian. It and the solver's Newton trial
 reduce to one equation in total output, solved by ``_aggregate_root``. At
 c = inf and zero cost curvature its model is the potential, the QP with
 Hessian beta*(I + 11'), and its step the equilibrium: the affine oracle.
+Every step clips onto the box with ``model._clamp``.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.EXACT_COUPLING, 
     d = 2*beta + 1/c and k = 0, EXACT_COUPLING d = beta + 1/c, k = beta/d
     and sigma the aggregate root (``_aggregate_root``), warm-started at
     sum(x), which is the previous step's root up to rounding; so the step
-    depends on x and c alone. Both clip through one clamp, a single
-    ``clip`` on stride-0 box sides. Stationary points are exactly the
+    depends on x and c alone. Both clip through ``model._clamp``, a
+    single ``clip`` on stride-0 box sides. Stationary points are exactly the
     step's fixed points, for every c > 0, c = inf included.
 
     ``g`` does not depend on c, so a caller trying several c from one
@@ -143,18 +144,8 @@ def prox_step(inst, x, c, g=None, out=None, splitting=Splitting.EXACT_COUPLING, 
             a, inst.beta / d, inst.lower, inst.upper, sums[0], out, masks, inst._signed
         )
         return out
-    sums[1] = np.add.reduce(_clamp(a, inst.lower, inst.upper, out))
+    sums[1] = np.add.reduce(model._clamp(a, inst.lower, inst.upper, out))
     return out
-
-
-def _clamp(t, lower, upper, out):
-    # np.minimum(np.maximum(t, lower), upper) into out, but for a zero's sign (a clip keeps
-    # t's zero on a zero side): one clip, np.clip without its wrapper, where both sides have
-    # stride 0, about 2x faster there from n = 1e4; a clip is 1.6x slower on a dense side
-    if lower.strides == upper.strides == (0,):
-        return t.clip(lower, upper, out=out)
-    np.maximum(t, lower, out=out)
-    return np.minimum(out, upper, out=out)
 
 
 def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
@@ -205,7 +196,7 @@ def _aggregate_root(a, k, lower, upper, sigma0, buf, masks=None, signed=True):
     while True:
         # a per-firm k times sigma goes into buf first: no temporary n-vector
         t = np.subtract(a, k * sigma if uniform else np.multiply(k, sigma, out=buf), out=buf)
-        _clamp(t, lower, upper, t)
+        model._clamp(t, lower, upper, t)
         total = float(np.add.reduce(t))
         f = total - sigma
         if f > 0.0:

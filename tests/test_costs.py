@@ -239,6 +239,29 @@ class TestParameters:
         assert affine.mu_h.strides == affine.xi.strides == (0,)
         np.testing.assert_array_equal(cost_gradient(affine, np.ones((2, 4))), np.full((2, 4), 0.5))
 
+    @pytest.mark.parametrize(
+        "family, kwargs, message",
+        [
+            (LogCost, dict(c0=np.ones((2, 3)), c=1.0, r=1.0), r"^c0 .* got shape \(2, 3\)$"),
+            (ExpCost, dict(c0=4.0, c=[[1.0]], r=1.0), r"^c .* got shape \(1, 1\)$"),
+            (AffineCost, dict(mu_h=1.0, xi=np.zeros((2, 2))), r"^xi .* got shape \(2, 2\)$"),
+            (LogCost, dict(c0=[2.0, 2.0], c=np.ones((2, 3)), r=1.0), r"^c .* got shape \(2, 3\)$"),
+        ],
+        ids=["log_c0", "exp_c", "affine_xi", "after_a_vector"],
+    )
+    def test_a_parameter_of_another_shape_is_named_with_its_shape(self, family, kwargs, message):
+        # without n= the first parameter that is no scalar gives it; one that is no vector
+        # either is named, not taken for a market of all-scalar parameters
+        with pytest.raises(ValueError, match=message):
+            family(**kwargs)
+
+    def test_the_largest_n_is_the_longest_float_vector(self):
+        # the bound is numpy's own: a stride-0 view one firm longer is too big to describe
+        longest = np.iinfo(np.intp).max // 8
+        assert AffineCost(mu_h=1.0, n=longest).mu_h.shape == (longest,)
+        with pytest.raises(ValueError, match="array is too big"):
+            np.ndarray((longest + 1,), buffer=np.array(1.0), strides=(0,))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array(np.nan), np.float32("inf")],
                              ids=["nan", "inf", "-inf", "0-d nan", "float32 inf"])
     def test_a_non_finite_number_is_refused_with_its_message(self, bad):

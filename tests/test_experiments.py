@@ -167,6 +167,10 @@ class TestInstanceFamilies:
         with pytest.raises(ValueError, match=rf"^{field} must be "):
             ExperimentConfig(sweep=(3,), **{field: value})
 
+    def test_the_solver_defaults_are_the_solver_configs(self):
+        # each solver knob's default is written once, on SolverConfig
+        assert ExperimentConfig().solver_config() == SolverConfig()
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig(sweep=(10, 10))
@@ -749,9 +753,12 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sizes", [["--n", "100000000000000000000000"],
-                                       ["--sweep", "3,100000000000000000000000"]], ids=["n", "sweep"])
+                                       ["--sweep", "3,100000000000000000000000"],
+                                       ["--n", "4611686018427387904"]],
+                             ids=["n", "sweep", "n_past_the_longest_float_vector"])
     def test_a_size_past_numpys_longest_axis_exits_2(self, tmp_path, capsys, sizes):
-        # numpy would refuse it only inside a run, with no name; a smaller size runs none first
+        # numpy would refuse it only inside a run, with no name; a smaller size runs none first;
+        # 2**62 is an axis numpy can index, but no float vector it can describe
         assert main(["--example", "log", *sizes, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: n must be a positive integer at most ")
         assert not (tmp_path / "o").exists()

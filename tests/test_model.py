@@ -22,6 +22,7 @@ from cournotprox import (
 )
 from cournotprox import model
 from cournotprox.experiments import exp_cost_market, log_cost_market
+from cournotprox.subqp import _aggregate_root
 import oracles
 from oracles import (
     affine_equilibrium,
@@ -39,6 +40,7 @@ from oracles import (
     potential_reference,
 )
 from test_diagnostics import SinCost
+from test_subqp import line_of, lines_run
 
 
 def zero_cost_instance(n, beta=0.1, alpha0=10.0, lower=0.0, upper=10.0, mu=0.0):
@@ -607,3 +609,122 @@ class TestInstanceValidation:
         assert ends[0].tobytes() == inst.lower.tobytes() and ends[1].tobytes() == inst.upper.tobytes()
         assert inst.L_h == np.max(np.abs(cost_term_curvature(cost.inner, inst.lower)))
         assert lipschitz_gamma(inst) == inst.L_h + 19 * inst.beta
+
+
+class TestClamp:
+    """The one box clamp, of project, center, the PAPER step and the aggregate root:
+    a clip on stride-0 sides, the ufunc pair on dense ones."""
+
+    @staticmethod
+    def boxes(rng, n):
+        # each pairing of stride-0 and dense sides, with infinite sides
+        lo = float(rng.uniform(-5.0, 5.0))
+        hi = lo + float(rng.exponential(3.0))
+        lower = lo - rng.exponential(1.0, n)
+        upper = hi + rng.exponential(1.0, n)
+        lower[rng.random(n) < 0.2] = -np.inf
+        upper[rng.random(n) < 0.2] = np.inf
+        lo = -np.inf if rng.random() < 0.2 else lo
+        hi = np.inf if rng.random() < 0.2 else hi
+        flat = lambda v: np.broadcast_to(np.asarray(v), (n,))
+        return [(flat(lo), flat(hi)), (lower, upper), (flat(lo), upper), (lower, flat(hi))]
+
+    def test_fuzz_against_the_two_ufuncs(self):
+        # bit for bit, NaN and infinite entries included, into a buffer, in place and new
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            t = rng.normal(0.0, 10.0, n)
+            t[rng.random(n) < 0.1] = np.nan
+            t[rng.random(n) < 0.05] = np.inf
+            t[rng.random(n) < 0.05] = -np.inf
+            for lower, upper in self.boxes(rng, n):
+                want = np.minimum(np.maximum(t, lower), upper).tobytes()
+                assert model._clamp(t, lower, upper, np.empty(n)).tobytes() == want
+                assert model._clamp(t, lower, upper).tobytes() == want
+                inplace = t.copy()
+                assert model._clamp(inplace, lower, upper, inplace) is inplace
+                assert inplace.tobytes() == want
+
+    def test_a_zero_on_a_zero_side_may_differ_in_sign_only(self):
+        # the clip keeps t's zero where the ufuncs order -0.0 below 0.0
+        t = np.array([-0.0, 0.0, -0.0, 0.0])
+        flat = lambda v: np.broadcast_to(np.asarray(v), (4,))
+        for lo, hi in ((0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)):
+            got = model._clamp(t, flat(lo), flat(hi), np.empty(4))
+            np.testing.assert_array_equal(got, np.minimum(np.maximum(t, lo), hi))
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(-1.0, 2.0), (0.0, np.inf), (-np.inf, np.inf), ("dense", "dense"), ("dense", np.inf),
+         ("dense_infinite", "dense_infinite")],
+        ids=["stride0", "stride0_half_infinite", "stride0_whole_line", "dense",
+             "dense_and_stride0_infinite", "dense_infinite"],
+    )
+    def test_project_is_np_clip_up_to_a_zeros_sign(self, lower, upper):
+        n = 200
+        rng = np.random.default_rng(5)
+        sides = {"dense": (-rng.exponential(1.0, n), rng.exponential(1.0, n))}
+        sides["dense_infinite"] = tuple(np.where(rng.random(n) < 0.3, s * np.inf, s)
+                                        for s in sides["dense"])
+        lower = sides[lower][0] if isinstance(lower, str) else lower
+        upper = sides[upper][1] if isinstance(upper, str) else upper
+        inst = zero_cost_instance(n, lower=lower, upper=upper)
+        x = rng.normal(0.0, 2.0, (3, n))
+        x[0, ::7], x[1, ::5], x[2, ::9] = -0.0, np.inf, np.nan
+        x[2, 1::9] = -np.inf
+        for point in (x, x[0], list(x[1])):
+            got = inst.project(point)
+            np.testing.assert_array_equal(got, np.clip(point, inst.lower, inst.upper))
+            assert got is not point and got.dtype == np.float64
+
+    def test_the_steps_the_root_center_and_project_go_through_it(self, monkeypatch):
+        calls = []
+        clamp = model._clamp
+
+        def counting(t, lower, upper, out=None):
+            calls.append(out is t)  # center and the root clamp in place
+            return clamp(t, lower, upper, out)
+
+        monkeypatch.setattr(model, "_clamp", counting)
+        inst = log_cost_market(50, 1)
+        x = inst.center()
+        assert calls == [True]
+        calls.clear()
+        inst.project(x)
+        assert calls == [False]
+        calls.clear()
+        prox_step(inst, x, 0.1, splitting=Splitting.PAPER)
+        assert calls == [False]
+        calls.clear()
+        ran = lines_run(prox_step, inst, x, 0.1, traced=_aggregate_root)[1]
+        assert calls and all(calls)
+        assert len(calls) == ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_only_dense_sides_take_the_two_ufuncs(self, monkeypatch, dense):
+        used = []
+
+        class Recording:
+            def __getattr__(self, name):
+                if name in ("maximum", "minimum"):
+                    used.append(name)
+                return getattr(np, name)
+
+        n = 40
+        side = (lambda v: np.full(n, v)) if dense else (lambda v: v)
+        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=side(0.0), upper=side(10.0),
+                              cost=log_cost_market(n, 1).cost)
+        assert (inst.lower.strides == (0,)) is not dense
+        monkeypatch.setattr(model, "np", Recording())
+        x = inst.center()
+        assert used == ["maximum", "minimum"] * dense
+        used.clear()
+        inst.project(x)
+        assert used == ["maximum", "minimum"] * dense
+        for splitting in Splitting:
+            used.clear()
+            prox_step(inst, x, 0.1, splitting=splitting)
+            # one pair per clamp: the PAPER step's, or each root pass's
+            pairs = len(used) // 2 if dense else 0
+            assert used == ["maximum", "minimum"] * pairs and (pairs > 0) is dense

@@ -148,6 +148,20 @@ def test_only_subqp_tells_the_splittings_apart():
     }
 
 
+def test_only_the_clamp_clips():
+    # the box clamp is written once, in model._clamp, with a clip on stride-0 sides and a
+    # ufunc pair on dense ones; np.clip or an array's clip elsewhere would be a second clamp
+    clippers = set()
+    for path in sorted(Path(cournotprox.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "clip" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    clippers.add((path.name, getattr(top, "name", None)))
+    assert clippers == {("model.py", "_clamp")}
+
+
 def test_solver_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == SOLVER_CONFIG_FIELDS
 
@@ -206,8 +220,10 @@ INTEGER_SETTINGS = {"max_iter", "n", "seed"}
 NO_NUMBERS = {"bool": True, "str": "0.1", "none": None, "sized_array": np.array([1.0])}
 # beyond every float, so float() overflows; an integer setting takes them
 TOO_BIG = {"huge_int": 10**400, "huge_fraction": Fraction(10**400)}
-# n is also an axis length, which numpy caps at intp; a size it allows is never built here
-TOO_LONG = {"past_intp": np.iinfo(np.intp).max + 1, "two_to_63": 2**63, "huge_int": 10**400}
+# n is also a float vector's length, whose n*8 bytes numpy caps at intp; a size it allows is
+# never built here
+TOO_LONG = {"past_float_vector": np.iinfo(np.intp).max // 8 + 1, "two_to_62": 2**62,
+            "past_intp": np.iinfo(np.intp).max + 1, "two_to_63": 2**63, "huge_int": 10**400}
 
 
 # gamma_lb=None is no bad value: it asks solve to compute the bound
@@ -227,7 +243,7 @@ def test_a_setting_that_is_no_number_is_refused_by_name(name, value):
 @pytest.mark.parametrize("value", list(TOO_LONG.values()), ids=list(TOO_LONG))
 def test_a_sweep_size_past_numpys_longest_axis_is_refused_as_n(value):
     # each sweep size is an n and passes the cost's own check, before any run
-    message = rf"^n must be a positive integer at most {np.iinfo(np.intp).max}$"
+    message = rf"^n must be a positive integer at most {np.iinfo(np.intp).max // 8}$"
     for call in (lambda: LogCost(c0=2.0, c=1.5, r=1.0, n=value),
                  lambda: ExperimentConfig(sweep=(2, value))):
         with pytest.raises(ValueError, match=message):

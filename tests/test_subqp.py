@@ -14,7 +14,7 @@ from cournotprox import (
 )
 from cournotprox import model
 from cournotprox.experiments import affine_market, exp_cost_market, log_cost_market
-from cournotprox.subqp import _aggregate_root, _clamp, _newton_point, prox_step
+from cournotprox.subqp import _aggregate_root, _newton_point, prox_step
 import oracles
 from oracles import (
     affine_equilibrium, apply_Btilde, breakpoint_root, cost_term_curvature, cost_term_slope,
@@ -515,90 +515,6 @@ class TestAggregateRoot:
         buf = np.empty(3)
         _aggregate_root(a, 0.5, np.zeros(3), np.full(3, 5.0), 0.0, buf)
         assert np.isnan(buf[1])
-
-
-class TestClamp:
-    """The one clamp of the PAPER step and the aggregate root: a clip on stride-0 sides."""
-
-    @staticmethod
-    def boxes(rng, n):
-        # each pairing of stride-0 and dense sides, with infinite sides
-        lo = float(rng.uniform(-5.0, 5.0))
-        hi = lo + float(rng.exponential(3.0))
-        lower = lo - rng.exponential(1.0, n)
-        upper = hi + rng.exponential(1.0, n)
-        lower[rng.random(n) < 0.2] = -np.inf
-        upper[rng.random(n) < 0.2] = np.inf
-        lo = -np.inf if rng.random() < 0.2 else lo
-        hi = np.inf if rng.random() < 0.2 else hi
-        flat = lambda v: np.broadcast_to(np.asarray(v), (n,))
-        return [(flat(lo), flat(hi)), (lower, upper), (flat(lo), upper), (lower, flat(hi))]
-
-    def test_fuzz_against_the_two_ufuncs(self):
-        # bit for bit, NaN and infinite entries included, into a buffer and in place
-        rng = np.random.default_rng(27)
-        for _ in range(300):
-            n = int(rng.integers(1, 300))
-            t = rng.normal(0.0, 10.0, n)
-            t[rng.random(n) < 0.1] = np.nan
-            t[rng.random(n) < 0.05] = np.inf
-            t[rng.random(n) < 0.05] = -np.inf
-            for lower, upper in self.boxes(rng, n):
-                want = np.minimum(np.maximum(t, lower), upper).tobytes()
-                assert _clamp(t, lower, upper, np.empty(n)).tobytes() == want
-                inplace = t.copy()
-                assert _clamp(inplace, lower, upper, inplace) is inplace
-                assert inplace.tobytes() == want
-
-    def test_a_zero_on_a_zero_side_may_differ_in_sign_only(self):
-        # the clip keeps t's zero where the ufuncs order -0.0 below 0.0
-        t = np.array([-0.0, 0.0, -0.0, 0.0])
-        flat = lambda v: np.broadcast_to(np.asarray(v), (4,))
-        for lo, hi in ((0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)):
-            got = _clamp(t, flat(lo), flat(hi), np.empty(4))
-            np.testing.assert_array_equal(got, np.minimum(np.maximum(t, lo), hi))
-
-    def test_the_root_and_the_paper_step_go_through_it(self, monkeypatch):
-        calls = []
-        clamp = cournotprox.subqp._clamp
-
-        def counting(t, lower, upper, out):
-            calls.append(out is t)  # the root clamps its pass in place
-            return clamp(t, lower, upper, out)
-
-        monkeypatch.setattr(cournotprox.subqp, "_clamp", counting)
-        inst = log_cost_market(50, 1)
-        x = inst.center()
-        prox_step(inst, x, 0.1, splitting=Splitting.PAPER)
-        assert calls == [False]
-        calls.clear()
-        ran = lines_run(prox_step, inst, x, 0.1, traced=_aggregate_root)[1]
-        assert calls and all(calls)
-        assert len(calls) == ran[line_of(_aggregate_root, "t = np.subtract(a, k * sigma")]
-
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_only_dense_sides_take_the_two_ufuncs(self, monkeypatch, dense):
-        used = []
-
-        class Recording:
-            def __getattr__(self, name):
-                if name in ("maximum", "minimum"):
-                    used.append(name)
-                return getattr(np, name)
-
-        monkeypatch.setattr(cournotprox.subqp, "np", Recording())
-        n = 40
-        side = (lambda v: np.full(n, v)) if dense else (lambda v: v)
-        inst = MarketInstance(beta=0.1, alpha0=10.0, mu=0.0, lower=side(0.0), upper=side(10.0),
-                              cost=log_cost_market(n, 1).cost)
-        assert (inst.lower.strides == (0,)) is not dense
-        x = inst.center()
-        for splitting in Splitting:
-            used.clear()
-            prox_step(inst, x, 0.1, splitting=splitting)
-            # one pair per clamp: the PAPER step's, or each root pass's
-            pairs = len(used) // 2 if dense else 0
-            assert used == ["maximum", "minimum"] * pairs and (pairs > 0) is dense
 
 
 class TestRootJump:
